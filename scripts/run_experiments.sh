@@ -34,16 +34,11 @@ airmv pmepr --seed "$SEED" --k 8,32 --methods m1,m2,m3 \
 airmv resources --seed "$SEED" --k 32 --l-e 5 --u 20 --methods m1,m2,m3 \
   --out "$OUT/resources.csv"
 
-# Distributed median RMSE over rounds (U=25, 10 dB). The uncoded and
-# differential encoders at K=128 have no precomputable codebook and cost
-# hours at this horizon, so they run only up to K=32 here.
+# Distributed median RMSE over rounds (U=25, 10 dB).
 for LE in 1 5; do
   airmv rmse --seed "$SEED" --k 8,32,128 --u 25 --snr 10 --l-e "$LE" --rho 1.0 \
-    --methods ideal,m3,goldenbaum,obda,obda_phase \
-    --rounds 4000 --realizations 100 --out "$OUT/rmse_m3_le${LE}.csv"
-  airmv rmse --seed "$SEED" --k 8,32 --u 25 --snr 10 --l-e "$LE" --rho 1.0 \
-    --methods m1,m2 \
-    --rounds 4000 --realizations 100 --out "$OUT/rmse_m12_le${LE}.csv"
+    --methods ideal,m1,m2,m3,goldenbaum,obda,obda_phase \
+    --rounds 4000 --realizations 100 --out "$OUT/rmse_le${LE}.csv"
 done
 
 echo "results written to $OUT/"

@@ -1,5 +1,6 @@
 """Over-the-air majority-vote computation on the zeros of Huffman polynomials."""
 
+from .aggregation import ProbeAggregator
 from .baselines import (
     GoldenbaumConfig,
     ObdaConfig,
@@ -14,12 +15,14 @@ from .decoding import (
     CountEstimates,
     DecoderContext,
     channel_power,
+    decide,
     decode,
     decode_differential,
     decode_indexed,
     decode_uncoded,
     estimate_counts,
     noise_power,
+    probe_points,
     signal_scale,
     signal_scale_differential,
     signal_scale_indexed,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PdpConfig", "pdp", "sample_channel", "superpose"]
+__all__ = ["PdpConfig", "pdp", "sample_channel", "awgn", "superpose"]
 
 
 def pdp(L_e: int, rho: float) -> np.ndarray:
@@ -57,6 +57,13 @@ def sample_channel(
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def awgn(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
+    """CN(0, sigma2) samples; all real parts are drawn before the imaginary."""
+    return np.sqrt(sigma2 / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+
+
 def superpose(
     coeff_seqs,
     channels,
@@ -86,7 +93,5 @@ def superpose(
     if sigma2 > 0:
         if rng is None:
             raise ValueError("an rng is required when sigma2 > 0")
-        y += np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        )
+        y += awgn(y.shape, sigma2, rng)
     return y

@@ -16,20 +16,10 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "build_config
 EXPERIMENTS = ("cer", "snr", "pmepr", "rmse", "resources", "theory")
 PROPOSED = ("uncoded", "differential", "indexed")
 BASELINES = ("goldenbaum", "obda", "obda_phase", "obda_no_tci")
-METHOD_ALIASES = {"m1": "uncoded", "m2": "differential", "m3": "indexed"}
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
 
 
 def _parse_float(text: str) -> float:
@@ -76,9 +66,11 @@ def _parse_methods(text: str) -> tuple[str, ...]:
         name = raw.strip().lower()
         if not name:
             continue
-        name = METHOD_ALIASES.get(name, name)
-        if name not in PROPOSED + BASELINES + ("ideal",):
-            raise ConfigError(f"unknown method {raw.strip()!r}")
+        if name not in BASELINES + ("ideal",):
+            try:
+                name = Method.from_name(name).value
+            except ValueError:
+                raise ConfigError(f"unknown method {raw.strip()!r}") from None
         names.append(name)
     if not names:
         raise ConfigError("method list is empty")

@@ -8,6 +8,12 @@ uncoded detector needs the delay profile and noise level to de-bias its
 count estimates; the differential and indexed detectors compare energies at
 a common radius, where all those scalars cancel.
 
+Each detector is two pieces: the probe points it reads (`probe_points`) and
+its decision from the energies there (`decide`). `decode` evaluates a
+received sequence at the points; the probe-domain engine in
+`airmv.aggregation` computes the values at the points directly. Both end in
+the same `decide`.
+
 sign(0) is reported as 0 and counted as a computation error downstream;
 under noise an exact tie has probability zero.
 """
@@ -32,6 +38,9 @@ __all__ = [
     "DecoderContext",
     "CountEstimates",
     "estimate_counts",
+    "powers",
+    "probe_points",
+    "decide",
     "decode_uncoded",
     "decode_differential",
     "decode_indexed",
@@ -155,15 +164,78 @@ class CountEstimates:
     u_minus: np.ndarray
 
 
+def powers(points: np.ndarray, n: int) -> np.ndarray:
+    """Vandermonde matrix V[i, p] = points[p]^i for i < n.
+
+    A sequence y evaluates as a polynomial at every point with one matmul,
+    y @ V: the same evaluation as poly_eval, but BLAS-friendly for large
+    trial batches.
+    """
+    return np.power(points[np.newaxis, :], np.arange(n)[:, np.newaxis])
+
+
 def _energies(y, points: np.ndarray) -> np.ndarray:
-    # Vandermonde matmul: same evaluation as poly_eval but BLAS-friendly
-    # for large trial batches.
     y2 = np.asarray(y, dtype=complex)
-    powers = np.power(
-        points[np.newaxis, :], np.arange(y2.shape[-1])[:, np.newaxis]
-    )
-    r = y2 @ powers
+    r = y2 @ powers(points, y2.shape[-1])
     return r.real**2 + r.imag**2
+
+
+def _positions(method: Method, K: int, positions) -> np.ndarray:
+    M = method.votes_per_codeword(K)
+    if positions is None:
+        return np.arange(M)
+    pos = np.asarray(positions, dtype=np.intp).reshape(-1)
+    if pos.size == 0 or pos.min() < 0 or pos.max() >= M:
+        raise ValueError(f"vote positions {positions!r} out of range for M={M}")
+    return pos
+
+
+def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
+    """Points at which the detector reads R(z) to decide the given votes.
+
+    `positions` lists vote positions (all of them by default). Uncoded vote
+    l reads slot l at radius d and at radius 1/d (all radius-d points come
+    first); differential vote l reads slots 2l and 2l+1 at radius d; every
+    indexed vote reads all K slots at radius d.
+    """
+    w = root_phases(rp.K)
+    pos = _positions(method, rp.K, positions)
+    if method is Method.UNCODED:
+        return np.concatenate([rp.d * w[pos], (1.0 / rp.d) * w[pos]])
+    if method is Method.DIFFERENTIAL:
+        return rp.d * w[np.stack([2 * pos, 2 * pos + 1], axis=-1).reshape(-1)]
+    return rp.d * w
+
+
+def _count_estimates(energies: np.ndarray, ctx: DecoderContext) -> CountEstimates:
+    rp, pdp_cfg = ctx.rp, ctx.pdp
+    half = energies.shape[-1] // 2
+    u = []
+    for da, e in ((rp.d, energies[..., :half]), (1.0 / rp.d, energies[..., half:])):
+        num = e - noise_power(da, ctx.sigma2, rp.K, pdp_cfg.L_e)
+        den = signal_scale_uncoded(rp, da) * channel_power(da, pdp_cfg)
+        u.append(num / den)
+    return CountEstimates(u_plus=u[0], u_minus=u[1])
+
+
+def decide(energies, ctx: DecoderContext, positions=None) -> np.ndarray:
+    """Majority votes at `positions` from the probe energies |R(z_p)|^2.
+
+    `energies` (..., P) holds the energies at the `probe_points` of `positions`
+    in that order; the result is (..., len(positions)). This is the one
+    decision rule of each detector, shared by `decode` and the probe-domain
+    aggregation engine.
+    """
+    e = np.asarray(energies)
+    if ctx.method is Method.UNCODED:
+        est = _count_estimates(e, ctx)
+        return np.sign(est.u_plus - est.u_minus).astype(int)
+    if ctx.method is Method.DIFFERENTIAL:
+        return np.sign(e[..., 0::2] - e[..., 1::2]).astype(int)
+    K = ctx.rp.K
+    m = K.bit_length() - 1
+    signs = 2.0 * ((np.arange(K)[:, np.newaxis] >> np.arange(m)) & 1) - 1.0
+    return np.sign(e @ signs[:, _positions(ctx.method, K, positions)]).astype(int)
 
 
 def estimate_counts(y, ctx: DecoderContext) -> CountEstimates:
@@ -175,21 +247,20 @@ def estimate_counts(y, ctx: DecoderContext) -> CountEstimates:
     """
     if ctx.method is not Method.UNCODED:
         raise ValueError("count estimates are defined for the uncoded detector")
-    rp, pdp_cfg = ctx.rp, ctx.pdp
-    K, d = rp.K, rp.d
-    w = root_phases(K)
-    u = []
-    for da in (d, 1.0 / d):
-        num = _energies(y, da * w) - noise_power(da, ctx.sigma2, K, pdp_cfg.L_e)
-        den = signal_scale_uncoded(rp, da) * channel_power(da, pdp_cfg)
-        u.append(num / den)
-    return CountEstimates(u_plus=u[0], u_minus=u[1])
+    return _count_estimates(_energies(y, probe_points(ctx.method, ctx.rp)), ctx)
+
+
+def _detect(y, ctx: DecoderContext, method: Method) -> np.ndarray:
+    if ctx.method is not method:
+        raise ValueError(
+            f"context is not configured for the {method.value} detector"
+        )
+    return decode(y, ctx)
 
 
 def decode_uncoded(y, ctx: DecoderContext) -> np.ndarray:
     """Majority votes from the uncoded codeword: sign of count difference."""
-    est = estimate_counts(y, ctx)
-    return np.sign(est.u_plus - est.u_minus).astype(int)
+    return _detect(y, ctx, Method.UNCODED)
 
 
 def decode_differential(y, ctx: DecoderContext) -> np.ndarray:
@@ -199,11 +270,7 @@ def decode_differential(y, ctx: DecoderContext) -> np.ndarray:
     decision is sign(|R(even)|^2 - |R(odd)|^2); no channel or noise
     statistics enter.
     """
-    if ctx.method is not Method.DIFFERENTIAL:
-        raise ValueError("context is not configured for the differential detector")
-    rp = ctx.rp
-    mags = _energies(y, rp.d * root_phases(rp.K))
-    return np.sign(mags[..., 0::2] - mags[..., 1::2]).astype(int)
+    return _detect(y, ctx, Method.DIFFERENTIAL)
 
 
 def decode_indexed(y, ctx: DecoderContext) -> np.ndarray:
@@ -212,20 +279,9 @@ def decode_indexed(y, ctx: DecoderContext) -> np.ndarray:
     For vote position l, the energies at slots whose index has bit l set
     are summed against the rest; each side aggregates K/2 measurements.
     """
-    if ctx.method is not Method.INDEXED:
-        raise ValueError("context is not configured for the indexed detector")
-    rp = ctx.rp
-    K = rp.K
-    m = K.bit_length() - 1
-    mags = _energies(y, rp.d * root_phases(K))
-    signs = 2.0 * ((np.arange(K)[:, np.newaxis] >> np.arange(m)) & 1) - 1.0
-    return np.sign(mags @ signs).astype(int)
+    return _detect(y, ctx, Method.INDEXED)
 
 
 def decode(y, ctx: DecoderContext) -> np.ndarray:
-    """Dispatch to the detector matching the context's method."""
-    if ctx.method is Method.UNCODED:
-        return decode_uncoded(y, ctx)
-    if ctx.method is Method.DIFFERENTIAL:
-        return decode_differential(y, ctx)
-    return decode_indexed(y, ctx)
+    """Time-domain detection: evaluate y at the probe points, then decide."""
+    return decide(_energies(y, probe_points(ctx.method, ctx.rp)), ctx)

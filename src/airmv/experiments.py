@@ -18,10 +18,11 @@ import numpy as np
 from .baselines import default_sequence_length
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
-from .encoding import Method, vote_pattern
+from .encoding import Method
 from .huffman import radius_param, synthesize_coeffs
 from .median import run_median
 from .simulate import (
+    encode_batch,
     simulate_cer,
     simulate_cer_goldenbaum,
     simulate_cer_obda,
@@ -196,7 +197,7 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             M = method.votes_per_codeword(K)
             rng = stream(cfg.seed, _DOMAIN_PMEPR, ki, mi)
             votes = rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1
-            coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
+            coeffs = encode_batch(method, votes, rp)
             samples = np.array([
                 pmepr(dfts_ofdm_modulate(c, cfg.oversampling)) for c in coeffs
             ])
@@ -255,9 +256,7 @@ def _run_rmse(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
-    if cfg.experiment == "cer":
-        return _run_cer(cfg, with_simulation=True)
-    if cfg.experiment == "snr":
+    if cfg.experiment in ("cer", "snr"):
         return _run_cer(cfg, with_simulation=True)
     if cfg.experiment == "theory":
         return _run_cer(cfg, with_simulation=False)

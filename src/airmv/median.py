@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .aggregation import ProbeAggregator
 from .baselines import default_sequence_length
-from .channel import PdpConfig, sample_channel, superpose
-from .decoding import DecoderContext, decode
+from .channel import PdpConfig, superpose
 from .encoding import Method
-from .huffman import radius_param
-from .simulate import encode_batch, stream
+from .simulate import stream
 
 __all__ = ["MedianState", "local_votes", "median_step", "run_median", "BACKENDS"]
 
@@ -86,27 +85,14 @@ def _mv_backend(backend: str, K: int, U: int, pdp_cfg: PdpConfig, sigma2: float,
     """Build mv(votes, rng) -> decisions for one aggregation backend.
 
     votes arrive as (R, U, M); decisions return as (R, M). The zero-encoded
-    backends route votes through encode / superpose / decode and never see
-    the channel realizations on the decoder side.
+    backends run the probe-domain engine the Monte Carlo runs, deciding
+    every vote position; the detectors never see the channel realizations.
     """
     if backend == "ideal":
         return lambda votes, rng: np.sign(votes.sum(axis=-2)).astype(int)
 
     if backend in ("uncoded", "differential", "indexed"):
-        method = Method.from_name(backend)
-        rp = radius_param(K)
-        if method is Method.UNCODED:
-            ctx = DecoderContext(method, rp, pdp=pdp_cfg, sigma2=sigma2)
-        else:
-            ctx = DecoderContext(method, rp)
-
-        def mv_zero(votes, rng):
-            coeffs = encode_batch(method, votes, rp)
-            h = sample_channel(pdp_cfg, U, rng, trials=votes.shape[0])
-            y = superpose(coeffs, h, sigma2, rng)
-            return decode(y, ctx)
-
-        return mv_zero
+        return ProbeAggregator(Method.from_name(backend), K, pdp_cfg, sigma2).aggregate
 
     if backend == "goldenbaum":
         L_seq = l_seq if l_seq is not None else default_sequence_length(K)

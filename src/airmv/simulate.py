@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
+from .aggregation import ProbeAggregator
 from .channel import PdpConfig, sample_channel, superpose
-from .decoding import DecoderContext, decode
 from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, radius_param, synthesize_coeffs
+from .huffman import RadiusParam, synthesize_coeffs
 
 __all__ = [
     "BATCH_SIZE",
@@ -32,31 +31,15 @@ __all__ = [
 
 BATCH_SIZE = 20_000
 
-_TABLE_LIMIT = 8192  # precompute codebooks up to this many vote patterns
-
-
-@lru_cache(maxsize=None)
-def _codebook(method: Method, rp: RadiusParam) -> np.ndarray | None:
-    m = method.votes_per_codeword(rp.K)
-    if 2**m > _TABLE_LIMIT:
-        return None
-    bits = (np.arange(2**m)[:, np.newaxis] >> np.arange(m)) & 1
-    table = synthesize_coeffs(vote_pattern(method, bits * 2 - 1), rp)
-    table.flags.writeable = False
-    return table
-
 
 def encode_batch(method: Method, votes: np.ndarray, rp: RadiusParam) -> np.ndarray:
-    """Coefficient sequences for a (..., M) vote array.
+    """Coefficient sequences (..., K+1) for a (..., M) vote array.
 
-    Small codebooks are synthesized once and indexed; large ones fall back
-    to direct synthesis.
+    The time-domain encoder, used for waveforms (PMEPR). The Monte Carlo
+    never synthesizes: it runs the probe-domain engine of
+    `airmv.aggregation`.
     """
-    table = _codebook(method, rp)
-    if table is None:
-        return synthesize_coeffs(vote_pattern(method, votes), rp)
-    bits = (np.asarray(votes) + 1) // 2
-    return table[bits @ (1 << np.arange(bits.shape[-1]))]
+    return synthesize_coeffs(vote_pattern(method, votes), rp)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -118,20 +101,15 @@ def mv_error_batch(
     pdp_cfg: PdpConfig,
     sigma2: float,
 ) -> int:
-    """Errors on the probed vote among n trials of the zero-encoded schemes."""
-    rp = radius_param(K)
+    """Errors on the probed vote among n trials of the zero-encoded schemes.
+
+    Only vote 0 is scored, so only its probe points are evaluated.
+    """
     M = method.votes_per_codeword(K)
     votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
     votes[:, :, 0] = _fixed_column(U, n_plus)
-    coeffs = encode_batch(method, votes, rp)
-    h = sample_channel(pdp_cfg, U, rng, trials=n)
-    y = superpose(coeffs, h, sigma2, rng)
-    if method is Method.UNCODED:
-        ctx = DecoderContext(method, rp, pdp=pdp_cfg, sigma2=sigma2)
-    else:
-        ctx = DecoderContext(method, rp)
-    decisions = decode(y, ctx)[:, 0]
-    return _count_mv_errors(decisions, U, n_plus)
+    engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
+    return _count_mv_errors(engine.aggregate(votes, rng)[:, 0], U, n_plus)
 
 
 def goldenbaum_error_batch(

@@ -386,6 +386,20 @@ def vote_averaged_cer(
         n_realizations = 1
     elif rng is None:
         raise ValueError("an rng is required when other votes must be sampled")
+    meta = dict(
+        method=model.method,
+        K=model.rp.K,
+        U=U,
+        n_plus=n_plus,
+        n_minus=n_minus,
+        L_e=model.pdp.L_e,
+        rho=model.pdp.rho,
+        sigma2=model.sigma2,
+    )
+    if n_plus == n_minus:
+        # `cer` counts a true tie as an error whatever the detector does,
+        # so no realization needs its quadrature.
+        return CerEstimate(probability=1.0, stderr=0.0, **meta)
 
     probs = np.empty(n_realizations)
     for r in range(n_realizations):
@@ -404,17 +418,4 @@ def vote_averaged_cer(
         if n_realizations > 1
         else 0.0
     )
-    if n_plus == n_minus:
-        stderr = 0.0
-    return CerEstimate(
-        probability=cer(n_plus, n_minus, mean_p),
-        stderr=stderr,
-        method=model.method,
-        K=model.rp.K,
-        U=U,
-        n_plus=n_plus,
-        n_minus=n_minus,
-        L_e=model.pdp.L_e,
-        rho=model.pdp.rho,
-        sigma2=model.sigma2,
-    )
+    return CerEstimate(probability=cer(n_plus, n_minus, mean_p), stderr=stderr, **meta)

@@ -42,8 +42,10 @@ from airmv.waveform import (
 )
 
 # Criterion 10 horizon: the source figures do not state their round count,
-# so the acceptance run pins its own (see the decisions ledger). One common
-# horizon lands both K values inside their target bands.
+# so the acceptance run pins its own. The step size falls linearly from
+# mu_start to mu_end over the horizon, so the horizon sets how long the
+# small late steps act on the estimate. 4 000 rounds is one common horizon
+# that lands both K values inside their bands (target/2 to 2*target).
 MEDIAN_ROUNDS = {8: 4_000, 128: 4_000}
 MEDIAN_ORDERING_ROUNDS = 2_000
 
@@ -150,10 +152,14 @@ def test_criterion_04_noiseless_recovery_and_k2_equivalence():
                     np.testing.assert_array_equal(got, votes)
 
         # K=2: the indexed scheme is the differential scheme with the pair
-        # roles mirrored. End to end the two agree on every vote; on one
-        # shared received sequence their detectors are exact negatives
-        # (see the decisions ledger for why the literal identity cannot
-        # hold alongside noiseless correctness).
+        # roles mirrored. Vote +1 puts the inner zero in slot 1 (index 1)
+        # for indexed and in slot 0 for differential, and the detectors
+        # decide sign(E_1 - E_0) and sign(E_0 - E_1) respectively. End to
+        # end the two agree on every vote; on one shared received sequence
+        # their detectors are exact negatives. The literal identity, one
+        # codeword and one detector for both, cannot hold alongside
+        # noiseless correctness: fed the differential codeword, the indexed
+        # detector returns the negated vote.
         rp = radius_param(2)
         ctx_d = DecoderContext(Method.DIFFERENTIAL, rp)
         ctx_i = DecoderContext(Method.INDEXED, rp)

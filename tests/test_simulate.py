@@ -73,28 +73,44 @@ class TestCerSimulation:
         assert a == b
 
 
-class TestEncodeBatch:
+class TestProbeTables:
+    """The engine's codeword values P_u(z_p) against the synthesized
+    polynomials evaluated at the probe points."""
+
     def test_matches_direct_synthesis(self):
-        from airmv.huffman import radius_param, synthesize_coeffs
+        from airmv.aggregation import ProbeAggregator
+        from airmv.decoding import probe_points
         from airmv.encoding import vote_pattern
-        from airmv.simulate import encode_batch
+        from airmv.huffman import poly_eval, radius_param, synthesize_coeffs
 
         rng = np.random.default_rng(9)
         for method, K in ((Method.UNCODED, 8), (Method.DIFFERENTIAL, 8),
-                          (Method.INDEXED, 16)):
+                          (Method.INDEXED, 16), (Method.UNCODED, 32),
+                          (Method.DIFFERENTIAL, 32)):
             rp = radius_param(K)
             m = method.votes_per_codeword(K)
             votes = rng.integers(0, 2, size=(40, 3, m)) * 2 - 1
-            fast = encode_batch(method, votes, rp)
-            direct = synthesize_coeffs(vote_pattern(method, votes), rp)
-            np.testing.assert_allclose(fast, direct, atol=1e-12)
+            for positions in (None, 0):
+                engine = ProbeAggregator(method, K, PdpConfig(1), 0.1, positions)
+                direct = poly_eval(
+                    synthesize_coeffs(vote_pattern(method, votes), rp),
+                    probe_points(method, rp, positions),
+                )
+                np.testing.assert_allclose(
+                    engine.codeword_values(votes), direct, rtol=0, atol=1e-12
+                )
 
-    def test_large_codebook_falls_back(self):
+    def test_large_codebook_needs_no_synthesis(self):
+        """Table rows grow with the votes per byte, not with 2^M: uncoded
+        K=32 (2^32 vote patterns) needs four 256-row tables."""
+        from airmv.aggregation import probe_tables
         from airmv.huffman import radius_param
-        from airmv.simulate import _codebook
 
-        assert _codebook(Method.UNCODED, radius_param(32)) is None
-        assert _codebook(Method.INDEXED, radius_param(128)) is not None
+        tables = probe_tables(Method.UNCODED, radius_param(32), (0,))
+        assert [t.shape for t in tables] == [(256, 2)] * 4
+        (table,) = probe_tables(Method.INDEXED, radius_param(128), (0,))
+        assert table.shape == (128, 128)
+        assert not table.flags.writeable
 
 
 def test_snr_sweep_shows_error_floor():

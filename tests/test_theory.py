@@ -241,6 +241,28 @@ class TestVoteAveragedCer:
                                     exact=exact)
             assert est.probability == 1.0 and est.stderr == 0.0
 
+    def test_tie_needs_no_quadrature(self, monkeypatch):
+        """A tie is answered before any rate building or CDF inversion,
+        draws nothing from the rng, and is the same under both laws."""
+        import airmv.theory as theory
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a tie must not reach the quadrature")
+
+        monkeypatch.setattr(theory, "detection_rates", forbidden)
+        monkeypatch.setattr(theory, "cdf_diff_exp_sums", forbidden)
+        model = make_model(Method.INDEXED, 8, L_e=3, rho=0.5, sigma2=0.25)
+        expected = theory.CerEstimate(
+            probability=1.0, stderr=0.0, method=Method.INDEXED, K=8, U=6,
+            n_plus=3, n_minus=3, L_e=3, rho=0.5, sigma2=0.25,
+        )
+        for exact in (False, True):
+            rng = np.random.default_rng(11)
+            est = vote_averaged_cer(3, 3, model, n_realizations=50, rng=rng,
+                                    exact=exact)
+            assert est == expected
+            assert rng.random() == np.random.default_rng(11).random()
+
     def test_unanimous_noise_vanishing_limit(self):
         """With every vote positive, the negative side collapses with sigma2."""
         probs = []
@@ -320,7 +342,7 @@ class TestExactCorrelatedModel:
         the coded schemes, phase w^1 for uncoded)."""
         from airmv.channel import sample_channel, superpose
         from airmv.decoding import DecoderContext, decode
-        from airmv.simulate import encode_batch
+        from airmv.huffman import synthesize_coeffs
 
         K, U, n_plus, L_e, sigma2, ell, n = 4, 5, 4, 2, 1.0, 1, 40_000
         pdp_cfg = PdpConfig(L_e, 1.0)
@@ -330,7 +352,7 @@ class TestExactCorrelatedModel:
             votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
             votes[:, :, ell] = [1] * n_plus + [-1] * (U - n_plus)
             y = superpose(
-                encode_batch(method, votes, radius_param(K)),
+                synthesize_coeffs(vote_pattern(method, votes), radius_param(K)),
                 sample_channel(pdp_cfg, U, rng, trials=n), sigma2, rng,
             )
             if method is Method.UNCODED:
