@@ -2,13 +2,11 @@
 
 from .aggregation import ProbeAggregator
 from .baselines import (
-    GoldenbaumConfig,
-    ObdaConfig,
     default_sequence_length,
-    goldenbaum_decode,
-    goldenbaum_encode,
-    obda_decode,
-    obda_encode,
+    goldenbaum_aggregate,
+    goldenbaum_estimate,
+    obda_aggregate,
+    obda_received,
 )
 from .channel import PdpConfig, pdp, sample_channel, superpose
 from .decoding import (

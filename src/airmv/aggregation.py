@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import PdpConfig, awgn, sample_channel
 from .decoding import DecoderContext, decide, powers, probe_points
-from .encoding import Method, vote_pattern
+from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
 __all__ = ["ProbeAggregator", "probe_tables"]
@@ -124,19 +124,10 @@ class ProbeAggregator:
             )
 
     def _packed(self, votes) -> np.ndarray:
-        votes = np.asarray(votes)
+        votes = check_vote_batch(votes)
         M = self.ctx.n_votes
-        if votes.ndim != 3 or votes.shape[-1] != M:
+        if votes.shape[-1] != M:
             raise ValueError(f"expected (n, U, {M}) votes, got shape {votes.shape}")
-        # Integers in [-1, 1] with no zero are exactly +/-1 (one cheap pass
-        # each instead of an elementwise comparison chain).
-        if (
-            not np.issubdtype(votes.dtype, np.integer)
-            or votes.min() < -1
-            or votes.max() > 1
-            or np.count_nonzero(votes) != votes.size
-        ):
-            raise ValueError("votes must be an integer array with entries in {-1, +1}")
         # Pad each row to whole bytes so that one flat packbits call packs
         # them all (packing along a short last axis is far slower).
         nbytes = -(-M // 8)

@@ -1,28 +1,43 @@
-"""Reference aggregation schemes for comparison.
+"""Reference aggregation schemes for comparison, and the one home of their math.
 
 Goldenbaum's non-coherent scheme scales random unimodular sequences by the
 square root of the (shifted) vote and estimates the vote sum from received
 energy. OBDA maps votes to BPSK with truncated channel inversion at the
 transmitters; it is coherent and therefore needs per-node CSI, which is
 exactly the requirement the zero-encoded schemes avoid.
+
+Each scheme is one vectorized backend with the contract of
+`airmv.aggregation.ProbeAggregator.aggregate`: votes (n, U, M) of +/-1 in,
+decisions (n, M) out, every (trial, vote position) an independent
+aggregation with its own draws. The Monte Carlo calls it with M = 1, the
+median with all M positions of a round; `aggregator` picks the backend by
+its CLI name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .channel import PdpConfig, awgn, sample_channel, superpose
+from .encoding import check_vote_batch
+
 __all__ = [
-    "GoldenbaumConfig",
-    "ObdaConfig",
+    "BASELINES",
+    "aggregator",
     "default_sequence_length",
-    "goldenbaum_encode",
-    "goldenbaum_decode",
-    "obda_encode",
-    "obda_decode",
+    "goldenbaum_estimate",
+    "goldenbaum_aggregate",
+    "obda_received",
+    "obda_aggregate",
 ]
+
+BASELINES = ("goldenbaum", "obda", "obda_phase", "obda_no_tci")
+
+# OBDA's synchronization phase errors are uniform within +-120 degrees.
+_PHASE_HALFWIDTH = math.radians(120.0)
 
 
 def default_sequence_length(K: int) -> int:
@@ -33,89 +48,105 @@ def default_sequence_length(K: int) -> int:
     return max(1, round((K + 1) / math.log2(K)))
 
 
-@dataclass(frozen=True)
-class GoldenbaumConfig:
-    L_seq: int
-    sigma2: float
-    U: int
-
-    def __post_init__(self) -> None:
-        if self.L_seq < 1:
-            raise ValueError("sequence length must be positive")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-        if self.U < 1:
-            raise ValueError("need at least one transmitter")
+def _check_sigma2(sigma2: float) -> None:
+    if sigma2 < 0:
+        raise ValueError("noise variance must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ObdaConfig:
-    sigma2: float
-    U: int
-    truncation: float = 0.2
-    phase_error_halfwidth: float = math.radians(120.0)
-    phase_errors: bool = False
-    tci: bool = True
+def goldenbaum_estimate(
+    votes, rng: np.random.Generator, L_seq: int, pdp_cfg: PdpConfig, sigma2: float
+) -> np.ndarray:
+    """Noise-debiased vote-sum estimates, shape (n, M).
 
-    def __post_init__(self) -> None:
-        if self.truncation < 0:
-            raise ValueError("truncation threshold must be nonnegative")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-
-
-def goldenbaum_encode(vote: int, L_seq: int, rng: np.random.Generator) -> np.ndarray:
-    """Transmit sqrt(vote + 1) times a random unimodular sequence.
-
-    Votes -1/+1 map to symbols 0/2, so a negative voter stays silent.
+    User u sends sqrt(vote + 1) times a random unimodular sequence of
+    length L_seq, so a -1 voter is silent and a +1 voter sends |s|^2 = 2
+    per sample, through its own multipath draw. Subtracting the expected
+    noise energy of the whole L_seq + L_e - 1 sample window makes
+    (|y|^2 - window sigma2) / L_seq - U an unbiased estimate of the vote
+    sum. Per call the rng draws the (n, M, U, L_seq) phases, the
+    (n * M, U, L_e) taps of `sample_channel` and then, when sigma2 > 0,
+    the (n, M, window) noise of `superpose`.
     """
-    if vote not in (-1, 1):
-        raise ValueError("vote must be -1 or +1")
-    phases = rng.uniform(0.0, 2.0 * np.pi, L_seq)
-    return math.sqrt(vote + 1) * np.exp(1j * phases)
-
-
-def goldenbaum_decode(y: np.ndarray, cfg: GoldenbaumConfig) -> int:
-    """Majority vote from received energy.
-
-    The expected noise energy over the whole received window (len(y)
-    samples) is subtracted before scaling, which makes the vote-sum
-    estimate (|y|^2 - len(y) sigma2) / L_seq - U unbiased.
-    """
-    y = np.asarray(y)
-    if y.shape[-1] < cfg.L_seq:
-        raise ValueError("received window shorter than the sequence length")
+    votes = check_vote_batch(votes)
+    if L_seq < 1:
+        raise ValueError("sequence length must be positive")
+    _check_sigma2(sigma2)
+    n, U, M = votes.shape
+    per_mv = np.swapaxes(votes, -1, -2)  # (n, M, U)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=per_mv.shape + (L_seq,))
+    seqs = np.sqrt(per_mv + 1.0)[..., np.newaxis] * np.exp(1j * phases)
+    h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
+    y = superpose(seqs, h, sigma2, rng)
     energy = np.sum(np.abs(y) ** 2, axis=-1)
-    estimate = (energy - y.shape[-1] * cfg.sigma2) / cfg.L_seq - cfg.U
-    return np.sign(estimate).astype(int)
+    return (energy - y.shape[-1] * sigma2) / L_seq - U
 
 
-def obda_encode(vote: int, h: complex, cfg: ObdaConfig,
-                rng: np.random.Generator | None = None) -> complex:
-    """BPSK symbol with truncated channel inversion.
+def goldenbaum_aggregate(votes, rng, L_seq, pdp_cfg, sigma2) -> np.ndarray:
+    """Majority-vote decisions (n, M): the sign of `goldenbaum_estimate`."""
+    return np.sign(goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2)).astype(int)
 
-    The node stays silent when |h|^2 is at or below the truncation level;
-    otherwise it pre-equalizes by conj(h)/|h|^2. With phase errors enabled
-    a uniform phase offset models imperfect synchronization. With tci
-    disabled the node has no CSI and transmits the raw BPSK symbol.
+
+def obda_received(
+    votes,
+    rng: np.random.Generator,
+    sigma2: float,
+    truncation: float = 0.2,
+    phase_errors: bool = False,
+    tci: bool = True,
+) -> np.ndarray:
+    """Aggregate BPSK symbols y, shape (n, M), over single-tap subchannels.
+
+    With truncated channel inversion (tci) a node stays silent when |h|^2
+    is at or below `truncation` and otherwise pre-equalizes by
+    conj(h)/|h|^2, so its votes add coherently; without it the node has no
+    CSI and sends the raw BPSK symbol. Phase errors rotate each symbol by
+    a uniform offset within +-120 degrees. Per call the rng draws the
+    (n, M, U) Rayleigh taps (all real parts, then all imaginary), the
+    (n, M, U) phase errors if enabled, and the (n, M) noise when sigma2 > 0.
     """
-    if vote not in (-1, 1):
-        raise ValueError("vote must be -1 or +1")
-    if cfg.tci:
-        gain = abs(h) ** 2
-        if gain <= cfg.truncation:
-            return 0.0 + 0.0j
-        symbol = vote * np.conjugate(h) / gain
+    votes = check_vote_batch(votes)
+    if truncation < 0:
+        raise ValueError("truncation threshold must be nonnegative")
+    _check_sigma2(sigma2)
+    per_mv = np.swapaxes(votes, -1, -2).astype(float)  # (n, M, U)
+    h = (
+        rng.standard_normal(per_mv.shape) + 1j * rng.standard_normal(per_mv.shape)
+    ) / math.sqrt(2)
+    if tci:
+        gain = np.abs(h) ** 2
+        inv = np.where(gain > truncation, np.conjugate(h) / np.maximum(gain, 1e-300), 0)
+        symbols = per_mv * inv
     else:
-        symbol = complex(vote)
-    if cfg.phase_errors:
-        if rng is None:
-            raise ValueError("an rng is required for phase errors")
-        w = cfg.phase_error_halfwidth
-        symbol = symbol * np.exp(1j * rng.uniform(-w, w))
-    return complex(symbol)
+        symbols = per_mv + 0j
+    if phase_errors:
+        symbols = symbols * np.exp(
+            1j * rng.uniform(-_PHASE_HALFWIDTH, _PHASE_HALFWIDTH, per_mv.shape)
+        )
+    y = np.sum(h * symbols, axis=-1)
+    if sigma2 > 0:
+        y = y + awgn(y.shape, sigma2, rng)
+    return y
 
 
-def obda_decode(y) -> int:
-    """Majority vote as the sign of the real part of the aggregate symbol."""
-    return np.sign(np.real(y)).astype(int)
+def obda_aggregate(votes, rng, sigma2, truncation=0.2, phase_errors=False,
+                   tci=True) -> np.ndarray:
+    """Majority-vote decisions (n, M): the sign of the real part of
+    `obda_received`."""
+    y = obda_received(votes, rng, sigma2, truncation, phase_errors, tci)
+    return np.sign(y.real).astype(int)
+
+
+def aggregator(name: str, K: int, pdp_cfg: PdpConfig, sigma2: float):
+    """aggregate(votes, rng) -> decisions for the baseline called `name`.
+
+    Goldenbaum spends the indexed scheme's resources per MV
+    (`default_sequence_length(K)`); OBDA rides on single-tap subchannels
+    irrespective of the delay profile and K.
+    """
+    if name == "goldenbaum":
+        return partial(goldenbaum_aggregate, L_seq=default_sequence_length(K),
+                       pdp_cfg=pdp_cfg, sigma2=sigma2)
+    if name in ("obda", "obda_phase", "obda_no_tci"):
+        return partial(obda_aggregate, sigma2=sigma2,
+                       phase_errors=name == "obda_phase", tci=name != "obda_no_tci")
+    raise ValueError(f"unknown baseline {name!r}")

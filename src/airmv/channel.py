@@ -23,7 +23,10 @@ def pdp(L_e: int, rho: float) -> np.ndarray:
         raise ValueError(f"decay constant rho must lie in (0, 1], got {rho!r}")
     if rho == 1.0:
         return np.full(L_e, 1.0 / L_e)
-    return (1.0 - rho) / (1.0 - rho**L_e) * rho ** np.arange(L_e)
+    # Normalise by the explicit sum: the closed form (1 - rho) / (1 - rho**L_e)
+    # cancels catastrophically as rho -> 1 and misses unit sum by ~1e-12.
+    taps = rho ** np.arange(L_e)
+    return taps / taps.sum()
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .baselines import BASELINES, default_sequence_length
 from .encoding import Method
+from .median import votes_per_round
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "build_config"]
 
 EXPERIMENTS = ("cer", "snr", "pmepr", "rmse", "resources", "theory")
 PROPOSED = ("uncoded", "differential", "indexed")
-BASELINES = ("goldenbaum", "obda", "obda_phase", "obda_no_tci")
 
 
 class ConfigError(ValueError):
@@ -211,13 +212,16 @@ def validate_config(cfg: ExperimentConfig) -> None:
         )
 
     for name in cfg.methods:
-        if name in PROPOSED:
-            method = Method.from_name(name)
-            for K in cfg.k_values:
-                try:
-                    method.validate_k(K)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
+        for K in cfg.k_values:
+            try:
+                if cfg.experiment == "rmse":
+                    votes_per_round(name, K)
+                elif name in PROPOSED:
+                    Method.from_name(name).validate_k(K)
+                elif name == "goldenbaum":
+                    default_sequence_length(K)
+            except ValueError as exc:
+                raise ConfigError(f"{name} at K={K}: {exc}") from exc
 
     for n_plus in cfg.n_plus_values():
         if not 0 <= n_plus <= cfg.U:

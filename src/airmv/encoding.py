@@ -21,6 +21,7 @@ __all__ = [
     "differential_pattern",
     "indexed_pattern",
     "vote_pattern",
+    "check_vote_batch",
     "encode_uncoded",
     "encode_differential",
     "encode_indexed",
@@ -38,7 +39,9 @@ class Method(Enum):
     INDEXED = "indexed"
 
     @classmethod
-    def from_name(cls, name: str) -> "Method":
+    def from_name(cls, name: "str | Method") -> "Method":
+        if isinstance(name, cls):
+            return name
         key = _ALIASES.get(name.strip().lower(), name.strip().lower())
         for member in cls:
             if member.value == key:
@@ -70,6 +73,23 @@ def _check_votes(votes) -> np.ndarray:
     if v.size == 0 or not np.all(np.abs(v) == 1):
         raise ValueError("votes must be a nonempty array with entries in {-1, +1}")
     return v.astype(np.int64)
+
+
+def check_vote_batch(votes) -> np.ndarray:
+    """The (n, U, M) integer +/-1 vote array every aggregation backend takes."""
+    votes = np.asarray(votes)
+    if votes.ndim != 3:
+        raise ValueError(f"expected (n, U, M) votes, got shape {votes.shape}")
+    # Integers in [-1, 1] with no zero are exactly +/-1 (one cheap pass
+    # each instead of an elementwise comparison chain).
+    if (
+        not np.issubdtype(votes.dtype, np.integer)
+        or votes.min() < -1
+        or votes.max() > 1
+        or np.count_nonzero(votes) != votes.size
+    ):
+        raise ValueError("votes must be an integer array with entries in {-1, +1}")
+    return votes
 
 
 def votes_to_bits(votes) -> np.ndarray:

@@ -15,19 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import default_sequence_length
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method
 from .huffman import radius_param, synthesize_coeffs
 from .median import run_median
-from .simulate import (
-    encode_batch,
-    simulate_cer,
-    simulate_cer_goldenbaum,
-    simulate_cer_obda,
-    stream,
-)
+from .simulate import encode_batch, simulate_cer, stream
 from .theory import CerModel, vote_averaged_cer
 from .waveform import (
     dfts_ofdm_modulate,
@@ -122,23 +115,9 @@ def write_csv(rows, cfg: ExperimentConfig, out=None) -> str:
 
 def _cer_point(cfg, method_name, K, snr_db, n_plus, key):
     """Empirical CER for one sweep point of any scheme."""
-    sigma2 = cfg.sigma2(snr_db)
-    pdp_cfg = PdpConfig(cfg.L_e, cfg.rho)
-    if method_name in PROPOSED:
-        return simulate_cer(
-            Method.from_name(method_name), K, cfg.U, n_plus, pdp_cfg, sigma2,
-            cfg.trials, cfg.seed, key, cfg.threads,
-        )
-    if method_name == "goldenbaum":
-        return simulate_cer_goldenbaum(
-            default_sequence_length(K), cfg.U, n_plus, pdp_cfg, sigma2,
-            cfg.trials, cfg.seed, key, cfg.threads,
-        )
-    # OBDA rides on single-tap subchannels irrespective of the profile.
-    return simulate_cer_obda(
-        cfg.U, n_plus, sigma2, cfg.trials, cfg.seed, key, cfg.threads,
-        phase_errors=method_name == "obda_phase",
-        tci=method_name != "obda_no_tci",
+    return simulate_cer(
+        method_name, K, cfg.U, n_plus, PdpConfig(cfg.L_e, cfg.rho),
+        cfg.sigma2(snr_db), cfg.trials, cfg.seed, key, cfg.threads,
     )
 
 

@@ -6,6 +6,11 @@ sign(estimate - parameter). Devices therefore reveal one vote per round per
 parameter and nothing else; the aggregator updates the estimate by the
 learning rate times the (possibly miscomputed) majority vote and announces
 it error-free on the downlink.
+
+Each round's (R, U, M) votes go to one `aggregate(votes, rng)` backend:
+the probe-domain engine of `airmv.aggregation` for the zero-encoded
+schemes, a backend of `airmv.baselines` for the baselines, or the ideal
+sign of the vote sum, the same backends the error-rate Monte Carlo calls.
 """
 
 from __future__ import annotations
@@ -16,23 +21,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .aggregation import ProbeAggregator
-from .baselines import default_sequence_length
-from .channel import PdpConfig, superpose
+from .baselines import BASELINES, aggregator
+from .channel import PdpConfig
+from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method
 from .simulate import stream
 
-__all__ = ["MedianState", "local_votes", "median_step", "run_median", "BACKENDS"]
+__all__ = [
+    "MedianState",
+    "local_votes",
+    "median_step",
+    "run_median",
+    "votes_per_round",
+    "BACKENDS",
+]
 
-BACKENDS = (
-    "ideal",
-    "uncoded",
-    "differential",
-    "indexed",
-    "goldenbaum",
-    "obda",
-    "obda_phase",
-    "obda_no_tci",
-)
+BACKENDS = ("ideal",) + tuple(m.value for m in Method) + BASELINES
 
 
 @dataclass(frozen=True)
@@ -80,71 +84,37 @@ def median_step(state: MedianState, mv: np.ndarray) -> MedianState:
     return replace(state, estimates=new_estimates, iteration=state.iteration + 1)
 
 
-def _mv_backend(backend: str, K: int, U: int, pdp_cfg: PdpConfig, sigma2: float,
-                l_seq: int | None):
-    """Build mv(votes, rng) -> decisions for one aggregation backend.
+def votes_per_round(backend: str, K: int) -> int:
+    """Votes M decided per round. The zero-encoded backends decide as many
+    as their codeword carries; the ideal and baseline backends borrow the
+    indexed scheme's M = log2(K), so that all curves answer the same
+    problem size."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend in BASELINES + ("ideal",):
+        try:
+            return Method.INDEXED.votes_per_codeword(K)
+        except ValueError:
+            raise ValueError(
+                f"the {backend} median decides log2(K) votes per round, "
+                "so K must be a power of two >= 2"
+            ) from None
+    return Method.from_name(backend).votes_per_codeword(K)
 
-    votes arrive as (R, U, M); decisions return as (R, M). The zero-encoded
-    backends run the probe-domain engine the Monte Carlo runs, deciding
-    every vote position; the detectors never see the channel realizations.
-    """
+
+def _ideal(votes, rng):
+    return np.sign(votes.sum(axis=-2)).astype(int)
+
+
+def _mv_backend(backend: str, K: int, pdp_cfg: PdpConfig, sigma2: float):
+    """aggregate(votes, rng) -> decisions for one backend, deciding every
+    vote position: (R, U, M) votes in, (R, M) decisions out. The detectors
+    never see the channel realizations."""
     if backend == "ideal":
-        return lambda votes, rng: np.sign(votes.sum(axis=-2)).astype(int)
-
-    if backend in ("uncoded", "differential", "indexed"):
-        return ProbeAggregator(Method.from_name(backend), K, pdp_cfg, sigma2).aggregate
-
-    if backend == "goldenbaum":
-        L_seq = l_seq if l_seq is not None else default_sequence_length(K)
-
-        def mv_gold(votes, rng):
-            per_mv = np.swapaxes(votes, -1, -2)  # (R, M, U)
-            amps = np.sqrt(per_mv + 1.0)
-            phases = rng.uniform(0.0, 2.0 * np.pi, size=per_mv.shape + (L_seq,))
-            seqs = amps[..., np.newaxis] * np.exp(1j * phases)
-            shape = per_mv.shape[:-1]  # (R, M)
-            taps = np.sqrt(pdp_cfg.taps / 2.0) * (
-                rng.standard_normal(shape + (U, pdp_cfg.L_e))
-                + 1j * rng.standard_normal(shape + (U, pdp_cfg.L_e))
-            )
-            y = superpose(seqs, taps, sigma2, rng)
-            energy = np.sum(np.abs(y) ** 2, axis=-1)
-            estimate = (energy - y.shape[-1] * sigma2) / L_seq - U
-            return np.sign(estimate).astype(int)
-
-        return mv_gold
-
-    if backend in ("obda", "obda_phase", "obda_no_tci"):
-        phase_errors = backend == "obda_phase"
-        tci = backend != "obda_no_tci"
-
-        def mv_obda(votes, rng):
-            per_mv = np.swapaxes(votes, -1, -2).astype(float)  # (R, M, U)
-            h = (
-                rng.standard_normal(per_mv.shape)
-                + 1j * rng.standard_normal(per_mv.shape)
-            ) / math.sqrt(2)
-            if tci:
-                gain = np.abs(h) ** 2
-                inv = np.where(
-                    gain > 0.2, np.conjugate(h) / np.maximum(gain, 1e-300), 0
-                )
-                symbols = per_mv * inv
-            else:
-                symbols = per_mv + 0j
-            if phase_errors:
-                w = math.radians(120.0)
-                symbols = symbols * np.exp(1j * rng.uniform(-w, w, per_mv.shape))
-            y = np.sum(h * symbols, axis=-1)
-            if sigma2 > 0:
-                y = y + np.sqrt(sigma2 / 2.0) * (
-                    rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-                )
-            return np.sign(y.real).astype(int)
-
-        return mv_obda
-
-    raise ValueError(f"unknown backend {backend!r}")
+        return _ideal
+    if backend in BASELINES:
+        return aggregator(backend, K, pdp_cfg, sigma2)
+    return ProbeAggregator(Method.from_name(backend), K, pdp_cfg, sigma2).aggregate
 
 
 def run_median(
@@ -159,28 +129,20 @@ def run_median(
     key: tuple[int, ...] = (),
     mu_start: float = 0.01,
     mu_end: float = 1e-5,
-    l_seq: int | None = None,
 ) -> np.ndarray:
     """Root-mean-square error of the estimates against the true medians,
     recorded after every round; shape (rounds,).
 
-    Device parameters are Uniform(-sqrt(3), sqrt(3)). The zero-encoded
-    backends compute M votes per round as dictated by (backend, K); the
-    ideal and baseline backends use the indexed scheme's M = log2(K) so
-    that all curves answer the same problem size.
+    Device parameters are Uniform(-sqrt(3), sqrt(3)); each round decides
+    `votes_per_round(backend, K)` parameters.
     """
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend in ("uncoded", "differential", "indexed"):
-        M = Method.from_name(backend).votes_per_codeword(K)
-    else:
-        M = Method.INDEXED.votes_per_codeword(K)
+    M = votes_per_round(backend, K)
 
     rng = stream(seed, *key)
     params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(realizations, U, M))
     true_median = np.median(params, axis=-2)
 
-    mv = _mv_backend(backend, K, U, pdp_cfg, sigma2, l_seq)
+    mv = _mv_backend(backend, K, pdp_cfg, sigma2)
     state = MedianState(
         estimates=np.zeros((realizations, M)),
         rounds=rounds,

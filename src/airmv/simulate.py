@@ -1,5 +1,10 @@
 """Vectorized Monte Carlo link-level trials.
 
+One entry, `simulate_cer`, serves every scheme: a batch fixes the scored
+vote and hands it to the scheme's `aggregate(votes, rng)` backend, the
+probe-domain engine of `airmv.aggregation` or a backend of
+`airmv.baselines`, the same ones the median runs.
+
 Trials are processed in fixed-size batches; every batch derives its own
 generator from (master seed, stream key, batch index), so results are
 bit-reproducible no matter how batches are scheduled across workers. Error
@@ -14,7 +19,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .aggregation import ProbeAggregator
-from .channel import PdpConfig, sample_channel, superpose
+from .baselines import BASELINES, aggregator
+from .channel import PdpConfig
+from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, synthesize_coeffs
 
@@ -23,9 +30,8 @@ __all__ = [
     "stream",
     "encode_batch",
     "run_trial_batches",
+    "mv_error_batch",
     "simulate_cer",
-    "simulate_cer_goldenbaum",
-    "simulate_cer_obda",
     "binomial_stderr",
 ]
 
@@ -94,75 +100,31 @@ def _count_mv_errors(decisions: np.ndarray, U: int, n_plus: int) -> int:
 def mv_error_batch(
     rng: np.random.Generator,
     n: int,
-    method: Method,
+    method: Method | str,
     K: int,
     U: int,
     n_plus: int,
     pdp_cfg: PdpConfig,
     sigma2: float,
 ) -> int:
-    """Errors on the probed vote among n trials of the zero-encoded schemes.
+    """Errors on the probed vote among n trials of any MV scheme.
 
-    Only vote 0 is scored, so only its probe points are evaluated.
+    `method` is a `Method` (or its name) or a baseline name. A zero-encoded
+    codeword carries M votes, drawn at random apart from the fixed vote 0;
+    only vote 0 is scored, so only its probe points are evaluated. A
+    baseline aggregates the fixed vote alone, as (n, U, 1) votes.
     """
-    M = method.votes_per_codeword(K)
-    votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
-    votes[:, :, 0] = _fixed_column(U, n_plus)
-    engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
-    return _count_mv_errors(engine.aggregate(votes, rng)[:, 0], U, n_plus)
-
-
-def goldenbaum_error_batch(
-    rng: np.random.Generator,
-    n: int,
-    L_seq: int,
-    U: int,
-    n_plus: int,
-    pdp_cfg: PdpConfig,
-    sigma2: float,
-) -> int:
-    """Errors among n trials of the energy-aggregation baseline."""
-    votes = _fixed_column(U, n_plus)
-    amps = np.sqrt(votes + 1.0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, U, L_seq))
-    seqs = amps[np.newaxis, :, np.newaxis] * np.exp(1j * phases)
-    h = sample_channel(pdp_cfg, U, rng, trials=n)
-    y = superpose(seqs, h, sigma2, rng)
-    energy = np.sum(np.abs(y) ** 2, axis=-1)
-    estimate = (energy - y.shape[-1] * sigma2) / L_seq - U
-    return _count_mv_errors(np.sign(estimate).astype(int), U, n_plus)
-
-
-def obda_error_batch(
-    rng: np.random.Generator,
-    n: int,
-    U: int,
-    n_plus: int,
-    sigma2: float,
-    truncation: float = 0.2,
-    phase_halfwidth: float = math.radians(120.0),
-    phase_errors: bool = False,
-    tci: bool = True,
-) -> int:
-    """Errors among n trials of BPSK aggregation over single-tap subchannels."""
-    votes = _fixed_column(U, n_plus).astype(float)
-    h = (rng.standard_normal((n, U)) + 1j * rng.standard_normal((n, U))) / math.sqrt(2)
-    if tci:
-        gain = np.abs(h) ** 2
-        inv = np.where(gain > truncation, np.conjugate(h) / np.maximum(gain, 1e-300), 0)
-        symbols = votes * inv
+    column = _fixed_column(U, n_plus)
+    if method in BASELINES:
+        votes = np.broadcast_to(column[:, np.newaxis], (n, U, 1))
+        aggregate = aggregator(method, K, pdp_cfg, sigma2)
     else:
-        symbols = votes + 0j
-    if phase_errors:
-        symbols = symbols * np.exp(
-            1j * rng.uniform(-phase_halfwidth, phase_halfwidth, size=(n, U))
-        )
-    y = np.sum(h * symbols, axis=1)
-    if sigma2 > 0:
-        y = y + np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        )
-    return _count_mv_errors(np.sign(y.real).astype(int), U, n_plus)
+        method = Method.from_name(method)
+        M = method.votes_per_codeword(K)
+        votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
+        votes[:, :, 0] = column
+        aggregate = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0).aggregate
+    return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 
 
 def binomial_stderr(p: float, trials: int) -> float:
@@ -170,7 +132,7 @@ def binomial_stderr(p: float, trials: int) -> float:
 
 
 def simulate_cer(
-    method: Method,
+    method: Method | str,
     K: int,
     U: int,
     n_plus: int,
@@ -182,54 +144,11 @@ def simulate_cer(
     threads: int = 1,
     batch_size: int = BATCH_SIZE,
 ) -> tuple[float, float]:
-    """Empirical error rate and binomial standard error for a zero-encoded scheme."""
+    """Empirical error rate and binomial standard error of any MV scheme
+    (see `mv_error_batch`)."""
 
     def counter(rng, n):
         return mv_error_batch(rng, n, method, K, U, n_plus, pdp_cfg, sigma2)
-
-    errors = run_trial_batches(counter, trials, seed, key, threads, batch_size)
-    p = errors / trials
-    return p, binomial_stderr(p, trials)
-
-
-def simulate_cer_goldenbaum(
-    L_seq: int,
-    U: int,
-    n_plus: int,
-    pdp_cfg: PdpConfig,
-    sigma2: float,
-    trials: int,
-    seed: int,
-    key: tuple[int, ...] = (),
-    threads: int = 1,
-    batch_size: int = BATCH_SIZE,
-) -> tuple[float, float]:
-    def counter(rng, n):
-        return goldenbaum_error_batch(rng, n, L_seq, U, n_plus, pdp_cfg, sigma2)
-
-    errors = run_trial_batches(counter, trials, seed, key, threads, batch_size)
-    p = errors / trials
-    return p, binomial_stderr(p, trials)
-
-
-def simulate_cer_obda(
-    U: int,
-    n_plus: int,
-    sigma2: float,
-    trials: int,
-    seed: int,
-    key: tuple[int, ...] = (),
-    threads: int = 1,
-    batch_size: int = BATCH_SIZE,
-    truncation: float = 0.2,
-    phase_errors: bool = False,
-    tci: bool = True,
-) -> tuple[float, float]:
-    def counter(rng, n):
-        return obda_error_batch(
-            rng, n, U, n_plus, sigma2,
-            truncation=truncation, phase_errors=phase_errors, tci=tci,
-        )
 
     errors = run_trial_batches(counter, trials, seed, key, threads, batch_size)
     p = errors / trials

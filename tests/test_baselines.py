@@ -1,25 +1,104 @@
+"""The Goldenbaum and OBDA backends of `airmv.baselines`.
+
+Signal-level checks replay a backend's draws from a generator in the same
+state (phases, then taps, then noise, as each docstring states) and compare
+the backend's statistic against the transmitted signals rebuilt from them.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
 from airmv.baselines import (
-    GoldenbaumConfig,
-    ObdaConfig,
+    BASELINES,
+    aggregator,
     default_sequence_length,
-    goldenbaum_decode,
-    goldenbaum_encode,
-    obda_decode,
-    obda_encode,
+    goldenbaum_aggregate,
+    goldenbaum_estimate,
+    obda_aggregate,
+    obda_received,
 )
-from airmv.channel import PdpConfig
+from airmv.channel import PdpConfig, awgn, sample_channel
+from airmv.median import MedianState, local_votes, median_step, run_median
 from airmv.simulate import (
-    goldenbaum_error_batch,
-    obda_error_batch,
-    simulate_cer_goldenbaum,
-    simulate_cer_obda,
+    _count_mv_errors,
+    _fixed_column,
+    mv_error_batch,
+    simulate_cer,
     stream,
 )
+
+
+def column_votes(n, U, n_plus):
+    """The Monte Carlo's (n, U, 1) votes: one fixed column for every trial."""
+    return np.broadcast_to(_fixed_column(U, n_plus)[:, np.newaxis], (n, U, 1))
+
+
+def goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg):
+    """Phases and taps in the order `goldenbaum_estimate` draws them."""
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, M, U, L_seq))
+    h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
+    return phases, h
+
+
+def obda_taps(rng, n, M, U):
+    """The single-tap channels `obda_received` draws first."""
+    return (rng.standard_normal((n, M, U)) + 1j * rng.standard_normal((n, M, U))) / (
+        math.sqrt(2)
+    )
+
+
+def goldenbaum_loop(votes, rng, L_seq, pdp_cfg, sigma2):
+    """Decisions of a per-trial, per-user Goldenbaum receiver."""
+    n, U, M = votes.shape
+    window = L_seq + pdp_cfg.L_e - 1
+    phases, h = goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg)
+    noise = awgn((n, M, window), sigma2, rng) if sigma2 > 0 else np.zeros((n, M, window))
+    out = np.empty((n, M), dtype=int)
+    for t in range(n):
+        for m in range(M):
+            y = noise[t, m].copy()
+            for u in range(U):
+                seq = math.sqrt(votes[t, u, m] + 1) * np.exp(1j * phases[t, m, u])
+                y += np.convolve(h[t, m, u], seq)
+            estimate = (np.sum(np.abs(y) ** 2) - window * sigma2) / L_seq - U
+            out[t, m] = np.sign(estimate)
+    return out
+
+
+def obda_loop(votes, rng, sigma2, phase_errors=False, tci=True, truncation=0.2):
+    """Decisions of a per-trial, per-user OBDA receiver."""
+    n, U, M = votes.shape
+    h = obda_taps(rng, n, M, U)
+    w = 2 * math.pi / 3
+    theta = rng.uniform(-w, w, (n, M, U)) if phase_errors else np.zeros((n, M, U))
+    noise = awgn((n, M), sigma2, rng) if sigma2 > 0 else np.zeros((n, M))
+    out = np.empty((n, M), dtype=int)
+    for t in range(n):
+        for m in range(M):
+            y = noise[t, m]
+            for u in range(U):
+                hu, vote = h[t, m, u], votes[t, u, m]
+                if not tci:
+                    symbol = vote
+                elif abs(hu) ** 2 <= truncation:
+                    symbol = 0.0
+                else:
+                    symbol = vote * np.conjugate(hu) / abs(hu) ** 2
+                y += hu * symbol * np.exp(1j * theta[t, m, u])
+            out[t, m] = np.sign(y.real)
+    return out
+
+
+def loop_backend(name, K, pdp_cfg, sigma2):
+    if name == "goldenbaum":
+        L_seq = default_sequence_length(K)
+        return lambda votes, rng: goldenbaum_loop(votes, rng, L_seq, pdp_cfg, sigma2)
+    return lambda votes, rng: obda_loop(
+        votes, rng, sigma2, phase_errors=name == "obda_phase",
+        tci=name != "obda_no_tci",
+    )
 
 
 class TestSequenceLength:
@@ -36,144 +115,242 @@ class TestSequenceLength:
 
 class TestGoldenbaumEncode:
     def test_negative_vote_is_silent(self):
-        seq = goldenbaum_encode(-1, 5, np.random.default_rng(0))
-        np.testing.assert_array_equal(seq, np.zeros(5))
+        """With votes (+1, -1) over single-tap channels the received energy
+        is the +1 voter's alone: 2 L_seq |h_0|^2."""
+        n, L_seq, pdp_cfg = 500, 5, PdpConfig(1)
+        votes = np.broadcast_to(np.array([[1], [-1]]), (n, 2, 1))
+        est = goldenbaum_estimate(votes, np.random.default_rng(0), L_seq, pdp_cfg, 0.0)
+        _, h = goldenbaum_draws(np.random.default_rng(0), n, 1, 2, L_seq, pdp_cfg)
+        # energy / L_seq = est + U
+        np.testing.assert_allclose(est + 2, 2 * np.abs(h[:, :, 0, 0]) ** 2,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_positive_vote_magnitudes(self):
-        seq = goldenbaum_encode(1, 6, np.random.default_rng(1))
-        np.testing.assert_allclose(np.abs(seq), math.sqrt(2), atol=1e-12)
-        assert np.sum(np.abs(seq) ** 2) == pytest.approx(12.0)
+        """A lone +1 voter sends |s|^2 = 2 per sample: over a single tap the
+        energy is 2 L_seq |h|^2, whatever the random phases."""
+        n, L_seq, pdp_cfg = 500, 6, PdpConfig(1)
+        est = goldenbaum_estimate(np.ones((n, 1, 1), int), np.random.default_rng(1),
+                                  L_seq, pdp_cfg, 0.0)
+        _, h = goldenbaum_draws(np.random.default_rng(1), n, 1, 1, L_seq, pdp_cfg)
+        np.testing.assert_allclose(est + 1, 2 * np.abs(h[:, :, 0, 0]) ** 2,
+                                   rtol=1e-12, atol=1e-12)
 
     def test_rejects_bad_vote(self):
-        with pytest.raises(ValueError):
-            goldenbaum_encode(0, 4, np.random.default_rng(2))
+        good = np.ones((4, 3, 2), int)
+        for bad in (0 * good, 2 * good, good.astype(float)):
+            with pytest.raises(ValueError):
+                goldenbaum_aggregate(bad, np.random.default_rng(2), 4, PdpConfig(1), 0.1)
 
 
 class TestGoldenbaumDecode:
     def test_all_silent_noiseless(self):
-        cfg = GoldenbaumConfig(L_seq=4, sigma2=0.0, U=3)
-        assert goldenbaum_decode(np.zeros(4, complex), cfg) == -1
+        votes = -np.ones((50, 3, 2), int)
+        est = goldenbaum_estimate(votes, np.random.default_rng(3), 4, PdpConfig(2), 0.0)
+        np.testing.assert_array_equal(est, -3.0)
+        np.testing.assert_array_equal(
+            goldenbaum_aggregate(votes, np.random.default_rng(3), 4, PdpConfig(2), 0.0),
+            -1,
+        )
 
     def test_expected_positive_aggregate(self):
-        """All votes +1, flat unit channels: the estimate averages to +U."""
-        rng = np.random.default_rng(3)
-        cfg = GoldenbaumConfig(L_seq=8, sigma2=0.0, U=4)
-        vals = []
-        for _ in range(4000):
-            y = sum(goldenbaum_encode(1, cfg.L_seq, rng) for _ in range(cfg.U))
-            energy = np.sum(np.abs(y) ** 2)
-            vals.append((energy - cfg.L_seq * cfg.sigma2) / cfg.L_seq - cfg.U)
-        assert np.mean(vals) == pytest.approx(cfg.U, rel=0.1)
+        """All votes +1 over multipath and noise: the estimate averages to +U."""
+        U = 4
+        est = goldenbaum_estimate(np.ones((4000, U, 1), int), np.random.default_rng(3),
+                                  8, PdpConfig(3, 0.8), 0.5)
+        se = est.std() / math.sqrt(est.size)
+        assert abs(est.mean() - U) < 4 * se
 
     def test_tie_has_zero_expected_estimate(self):
-        rng = np.random.default_rng(4)
-        cfg = GoldenbaumConfig(L_seq=6, sigma2=0.5, U=2)
-        vals = []
-        for _ in range(6000):
-            y = goldenbaum_encode(1, cfg.L_seq, rng) + goldenbaum_encode(
-                -1, cfg.L_seq, rng
-            )
-            y = y + math.sqrt(cfg.sigma2 / 2) * (
-                rng.standard_normal(cfg.L_seq) + 1j * rng.standard_normal(cfg.L_seq)
-            )
-            energy = np.sum(np.abs(y) ** 2)
-            vals.append((energy - cfg.L_seq * cfg.sigma2) / cfg.L_seq - cfg.U)
-        se = np.std(vals) / math.sqrt(len(vals))
-        assert abs(np.mean(vals)) < 4 * se
+        """A tie averages to 0: the noise is debiased over the whole
+        L_seq + L_e - 1 sample window, not just L_seq samples."""
+        votes = column_votes(6000, 2, 1)
+        est = goldenbaum_estimate(votes, np.random.default_rng(4), 6, PdpConfig(3), 0.5)
+        se = est.std() / math.sqrt(est.size)
+        assert abs(est.mean()) < 4 * se
 
-    def test_window_validation(self):
-        cfg = GoldenbaumConfig(L_seq=4, sigma2=0.0, U=1)
-        with pytest.raises(ValueError):
-            goldenbaum_decode(np.zeros(3, complex), cfg)
+    def test_rejects_short_sequence(self):
+        for L_seq in (0, -1):
+            with pytest.raises(ValueError):
+                goldenbaum_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0),
+                                     L_seq, PdpConfig(1), 0.1)
 
 
 class TestGoldenbaumStatistics:
     def test_accuracy_improves_with_length(self):
-        """Longer sequences reduce cross-term interference (U=9, N+=7)."""
+        """Longer sequences reduce cross-term interference (U=9, N+=7);
+        K = 8, 32, 128 give L_seq = 3, 7, 18."""
         pdp_cfg = PdpConfig(1)
         cers = {}
-        for L_seq in (3, 7, 15):
-            p, se = simulate_cer_goldenbaum(
-                L_seq, 9, 7, pdp_cfg, 0.1, 40_000, seed=99, key=(L_seq,)
-            )
-            cers[L_seq] = (p, se)
-        for a, b in ((3, 7), (7, 15)):
+        for K in (8, 32, 128):
+            cers[K] = simulate_cer("goldenbaum", K, 9, 7, pdp_cfg, 0.1, 40_000,
+                                   seed=99, key=(K,))
+        for a, b in ((8, 32), (32, 128)):
             pa, sa = cers[a]
             pb, sb = cers[b]
             assert pb <= pa + 3 * math.hypot(sa, sb)
 
     def test_unbiased_decode_batch_consistency(self):
-        rng = stream(5, 1)
-        errs = goldenbaum_error_batch(rng, 5000, 7, 9, 9, PdpConfig(2, 0.8), 0.1)
+        errs = mv_error_batch(stream(5, 1), 5000, "goldenbaum", 32, 9, 9,
+                              PdpConfig(2, 0.8), 0.1)
         assert 0 <= errs <= 5000
 
 
 class TestObdaEncode:
     def test_truncation(self):
-        cfg = ObdaConfig(sigma2=0.0, U=1)
-        h = math.sqrt(0.1)  # |h|^2 = 0.1 <= 0.2
-        assert obda_encode(1, h, cfg) == 0.0
+        """A node whose |h|^2 is at or below 0.2 stays silent."""
+        n = 2000
+        y = obda_received(np.ones((n, 1, 1), int), np.random.default_rng(5), 0.0)
+        gain = np.abs(obda_taps(np.random.default_rng(5), n, 1, 1)[..., 0]) ** 2
+        silent = gain <= 0.2
+        assert 0 < silent.sum() < n
+        np.testing.assert_array_equal(y[silent], 0.0)
+        assert np.all(y[~silent] != 0.0)
 
     def test_identity_inversion(self):
-        cfg = ObdaConfig(sigma2=0.0, U=1)
-        assert obda_encode(1, 1.0 + 0j, cfg) == pytest.approx(1.0)
+        """Inverted channels deliver each untruncated vote as itself."""
+        n = 2000
+        votes = np.random.default_rng(8).integers(0, 2, (n, 1, 3)) * 2 - 1
+        y = obda_received(votes, np.random.default_rng(6), 0.0, truncation=0.0)
+        np.testing.assert_allclose(y, votes[:, 0, :], atol=1e-12)
 
     def test_phase_conjugation(self):
-        cfg = ObdaConfig(sigma2=0.0, U=1)
-        assert obda_encode(-1, 1j, cfg) == pytest.approx(1j)
+        """Pre-equalizing by conj(h) makes the aggregate real at every
+        channel phase."""
+        n = 2000
+        y = obda_received(-np.ones((n, 1, 1), int), np.random.default_rng(7), 0.0)
+        phase = np.angle(obda_taps(np.random.default_rng(7), n, 1, 1))
+        assert np.histogram(phase, bins=4, range=(-np.pi, np.pi))[0].min() > 0
+        np.testing.assert_allclose(y.imag, 0.0, atol=1e-12)
 
     def test_no_tci_mode_sends_raw_bpsk(self):
-        cfg = ObdaConfig(sigma2=0.0, U=1, tci=False)
-        assert obda_encode(-1, 0.01 + 0j, cfg) == pytest.approx(-1.0)
+        """Without CSI the node sends its vote as is, even over a deep fade."""
+        n = 2000
+        votes = np.random.default_rng(9).integers(0, 2, (n, 1, 1)) * 2 - 1
+        y = obda_received(votes, np.random.default_rng(8), 0.0, tci=False)
+        h = obda_taps(np.random.default_rng(8), n, 1, 1)[..., 0]
+        np.testing.assert_allclose(y, votes[:, 0, :] * h, rtol=1e-12)
 
     def test_phase_error_mean_contribution(self):
         """Per-user expected contribution is vote * E[cos theta] with
         E[cos theta] = sin(2 pi / 3) / (2 pi / 3) for +-120 degrees."""
-        cfg = ObdaConfig(sigma2=0.0, U=1, phase_errors=True)
-        rng = np.random.default_rng(6)
-        h = 0.8 + 0.6j
-        vals = [h * obda_encode(1, h, cfg, rng) for _ in range(40_000)]
+        y = obda_received(np.ones((40_000, 1, 1), int), np.random.default_rng(6),
+                          0.0, truncation=0.0, phase_errors=True)
         expected = math.sin(2 * math.pi / 3) / (2 * math.pi / 3)
-        assert np.mean(np.real(vals)) == pytest.approx(expected, abs=0.01)
+        assert np.mean(y.real) == pytest.approx(expected, abs=0.01)
 
 
 class TestObdaDecode:
     def test_coherent_sum(self):
-        assert obda_decode(3.0 - 1.0 + 0j) == 1
+        """Untruncated inverted channels add the votes coherently."""
+        y = obda_received(column_votes(500, 5, 3), np.random.default_rng(10), 0.0,
+                          truncation=0.0)
+        np.testing.assert_allclose(y, 1.0, atol=1e-12)
 
     def test_majority_three_one(self):
-        cfg = ObdaConfig(sigma2=0.0, U=4)
-        rng = np.random.default_rng(7)
-        h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2)
-        h = h[np.abs(h) ** 2 > cfg.truncation][:4]
-        while len(h) < 4:
-            extra = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2)
-            h = np.concatenate([h, extra[np.abs(extra) ** 2 > cfg.truncation]])[:4]
-        votes = [1, 1, 1, -1]
-        y = sum(hi * obda_encode(v, hi, cfg) for hi, v in zip(h, votes))
-        assert obda_decode(y) == 1
+        n = 2000
+        votes = np.broadcast_to(np.array([[1], [1], [1], [-1]]), (n, 4, 1))
+        mv = obda_aggregate(votes, np.random.default_rng(7), 0.0)
+        gain = np.abs(obda_taps(np.random.default_rng(7), n, 1, 4)) ** 2
+        all_active = np.all(gain > 0.2, axis=-1)
+        assert all_active.sum() > 100
+        np.testing.assert_array_equal(mv[all_active], 1)
 
     def test_perfect_csi_no_errors(self):
         """No noise, no phase errors, no truncation events: always correct."""
-        p, _ = simulate_cer_obda(9, 7, 0.0, 20_000, seed=11, key=(0,), truncation=0.0)
-        assert p == 0.0
+        mv = obda_aggregate(column_votes(20_000, 9, 7), stream(11, 0), 0.0,
+                            truncation=0.0)
+        assert _count_mv_errors(mv[:, 0], 9, 7) == 0
 
     def test_no_tci_cannot_compute(self):
         """Without channel inversion the aggregate phase is arbitrary."""
         for n_plus in (5, 4, 6):  # |N+ - N-| <= U/5 around U=9
-            p, _ = simulate_cer_obda(
-                9, n_plus, 0.1, 20_000, seed=12, key=(n_plus,), tci=False
-            )
+            p, _ = simulate_cer("obda_no_tci", 8, 9, n_plus, PdpConfig(1), 0.1,
+                                20_000, seed=12, key=(n_plus,))
             assert p > 0.3
 
     def test_phase_errors_degrade(self):
-        clean, _ = simulate_cer_obda(9, 6, 0.1, 40_000, seed=13, key=(1,))
-        noisy, se = simulate_cer_obda(
-            9, 6, 0.1, 40_000, seed=13, key=(2,), phase_errors=True
-        )
+        clean, _ = simulate_cer("obda", 8, 9, 6, PdpConfig(1), 0.1, 40_000,
+                                seed=13, key=(1,))
+        noisy, se = simulate_cer("obda_phase", 8, 9, 6, PdpConfig(1), 0.1, 40_000,
+                                 seed=13, key=(2,))
         assert noisy > clean + 3 * se
 
     def test_all_truncated_counts_as_error_half_the_time(self):
-        rng = stream(14, 3)
-        errs = obda_error_batch(rng, 4000, 3, 2, 0.1, truncation=1e9)
-        assert 1500 < errs < 2500
+        mv = obda_aggregate(column_votes(4000, 3, 2), stream(14, 3), 0.1,
+                            truncation=1e9)
+        assert 1500 < _count_mv_errors(mv[:, 0], 3, 2) < 2500
+
+
+class TestValidation:
+    """Each backend call checks its inputs once, before any draw."""
+
+    BACKENDS = (
+        lambda votes, **kw: goldenbaum_aggregate(
+            votes, np.random.default_rng(0), 3, PdpConfig(2), kw.get("sigma2", 0.1)),
+        lambda votes, **kw: obda_aggregate(
+            votes, np.random.default_rng(0), kw.get("sigma2", 0.1)),
+    )
+
+    def test_rejects_negative_noise(self):
+        for backend in self.BACKENDS:
+            with pytest.raises(ValueError):
+                backend(np.ones((4, 3, 1), int), sigma2=-0.1)
+
+    def test_rejects_negative_truncation(self):
+        with pytest.raises(ValueError):
+            obda_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0), 0.1,
+                           truncation=-0.2)
+
+    def test_rejects_bad_votes(self):
+        good = np.ones((4, 3, 2), int)
+        for backend in self.BACKENDS:
+            for bad in (0 * good, 2 * good, -3 * good, good.astype(float)):
+                with pytest.raises(ValueError):
+                    backend(bad)
+
+    def test_rejects_bad_shape(self):
+        for backend in self.BACKENDS:
+            for bad in (np.ones((4, 3), int), np.ones((4, 3, 2, 1), int)):
+                with pytest.raises(ValueError):
+                    backend(bad)
+
+    def test_unknown_baseline(self):
+        with pytest.raises(ValueError):
+            aggregator("bogus", 8, PdpConfig(1), 0.1)
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_monte_carlo_and_median_calls_match_a_per_trial_loop(name):
+    """The Monte Carlo's (n, U, 1) call and the median's (R, U, M) call make
+    the decisions of a per-trial loop on the same draws."""
+    K, U, n_plus, pdp_cfg, sigma2 = 8, 7, 4, PdpConfig(3, 0.8), 0.1
+    backend = aggregator(name, K, pdp_cfg, sigma2)
+    loop = loop_backend(name, K, pdp_cfg, sigma2)
+
+    votes = column_votes(300, U, n_plus)
+    expected = loop(votes, np.random.default_rng(21))
+    np.testing.assert_array_equal(backend(votes, np.random.default_rng(21)), expected)
+    assert mv_error_batch(np.random.default_rng(21), 300, name, K, U, n_plus,
+                          pdp_cfg, sigma2) == _count_mv_errors(expected[:, 0], U, n_plus)
+
+    votes = np.random.default_rng(22).integers(0, 2, (40, U, 3)) * 2 - 1
+    np.testing.assert_array_equal(backend(votes, np.random.default_rng(23)),
+                                  loop(votes, np.random.default_rng(23)))
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_run_median_matches_a_per_trial_loop(name):
+    """run_median with a baseline retraces a median loop over the per-trial
+    receivers: the same draws, the same log2(K) votes per round."""
+    K, U, rounds, reps, pdp_cfg, sigma2 = 8, 5, 15, 10, PdpConfig(2), 0.1
+    got = run_median(name, K, U, rounds, reps, pdp_cfg, sigma2, seed=4, key=(2,))
+    loop = loop_backend(name, K, pdp_cfg, sigma2)
+    rng = stream(4, 2)
+    params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(reps, U, 3))
+    true_median = np.median(params, axis=-2)
+    state = MedianState(estimates=np.zeros((reps, 3)), rounds=rounds)
+    expected = np.empty(rounds)
+    for i in range(rounds):
+        state = median_step(state, loop(local_votes(state, params), rng))
+        expected[i] = math.sqrt(np.mean((state.estimates - true_median) ** 2))
+    np.testing.assert_array_equal(got, expected)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -71,6 +72,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             make_cfg(experiment="theory", methods=("goldenbaum",))
 
+    def test_baseline_k_constraints(self):
+        # Goldenbaum's sequence length needs K >= 2; the ideal and baseline
+        # median backends decide log2(K) votes per round.
+        with pytest.raises(ConfigError, match="goldenbaum at K=1"):
+            make_cfg(methods=("goldenbaum",), k_values=(1,))
+        for name in ("ideal", "goldenbaum", "obda"):
+            with pytest.raises(ConfigError, match=f"{name} at K=12"):
+                make_cfg(experiment="rmse", methods=(name,), k_values=(12,),
+                         n_plus=None)
+            make_cfg(experiment="rmse", methods=(name,), k_values=(8,), n_plus=None)
+        make_cfg(methods=("obda",), k_values=(12,))  # OBDA's CER ignores K
+
     def test_defaults_n_plus_sweep(self):
         cfg = make_cfg(n_plus=None)
         assert cfg.n_plus_values() == tuple(range(6))
@@ -141,6 +154,34 @@ class TestCsv:
         assert lines[0].startswith("# airmv")
         assert lines[1] == "experiment,method,K,U,L_e,rho,snr_db,n_plus,metric,value,stderr"
 
+    # sha256 of the CSV bytes of two small baseline runs, recorded before the
+    # baselines became vectorized aggregate backends: they pin the order of
+    # every random draw (the echo line names the thread count, hence a pair).
+    PINNED = {
+        ("cer", "1"): "e8cad12ff718d34a0133f19edf392165f692e9f62b9a03388e3af69248598eb0",
+        ("cer", "2"): "69557baa0bf888692132da57693a232e193421129b39d4e99fba71a5856e55b1",
+        ("rmse", "1"): "60efe2ff4514083071f8091beb92dd1838d2de58b98c59cdd88c3265874aa761",
+        ("rmse", "2"): "e37f976ff383fedafe1940e8651fc66c5f92d2bed8ecf8087d3615a489a8f9e6",
+    }
+    PIN_ARGV = {
+        "cer": ["cer", "--methods", "goldenbaum,obda,obda_phase,obda_no_tci",
+                "--k", "8", "--u", "7", "--l-e", "3", "--rho", "0.8",
+                "--snr", "0,10", "--n-plus", "0:7", "--trials", "300",
+                "--realizations", "0", "--seed", "11"],
+        "rmse": ["rmse", "--methods", "ideal,goldenbaum,obda,obda_phase,obda_no_tci",
+                 "--k", "8", "--u", "9", "--l-e", "3", "--rho", "0.8", "--snr", "5",
+                 "--rounds", "20", "--realizations", "6", "--seed", "11"],
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("experiment", ["cer", "rmse"])
+    def test_baseline_csv_bytes_pinned(self, tmp_path, experiment, threads):
+        out = tmp_path / "pin.csv"
+        argv = self.PIN_ARGV[experiment] + ["--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED[experiment, threads]
+
 
 class TestCli:
     def test_end_to_end(self, tmp_path, capsys):
@@ -156,6 +197,16 @@ class TestCli:
     def test_missing_seed_fails(self, capsys):
         assert main(["resources", "--k", "32"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_bad_baseline_k_exits_2(self, capsys):
+        for argv in (
+            ["cer", "--methods", "goldenbaum", "--k", "1", "--u", "5"],
+            ["rmse", "--methods", "obda", "--k", "12", "--u", "5"],
+            ["rmse", "--methods", "ideal", "--k", "12", "--u", "5"],
+        ):
+            assert main(argv + ["--seed", "1", "--trials", "10", "--rounds", "2",
+                                "--realizations", "1"]) == 2
+            assert "airmv: configuration error" in capsys.readouterr().err
 
     def test_config_file_with_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
