@@ -12,12 +12,11 @@ from .channel import PdpConfig, pdp, sample_channel, superpose
 from .decoding import (
     CountEstimates,
     DecoderContext,
+    DetectorForm,
     channel_power,
     decide,
     decode,
-    decode_differential,
-    decode_indexed,
-    decode_uncoded,
+    detector_form,
     estimate_counts,
     noise_power,
     probe_points,
@@ -54,8 +53,6 @@ from .theory import (
     cdf_diff_exp_sums,
     cer,
     detection_rates,
-    rates_coded,
-    rates_uncoded,
     vote_averaged_cer,
 )
 from .waveform import (

@@ -10,7 +10,8 @@ the noise polynomial. The engine evaluates this sum directly from the zero
 form, P_u(z) = c_lead * prod_k (z - zero_k), so no coefficient sequence is
 synthesized and no convolution is formed. The time-domain chain
 (`synthesize_coeffs` -> `superpose` -> `decode`) stays the reference the
-engine is tested against on identical draws; both end in `decide`.
+engine is tested against on identical draws; both end in the detector's
+`DetectorForm.decide`.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
@@ -31,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import PdpConfig, awgn, sample_channel
-from .decoding import DecoderContext, decide, powers, probe_points
+from .decoding import DecoderContext, detector_form, powers, probe_points
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
@@ -104,18 +105,16 @@ class ProbeAggregator:
         if sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
         rp = radius_param(K)
-        if method is Method.UNCODED:
-            self.ctx = DecoderContext(method, rp, pdp=pdp_cfg, sigma2=sigma2)
-        else:
-            self.ctx = DecoderContext(method, rp)
+        self.ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
         M = self.ctx.n_votes
         if positions is None:
             positions = range(M)
         self.positions = tuple(int(p) for p in np.atleast_1d(positions))
         self.pdp_cfg = pdp_cfg
         self.sigma2 = float(sigma2)
+        self.form = detector_form(self.ctx, self.positions)
         self.tables = probe_tables(method, rp, self.positions)
-        self.powers = powers(probe_points(method, rp, self.positions), K + pdp_cfg.L_e)
+        self.powers = powers(self.form.points, K + pdp_cfg.L_e)
         if method is Method.INDEXED:
             # Row (l, c) holds z_p^l T[c, p]: R = G @ this, taps and all.
             v_taps = self.powers[: pdp_cfg.L_e, np.newaxis, :]
@@ -173,4 +172,4 @@ class ProbeAggregator:
     def aggregate(self, votes, rng: np.random.Generator) -> np.ndarray:
         """Majority-vote decisions at the engine's vote positions."""
         r = self.received(votes, rng)
-        return decide(r.real**2 + r.imag**2, self.ctx, self.positions)
+        return self.form.decide(r.real**2 + r.imag**2)

@@ -8,6 +8,7 @@ import sys
 from .config import (
     ConfigError,
     EXPERIMENTS,
+    ExperimentConfig,
     _parse_float_list,
     _parse_int_list,
     _parse_methods,
@@ -61,17 +62,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def config_from_argv(argv=None) -> ExperimentConfig:
+    """The validated configuration of a command line, without running it.
+
+    A malformed command line exits through argparse; a configuration the
+    experiment cannot take raises ConfigError.
+    """
     args = _build_parser().parse_args(argv)
     overrides = {
         key: value
         for key, value in vars(args).items()
         if key not in ("experiment", "config") and value is not None
     }
+    file_values = parse_config_file(args.config) if args.config else {}
+    file_values.pop("experiment", None)
+    return build_config(args.experiment, file_values, overrides)
+
+
+def main(argv=None) -> int:
     try:
-        file_values = parse_config_file(args.config) if args.config else {}
-        file_values.pop("experiment", None)
-        cfg = build_config(args.experiment, file_values, overrides)
+        cfg = config_from_argv(argv)
         rows = run_experiment(cfg)
         write_csv(rows, cfg)
     except ConfigError as exc:

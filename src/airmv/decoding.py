@@ -8,11 +8,14 @@ uncoded detector needs the delay profile and noise level to de-bias its
 count estimates; the differential and indexed detectors compare energies at
 a common radius, where all those scalars cancel.
 
-Each detector is two pieces: the probe points it reads (`probe_points`) and
-its decision from the energies there (`decide`). `decode` evaluates a
-received sequence at the points; the probe-domain engine in
-`airmv.aggregation` computes the values at the points directly. Both end in
-the same `decide`.
+Each detector is one linear form on the energies e_p = |R(z_p)|^2 at its
+probe points (`detector_form`): vote v is sign(sum_p S[p, v] (e_p - b_p) /
+s_p), with a +-1 side matrix S, a de-bias b and a scale s per probe. For
+uncoded, (e_p - b_p) / s_p is the count estimate of the probe's side; for
+the coded schemes b = 0 and s = 1. `decide` applies the form; `decode`
+evaluates a received sequence at the points first, and the probe-domain
+engine in `airmv.aggregation` computes the values there directly. The
+error-rate theory (`airmv.theory`) reads the same form.
 
 sign(0) is reported as 0 and counted as a computation error downstream;
 under noise an exact tie has probability zero.
@@ -40,40 +43,26 @@ __all__ = [
     "estimate_counts",
     "powers",
     "probe_points",
+    "DetectorForm",
+    "detector_form",
     "decide",
-    "decode_uncoded",
-    "decode_differential",
-    "decode_indexed",
     "decode",
 ]
 
 
 def channel_power(d_arg: float, cfg: PdpConfig) -> float:
-    """Expected |H(z)|^2 on the circle |z| = d_arg: sum_l p_l d_arg^{2l}.
-
-    Closed geometric forms are used except where their ratio hits 1, in
-    which case the finite sum is taken directly.
-    """
+    """Expected |H(z)|^2 on the circle |z| = d_arg: sum_l p_l d_arg^{2l}."""
     if d_arg <= 0:
         raise ValueError("d_arg must be positive")
-    g = d_arg * d_arg
-    L, rho = cfg.L_e, cfg.rho
-    if abs(1.0 - g * rho) < 1e-9:
-        return float(np.dot(cfg.taps, g ** np.arange(L)))
-    if rho == 1.0:
-        return (1.0 - g**L) / (1.0 - g) / L
-    return (1.0 - rho) / (1.0 - rho**L) * (1.0 - (g * rho) ** L) / (1.0 - g * rho)
+    return float(np.dot(cfg.taps, (d_arg * d_arg) ** np.arange(cfg.L_e)))
 
 
 def noise_power(d_arg: float, sigma2: float, K: int, L_e: int) -> float:
-    """Expected |W(z)|^2 on |z| = d_arg for K + L_e noise samples."""
+    """Expected |W(z)|^2 on |z| = d_arg for K + L_e noise samples:
+    sigma2 sum_n d_arg^{2n}."""
     if d_arg <= 0:
         raise ValueError("d_arg must be positive")
-    g = d_arg * d_arg
-    n = K + L_e
-    if abs(g - 1.0) < 1e-12:
-        return sigma2 * n
-    return sigma2 * (1.0 - g**n) / (1.0 - g)
+    return sigma2 * float(np.sum((d_arg * d_arg) ** np.arange(K + L_e)))
 
 
 def signal_scale_uncoded(rp: RadiusParam, d_arg: float) -> float:
@@ -151,6 +140,16 @@ class DecoderContext:
                 "knowledge"
             )
 
+    @classmethod
+    def for_link(
+        cls, method: Method, rp: RadiusParam, pdp: PdpConfig, sigma2: float
+    ) -> "DecoderContext":
+        """The receiver's knowledge of a link: the uncoded detector is told
+        the delay profile and the noise level, the coded ones nothing."""
+        if method is Method.UNCODED:
+            return cls(method, rp, pdp=pdp, sigma2=sigma2)
+        return cls(method, rp)
+
     @property
     def n_votes(self) -> int:
         return self.method.votes_per_codeword(self.rp.K)
@@ -207,35 +206,63 @@ def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
     return rp.d * w
 
 
-def _count_estimates(energies: np.ndarray, ctx: DecoderContext) -> CountEstimates:
-    rp, pdp_cfg = ctx.rp, ctx.pdp
-    half = energies.shape[-1] // 2
-    u = []
-    for da, e in ((rp.d, energies[..., :half]), (1.0 / rp.d, energies[..., half:])):
-        num = e - noise_power(da, ctx.sigma2, rp.K, pdp_cfg.L_e)
-        den = signal_scale_uncoded(rp, da) * channel_power(da, pdp_cfg)
-        u.append(num / den)
-    return CountEstimates(u_plus=u[0], u_minus=u[1])
+@dataclass(frozen=True, eq=False)
+class DetectorForm:
+    """A detector as a linear form on its probe energies e = |R(points)|^2:
+    the votes are sign(((e - bias) / scale) @ signs).
+
+    `signs` (P, V) puts each probe on the plus (+1) or minus (-1) side of
+    each decided vote, or leaves it out (0); `bias` and `scale` are (P,).
+    """
+
+    points: np.ndarray
+    signs: np.ndarray
+    bias: np.ndarray
+    scale: np.ndarray
+
+    def decide(self, energies) -> np.ndarray:
+        e = np.asarray(energies)
+        return np.sign(((e - self.bias) / self.scale) @ self.signs).astype(int)
+
+
+def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:
+    """The detector of `ctx` for the votes at `positions` (all by default).
+
+    Uncoded vote l compares the count estimates (e - noise) / (scale *
+    channel) at slot l on radius d (plus) and 1/d (minus). Differential vote
+    l compares slot 2l (plus) with slot 2l+1 (minus) at radius d. Indexed
+    vote l sums the radius-d slots whose index has bit l set against the
+    rest. The coded sides share one radius, so they need no de-bias.
+    """
+    rp = ctx.rp
+    pos = _positions(ctx.method, rp.K, positions)
+    points = probe_points(ctx.method, rp, pos)
+    eye = np.eye(pos.size)
+    bias, scale = np.zeros(points.size), np.ones(points.size)
+    if ctx.method is Method.UNCODED:
+        signs = np.concatenate([eye, -eye])
+        radii = (rp.d, 1.0 / rp.d)
+        bias = np.repeat(
+            [noise_power(da, ctx.sigma2, rp.K, ctx.pdp.L_e) for da in radii], pos.size
+        )
+        scale = np.repeat(
+            [signal_scale_uncoded(rp, da) * channel_power(da, ctx.pdp) for da in radii],
+            pos.size,
+        )
+    elif ctx.method is Method.DIFFERENTIAL:
+        signs = np.stack([eye, -eye], axis=1).reshape(2 * pos.size, pos.size)
+    else:
+        signs = 2.0 * ((np.arange(rp.K)[:, np.newaxis] >> pos) & 1) - 1.0
+    return DetectorForm(points, signs, bias, scale)
 
 
 def decide(energies, ctx: DecoderContext, positions=None) -> np.ndarray:
     """Majority votes at `positions` from the probe energies |R(z_p)|^2.
 
     `energies` (..., P) holds the energies at the `probe_points` of `positions`
-    in that order; the result is (..., len(positions)). This is the one
-    decision rule of each detector, shared by `decode` and the probe-domain
-    aggregation engine.
+    in that order; the result is (..., len(positions)).
     """
-    e = np.asarray(energies)
-    if ctx.method is Method.UNCODED:
-        est = _count_estimates(e, ctx)
-        return np.sign(est.u_plus - est.u_minus).astype(int)
-    if ctx.method is Method.DIFFERENTIAL:
-        return np.sign(e[..., 0::2] - e[..., 1::2]).astype(int)
-    K = ctx.rp.K
-    m = K.bit_length() - 1
-    signs = 2.0 * ((np.arange(K)[:, np.newaxis] >> np.arange(m)) & 1) - 1.0
-    return np.sign(e @ signs[:, _positions(ctx.method, K, positions)]).astype(int)
+    return detector_form(ctx, positions).decide(energies)
 
 
 def estimate_counts(y, ctx: DecoderContext) -> CountEstimates:
@@ -247,41 +274,12 @@ def estimate_counts(y, ctx: DecoderContext) -> CountEstimates:
     """
     if ctx.method is not Method.UNCODED:
         raise ValueError("count estimates are defined for the uncoded detector")
-    return _count_estimates(_energies(y, probe_points(ctx.method, ctx.rp)), ctx)
-
-
-def _detect(y, ctx: DecoderContext, method: Method) -> np.ndarray:
-    if ctx.method is not method:
-        raise ValueError(
-            f"context is not configured for the {method.value} detector"
-        )
-    return decode(y, ctx)
-
-
-def decode_uncoded(y, ctx: DecoderContext) -> np.ndarray:
-    """Majority votes from the uncoded codeword: sign of count difference."""
-    return _detect(y, ctx, Method.UNCODED)
-
-
-def decode_differential(y, ctx: DecoderContext) -> np.ndarray:
-    """Majority votes from even/odd test-point energies at radius d.
-
-    The even-slot energy grows with the positive-vote count, so the
-    decision is sign(|R(even)|^2 - |R(odd)|^2); no channel or noise
-    statistics enter.
-    """
-    return _detect(y, ctx, Method.DIFFERENTIAL)
-
-
-def decode_indexed(y, ctx: DecoderContext) -> np.ndarray:
-    """Majority votes from bit-partitioned test-point energies at radius d.
-
-    For vote position l, the energies at slots whose index has bit l set
-    are summed against the rest; each side aggregates K/2 measurements.
-    """
-    return _detect(y, ctx, Method.INDEXED)
+    form = detector_form(ctx)
+    u = (_energies(y, form.points) - form.bias) / form.scale
+    return CountEstimates(u_plus=u[..., : ctx.n_votes], u_minus=u[..., ctx.n_votes :])
 
 
 def decode(y, ctx: DecoderContext) -> np.ndarray:
     """Time-domain detection: evaluate y at the probe points, then decide."""
-    return decide(_energies(y, probe_points(ctx.method, ctx.rp)), ctx)
+    form = detector_form(ctx)
+    return form.decide(_energies(y, form.points))

@@ -127,8 +127,6 @@ def run_median(
     sigma2: float,
     seed: int,
     key: tuple[int, ...] = (),
-    mu_start: float = 0.01,
-    mu_end: float = 1e-5,
 ) -> np.ndarray:
     """Root-mean-square error of the estimates against the true medians,
     recorded after every round; shape (rounds,).
@@ -143,12 +141,7 @@ def run_median(
     true_median = np.median(params, axis=-2)
 
     mv = _mv_backend(backend, K, pdp_cfg, sigma2)
-    state = MedianState(
-        estimates=np.zeros((realizations, M)),
-        rounds=rounds,
-        mu_start=mu_start,
-        mu_end=mu_end,
-    )
+    state = MedianState(estimates=np.zeros((realizations, M)), rounds=rounds)
     rmse = np.empty(rounds)
     for i in range(rounds):
         votes = local_votes(state, params)

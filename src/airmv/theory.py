@@ -3,13 +3,15 @@
 Conditioned on all votes, the probed values R(z) of the received
 polynomial are jointly circular Gaussian (the superposed channel gains and
 the noise are), and every detector compares a Hermitian form R^H A R with A
-real diagonal. Two laws of that form are offered:
+real diagonal, read off the detector's own linear form
+(`airmv.decoding.detector_form`). Both laws of that form below start from
+the one probe covariance Sigma (`probe_covariance`):
 
-* the paper's model (the default) keeps only the diagonal of the probe
-  covariance, i.e. it treats the test-point energies as independent
-  exponentials. That is an approximation: every probe sees one shared noise
-  sequence and each user's single channel draw, so the energies are
-  correlated, most visibly at low SNR;
+* the paper's model (the default) keeps only diag(Sigma), i.e. it treats
+  the test-point energies as independent exponentials. That is an
+  approximation: every probe sees one shared noise sequence and each
+  user's single channel draw, so the energies are correlated, most visibly
+  at low SNR;
 * the exact law (Turin 1960) keeps the full covariance Sigma. The form is
   then a difference of independent exponential sums whose means are the
   eigenvalues of A Sigma.
@@ -24,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 from .channel import PdpConfig
-from .decoding import channel_power, noise_power, signal_scale_uncoded
+from .decoding import DecoderContext, DetectorForm, detector_form, powers
 from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, root_phases
 
@@ -39,11 +42,7 @@ __all__ = [
     "CerModel",
     "CerEstimate",
     "cdf_diff_exp_sums",
-    "rates_uncoded",
-    "rates_coded",
-    "detector_sides",
     "probe_covariance",
-    "rates_exact",
     "detection_rates",
     "cer",
     "vote_averaged_cer",
@@ -165,87 +164,6 @@ def _inner_matrix(codewords, rp: RadiusParam) -> np.ndarray:
     return inner
 
 
-def _zeros(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
-    return np.where(inner, 1.0 / rp.d, rp.d) * root_phases(rp.K)
-
-
-def _signal_energy(inner: np.ndarray, rp: RadiusParam, z: complex) -> float:
-    """sum_u |P_u(z)|^2 from the zero form; exact zero at encoded zeros."""
-    d = rp.d
-    zeros = _zeros(inner, rp)
-    lead2 = rp.eta * (rp.K + 1) * d ** (
-        2 * np.count_nonzero(inner, axis=1) - rp.K
-    )
-    prods = np.prod(np.abs(z - zeros) ** 2, axis=1)
-    return float(np.sum(lead2 * prods))
-
-
-def _uncoded_probes(model: CerModel) -> list[tuple[float, float, float]]:
-    """(radius, count scale, noise energy) of the uncoded detector's two
-    probes, at radius d (positive count) and 1/d (negative count)."""
-    rp, pdp = model.rp, model.pdp
-    return [
-        (
-            da,
-            signal_scale_uncoded(rp, da) * channel_power(da, pdp),
-            noise_power(da, model.sigma2, rp.K, pdp.L_e),
-        )
-        for da in (rp.d, 1.0 / rp.d)
-    ]
-
-
-def rates_uncoded(codewords, ell: int, model: CerModel) -> tuple[ExpRateSet, float]:
-    """Exponential rates of the two de-biased count estimates, plus the
-    offset x at which their difference-CDF gives the error probability."""
-    if model.method is not Method.UNCODED:
-        raise ValueError("model is not configured for the uncoded scheme")
-    rp = model.rp
-    inner = _inner_matrix(codewords, rp)
-    w_ell = root_phases(rp.K)[ell]
-    means, offsets = [], []
-    for da, scale, noise in _uncoded_probes(model):
-        signal = _signal_energy(inner, rp, da * w_ell)
-        means.append((signal * channel_power(da, model.pdp) + noise) / scale)
-        offsets.append(noise / scale)
-    x = offsets[0] - offsets[1]
-    return ExpRateSet.from_means([means[0]], [means[1]]), x
-
-
-def rates_coded(codewords, ell: int, model: CerModel) -> ExpRateSet:
-    """Exponential rates of the test-point energies for the differential
-    and indexed schemes, partitioned into the two detector sides (x = 0)."""
-    if model.method is Method.UNCODED:
-        raise ValueError("model is not configured for a coded scheme")
-    rp = model.rp
-    K, d = rp.K, rp.d
-    inner = _inner_matrix(codewords, rp)
-    fch = channel_power(d, model.pdp)
-    fn = noise_power(d, model.sigma2, K, model.pdp.L_e)
-    w = root_phases(K)
-    plus_slots, minus_slots = detector_sides(model.method, K, ell)
-
-    def mean_at(slot: int) -> float:
-        return fch * _signal_energy(inner, rp, d * w[slot]) + fn
-
-    return ExpRateSet.from_means(
-        [mean_at(s) for s in plus_slots], [mean_at(s) for s in minus_slots]
-    )
-
-
-def detector_sides(method: Method, K: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Probe slots (at radius d) summed on the plus and the minus side of
-    vote ell's metric for a coded scheme: the even/odd pair 2l, 2l+1 for
-    differential (`decode_differential`), and the slots with bit l set
-    against the rest for indexed (`decode_indexed`)."""
-    if method is Method.UNCODED:
-        raise ValueError("the uncoded detector has no slot partition")
-    if method is Method.DIFFERENTIAL:
-        return np.array([2 * ell]), np.array([2 * ell + 1])
-    slots = np.arange(K)
-    bit = (slots >> ell) & 1
-    return slots[bit == 1], slots[bit == 0]
-
-
 def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
     """Covariance of the received polynomial at the probe points, given the
     codewords: Sigma = (P^T conj(P)) o C_H + C_W.
@@ -262,14 +180,13 @@ def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
     lead = math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (
         np.count_nonzero(inner, axis=1) - rp.K / 2
     )
+    zeros = np.where(inner, 1.0 / rp.d, rp.d) * root_phases(rp.K)
     vals = lead[:, np.newaxis] * np.prod(
-        z[np.newaxis, np.newaxis, :] - _zeros(inner, rp)[:, :, np.newaxis], axis=1
+        z[np.newaxis, np.newaxis, :] - zeros[:, :, np.newaxis], axis=1
     )
-    cross = z[:, np.newaxis] * z.conj()[np.newaxis, :]
-    chan = np.polynomial.polynomial.polyval(cross, pdp.taps)
-    noise = model.sigma2 * np.polynomial.polynomial.polyval(
-        cross, np.ones(rp.K + pdp.L_e)
-    )
+    v = powers(z, rp.K + pdp.L_e)  # v[n, i] = z_i^n
+    chan = (v[: pdp.L_e].T * pdp.taps) @ v[: pdp.L_e].conj()
+    noise = model.sigma2 * (v.T @ v.conj())
     return (vals.T @ vals.conj()) * chan + noise
 
 
@@ -279,45 +196,40 @@ def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
 _EIG_RTOL = 1e-12
 
 
-def rates_exact(codewords, ell: int, model: CerModel) -> tuple[ExpRateSet, float]:
-    """Exact law of the detector metric R^H A R over the correlated probes.
-
-    A is diagonal: the inverse count scales with signs for uncoded (offset x
-    as in `rates_uncoded`), +-1 over `detector_sides` for the coded schemes
-    (x = 0). With Sigma = L L^H, the metric is a sum of independent
-    exponentials weighted by the eigenvalues of L^H A L, which are those of
-    A Sigma (Turin 1960); positive ones form the plus side and the negated
-    negative ones the minus side.
-    """
-    rp = model.rp
-    w = root_phases(rp.K)
-    if model.method is Method.UNCODED:
-        (d_p, scale_p, noise_p), (d_m, scale_m, noise_m) = _uncoded_probes(model)
-        points = np.array([d_p, d_m]) * w[ell]
-        weights = np.array([1.0 / scale_p, -1.0 / scale_m])
-        x = noise_p / scale_p - noise_m / scale_m
-    else:
-        plus, minus = detector_sides(model.method, rp.K, ell)
-        points = rp.d * w[np.concatenate([plus, minus])]
-        weights = np.concatenate([np.ones(plus.size), -np.ones(minus.size)])
-        x = 0.0
-    evals, vecs = np.linalg.eigh(probe_covariance(codewords, points, model))
-    root = vecs * np.sqrt(np.clip(evals, 0.0, None))
-    lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
-    lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
-    return ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]), x
+@lru_cache(maxsize=None)
+def _form(model: CerModel, ell: int) -> DetectorForm:
+    """Vote ell's detector form; every realization of a point reads it."""
+    ctx = DecoderContext.for_link(model.method, model.rp, model.pdp, model.sigma2)
+    return detector_form(ctx, [ell])
 
 
 def detection_rates(
     codewords, ell: int, model: CerModel, exact: bool = False
 ) -> tuple[ExpRateSet, float]:
-    """Rates and offset x of vote ell's metric: the paper's independence
-    model by default, the exact correlated-probe law with `exact`."""
-    if exact:
-        return rates_exact(codewords, ell, model)
-    if model.method is Method.UNCODED:
-        return rates_uncoded(codewords, ell, model)
-    return rates_coded(codewords, ell, model), 0.0
+    """Rates of vote ell's metric R^H A R and the offset x at which its CDF
+    gives P(decision < 0).
+
+    The detector form of vote ell gives the probe points and A = S / s
+    (signed inverse scales: +-1 for the coded schemes, the inverse count
+    scales for uncoded), and x = sum_p A_p b_p (zero for the coded schemes).
+    The paper's independence model takes the means A_pp Sigma_pp, split into
+    the two sides by the sign of A. With `exact`, Sigma = L L^H and the
+    metric is a sum of independent exponentials weighted by the eigenvalues
+    of L^H A L, which are those of A Sigma (Turin 1960); positive ones form
+    the plus side and the negated negative ones the minus side.
+    """
+    form = _form(model, ell)
+    weights = form.signs[:, 0] / form.scale
+    x = float(np.dot(weights, form.bias))
+    sigma = probe_covariance(codewords, form.points, model)
+    if not exact:
+        means = weights * sigma.diagonal().real
+        return ExpRateSet.from_means(means[weights > 0], -means[weights < 0]), x
+    evals, vecs = np.linalg.eigh(sigma)
+    root = vecs * np.sqrt(np.clip(evals, 0.0, None))
+    lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
+    lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
+    return ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]), x
 
 
 def cer(n_plus: int, n_minus: int, prob_negative: float) -> float:
@@ -369,8 +281,8 @@ def vote_averaged_cer(
 
     By default the conditional CDF is the paper's, which approximates the
     test-point energies as independent exponentials; `exact` uses the law
-    of the correlated probes instead (`rates_exact`). Both laws consume the
-    same vote draws.
+    of the correlated probes instead (see `detection_rates`). Both laws
+    consume the same vote draws.
     """
     if n_realizations < 1:
         raise ValueError("need at least one realization")

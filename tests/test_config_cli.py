@@ -1,9 +1,13 @@
 import hashlib
+import itertools
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from airmv.cli import main
+from airmv.cli import config_from_argv, main
 from airmv.config import ConfigError, build_config, parse_config_file
 from airmv.experiments import run_experiment, write_csv
 
@@ -243,3 +247,34 @@ def test_infinite_snr_runs_noiseless(tmp_path):
     row = [l for l in out.read_text().splitlines() if l.startswith("cer,")][0]
     assert ",inf," in row
     assert row.split(",")[-2] == "0"  # unanimous noiseless: no errors
+
+
+def script_commands(path: Path) -> list[list[str]]:
+    """The argv of every `airmv` command in a shell script, continuation
+    lines joined, once per value of each loop variable it uses, with the
+    `VAR="${VAR:-default}"` defaults substituted."""
+    text = path.read_text().replace("\\\n", " ")
+    env = dict(re.findall(r'^(\w+)="\$\{\1:-([^}]*)\}"', text, re.M))
+    loops = dict(re.findall(r"^\s*for (\w+) in ([^;]+); do", text, re.M))
+    commands = []
+    for line in text.splitlines():
+        if not line.strip().startswith("airmv "):
+            continue
+        used = [v for v in loops if re.search(rf"\$\{{?{v}\b", line)]
+        for values in itertools.product(*(loops[v].split() for v in used)):
+            subst = {**env, **dict(zip(used, values))}
+            expanded = re.sub(r"\$\{?(\w+)\}?", lambda m: subst[m.group(1)], line)
+            commands.append(shlex.split(expanded)[1:])
+    return commands
+
+
+def test_experiment_script_commands_configure():
+    """Every sweep of scripts/run_experiments.sh parses and passes
+    validation (nothing is run)."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.sh"
+    commands = script_commands(script)
+    # cer: 3 K x 2 profiles; snr: 2 profiles; pmepr; resources; rmse: 2.
+    assert len(commands) == 12
+    for argv in commands:
+        cfg = config_from_argv(argv)
+        assert cfg.experiment == argv[0]

@@ -8,15 +8,23 @@ from airmv.channel import PdpConfig, sample_channel, superpose
 from airmv.decoding import (
     DecoderContext,
     channel_power,
+    decide,
     decode,
     estimate_counts,
     noise_power,
+    probe_points,
     signal_scale_differential,
     signal_scale_indexed,
     signal_scale_uncoded,
 )
 from airmv.encoding import Method, encode, vote_pattern
-from airmv.huffman import RadiusParam, radius_param, synthesize_coeffs, zeros_to_coeffs
+from airmv.huffman import (
+    RadiusParam,
+    poly_eval,
+    radius_param,
+    synthesize_coeffs,
+    zeros_to_coeffs,
+)
 
 
 def flat_context(method, K, sigma2=0.0):
@@ -61,6 +69,21 @@ class TestChannelPower:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             channel_power(0.0, PdpConfig(2))
+
+    def test_near_unit_decay_is_the_finite_sum(self):
+        """As rho -> 1 a geometric closed form cancels (1.5e-10 relative at
+        rho = 1 - 1e-10); the finite sums stay at rounding level."""
+        cfg = PdpConfig(4, 1.0 - 1e-10)
+        for K in (8, 32):
+            rp = radius_param(K)
+            for d_arg in (rp.d, 1.0 / rp.d):
+                g = d_arg * d_arg
+                chan = math.fsum(p * g**l for l, p in enumerate(cfg.taps))
+                noise = 0.3 * math.fsum(g**n for n in range(K + cfg.L_e))
+                assert channel_power(d_arg, cfg) == pytest.approx(chan, rel=1e-14)
+                assert noise_power(d_arg, 0.3, K, cfg.L_e) == pytest.approx(
+                    noise, rel=1e-14
+                )
 
 
 class TestNoisePower:
@@ -403,3 +426,45 @@ def test_all_negative_votes_leave_no_plus_energy():
     y = superpose(coeffs, np.ones((U, 1), complex), 0.0)
     est = estimate_counts(y, ctx)
     assert np.abs(est.u_plus).max() < 1e-20
+
+
+def test_decide_is_each_detectors_rule():
+    """On recorded energies, `decide` gives the per-method rules: the sign
+    of the difference of the uncoded count estimates, of the even minus the
+    odd slot energy, and of the bit-signed sum of the indexed slot energies,
+    for every vote position and for a subset."""
+    K, L_e, sigma2 = 8, 3, 0.2
+    pdp_cfg = PdpConfig(L_e, 0.7)
+    rp = radius_param(K)
+    rng = np.random.default_rng(35)
+    y = rng.standard_normal((300, K + L_e)) + 1j * rng.standard_normal((300, K + L_e))
+    for method in Method:
+        ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
+        M = ctx.n_votes
+        for positions in (None, [M - 1, 0]):
+            pos = np.arange(M) if positions is None else np.array(positions)
+            e = np.abs(poly_eval(y, probe_points(method, rp, positions))) ** 2
+            if method is Method.UNCODED:
+                u_plus, u_minus = (
+                    (half - noise_power(da, sigma2, K, L_e))
+                    / (signal_scale_uncoded(rp, da) * channel_power(da, pdp_cfg))
+                    for da, half in ((rp.d, e[:, : pos.size]),
+                                     (1.0 / rp.d, e[:, pos.size :]))
+                )
+                expected = np.sign(u_plus - u_minus)
+                if positions is None:
+                    est = estimate_counts(y, ctx)
+                    np.testing.assert_allclose(est.u_plus, u_plus,
+                                               rtol=1e-9, atol=1e-12)
+                    np.testing.assert_allclose(est.u_minus, u_minus,
+                                               rtol=1e-9, atol=1e-12)
+            elif method is Method.DIFFERENTIAL:
+                expected = np.sign(e[:, 0::2] - e[:, 1::2])
+            else:
+                bits = (np.arange(K)[:, np.newaxis] >> pos) & 1
+                expected = np.sign(np.stack(
+                    [e[:, b == 1].sum(axis=1) - e[:, b == 0].sum(axis=1)
+                     for b in bits.T], axis=1,
+                ))
+            assert expected.shape == (300, pos.size)
+            np.testing.assert_array_equal(decide(e, ctx, positions), expected)

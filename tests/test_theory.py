@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 from airmv.channel import PdpConfig
 from airmv.decoding import channel_power, noise_power, signal_scale_uncoded
 from airmv.encoding import Method, encode, vote_pattern
-from airmv.huffman import radius_param, root_phases
+from airmv.huffman import poly_eval, radius_param, root_phases, synthesize_coeffs
 from airmv.theory import (
     CerModel,
     ExpRateSet,
     cdf_diff_exp_sums,
     cer,
     detection_rates,
-    detector_sides,
-    probe_covariance,
-    rates_coded,
-    rates_uncoded,
     vote_averaged_cer,
 )
 
@@ -134,7 +130,7 @@ class TestRates:
         model = make_model(Method.UNCODED, 4, sigma2=0.0)
         votes = -np.ones((3, 4), dtype=int)
         inner = encode_matrix(Method.UNCODED, votes, model.rp)
-        rates, x = rates_uncoded(inner, 0, model)
+        rates, x = detection_rates(inner, 0, model)
         assert rates.rates_plus == (math.inf,)  # degenerate: exact zero mean
         assert x == 0.0
 
@@ -143,9 +139,9 @@ class TestRates:
         rp = model.rp
         votes = np.array([[1, -1, 1, -1]])
         inner = encode_matrix(Method.UNCODED, votes, rp)
-        rates, x = rates_uncoded(inner, 0, model)
+        rates, x = detection_rates(inner, 0, model)
         cw = encode(Method.UNCODED, votes[0], rp)
-        from airmv.huffman import poly_eval, zeros_to_coeffs
+        from airmv.huffman import zeros_to_coeffs
 
         p_val = abs(poly_eval(zeros_to_coeffs(cw), rp.d)) ** 2
         g = signal_scale_uncoded(rp, rp.d)
@@ -160,14 +156,14 @@ class TestRates:
         for _ in range(20):
             votes = rng.integers(0, 2, size=(5, 8)) * 2 - 1
             inner = encode_matrix(Method.UNCODED, votes, model.rp)
-            rates, _ = rates_uncoded(inner, 0, model)
+            rates, _ = detection_rates(inner, 0, model)
             assert all(map(math.isfinite, rates.rates_plus + rates.rates_minus))
 
     def test_coded_single_user_single_signal_slot(self):
         model = make_model(Method.INDEXED, 8, sigma2=0.0)
         votes = np.array([[1, -1, 1]])  # index 5
         inner = encode_matrix(Method.INDEXED, votes, model.rp)
-        rates = rates_coded(inner, 0, model)
+        rates, _ = detection_rates(inner, 0, model)
         finite_plus = [r for r in rates.rates_plus if math.isfinite(r)]
         # only slot 5 carries signal; it sits on the bit-0 = 1 side
         assert len(finite_plus) == 1
@@ -179,8 +175,12 @@ class TestRates:
         votes = rng.integers(0, 2, size=(4, 1)) * 2 - 1
         model_d = make_model(Method.DIFFERENTIAL, 2, sigma2=0.3)
         model_i = make_model(Method.INDEXED, 2, sigma2=0.3)
-        rd = rates_coded(encode_matrix(Method.DIFFERENTIAL, votes, model_d.rp), 0, model_d)
-        ri = rates_coded(encode_matrix(Method.INDEXED, -votes, model_i.rp), 0, model_i)
+        rd, _ = detection_rates(
+            encode_matrix(Method.DIFFERENTIAL, votes, model_d.rp), 0, model_d
+        )
+        ri, _ = detection_rates(
+            encode_matrix(Method.INDEXED, -votes, model_i.rp), 0, model_i
+        )
         assert rd.rates_plus == pytest.approx(ri.rates_minus, rel=1e-12)
         assert rd.rates_minus == pytest.approx(ri.rates_plus, rel=1e-12)
 
@@ -191,8 +191,8 @@ class TestRates:
         votes = rng.integers(0, 2, size=(5, 2)) * 2 - 1
         inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
         inner_c = encode_matrix(Method.DIFFERENTIAL, -votes, model.rp)
-        p = cdf_diff_exp_sums(rates_coded(inner, 0, model), 0.0)
-        q = cdf_diff_exp_sums(rates_coded(inner_c, 0, model), 0.0)
+        p = cdf_diff_exp_sums(*detection_rates(inner, 0, model))
+        q = cdf_diff_exp_sums(*detection_rates(inner_c, 0, model))
         assert p == pytest.approx(1.0 - q, abs=1e-6)
 
 
@@ -214,7 +214,7 @@ class TestVoteAveragedCer:
         for other in itertools.product((-1, 1), repeat=2):
             votes = np.stack([fixed, np.array(other)], axis=1)
             inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
-            probs.append(cdf_diff_exp_sums(rates_coded(inner, 0, model), 0.0))
+            probs.append(cdf_diff_exp_sums(*detection_rates(inner, 0, model)))
         exact = cer(n_plus, n_minus, float(np.mean(probs)))
         rng = np.random.default_rng(7)
         est = vote_averaged_cer(n_plus, n_minus, model, n_realizations=400, rng=rng)
@@ -338,11 +338,10 @@ class TestExactCorrelatedModel:
             )
 
     def test_later_vote_position_matches_simulation(self):
-        """Vote ell = 1 is probed at its own slots (`detector_sides` for
-        the coded schemes, phase w^1 for uncoded)."""
+        """Vote ell = 1 is probed at its own slots (the detector form's
+        sides for the coded schemes, phase w^1 for uncoded)."""
         from airmv.channel import sample_channel, superpose
         from airmv.decoding import DecoderContext, decode
-        from airmv.huffman import synthesize_coeffs
 
         K, U, n_plus, L_e, sigma2, ell, n = 4, 5, 4, 2, 1.0, 1, 40_000
         pdp_cfg = PdpConfig(L_e, 1.0)
@@ -370,17 +369,29 @@ class TestExactCorrelatedModel:
             )
 
     def test_diagonal_is_the_paper_model(self):
-        """diag(Sigma) holds the paper's test-point means; without noise the
-        probes decorrelate (each codeword is nonzero at one probe) and the
-        two laws coincide."""
+        """The paper's means are the expected test-point energies, from
+        synthesized coefficients evaluated at the probes (times the channel
+        power, plus the noise power), divided by the uncoded count scales;
+        without noise the probes decorrelate (each codeword is nonzero at
+        one probe) and the two laws coincide."""
         rng = np.random.default_rng(14)
         for method in Method:
             for K in (2, 4, 8):
                 M = method.votes_per_codeword(K)
                 for sigma2 in (0.3, 0.0):
                     model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+                    rp = model.rp
                     votes = rng.integers(0, 2, size=(5, M)) * 2 - 1
-                    inner = encode_matrix(method, votes, model.rp)
+                    inner = encode_matrix(method, votes, rp)
+                    coeffs = synthesize_coeffs(inner, rp)
+                    w = root_phases(K)
+
+                    def oracle(z):
+                        da = abs(z)
+                        signal = np.sum(np.abs(poly_eval(coeffs, z)) ** 2)
+                        return (signal * channel_power(da, model.pdp)
+                                + noise_power(da, sigma2, K, model.pdp.L_e))
+
                     for ell in range(M):
                         paper, x = detection_rates(inner, ell, model)
                         exact, x_exact = detection_rates(inner, ell, model,
@@ -391,16 +402,28 @@ class TestExactCorrelatedModel:
                                 cdf_diff_exp_sums(paper, x), abs=1e-9
                             )
                         if method is Method.UNCODED:
-                            continue
-                        plus, minus = detector_sides(method, K, ell)
-                        w = model.rp.d * root_phases(K)
-                        cov = probe_covariance(
-                            inner, w[np.concatenate([plus, minus])], model
-                        )
-                        means = np.concatenate([
-                            1.0 / np.array(paper.rates_plus),
-                            1.0 / np.array(paper.rates_minus),
-                        ])
-                        assert cov.diagonal().real == pytest.approx(
-                            means, rel=1e-9, abs=1e-12
-                        )
+                            plus, minus = [rp.d * w[ell]], [w[ell] / rp.d]
+                            (scale_p, noise_p), (scale_m, noise_m) = (
+                                (signal_scale_uncoded(rp, da)
+                                 * channel_power(da, model.pdp),
+                                 noise_power(da, sigma2, K, model.pdp.L_e))
+                                for da in (rp.d, 1.0 / rp.d)
+                            )
+                            x_ref = noise_p / scale_p - noise_m / scale_m
+                        elif method is Method.DIFFERENTIAL:
+                            plus, minus = [rp.d * w[2 * ell]], [rp.d * w[2 * ell + 1]]
+                            scale_p = scale_m = 1.0
+                            x_ref = 0.0
+                        else:
+                            bit = (np.arange(K) >> ell) & 1
+                            plus, minus = rp.d * w[bit == 1], rp.d * w[bit == 0]
+                            scale_p = scale_m = 1.0
+                            x_ref = 0.0
+                        assert x == pytest.approx(x_ref, rel=1e-12, abs=1e-15)
+                        for rates, points, scale in (
+                            (paper.rates_plus, plus, scale_p),
+                            (paper.rates_minus, minus, scale_m),
+                        ):
+                            means = 1.0 / np.array(rates)
+                            expected = [oracle(z) / scale for z in points]
+                            assert means == pytest.approx(expected, rel=1e-9, abs=1e-12)
