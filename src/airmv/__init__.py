@@ -10,14 +10,11 @@ from .baselines import (
 )
 from .channel import PdpConfig, pdp, sample_channel, superpose
 from .decoding import (
-    CountEstimates,
     DecoderContext,
     DetectorForm,
     channel_power,
-    decide,
     decode,
     detector_form,
-    estimate_counts,
     noise_power,
     probe_points,
     signal_scale,
@@ -28,21 +25,17 @@ from .decoding import (
 from .encoding import (
     Method,
     encode,
-    encode_differential,
-    encode_indexed,
-    encode_uncoded,
     votes_to_bits,
 )
 from .huffman import (
     RadiusParam,
     ZeroCodeword,
     aacf,
-    leading_coeff,
     poly_eval,
     radius_param,
     synthesize_coeffs,
+    zero_form_eval,
     zeros_to_coeffs,
-    zeros_to_coeffs_iterative,
 )
 from .median import MedianState, local_votes, median_step, run_median
 from .theory import (

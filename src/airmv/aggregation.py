@@ -135,10 +135,6 @@ class ProbeAggregator:
         packed = np.packbits(bits.reshape(-1), bitorder="little")
         return packed.reshape(votes.shape[:-1] + (nbytes,))
 
-    def codeword_values(self, votes) -> np.ndarray:
-        """P_u(z_p) for (n, U, M) votes; shape (n, U, P)."""
-        return self._values(self._packed(votes))
-
     def _values(self, packed: np.ndarray) -> np.ndarray:
         if self.ctx.method is Method.INDEXED:
             return self.tables[0][_codeword_index(packed)]

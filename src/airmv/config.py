@@ -231,6 +231,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("the snr experiment sweeps SNR at a single n_plus")
     if cfg.experiment in ("rmse", "theory") and cfg.realizations < 1:
         raise ConfigError("realizations must be positive")
+    if cfg.experiment in ("cer", "snr") and cfg.realizations < 0:
+        raise ConfigError("realizations must be nonnegative (0 skips the theory)")
     if cfg.experiment == "pmepr" and cfg.codewords < 1:
         raise ConfigError("codewords must be positive")
     if cfg.experiment == "pmepr" and cfg.oversampling < 1:

@@ -12,10 +12,10 @@ Each detector is one linear form on the energies e_p = |R(z_p)|^2 at its
 probe points (`detector_form`): vote v is sign(sum_p S[p, v] (e_p - b_p) /
 s_p), with a +-1 side matrix S, a de-bias b and a scale s per probe. For
 uncoded, (e_p - b_p) / s_p is the count estimate of the probe's side; for
-the coded schemes b = 0 and s = 1. `decide` applies the form; `decode`
-evaluates a received sequence at the points first, and the probe-domain
-engine in `airmv.aggregation` computes the values there directly. The
-error-rate theory (`airmv.theory`) reads the same form.
+the coded schemes b = 0 and s = 1. `DetectorForm.decide` applies the form;
+`decode` evaluates a received sequence at the points first, and the
+probe-domain engine in `airmv.aggregation` computes the values there
+directly. The error-rate theory (`airmv.theory`) reads the same form.
 
 sign(0) is reported as 0 and counted as a computation error downstream;
 under noise an exact tie has probability zero.
@@ -39,13 +39,10 @@ __all__ = [
     "signal_scale_indexed",
     "signal_scale",
     "DecoderContext",
-    "CountEstimates",
-    "estimate_counts",
     "powers",
     "probe_points",
     "DetectorForm",
     "detector_form",
-    "decide",
     "decode",
 ]
 
@@ -155,14 +152,6 @@ class DecoderContext:
         return self.method.votes_per_codeword(self.rp.K)
 
 
-@dataclass(frozen=True, eq=False)
-class CountEstimates:
-    """Unbiased estimates of the positive/negative voter counts per slot."""
-
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-
-
 def powers(points: np.ndarray, n: int) -> np.ndarray:
     """Vandermonde matrix V[i, p] = points[p]^i for i < n.
 
@@ -171,12 +160,6 @@ def powers(points: np.ndarray, n: int) -> np.ndarray:
     trial batches.
     """
     return np.power(points[np.newaxis, :], np.arange(n)[:, np.newaxis])
-
-
-def _energies(y, points: np.ndarray) -> np.ndarray:
-    y2 = np.asarray(y, dtype=complex)
-    r = y2 @ powers(points, y2.shape[-1])
-    return r.real**2 + r.imag**2
 
 
 def _positions(method: Method, K: int, positions) -> np.ndarray:
@@ -256,30 +239,9 @@ def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:
     return DetectorForm(points, signs, bias, scale)
 
 
-def decide(energies, ctx: DecoderContext, positions=None) -> np.ndarray:
-    """Majority votes at `positions` from the probe energies |R(z_p)|^2.
-
-    `energies` (..., P) holds the energies at the `probe_points` of `positions`
-    in that order; the result is (..., len(positions)).
-    """
-    return detector_form(ctx, positions).decide(energies)
-
-
-def estimate_counts(y, ctx: DecoderContext) -> CountEstimates:
-    """De-biased voter-count estimates for the uncoded scheme.
-
-    u_plus[l] = (|R(d w^l)|^2 - noise) / (scale(d) * channel(d)) and the
-    mirror expression at radius 1/d; both are unbiased but may go negative
-    under noise.
-    """
-    if ctx.method is not Method.UNCODED:
-        raise ValueError("count estimates are defined for the uncoded detector")
-    form = detector_form(ctx)
-    u = (_energies(y, form.points) - form.bias) / form.scale
-    return CountEstimates(u_plus=u[..., : ctx.n_votes], u_minus=u[..., ctx.n_votes :])
-
-
 def decode(y, ctx: DecoderContext) -> np.ndarray:
     """Time-domain detection: evaluate y at the probe points, then decide."""
     form = detector_form(ctx)
-    return form.decide(_energies(y, form.points))
+    y = np.asarray(y, dtype=complex)
+    r = y @ powers(form.points, y.shape[-1])
+    return form.decide(r.real**2 + r.imag**2)

@@ -22,9 +22,6 @@ __all__ = [
     "indexed_pattern",
     "vote_pattern",
     "check_vote_batch",
-    "encode_uncoded",
-    "encode_differential",
-    "encode_indexed",
     "encode",
 ]
 
@@ -50,8 +47,9 @@ class Method(Enum):
 
     def validate_k(self, K: int) -> None:
         if self is Method.UNCODED:
-            if K < 1:
-                raise ValueError("uncoded encoding needs K >= 1")
+            # K=1 has no radius: d = sqrt(1 + sin(pi/K)) would be 1.
+            if K < 2:
+                raise ValueError("uncoded encoding needs K >= 2")
         elif self is Method.DIFFERENTIAL:
             if K < 2 or K % 2 != 0:
                 raise ValueError("differential encoding needs an even K >= 2")
@@ -135,30 +133,14 @@ def vote_pattern(method: Method, votes) -> np.ndarray:
     return indexed_pattern(votes)
 
 
-def _encode(method: Method, votes, rp: RadiusParam) -> ZeroCodeword:
+def encode(method: Method, votes, rp: RadiusParam) -> ZeroCodeword:
+    """The codeword of one (M,) vote row."""
     v = _check_votes(votes)
     if v.ndim != 1:
         raise ValueError("encode expects a single 1-D vote row")
-    method.validate_k(rp.K)
     if v.shape[0] != method.votes_per_codeword(rp.K):
         raise ValueError(
             f"{method.value} encoding with K={rp.K} takes "
             f"{method.votes_per_codeword(rp.K)} votes, got {v.shape[0]}"
         )
     return ZeroCodeword(vote_pattern(method, v), rp)
-
-
-def encode_uncoded(votes, rp: RadiusParam) -> ZeroCodeword:
-    return _encode(Method.UNCODED, votes, rp)
-
-
-def encode_differential(votes, rp: RadiusParam) -> ZeroCodeword:
-    return _encode(Method.DIFFERENTIAL, votes, rp)
-
-
-def encode_indexed(votes, rp: RadiusParam) -> ZeroCodeword:
-    return _encode(Method.INDEXED, votes, rp)
-
-
-def encode(method: Method, votes, rp: RadiusParam) -> ZeroCodeword:
-    return _encode(method, votes, rp)

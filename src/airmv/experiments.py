@@ -17,10 +17,10 @@ import numpy as np
 
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
-from .encoding import Method
+from .encoding import Method, vote_pattern
 from .huffman import radius_param, synthesize_coeffs
 from .median import run_median
-from .simulate import encode_batch, simulate_cer, stream
+from .simulate import simulate_cer, stream
 from .theory import CerModel, vote_averaged_cer
 from .waveform import (
     dfts_ofdm_modulate,
@@ -42,6 +42,10 @@ _DOMAIN_MC = 0
 _DOMAIN_THEORY = 1
 _DOMAIN_PMEPR = 2
 _DOMAIN_MEDIAN = 3
+
+# Codewords per waveform call of the pmepr sweep: bounds the transient
+# (codewords, oversampling * (K+1)) signal to a few MB.
+_PMEPR_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -176,9 +180,11 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             M = method.votes_per_codeword(K)
             rng = stream(cfg.seed, _DOMAIN_PMEPR, ki, mi)
             votes = rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1
-            coeffs = encode_batch(method, votes, rp)
-            samples = np.array([
-                pmepr(dfts_ofdm_modulate(c, cfg.oversampling)) for c in coeffs
+            coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
+            samples = np.concatenate([
+                pmepr(dfts_ofdm_modulate(coeffs[i : i + _PMEPR_CHUNK],
+                                         cfg.oversampling))
+                for i in range(0, cfg.codewords, _PMEPR_CHUNK)
             ])
             common = dict(experiment=cfg.experiment, method=name, K=K)
             for q, tag in quantiles:

@@ -7,10 +7,12 @@ both at phase 2*pi*k/K. The leading coefficient is chosen real positive so
 that the squared norm of the coefficient vector is exactly K + 1; any global
 phase would be invisible to the magnitude-based detectors downstream.
 
-The production zero-to-coefficient conversion evaluates the zero-form
-polynomial on the (K+1)-point unit-circle grid and applies a direct forward
-transform. The incremental expansion is kept for cross-validation only; it
-accumulates rounding error one zero at a time, the grid method does not.
+One evaluator, `zero_form_eval`, gives P(z) from the zeros at any points;
+the error-rate theory reads it at the probe points. The zero-to-coefficient
+conversion reads it on the (K+1)-point unit-circle grid and applies a
+direct forward transform. The incremental expansion that cross-checks it
+lives in the tests: it accumulates rounding error one zero at a time, the
+grid method does not.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ __all__ = [
     "ZeroCodeword",
     "radius_param",
     "root_phases",
-    "leading_coeff",
+    "zero_form_eval",
     "synthesize_coeffs",
     "zeros_to_coeffs",
-    "zeros_to_coeffs_iterative",
     "poly_eval",
     "aacf",
 ]
@@ -120,14 +121,28 @@ class ZeroCodeword:
         return np.where(self.inner, 1.0 / d, d) * root_phases(self.rp.K)
 
 
-def leading_coeff(codeword: ZeroCodeword) -> float:
-    """Leading coefficient sqrt(eta (K+1) / prod |zeros|), real positive.
+def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
+    """P(z) = c_lead prod_k (z - zero_k) at the 1-D `points`.
 
-    With this scaling the synthesized coefficient vector has squared norm
-    exactly K + 1. The product of zero magnitudes is d^(K - 2 * n_inner).
+    Batched: `inner` has shape (..., K) and the result (..., len(points)).
+    The leading coefficient c_lead = sqrt(eta (K+1)) d^(n_inner - K/2) is
+    real positive: the product of zero magnitudes is d^(K - 2 n_inner), so
+    the coefficient vector has squared norm exactly K + 1. A point on an
+    encoded zero meets an exact 0 factor.
     """
-    rp = codeword.rp
-    return math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (codeword.n_inner - rp.K / 2)
+    inner = np.asarray(inner, dtype=bool)
+    K, d = rp.K, rp.d
+    if inner.shape[-1] != K:
+        raise ValueError(f"expected {K} selections on the last axis, got {inner.shape}")
+    z = np.asarray(points, dtype=complex)
+    zeros = np.where(inner, 1.0 / d, d) * root_phases(K)
+    vals = np.ones(inner.shape[:-1] + z.shape, dtype=complex)
+    for k in range(K):
+        vals *= z - zeros[..., k, np.newaxis]
+    n_inner = np.count_nonzero(inner, axis=-1)
+    c_lead = math.sqrt(rp.eta * (K + 1)) * d ** (n_inner - K / 2)
+    vals *= np.asarray(c_lead)[..., np.newaxis]
+    return vals
 
 
 def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
@@ -137,36 +152,12 @@ def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
     zero-form polynomial is evaluated at the K+1 points e^{j 2 pi p/(K+1)}
     and the coefficients recovered with the forward (K+1)-point transform.
     """
-    inner = np.asarray(inner, dtype=bool)
-    K, d = rp.K, rp.d
-    if inner.shape[-1] != K:
-        raise ValueError(f"expected {K} selections on the last axis, got {inner.shape}")
-    zeros = np.where(inner, 1.0 / d, d) * root_phases(K)
-    n_inner = np.count_nonzero(inner, axis=-1)
-    c_lead = math.sqrt(rp.eta * (K + 1)) * d ** (n_inner - K / 2)
-
-    pts = _grid_points(K)
-    vals = np.ones(inner.shape[:-1] + (K + 1,), dtype=complex)
-    for k in range(K):
-        vals = vals * (pts - zeros[..., k, np.newaxis])
-    vals *= np.asarray(c_lead)[..., np.newaxis]
-    return vals @ _grid_transform(K)
+    return zero_form_eval(inner, rp, _grid_points(rp.K)) @ _grid_transform(rp.K)
 
 
 def zeros_to_coeffs(codeword: ZeroCodeword) -> np.ndarray:
     """Coefficients c0..cK of the codeword's polynomial, ascending powers."""
     return synthesize_coeffs(codeword.inner, codeword.rp)
-
-
-def zeros_to_coeffs_iterative(codeword: ZeroCodeword) -> np.ndarray:
-    """Reference conversion: expand prod (z - zero) one zero at a time, O(K^2)."""
-    K = codeword.rp.K
-    c = np.zeros(K + 1, dtype=complex)
-    c[0] = 1.0
-    for i, zero in enumerate(codeword.zeros):
-        c[1 : i + 2] = c[0 : i + 1] - zero * c[1 : i + 2]
-        c[0] = -zero * c[0]
-    return c * leading_coeff(codeword)
 
 
 def poly_eval(coeffs: np.ndarray, z) -> np.ndarray:

@@ -22,13 +22,11 @@ from .aggregation import ProbeAggregator
 from .baselines import BASELINES, aggregator
 from .channel import PdpConfig
 from .channel import superpose  # noqa: F401  (bound for bench/tests)
-from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, synthesize_coeffs
+from .encoding import Method
 
 __all__ = [
     "BATCH_SIZE",
     "stream",
-    "encode_batch",
     "run_trial_batches",
     "mv_error_batch",
     "simulate_cer",
@@ -36,16 +34,6 @@ __all__ = [
 ]
 
 BATCH_SIZE = 20_000
-
-
-def encode_batch(method: Method, votes: np.ndarray, rp: RadiusParam) -> np.ndarray:
-    """Coefficient sequences (..., K+1) for a (..., M) vote array.
-
-    The time-domain encoder, used for waveforms (PMEPR). The Monte Carlo
-    never synthesizes: it runs the probe-domain engine of
-    `airmv.aggregation`.
-    """
-    return synthesize_coeffs(vote_pattern(method, votes), rp)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from .channel import PdpConfig
 from .decoding import DecoderContext, DetectorForm, detector_form, powers
 from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, root_phases
+from .huffman import RadiusParam, zero_form_eval
 
 __all__ = [
     "IntegrationError",
@@ -154,36 +154,22 @@ class CerModel:
             raise ValueError("sigma2 must be nonnegative")
 
 
-def _inner_matrix(codewords, rp: RadiusParam) -> np.ndarray:
-    if isinstance(codewords, np.ndarray):
-        inner = codewords.astype(bool)
-    else:
-        inner = np.stack([cw.inner for cw in codewords])
-    if inner.ndim != 2 or inner.shape[1] != rp.K:
-        raise ValueError(f"expected a (U, {rp.K}) selection matrix, got {inner.shape}")
-    return inner
-
-
 def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
     """Covariance of the received polynomial at the probe points, given the
-    codewords: Sigma = (P^T conj(P)) o C_H + C_W.
+    (U, K) radius selections `codewords`: Sigma = (P^T conj(P)) o C_H + C_W.
 
-    P[u, i] = P_u(z_i) comes from the zero form (exactly zero at an encoded
-    zero); C_H[i, j] = sum_l p_l (z_i conj(z_j))^l is the cross-moment of
+    P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`, exactly
+    zero at an encoded zero); C_H[i, j] = sum_l p_l (z_i conj(z_j))^l is the cross-moment of
     one channel draw and C_W[i, j] = sigma2 sum_n (z_i conj(z_j))^n that of
     the K + L_e noise samples. The diagonal holds the expected test-point
     energies of the paper's model.
     """
     rp, pdp = model.rp, model.pdp
-    inner = _inner_matrix(codewords, rp)
+    inner = np.asarray(codewords, dtype=bool)
+    if inner.ndim != 2 or inner.shape[1] != rp.K:
+        raise ValueError(f"expected a (U, {rp.K}) selection matrix, got {inner.shape}")
     z = np.asarray(points, dtype=complex)
-    lead = math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (
-        np.count_nonzero(inner, axis=1) - rp.K / 2
-    )
-    zeros = np.where(inner, 1.0 / rp.d, rp.d) * root_phases(rp.K)
-    vals = lead[:, np.newaxis] * np.prod(
-        z[np.newaxis, np.newaxis, :] - zeros[:, :, np.newaxis], axis=1
-    )
+    vals = zero_form_eval(inner, rp, z)
     v = powers(z, rp.K + pdp.L_e)  # v[n, i] = z_i^n
     chan = (v[: pdp.L_e].T * pdp.taps) @ v[: pdp.L_e].conj()
     noise = model.sigma2 * (v.T @ v.conj())

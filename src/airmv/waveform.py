@@ -23,51 +23,57 @@ __all__ = [
 ]
 
 
-def _as_block(coeffs) -> np.ndarray:
+def _as_blocks(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("expected a nonempty 1-D coefficient block")
+    if c.ndim == 0 or c.shape[-1] == 0:
+        raise ValueError("expected nonempty coefficient blocks along the last axis")
     return c
 
 
-def dfts_ofdm_modulate(coeffs, oversampling: int = 16) -> np.ndarray:
-    """Spread the block with a full-size forward transform, map to
-    contiguous bins of an oversampling*(K+1)-point inverse transform.
-
-    With oversampling 1 this is an exact round trip of the input.
-    """
-    c = _as_block(coeffs)
+def _oversampled(bins: np.ndarray, oversampling: int, gain: float) -> np.ndarray:
+    """gain * inverse transform of `bins` placed on the first contiguous
+    bins of an oversampling-times longer grid (last axis)."""
     if oversampling < 1:
         raise ValueError("oversampling factor must be >= 1")
-    n = c.size
-    big = oversampling * n
-    spectrum = np.zeros(big, dtype=complex)
-    spectrum[:n] = np.fft.fft(c)
-    return np.fft.ifft(spectrum) * math.sqrt(big / n)
+    n = bins.shape[-1]
+    spectrum = np.zeros(bins.shape[:-1] + (oversampling * n,), dtype=complex)
+    spectrum[..., :n] = bins
+    signal = np.fft.ifft(spectrum)
+    signal *= gain
+    return signal
+
+
+def dfts_ofdm_modulate(coeffs, oversampling: int = 16) -> np.ndarray:
+    """Spread each block with a full-size forward transform, map to
+    contiguous bins of an oversampling*(K+1)-point inverse transform.
+
+    Blocks lie along the last axis: (..., K+1) in, (..., oversampling*(K+1))
+    out. With oversampling 1 this is an exact round trip of the input.
+    """
+    c = _as_blocks(coeffs)
+    return _oversampled(np.fft.fft(c), oversampling, math.sqrt(oversampling))
 
 
 def ofdm_map_modulate(coeffs, oversampling: int = 16) -> np.ndarray:
-    """Place the block directly on contiguous subcarriers of an
+    """Place each block (last axis) directly on contiguous subcarriers of an
     oversampling*(K+1)-point inverse transform."""
-    c = _as_block(coeffs)
-    if oversampling < 1:
-        raise ValueError("oversampling factor must be >= 1")
-    big = oversampling * c.size
-    spectrum = np.zeros(big, dtype=complex)
-    spectrum[: c.size] = c
-    return np.fft.ifft(spectrum) * math.sqrt(big)
+    c = _as_blocks(coeffs)
+    return _oversampled(c, oversampling, math.sqrt(oversampling * c.shape[-1]))
 
 
-def pmepr(signal) -> float:
-    """10 log10(max |s|^2 / mean |s|^2) in dB; zero for constant envelopes."""
+def pmepr(signal):
+    """10 log10(max |s|^2 / mean |s|^2) in dB along the last axis; zero for
+    constant envelopes. A 1-D signal gives a float, a (..., N) batch an
+    array (...,)."""
     s = np.asarray(signal)
-    if s.size == 0:
+    if s.ndim == 0 or s.shape[-1] == 0:
         raise ValueError("empty signal")
     power = np.abs(s) ** 2
-    mean = power.mean()
-    if mean == 0.0:
+    mean = power.mean(axis=-1)
+    if np.any(mean == 0.0):
         raise ValueError("all-zero signal has no PMEPR")
-    return 10.0 * math.log10(power.max() / mean)
+    db = 10.0 * np.log10(power.max(axis=-1) / mean)
+    return float(db) if db.ndim == 0 else db
 
 
 def resources_per_mv(method: Method, K: int, L_e: int) -> float:

@@ -88,6 +88,13 @@ class TestValidation:
             make_cfg(experiment="rmse", methods=(name,), k_values=(8,), n_plus=None)
         make_cfg(methods=("obda",), k_values=(12,))  # OBDA's CER ignores K
 
+    @pytest.mark.parametrize("experiment", ["cer", "snr"])
+    def test_negative_realizations_rejected(self, experiment):
+        # 0 skips the theory rows; a negative count used to skip them too.
+        with pytest.raises(ConfigError, match="realizations"):
+            make_cfg(experiment=experiment, realizations=-1)
+        make_cfg(experiment=experiment, realizations=0)
+
     def test_defaults_n_plus_sweep(self):
         cfg = make_cfg(n_plus=None)
         assert cfg.n_plus_values() == tuple(range(6))
@@ -186,6 +193,16 @@ class TestCsv:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED[experiment, threads]
 
+    def test_pmepr_csv_bytes_pinned(self, tmp_path):
+        """sha256 of a small pmepr run, recorded while the sweep still
+        modulated one codeword per call: batching the waveform layer along
+        the last axis moves no byte."""
+        out = tmp_path / "pin.csv"
+        assert main(["pmepr", "--k", "8,32", "--methods", "m1,m2,m3",
+                     "--codewords", "500", "--seed", "5", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "e0d0a25e199a2b14fc3b029b01832b1eadf37ab05406f026fa12b15a2a43a007"
+
 
 class TestCli:
     def test_end_to_end(self, tmp_path, capsys):
@@ -211,6 +228,15 @@ class TestCli:
             assert main(argv + ["--seed", "1", "--trials", "10", "--rounds", "2",
                                 "--realizations", "1"]) == 2
             assert "airmv: configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment",
+                             ["cer", "theory", "pmepr", "rmse", "resources"])
+    def test_uncoded_k1_exits_2(self, capsys, experiment):
+        """K=1 has no zero-pair radius; the configuration says so instead of
+        a traceback from deep inside the run."""
+        assert main([experiment, "--seed", "1", "--k", "1", "--methods", "m1"]) == 2
+        err = capsys.readouterr().err
+        assert "airmv: configuration error" in err and "uncoded at K=1" in err
 
     def test_config_file_with_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

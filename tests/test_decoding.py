@@ -8,10 +8,10 @@ from airmv.channel import PdpConfig, sample_channel, superpose
 from airmv.decoding import (
     DecoderContext,
     channel_power,
-    decide,
     decode,
-    estimate_counts,
+    detector_form,
     noise_power,
+    powers,
     probe_points,
     signal_scale_differential,
     signal_scale_indexed,
@@ -282,16 +282,25 @@ class TestNoiselessCorrectness:
             assert abs(plus - minus) < 1e-10 * (plus + minus)
 
 
+def count_estimates(y, ctx):
+    """The uncoded detector's de-biased counts (e - bias) / scale at its
+    radius-d (plus) and radius-1/d (minus) probes, from y's energies there."""
+    form = detector_form(ctx)
+    r = y @ powers(form.points, y.shape[-1])
+    u = (r.real**2 + r.imag**2 - form.bias) / form.scale
+    return u[..., : ctx.n_votes], u[..., ctx.n_votes :]
+
+
 class TestCountEstimates:
     def test_noiseless_opposite_point_zero(self):
         K = 4
         ctx = flat_context(Method.UNCODED, K)
         votes = np.array([1, -1, 1, 1])
         y = noiseless_receive(Method.UNCODED, votes, K)
-        est = estimate_counts(y, ctx)
+        u_plus, u_minus = count_estimates(y, ctx)
         # wherever the single user voted +1 the radius-1/d probe sits on its zero
-        assert np.abs(est.u_minus[votes == 1]).max() < 1e-12
-        assert np.abs(est.u_plus[votes == -1]).max() < 1e-12
+        assert np.abs(u_minus[votes == 1]).max() < 1e-12
+        assert np.abs(u_plus[votes == -1]).max() < 1e-12
 
     def test_unbiasedness_under_fading_and_noise(self):
         K, U, n_plus = 8, 10, 7
@@ -307,8 +316,8 @@ class TestCountEstimates:
         coeffs = synthesize_coeffs(vote_pattern(Method.UNCODED, votes), rp)
         h = sample_channel(pdp_cfg, U, rng, trials=draws)
         y = superpose(coeffs, h, sigma2, rng)
-        est = estimate_counts(y, ctx)
-        for values, target in ((est.u_plus[:, 0], n_plus), (est.u_minus[:, 0], U - n_plus)):
+        u_plus, u_minus = count_estimates(y, ctx)
+        for values, target in ((u_plus[:, 0], n_plus), (u_minus[:, 0], U - n_plus)):
             se = values.std(ddof=1) / math.sqrt(draws)
             assert abs(values.mean() - target) < 3 * se
 
@@ -424,15 +433,15 @@ def test_all_negative_votes_leave_no_plus_energy():
     ctx = DecoderContext(Method.UNCODED, rp, pdp=PdpConfig(1), sigma2=0.0)
     coeffs = synthesize_coeffs(np.zeros((U, K), dtype=bool), rp)  # all outer
     y = superpose(coeffs, np.ones((U, 1), complex), 0.0)
-    est = estimate_counts(y, ctx)
-    assert np.abs(est.u_plus).max() < 1e-20
+    u_plus, _ = count_estimates(y, ctx)
+    assert np.abs(u_plus).max() < 1e-20
 
 
 def test_decide_is_each_detectors_rule():
-    """On recorded energies, `decide` gives the per-method rules: the sign
-    of the difference of the uncoded count estimates, of the even minus the
-    odd slot energy, and of the bit-signed sum of the indexed slot energies,
-    for every vote position and for a subset."""
+    """On recorded energies, `DetectorForm.decide` gives the per-method
+    rules: the sign of the difference of the uncoded count estimates, of the
+    even minus the odd slot energy, and of the bit-signed sum of the indexed
+    slot energies, for every vote position and for a subset."""
     K, L_e, sigma2 = 8, 3, 0.2
     pdp_cfg = PdpConfig(L_e, 0.7)
     rp = radius_param(K)
@@ -453,10 +462,10 @@ def test_decide_is_each_detectors_rule():
                 )
                 expected = np.sign(u_plus - u_minus)
                 if positions is None:
-                    est = estimate_counts(y, ctx)
-                    np.testing.assert_allclose(est.u_plus, u_plus,
+                    est_plus, est_minus = count_estimates(y, ctx)
+                    np.testing.assert_allclose(est_plus, u_plus,
                                                rtol=1e-9, atol=1e-12)
-                    np.testing.assert_allclose(est.u_minus, u_minus,
+                    np.testing.assert_allclose(est_minus, u_minus,
                                                rtol=1e-9, atol=1e-12)
             elif method is Method.DIFFERENTIAL:
                 expected = np.sign(e[:, 0::2] - e[:, 1::2])
@@ -467,4 +476,6 @@ def test_decide_is_each_detectors_rule():
                      for b in bits.T], axis=1,
                 ))
             assert expected.shape == (300, pos.size)
-            np.testing.assert_array_equal(decide(e, ctx, positions), expected)
+            np.testing.assert_array_equal(
+                detector_form(ctx, positions).decide(e), expected
+            )

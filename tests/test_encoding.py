@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from airmv.encoding import (
     Method,
     differential_pattern,
-    encode_differential,
-    encode_indexed,
-    encode_uncoded,
+    encode,
     indexed_pattern,
     uncoded_pattern,
     votes_to_bits,
@@ -41,6 +39,14 @@ class TestMethod:
             Method.INDEXED.validate_k(12)
         Method.INDEXED.validate_k(2)
 
+    def test_uncoded_needs_k_two(self):
+        """K=1 has no zero-pair radius (d = sqrt(1 + sin(pi/K)) = 1), so
+        every K the uncoded scheme accepts must have one."""
+        with pytest.raises(ValueError, match="K >= 2"):
+            Method.UNCODED.validate_k(1)
+        Method.UNCODED.validate_k(2)
+        Method.UNCODED.validate_k(3)
+
 
 class TestVotesToBits:
     def test_definition(self):
@@ -60,26 +66,26 @@ class TestVotesToBits:
 class TestUncoded:
     def test_direct_mapping(self):
         rp = RadiusParam(2, 2.0)
-        cw = encode_uncoded([1, -1], rp)
+        cw = encode(Method.UNCODED, [1, -1], rp)
         np.testing.assert_allclose(cw.zeros, [0.5, -2.0], atol=0)
 
     def test_radii_pattern_k8(self):
         rp = radius_param(8)
-        cw = encode_uncoded([-1, -1, 1, 1, -1, -1, 1, 1], rp)
+        cw = encode(Method.UNCODED, [-1, -1, 1, 1, -1, -1, 1, 1], rp)
         np.testing.assert_array_equal(
             cw.inner, [False, False, True, True, False, False, True, True]
         )
 
     def test_all_minus_one(self):
         rp = radius_param(4)
-        assert encode_uncoded([-1] * 4, rp).n_inner == 0
+        assert encode(Method.UNCODED, [-1] * 4, rp).n_inner == 0
 
     def test_bijection(self):
         rp = radius_param(8)
         seen = set()
         for code in range(256):
             votes = [(1 if (code >> k) & 1 else -1) for k in range(8)]
-            seen.add(encode_uncoded(votes, rp).inner.tobytes())
+            seen.add(encode(Method.UNCODED, votes, rp).inner.tobytes())
         assert len(seen) == 256
 
 
@@ -87,7 +93,7 @@ class TestDifferential:
     def test_direct_mapping_k4(self):
         rp = radius_param(4)
         d = rp.d
-        cw = encode_differential([1, -1], rp)
+        cw = encode(Method.DIFFERENTIAL, [1, -1], rp)
         w = np.exp(2j * np.pi * np.arange(4) / 4)
         np.testing.assert_allclose(
             cw.zeros, np.array([1 / d, d, d, 1 / d]) * w, atol=1e-15
@@ -95,14 +101,14 @@ class TestDifferential:
 
     def test_pair_structure_k8(self):
         rp = radius_param(8)
-        cw = encode_differential([-1, -1, 1, 1], rp)
+        cw = encode(Method.DIFFERENTIAL, [-1, -1, 1, 1], rp)
         np.testing.assert_array_equal(
             cw.inner, [False, True, False, True, True, False, True, False]
         )
 
     def test_all_plus(self):
         rp = radius_param(6)
-        cw = encode_differential([1, 1, 1], rp)
+        cw = encode(Method.DIFFERENTIAL, [1, 1, 1], rp)
         assert cw.inner[0::2].all() and not cw.inner[1::2].any()
 
     @settings(max_examples=30, deadline=None)
@@ -114,23 +120,23 @@ class TestDifferential:
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
-            encode_differential([1], RadiusParam(3, 1.5))
+            encode(Method.DIFFERENTIAL, [1], RadiusParam(3, 1.5))
 
 
 class TestIndexed:
     def test_fig_example(self):
         rp = radius_param(8)
-        cw = encode_indexed([-1, 1, -1], rp)
+        cw = encode(Method.INDEXED, [-1, 1, -1], rp)
         assert cw.n_inner == 1 and cw.inner[2]
 
     def test_all_minus_one_slot_zero(self):
         rp = radius_param(8)
-        cw = encode_indexed([-1, -1, -1], rp)
+        cw = encode(Method.INDEXED, [-1, -1, -1], rp)
         assert cw.inner[0] and cw.n_inner == 1
 
     def test_k4_all_plus(self):
         rp = radius_param(4)
-        cw = encode_indexed([1, 1], rp)
+        cw = encode(Method.INDEXED, [1, 1], rp)
         assert cw.inner[3] and cw.n_inner == 1
 
     @settings(max_examples=30, deadline=None)
@@ -145,7 +151,7 @@ class TestIndexed:
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
-            encode_indexed([1, 1], RadiusParam(6, 1.2))
+            encode(Method.INDEXED, [1, 1], RadiusParam(6, 1.2))
 
 
 def test_uncoded_pattern_batch_shapes():
@@ -159,6 +165,6 @@ def test_k2_indexed_mirrors_differential():
     """At K=2 the two encoders pick opposite members of the single pair."""
     rp = radius_param(2)
     for vote in (-1, 1):
-        a = encode_differential([vote], rp)
-        b = encode_indexed([vote], rp)
+        a = encode(Method.DIFFERENTIAL, [vote], rp)
+        b = encode(Method.INDEXED, [vote], rp)
         np.testing.assert_array_equal(a.inner, ~b.inner)

@@ -9,15 +9,27 @@ from airmv.huffman import (
     RadiusParam,
     ZeroCodeword,
     aacf,
-    leading_coeff,
     poly_eval,
     radius_param,
     synthesize_coeffs,
+    zero_form_eval,
     zeros_to_coeffs,
-    zeros_to_coeffs_iterative,
 )
 
 SQ12_17 = math.sqrt(12.0 / 17.0)
+
+
+def zeros_to_coeffs_iterative(codeword):
+    """Reference conversion: expand prod (z - zero) one zero at a time,
+    O(K^2), and scale by the leading coefficient sqrt(eta (K+1)) /
+    sqrt(prod |zeros|) = sqrt(eta (K+1)) d^(n_inner - K/2)."""
+    rp = codeword.rp
+    c = np.zeros(rp.K + 1, dtype=complex)
+    c[0] = 1.0
+    for i, zero in enumerate(codeword.zeros):
+        c[1 : i + 2] = c[0 : i + 1] - zero * c[1 : i + 2]
+        c[0] = -zero * c[0]
+    return c * math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (codeword.n_inner - rp.K / 2)
 
 
 def example_pair():
@@ -62,19 +74,19 @@ class TestRadiusParam:
 class TestLeadingCoeff:
     def test_example_unit_zero_product(self):
         cw, _ = example_pair()
-        assert leading_coeff(cw) == pytest.approx(SQ12_17, abs=1e-15)
+        assert zeros_to_coeffs(cw)[-1] == pytest.approx(SQ12_17, abs=1e-15)
 
     def test_all_outer(self):
         rp = radius_param(6)
         cw = ZeroCodeword(np.zeros(6, bool), rp)
         expected = math.sqrt(rp.eta * 7 / rp.d**6)
-        assert leading_coeff(cw) == pytest.approx(expected, rel=1e-14)
+        assert zeros_to_coeffs(cw)[-1] == pytest.approx(expected, rel=1e-14)
 
     def test_all_inner(self):
         rp = radius_param(6)
         cw = ZeroCodeword(np.ones(6, bool), rp)
         expected = math.sqrt(rp.eta * 7 * rp.d**6)
-        assert leading_coeff(cw) == pytest.approx(expected, rel=1e-14)
+        assert zeros_to_coeffs(cw)[-1] == pytest.approx(expected, rel=1e-14)
 
 
 class TestZerosToCoeffs:
@@ -109,7 +121,7 @@ class TestZerosToCoeffs:
         rp = RadiusParam(1, 1.5)
         cw = ZeroCodeword([False], rp)
         c = zeros_to_coeffs_iterative(cw)
-        lead = leading_coeff(cw)
+        lead = zeros_to_coeffs(cw)[-1]
         np.testing.assert_allclose(c, lead * np.array([-1.5, 1.0]), atol=1e-14)
 
     def test_batched_synthesis_matches_scalar(self):
@@ -130,6 +142,31 @@ class TestZerosToCoeffs:
         cw = random_codeword(np.random.default_rng(seed), K)
         c = zeros_to_coeffs(cw)
         assert np.sum(np.abs(c) ** 2) == pytest.approx(K + 1, abs=1e-9)
+
+
+class TestZeroFormEval:
+    def test_matches_iterative_expansion_off_the_grid(self):
+        """The zero form at arbitrary points equals the oracle's polynomial
+        there, batched over (..., K) selections."""
+        rng = np.random.default_rng(12)
+        pts = 1.4 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        for K in (2, 7, 16):
+            rp = radius_param(K)
+            inner = rng.integers(0, 2, size=(3, 2, K)).astype(bool)
+            vals = zero_form_eval(inner, rp, pts)
+            assert vals.shape == (3, 2, 5)
+            oracle = zeros_to_coeffs_iterative(ZeroCodeword(inner[1, 0], rp))
+            ref = poly_eval(oracle, pts)
+            np.testing.assert_allclose(vals[1, 0], ref, rtol=1e-10)
+
+    def test_exact_zero_at_an_encoded_zero(self):
+        cw = random_codeword(np.random.default_rng(13), 8)
+        vals = zero_form_eval(cw.inner, cw.rp, cw.zeros)
+        assert np.all(vals == 0.0)
+
+    def test_rejects_wrong_slot_count(self):
+        with pytest.raises(ValueError):
+            zero_form_eval(np.zeros((2, 5), bool), radius_param(4), [1.0])
 
 
 class TestPolyEval:

@@ -78,7 +78,7 @@ class TestProbeTables:
     polynomials evaluated at the probe points."""
 
     def test_matches_direct_synthesis(self):
-        from airmv.aggregation import ProbeAggregator
+        from airmv.aggregation import probe_tables
         from airmv.decoding import probe_points
         from airmv.encoding import vote_pattern
         from airmv.huffman import poly_eval, radius_param, synthesize_coeffs
@@ -90,15 +90,20 @@ class TestProbeTables:
             rp = radius_param(K)
             m = method.votes_per_codeword(K)
             votes = rng.integers(0, 2, size=(40, 3, m)) * 2 - 1
-            for positions in (None, 0):
-                engine = ProbeAggregator(method, K, PdpConfig(1), 0.1, positions)
+            # Vote j of a table's chunk is bit j of its row index; indexed
+            # has one chunk of all m votes, the others one per eight votes.
+            width = m if method is Method.INDEXED else 8
+            bits = (votes > 0).astype(np.intp)
+            for positions in (tuple(range(m)), (0,)):
+                values = 1.0
+                for i, table in enumerate(probe_tables(method, rp, positions)):
+                    chunk = bits[..., i * width : (i + 1) * width]
+                    values = values * table[chunk @ (1 << np.arange(chunk.shape[-1]))]
                 direct = poly_eval(
                     synthesize_coeffs(vote_pattern(method, votes), rp),
                     probe_points(method, rp, positions),
                 )
-                np.testing.assert_allclose(
-                    engine.codeword_values(votes), direct, rtol=0, atol=1e-12
-                )
+                np.testing.assert_allclose(values, direct, rtol=0, atol=1e-12)
 
     def test_large_codebook_needs_no_synthesis(self):
         """Table rows grow with the votes per byte, not with 2^M: uncoded

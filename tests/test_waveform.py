@@ -38,6 +38,12 @@ class TestPmepr:
         with pytest.raises(ValueError):
             pmepr(np.zeros(8))
 
+    def test_rejects_batch_with_one_zero_row(self):
+        s = np.random.default_rng(6).standard_normal((4, 16)) + 0j
+        s[2] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            pmepr(s)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -107,6 +113,29 @@ class TestOfdmMapping:
         assert pmepr(ofdm_map_modulate(c, 16)) == pytest.approx(1.54, abs=0.05)
 
 
+class TestBatches:
+    """Blocks lie along the last axis: a batch gives the per-row values."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    @pytest.mark.parametrize("modulate", [dfts_ofdm_modulate, ofdm_map_modulate])
+    def test_batch_matches_rows(self, shape, modulate):
+        rng = np.random.default_rng(8)
+        for K in (8, 32):
+            inner = rng.integers(0, 2, size=shape + (K,)).astype(bool)
+            coeffs = synthesize_coeffs(inner, radius_param(K))
+            signals = modulate(coeffs, 16)
+            assert signals.shape == shape + (16 * (K + 1),)
+            batch = pmepr(signals)
+            assert batch.shape == shape
+            rows = np.array([pmepr(modulate(c, 16)) for c in coeffs.reshape(-1, K + 1)])
+            np.testing.assert_allclose(batch.reshape(-1), rows, rtol=0, atol=1e-13)
+
+    def test_rejects_empty_blocks(self):
+        for modulate in (dfts_ofdm_modulate, ofdm_map_modulate):
+            with pytest.raises(ValueError):
+                modulate(np.zeros((3, 0)))
+
+
 class TestCcdfOrdering:
     def test_indexed_dominates_at_high_quantile(self):
         """Single-inner-zero blocks concentrate energy in few coefficients,
@@ -120,7 +149,7 @@ class TestCcdfOrdering:
             m = method.votes_per_codeword(K)
             votes = rng.integers(0, 2, size=(10_000, m)) * 2 - 1
             coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
-            vals = [pmepr(dfts_ofdm_modulate(c, 16)) for c in coeffs]
+            vals = pmepr(dfts_ofdm_modulate(coeffs, 16))
             quantiles[method] = float(np.quantile(vals, 0.99))
         assert quantiles[Method.INDEXED] > quantiles[Method.UNCODED]
         assert quantiles[Method.INDEXED] > quantiles[Method.DIFFERENTIAL]
