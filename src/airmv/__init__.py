@@ -42,7 +42,6 @@ from .theory import (
     CerEstimate,
     CerModel,
     ExpRateSet,
-    IntegrationError,
     cdf_diff_exp_sums,
     cer,
     detection_rates,

@@ -196,6 +196,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("threads must be positive")
     if not cfg.snr_db:
         raise ConfigError("the SNR list must not be empty")
+    for snr_db in cfg.snr_db:
+        if math.isnan(snr_db) or snr_db == -math.inf:
+            raise ConfigError(f"SNR {snr_db} dB is not a level ('inf' is noiseless)")
     if cfg.experiment in ("cer", "snr", "theory", "rmse", "pmepr"):
         if not cfg.k_values:
             raise ConfigError("at least one K is required")

@@ -110,16 +110,6 @@ class ZeroCodeword:
         inner.flags.writeable = False
         object.__setattr__(self, "inner", inner)
 
-    @property
-    def n_inner(self) -> int:
-        return int(np.count_nonzero(self.inner))
-
-    @property
-    def zeros(self) -> np.ndarray:
-        """The K encoded zeros as complex numbers."""
-        d = self.rp.d
-        return np.where(self.inner, 1.0 / d, d) * root_phases(self.rp.K)
-
 
 def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
     """P(z) = c_lead prod_k (z - zero_k) at the 1-D `points`.

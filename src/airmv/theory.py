@@ -1,4 +1,4 @@
-"""Computation-error-rate prediction via characteristic-function inversion.
+"""Computation-error-rate prediction from the exact CDF of the detector metric.
 
 Conditioned on all votes, the probed values R(z) of the received
 polynomial are jointly circular Gaussian (the superposed channel gains and
@@ -16,10 +16,11 @@ the one probe covariance Sigma (`probe_covariance`):
   then a difference of independent exponential sums whose means are the
   eigenvalues of A Sigma.
 
-Either way the CDF of the metric is recovered from the product of
-characteristic functions with a one-sided Gil-Pelaez integral, and the
-error rate follows by averaging that CDF over realizations of the other
-transmitters' votes.
+Under either law the CDF of the metric is computed exactly, with no
+quadrature: the two sums are chains of exponential phases, and a race
+between the chains (Neuts 1981) gives it from positive products and one
+matrix exponential. The error rate follows by averaging that CDF over
+realizations of the other transmitters' votes.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg import expm
 
 from .channel import PdpConfig
 from .decoding import DecoderContext, DetectorForm, detector_form, powers
@@ -37,7 +38,6 @@ from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, zero_form_eval
 
 __all__ = [
-    "IntegrationError",
     "ExpRateSet",
     "CerModel",
     "CerEstimate",
@@ -49,21 +49,13 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
-    """Raised when the CDF quadrature cannot meet its accuracy target."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class ExpRateSet:
     """Exponential rates of the two sums A and B entering P(A - B < x).
 
     Rates are inverse means. An infinite rate marks a degenerate component
-    concentrated at zero (a noiseless side with no signal term); it
-    contributes a unit factor to the characteristic function.
+    concentrated at zero (a noiseless side with no signal term): a phase of
+    length zero, which the race in `cdf_diff_exp_sums` drops.
     """
 
     rates_plus: tuple[float, ...]
@@ -87,56 +79,53 @@ class ExpRateSet:
         return cls(invert(means_plus), invert(means_minus))
 
 
-def cdf_diff_exp_sums(rates: ExpRateSet, x: float, tol: float = 1e-6) -> float:
+def _race(first: list[float], second: list[float]) -> list[float]:
+    """pi[i]: probability that the `second` chain of exponential phases ends
+    while the `first` is in its phase i.
+
+    Both chains run at once; from state (phases of first done, phases of
+    second done) the next phase to end is the first's with probability
+    lam / (lam + mu), else the second's. Mass that leaves the first chain
+    before the second ends is dropped (the first finished first). Every term
+    is a product of positive factors.
+    """
+    column = [1.0] + [0.0] * (len(first) - 1) if first else []
+    for mu in second:
+        visit = 0.0
+        for i, lam in enumerate(first):
+            visit += column[i]
+            column[i] = visit * mu / (lam + mu)
+            visit *= lam / (lam + mu)
+    return column
+
+
+def _exceeds(first: list[float], second: list[float], t: float) -> float:
+    """P(first > second + t) for t >= 0: once the second chain ends, the
+    first still has to outlast t from its current phase, pi expm(Q t) 1 with
+    Q the first chain's phase generator (-lam_i on the diagonal, lam_i just
+    above it). At t = 0 that is sum(pi)."""
+    pi = np.array(_race(first, second))
+    if t == 0.0 or pi.size == 0:
+        return float(pi.sum())
+    lam = np.array(first)
+    q = np.diag(-lam) + np.diag(lam[:-1], 1)
+    return float(pi @ expm(q * t).sum(axis=1))
+
+
+def cdf_diff_exp_sums(rates: ExpRateSet, x: float) -> float:
     """CDF of A - B at x, A and B independent sums of exponentials.
 
-    Evaluates the one-sided real form of the inversion integral,
-    F(x) = 1/2 - (1/pi) I[ Im(Phi_A(t) conj(Phi_B(t)) e^{-jtx}) / t ; 0..inf ],
-    with the integration variable rescaled by the largest mean. The
-    integrand is finite at t = 0 and the product form is integrated
-    directly, so coincident rates need no special handling. For an
-    appreciable offset x the oscillatory tail is handed to Fourier-weight
-    quadrature, which keeps single-rate sides (1/t^2 tails) accurate.
+    Exact, by the phase race of the two sums (Neuts 1981): F(x) =
+    1 - P(A > B + x) for x >= 0 and P(B > A - x) for x < 0, each read off
+    `_exceeds`. Coincident rates need no special handling; infinite rates
+    are phases of length zero and drop out.
     """
-    means_a = np.array([1.0 / r for r in rates.rates_plus if math.isfinite(r)])
-    means_b = np.array([1.0 / r for r in rates.rates_minus if math.isfinite(r)])
-    if means_a.size == 0 and means_b.size == 0:
+    a = [r for r in rates.rates_plus if math.isfinite(r)]
+    b = [r for r in rates.rates_minus if math.isfinite(r)]
+    if not a and not b:
         return 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
-
-    scale = max(means_a.max(initial=0.0), means_b.max(initial=0.0), abs(x))
-    a = means_a / scale
-    b = means_b / scale
-    x0 = x / scale
-    drift = float(a.sum() - b.sum() - x0)
-
-    def phi(t: float) -> complex:
-        return complex(
-            np.prod(1.0 / (1.0 - 1j * t * a)) * np.prod(1.0 / (1.0 + 1j * t * b))
-        )
-
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return drift
-        return (phi(t) * complex(math.cos(t * x0), -math.sin(t * x0))).imag / t
-
-    eps = dict(epsabs=tol / 50.0, epsrel=1e-11)
-    if abs(x0) < 1e-4:
-        res = quad(integrand, 0.0, np.inf, limit=800, full_output=True, **eps)
-        val, abserr = res[0], res[1]
-    else:
-        cut = 50.0
-        head, err_h = quad(integrand, 0.0, cut, limit=400, **eps)
-        w = abs(x0)
-        sgn = 1.0 if x0 >= 0 else -1.0
-        res_c = quad(lambda t: phi(t).imag / t, cut, np.inf, weight="cos",
-                     wvar=w, limit=400, full_output=True, **eps)
-        res_s = quad(lambda t: phi(t).real / t, cut, np.inf, weight="sin",
-                     wvar=w, limit=400, full_output=True, **eps)
-        val = head + res_c[0] - sgn * res_s[0]
-        abserr = err_h + res_c[1] + res_s[1]
-    if abserr / math.pi > tol:
-        raise IntegrationError("CDF quadrature did not converge", abserr / math.pi)
-    return min(1.0, max(0.0, 0.5 - val / math.pi))
+    f = 1.0 - _exceeds(a, b, x) if x >= 0 else _exceeds(b, a, -x)
+    return min(1.0, max(0.0, f))
 
 
 @dataclass(frozen=True)
@@ -238,14 +227,6 @@ class CerEstimate:
 
     probability: float
     stderr: float
-    method: Method
-    K: int
-    U: int
-    n_plus: int
-    n_minus: int
-    L_e: int
-    rho: float
-    sigma2: float
 
 
 def vote_averaged_cer(
@@ -255,7 +236,6 @@ def vote_averaged_cer(
     n_realizations: int = 100,
     rng: np.random.Generator | None = None,
     ell: int = 0,
-    tol: float = 1e-6,
     exact: bool = False,
 ) -> CerEstimate:
     """Average the conditional error CDF over the other transmitters' votes.
@@ -284,20 +264,10 @@ def vote_averaged_cer(
         n_realizations = 1
     elif rng is None:
         raise ValueError("an rng is required when other votes must be sampled")
-    meta = dict(
-        method=model.method,
-        K=model.rp.K,
-        U=U,
-        n_plus=n_plus,
-        n_minus=n_minus,
-        L_e=model.pdp.L_e,
-        rho=model.pdp.rho,
-        sigma2=model.sigma2,
-    )
     if n_plus == n_minus:
         # `cer` counts a true tie as an error whatever the detector does,
-        # so no realization needs its quadrature.
-        return CerEstimate(probability=1.0, stderr=0.0, **meta)
+        # so no realization needs its CDF.
+        return CerEstimate(probability=1.0, stderr=0.0)
 
     probs = np.empty(n_realizations)
     for r in range(n_realizations):
@@ -308,7 +278,7 @@ def vote_averaged_cer(
             votes[:, ell] = fixed
         inner = vote_pattern(model.method, votes)
         rates, x = detection_rates(inner, ell, model, exact=exact)
-        probs[r] = cdf_diff_exp_sums(rates, x, tol=tol)
+        probs[r] = cdf_diff_exp_sums(rates, x)
 
     mean_p = float(np.mean(probs))
     stderr = (
@@ -316,4 +286,4 @@ def vote_averaged_cer(
         if n_realizations > 1
         else 0.0
     )
-    return CerEstimate(probability=cer(n_plus, n_minus, mean_p), stderr=stderr, **meta)
+    return CerEstimate(probability=cer(n_plus, n_minus, mean_p), stderr=stderr)

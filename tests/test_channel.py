@@ -90,14 +90,15 @@ class TestSuperpose:
 
     def test_zero_set_preserved_flat_channel(self):
         rng = np.random.default_rng(9)
-        from airmv.huffman import radius_param
+        from airmv.huffman import radius_param, root_phases
 
         rp = radius_param(8)
         cw = ZeroCodeword(rng.integers(0, 2, 8).astype(bool), rp)
         c = zeros_to_coeffs(cw)
         h = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
         y = superpose(c[None, :], h, 0.0)
-        assert np.abs(poly_eval(y, cw.zeros)).max() < 1e-8
+        zeros = np.where(cw.inner, 1 / rp.d, rp.d) * root_phases(8)
+        assert np.abs(poly_eval(y, zeros)).max() < 1e-8
 
     def test_received_length_and_energy(self):
         rng = np.random.default_rng(3)

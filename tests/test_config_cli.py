@@ -95,6 +95,14 @@ class TestValidation:
             make_cfg(experiment=experiment, realizations=-1)
         make_cfg(experiment=experiment, realizations=0)
 
+    @pytest.mark.parametrize("snr", [math.nan, -math.inf])
+    def test_snr_must_be_a_level(self, snr):
+        for experiment in ("cer", "snr", "theory", "rmse"):
+            with pytest.raises(ConfigError, match="SNR"):
+                make_cfg(experiment=experiment, snr_db=(10.0, snr),
+                         n_plus=None if experiment == "rmse" else (3,))
+        make_cfg(snr_db=(math.inf, -30.0))
+
     def test_defaults_n_plus_sweep(self):
         cfg = make_cfg(n_plus=None)
         assert cfg.n_plus_values() == tuple(range(6))
@@ -237,6 +245,24 @@ class TestCli:
         assert main([experiment, "--seed", "1", "--k", "1", "--methods", "m1"]) == 2
         err = capsys.readouterr().err
         assert "airmv: configuration error" in err and "uncoded at K=1" in err
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0,NaN"])
+    @pytest.mark.parametrize("experiment", ["cer", "theory", "rmse"])
+    def test_snr_that_is_not_a_level_exits_2(self, capsys, tmp_path, experiment, snr):
+        """A NaN SNR used to end in a traceback (cer, theory) or in a garbage
+        RMSE (rmse), and -inf in CERs of infinite noise; both are refused,
+        from the command line and from a configuration file."""
+        argv = [experiment, "--seed", "1", "--k", "8", "--methods", "m2", "--u", "5",
+                "--trials", "10", "--rounds", "3", "--realizations", "2"]
+        if experiment != "rmse":
+            argv += ["--n-plus", "3"]
+        cfg_file = tmp_path / "snr.cfg"
+        cfg_file.write_text(f"snr_db = {snr}\n")
+        for extra in ([f"--snr={snr}"], ["--config", str(cfg_file)]):
+            assert main(argv + extra + ["--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert "airmv: configuration error: SNR" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_config_file_with_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"

@@ -11,12 +11,19 @@ from airmv.huffman import (
     aacf,
     poly_eval,
     radius_param,
+    root_phases,
     synthesize_coeffs,
     zero_form_eval,
     zeros_to_coeffs,
 )
 
 SQ12_17 = math.sqrt(12.0 / 17.0)
+
+
+def encoded_zeros(codeword):
+    """The K encoded zeros: radius 1/d or d at phase 2 pi k / K."""
+    d = codeword.rp.d
+    return np.where(codeword.inner, 1.0 / d, d) * root_phases(codeword.rp.K)
 
 
 def zeros_to_coeffs_iterative(codeword):
@@ -26,10 +33,11 @@ def zeros_to_coeffs_iterative(codeword):
     rp = codeword.rp
     c = np.zeros(rp.K + 1, dtype=complex)
     c[0] = 1.0
-    for i, zero in enumerate(codeword.zeros):
+    for i, zero in enumerate(encoded_zeros(codeword)):
         c[1 : i + 2] = c[0 : i + 1] - zero * c[1 : i + 2]
         c[0] = -zero * c[0]
-    return c * math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (codeword.n_inner - rp.K / 2)
+    n_inner = np.count_nonzero(codeword.inner)
+    return c * math.sqrt(rp.eta * (rp.K + 1)) * rp.d ** (n_inner - rp.K / 2)
 
 
 def example_pair():
@@ -104,7 +112,7 @@ class TestZerosToCoeffs:
         for K in (2, 3, 8, 17, 32):
             cw = random_codeword(rng, K)
             c = zeros_to_coeffs(cw)
-            residuals = np.abs(poly_eval(c, cw.zeros))
+            residuals = np.abs(poly_eval(c, encoded_zeros(cw)))
             assert residuals.max() < 1e-8
 
     def test_matches_iterative(self):
@@ -161,7 +169,7 @@ class TestZeroFormEval:
 
     def test_exact_zero_at_an_encoded_zero(self):
         cw = random_codeword(np.random.default_rng(13), 8)
-        vals = zero_form_eval(cw.inner, cw.rp, cw.zeros)
+        vals = zero_form_eval(cw.inner, cw.rp, encoded_zeros(cw))
         assert np.all(vals == 0.0)
 
     def test_rejects_wrong_slot_count(self):
@@ -247,4 +255,6 @@ class TestZeroCodeword:
         rp = RadiusParam(4, 2.0)
         cw = ZeroCodeword([True, False, False, True], rp)
         w = np.exp(2j * np.pi * np.arange(4) / 4)
-        np.testing.assert_allclose(cw.zeros, np.array([0.5, 2, 2, 0.5]) * w, atol=0)
+        zeros = np.array([0.5, 2, 2, 0.5]) * w
+        np.testing.assert_allclose(encoded_zeros(cw), zeros, atol=0)
+        assert np.all(zero_form_eval(cw.inner, rp, zeros) == 0.0)
