@@ -9,19 +9,29 @@ with H_u a user's channel polynomial, P_u its codeword polynomial and W
 the noise polynomial. The engine evaluates this sum directly from the zero
 form, P_u(z) = c_lead * prod_k (z - zero_k), so no coefficient sequence is
 synthesized and no convolution is formed. The time-domain chain
-(`synthesize_coeffs` -> `superpose` -> `decode`) stays the reference the
-engine is tested against on identical draws; both end in the detector's
+(`synthesize_coeffs` -> `sample_channel` -> `superpose` -> `decode`) stays
+the reference the engine is tested against; both end in the detector's
 `DetectorForm.decide`.
+
+Each trial draws only what the detector reads, with the chain's law. A
+user's (H_u(z_1), ..., H_u(z_P)) is CN(0, C_H) with C_H = V_L^T diag(p)
+conj(V_L) (V_L[l, p] = z_p^l, p the tap powers) and the noise values are
+CN(0, sigma2 V^T conj(V)) over the K + L_e noise samples. With fewer probes
+than taps (P < L_e) both are drawn in the probe basis from eigh factors of
+those covariances; otherwise the engine draws the taps and noise samples
+themselves, the very draws of `sample_channel` and `awgn`.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
 product of its slots' factors (z_p - zero_k), with its share of c_lead;
 P_u(z_p) is the product of one row per byte. The indexed encoder's slots
-depend on all votes at once, so its table holds one row per codeword, and
-the taps are summed per codeword before they meet it:
-R = sum_(l, c) G[n, l, c] z_p^l T[c, p], with G[n, l, c] the sum of tap l
-over the users that sent codeword c in trial n. A probe that lands on a user's own
-encoded zero meets an exact 0 factor.
+depend on all votes at once, so its table holds one row per codeword.
+Users that send the same codeword are indistinguishable at the receiver,
+so the channel is drawn once per codeword sent:
+R = sum_(c, l) G[n, c, l] z_p^l T[c, p], where G[n, c] is the sum of the
+m_c channels of the users that sent codeword c in trial n, which is
+sqrt(m_c) times one draw. A probe that lands on a user's own encoded zero
+meets an exact 0 factor.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import PdpConfig, awgn, sample_channel
+from .channel import PdpConfig, complex_normal
 from .decoding import DecoderContext, detector_form, powers, probe_points
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
@@ -76,6 +86,17 @@ def probe_tables(
     return tuple(tables)
 
 
+def _normal_factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(scale, basis) such that (scale * (a + i b)) @ basis is CN(0, cov)
+    for standard normal a, b: basis^T diag(2 scale^2) conj(basis) = cov.
+
+    eigh, not Cholesky: C_H is near-singular as d -> 1, and its rounding
+    residue below zero is clipped.
+    """
+    lam, q = np.linalg.eigh(cov)
+    return np.sqrt(np.maximum(lam, 0.0) / 2.0), q.T
+
+
 def _codeword_index(packed: np.ndarray) -> np.ndarray:
     index = packed[..., 0].astype(np.intp)
     for i in range(1, packed.shape[-1]):
@@ -89,9 +110,10 @@ class ProbeAggregator:
     `positions` names the vote positions to decide (all by default); only
     their probe points are evaluated. Votes arrive as (n, U, M) arrays of
     +/-1 and decisions return as (n, len(positions)). Per call the rng
-    draws the (n, U, L_e) channel taps and then, when sigma2 > 0, the
-    (n, K + L_e) noise samples, exactly as `sample_channel` followed by
-    `superpose` would.
+    draws the channel and then, when sigma2 > 0, the noise, each as
+    `complex_normal(shape, scale, rng) @ basis` with the (scale, basis) of
+    `channel_factor` and `noise_factor`: probe-basis factors when P < L_e,
+    else the taps' and noise samples' own (see the module docstring).
     """
 
     def __init__(
@@ -110,16 +132,22 @@ class ProbeAggregator:
         if positions is None:
             positions = range(M)
         self.positions = tuple(int(p) for p in np.atleast_1d(positions))
-        self.pdp_cfg = pdp_cfg
         self.sigma2 = float(sigma2)
         self.form = detector_form(self.ctx, self.positions)
         self.tables = probe_tables(method, rp, self.positions)
-        self.powers = powers(self.form.points, K + pdp_cfg.L_e)
+        L, taps = pdp_cfg.L_e, pdp_cfg.taps
+        v = powers(self.form.points, K + L)
+        if v.shape[1] < L:
+            self.channel_factor = _normal_factor((v[:L].T * taps) @ v[:L].conj())
+            self.noise_factor = _normal_factor(self.sigma2 * (v.T @ v.conj()))
+        else:
+            self.channel_factor = (np.sqrt(taps / 2.0), v[:L])
+            self.noise_factor = (np.sqrt(self.sigma2 / 2.0), v)
         if method is Method.INDEXED:
-            # Row (l, c) holds z_p^l T[c, p]: R = G @ this, taps and all.
-            v_taps = self.powers[: pdp_cfg.L_e, np.newaxis, :]
-            self._tap_table = (v_taps * self.tables[0]).reshape(
-                -1, self.powers.shape[1]
+            # Row (c, l) holds basis[l, p] T[c, p]: R = G @ this, channel and all.
+            basis = self.channel_factor[1]
+            self._tap_table = (self.tables[0][:, np.newaxis] * basis).reshape(
+                -1, v.shape[1]
             )
 
     def _packed(self, votes) -> np.ndarray:
@@ -147,22 +175,25 @@ class ProbeAggregator:
         """R(z_p) at every probe point; shape (n, P)."""
         packed = self._packed(votes)
         n, U, _ = packed.shape
-        L = self.pdp_cfg.L_e
-        h = sample_channel(self.pdp_cfg, U, rng, trials=n)
+        scale, basis = self.channel_factor
         if self.ctx.method is Method.INDEXED:
-            # G[n, (l, c)] = sum of h[n, u, l] over the users u sending c.
+            # m_c users sending codeword c: their channel sum is sqrt(m_c)
+            # times one draw, made only for the codewords sent.
             rows = self.tables[0].shape[0]
-            index = np.arange(n * L).reshape(n, 1, L) * rows
-            index = (index + _codeword_index(packed)[:, :, np.newaxis]).ravel()
-            g = np.empty((n, L * rows), dtype=complex)
-            g.real = np.bincount(index, h.real.ravel(), g.size).reshape(g.shape)
-            g.imag = np.bincount(index, h.imag.ravel(), g.size).reshape(g.shape)
-            r = g @ self._tap_table
+            cells = _codeword_index(packed) + rows * np.arange(n)[:, np.newaxis]
+            counts = np.bincount(cells.ravel(), minlength=n * rows)
+            sent = np.flatnonzero(counts)
+            draws = complex_normal((sent.size, scale.size), scale, rng)
+            g = np.zeros((n * rows, scale.size), dtype=complex)
+            g[sent] = np.sqrt(counts[sent, np.newaxis]) * draws
+            r = g.reshape(n, -1) @ self._tap_table
         else:
-            hz = (h.reshape(n * U, L) @ self.powers[:L]).reshape(n, U, -1)
+            h = complex_normal((n * U, scale.size), scale, rng)
+            hz = (h @ basis).reshape(n, U, -1)
             r = np.einsum("nup,nup->np", hz, self._values(packed))
         if self.sigma2 > 0:
-            r += awgn((n, self.powers.shape[0]), self.sigma2, rng) @ self.powers
+            scale, basis = self.noise_factor
+            r += complex_normal((n, basis.shape[0]), scale, rng) @ basis
         return r
 
     def aggregate(self, votes, rng: np.random.Generator) -> np.ndarray:

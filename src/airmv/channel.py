@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PdpConfig", "pdp", "sample_channel", "awgn", "superpose"]
+__all__ = ["PdpConfig", "pdp", "complex_normal", "sample_channel", "awgn", "superpose"]
 
 
 def pdp(L_e: int, rho: float) -> np.ndarray:
@@ -46,6 +46,12 @@ class PdpConfig:
         return pdp(self.L_e, self.rho)
 
 
+def complex_normal(shape, scale, rng: np.random.Generator) -> np.ndarray:
+    """scale * (a + i b) with a, b standard normal of `shape`: CN(0, 2 scale^2)
+    entries. All real parts are drawn before the imaginary ones."""
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def sample_channel(
     cfg: PdpConfig, U: int, rng: np.random.Generator, trials: int | None = None
 ) -> np.ndarray:
@@ -56,15 +62,12 @@ def sample_channel(
     if U < 1:
         raise ValueError("need at least one transmitter")
     shape = ((trials,) if trials is not None else ()) + (U, cfg.L_e)
-    scale = np.sqrt(cfg.taps / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return complex_normal(shape, np.sqrt(cfg.taps / 2.0), rng)
 
 
 def awgn(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
     """CN(0, sigma2) samples; all real parts are drawn before the imaginary."""
-    return np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    return complex_normal(shape, np.sqrt(sigma2 / 2.0), rng)
 
 
 def superpose(

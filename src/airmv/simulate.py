@@ -78,6 +78,23 @@ def _fixed_column(U: int, n_plus: int) -> np.ndarray:
     return col
 
 
+def _random_votes(rng: np.random.Generator, n: int, M: int, column) -> np.ndarray:
+    """(n, U, M) int8 votes: vote 0 is the fixed `column`, the others fair
+    random +/-1, one random bit each."""
+    U = len(column)
+    size = n * U * M
+    bits = np.unpackbits(
+        np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8),
+        count=size,
+        bitorder="little",
+    )
+    votes = bits.view(np.int8).reshape(n, U, M)
+    votes *= 2
+    votes -= 1
+    votes[:, :, 0] = column
+    return votes
+
+
 def _count_mv_errors(decisions: np.ndarray, U: int, n_plus: int) -> int:
     if 2 * n_plus == U:
         return decisions.size  # a true tie counts as an error outright
@@ -109,8 +126,7 @@ def mv_error_batch(
     else:
         method = Method.from_name(method)
         M = method.votes_per_codeword(K)
-        votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
-        votes[:, :, 0] = column
+        votes = _random_votes(rng, n, M, column)
         aggregate = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0).aggregate
     return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 

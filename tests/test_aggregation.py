@@ -1,32 +1,84 @@
-"""The probe-domain engine against the time-domain oracle on identical draws.
+"""The probe-domain engine against the time-domain chain.
 
-The oracle is the chain the engine replaces: synthesize every codeword
+The chain is what the engine replaces: synthesize every codeword
 (`synthesize_coeffs(vote_pattern(...))`), convolve it with its channel and
-add noise (`superpose`), then evaluate and detect (`decode`). Both sides
-draw the channel taps and then the noise from generators in the same state.
+add noise (`superpose`), then evaluate and detect (`decode`). Where the
+engine draws taps and noise samples (at least as many probes as taps), both
+sides draw them from generators in the same state and must agree to
+rounding. With fewer probes than taps the engine draws the probe values
+themselves; the exact checks then lift those draws to taps and noise
+samples, and the moment checks hold their law against the per-user chain.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from airmv.aggregation import ProbeAggregator, probe_tables
-from airmv.channel import PdpConfig, sample_channel, superpose
-from airmv.decoding import decode, powers, probe_points
+from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
+from airmv.decoding import DecoderContext, decode, powers, probe_points
 from airmv.encoding import Method, vote_pattern
 from airmv.huffman import radius_param, root_phases, synthesize_coeffs
 from airmv.median import run_median
-from airmv.simulate import _count_mv_errors, _fixed_column, mv_error_batch, simulate_cer
+from airmv.simulate import (
+    _count_mv_errors,
+    _fixed_column,
+    _random_votes,
+    mv_error_batch,
+    simulate_cer,
+)
+
+
+def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine=None):
+    """Received samples (n, K + L_e) of the time-domain chain.
+
+    Every user's codeword goes through its own `sample_channel` taps, except
+    for indexed: the m_c users sending codeword c share its polynomial, so
+    the chain draws one tap vector per codeword sent, scales it by
+    sqrt(m_c), and superposes the K codewords as K virtual transmitters.
+    Given an `engine` that draws in the probe basis, its channel and noise
+    draws are lifted to taps and noise samples that take those values at
+    its probes (pinv of the Vandermonde matrices).
+    """
+    n, U, M = votes.shape
+    rp, L = radius_param(K), pdp_cfg.L_e
+    if method is Method.INDEXED:
+        patterns = 2 * ((np.arange(K)[:, np.newaxis] >> np.arange(M)) & 1) - 1
+        codewords = synthesize_coeffs(vote_pattern(method, patterns), rp)
+        coeffs = np.broadcast_to(codewords, (n, K, K + 1))
+        index = ((votes > 0) << np.arange(M)).sum(axis=-1)
+        weight = np.sqrt((index[..., np.newaxis] == np.arange(K)).sum(axis=1))
+    else:
+        coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
+        weight = np.ones((n, U))
+    sent = weight > 0
+    if engine is None:
+        draws = sample_channel(pdp_cfg, np.count_nonzero(sent), rng)
+    else:
+        v = powers(engine.form.points, K + L)
+        scale, basis = engine.channel_factor
+        draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
+        draws = draws @ basis @ np.linalg.pinv(v[:L])
+    h = np.zeros(coeffs.shape[:-1] + (L,), dtype=complex)
+    h[sent] = weight[sent, np.newaxis] * draws
+    if engine is None:
+        return superpose(coeffs, h, sigma2, rng)
+    y = superpose(coeffs, h)
+    if sigma2 > 0:
+        scale, basis = engine.noise_factor
+        y += complex_normal((n, scale.size), scale, rng) @ basis @ np.linalg.pinv(v)
+    return y
 
 
 def oracle(method, K, pdp_cfg, sigma2, votes, rng, positions=None):
-    """(R at the engine's probes, decisions) from the time-domain chain."""
+    """(R at the engine's probes, decisions) from the time-domain chain on
+    the engine's draws."""
     engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions)
-    n, U, _ = votes.shape
-    coeffs = synthesize_coeffs(vote_pattern(method, votes), radius_param(K))
-    y = superpose(coeffs, sample_channel(pdp_cfg, U, rng, trials=n), sigma2, rng)
     points = probe_points(method, radius_param(K), engine.positions)
+    lift = engine if points.size < pdp_cfg.L_e else None
+    y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, lift)
     r = y @ powers(points, y.shape[-1])
     return r, decode(y, engine.ctx)[:, list(engine.positions)]
 
@@ -47,6 +99,9 @@ CASES = [
     (Method.UNCODED, 8, 5, 3, 0.0),        # snr=inf draws no noise
     (Method.DIFFERENTIAL, 16, 5, 3, 0.0),
     (Method.INDEXED, 16, 5, 3, 0.0),
+    (Method.UNCODED, 16, 5, 2, 0.1),       # vote 0: 2 probes, 2 taps
+    (Method.DIFFERENTIAL, 16, 5, 1, 0.1),
+    (Method.INDEXED, 2, 4, 3, 0.3),        # 2 probes < 3 taps
 ]
 
 
@@ -78,6 +133,125 @@ def test_draws_match_the_time_domain_chain():
         assert a.random() == b.random()
 
 
+# (method, K, positions, L_e, sigma2, fixed (U, M) votes): vote 0 of uncoded
+# and differential and all of uncoded K=2 draw in the probe basis (the
+# noiseless K=2 case sees C_H's cross terms, since each user is nonzero at
+# two probes); indexed draws one channel per codeword sent, with m_c of 3,
+# 1 and 2.
+MOMENT_CASES = [
+    (Method.UNCODED, 8, 0, 4, 0.5,
+     np.random.default_rng(2).integers(0, 2, size=(4, 8)) * 2 - 1),
+    (Method.DIFFERENTIAL, 8, 0, 4, 0.5,
+     np.random.default_rng(3).integers(0, 2, size=(4, 4)) * 2 - 1),
+    (Method.UNCODED, 2, None, 5, 0.0, np.array([[1, 1], [1, -1], [-1, 1]])),
+    (Method.INDEXED, 8, None, 3, 0.5,
+     2 * ((np.array([[0], [0], [0], [3], [5], [5]]) >> np.arange(3)) & 1) - 1),
+]
+N_MOMENT = 100_000
+
+
+def _moments(r):
+    """Sample E R_p conj(R_q) and the standard errors of its real and
+    imaginary parts, each (P, P)."""
+    x = r[:, :, np.newaxis] * r[:, np.newaxis, :].conj()
+    root_n = math.sqrt(r.shape[0])
+    return x.mean(axis=0), x.real.std(axis=0) / root_n, x.imag.std(axis=0) / root_n
+
+
+@lru_cache(maxsize=None)
+def _chain_moments(case_index):
+    """Second moments of the per-user time-domain chain at the case's probes:
+    `synthesize_coeffs` -> `sample_channel` -> `superpose`, N_MOMENT draws."""
+    method, K, positions, L_e, sigma2, votes = MOMENT_CASES[case_index]
+    U = votes.shape[0]
+    rng = np.random.default_rng(11)
+    coeffs = synthesize_coeffs(vote_pattern(method, votes), radius_param(K))
+    coeffs = np.broadcast_to(coeffs, (N_MOMENT, U, K + 1))
+    h = sample_channel(PdpConfig(L_e, 0.5), U, rng, trials=N_MOMENT)
+    y = superpose(coeffs, h, sigma2, rng)
+    points = probe_points(method, radius_param(K), positions)
+    return _moments(y @ powers(points, K + L_e))
+
+
+def moment_z(case_index, mutate_build=None, mutate_draw=None):
+    """Largest |z| between the engine's and the chain's E R_p conj(R_q),
+    real and imaginary parts, over every probe pair. The optional mutations
+    patch the engine's construction or its draw."""
+    method, K, positions, L_e, sigma2, votes = MOMENT_CASES[case_index]
+    with pytest.MonkeyPatch.context() as patch:
+        if mutate_build:
+            mutate_build(patch)
+        engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
+    batch = np.broadcast_to(votes, (N_MOMENT,) + votes.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        if mutate_draw:
+            mutate_draw(patch)
+        r = engine.received(batch, np.random.default_rng(12))
+    mean, se_re, se_im = _moments(r)
+    ref, ref_re, ref_im = _chain_moments(case_index)
+    z = []
+    for diff, a, b in ((mean.real - ref.real, se_re, ref_re),
+                       (mean.imag - ref.imag, se_im, ref_im)):
+        se = np.hypot(a, b)
+        # Pairs that are exactly zero on both sides (a probe on every
+        # sender's zero, noiseless) carry no error to scale.
+        assert np.all(diff[se == 0] == 0)
+        z.append(np.abs(diff[se > 0] / se[se > 0]))
+    return np.concatenate(z).max()
+
+
+@pytest.mark.parametrize("case_index", range(len(MOMENT_CASES)))
+def test_second_moments_match_the_per_user_chain(case_index):
+    assert moment_z(case_index) <= 5
+
+
+def _reversed_taps(patch):
+    patch.setattr(PdpConfig, "taps", property(lambda cfg: pdp(cfg.L_e, cfg.rho)[::-1]))
+
+
+def _diagonal_covariances(patch):
+    eigh = np.linalg.eigh
+    patch.setattr(np.linalg, "eigh", lambda a: eigh(np.diag(np.diag(a))))
+
+
+def _counts_for_their_roots(patch):
+    patch.setattr(np, "sqrt", lambda x: x)
+
+
+@pytest.mark.parametrize("mutation", [
+    {"mutate_build": _reversed_taps},           # a wrong tap profile
+    {"mutate_build": _diagonal_covariances},    # independent probes
+    {"mutate_draw": _counts_for_their_roots},   # m_c in place of sqrt(m_c)
+], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt"])
+def test_moment_check_catches_a_wrong_law(mutation):
+    assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
+
+
+@pytest.mark.parametrize("method,K,positions,L_e,sigma2", [
+    (Method.UNCODED, 8, 0, 4, 0.5),         # probe basis
+    (Method.DIFFERENTIAL, 16, 0, 5, 0.1),
+    (Method.UNCODED, 512, 0, 8, 2.0),       # d near 1: C_H near-singular
+    (Method.INDEXED, 2, None, 3, 0.3),
+    (Method.UNCODED, 8, None, 4, 0.5),      # tap basis
+    (Method.INDEXED, 8, None, 3, 0.5),
+])
+def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2):
+    """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
+    of the noise samples seen at the probes, in whichever basis the engine
+    picked: the probes when there are fewer of them than taps."""
+    engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
+    points = probe_points(method, radius_param(K), engine.positions)
+    v = powers(points, K + L_e)
+    taps = pdp(L_e, 0.5)
+    rows = (points.size,) * 2 if points.size < L_e else (L_e, K + L_e)
+    pairs = ((engine.channel_factor, rows[0], (v[:L_e].T * taps) @ v[:L_e].conj()),
+             (engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj())))
+    for (scale, basis), n_rows, cov in pairs:
+        assert basis.shape == (n_rows, points.size)
+        got = (basis.T * (2 * scale**2)) @ basis.conj()
+        np.testing.assert_allclose(got, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+
+
 def test_probe_on_an_encoded_zero_is_exactly_zero():
     """Noiseless, every user sending the same codeword: the probes at that
     codeword's zeros read exactly 0, the others do not."""
@@ -101,21 +275,28 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
 
 
 def test_monte_carlo_batch_matches_time_domain_batch():
-    """Error counts of one batch equal those of the time-domain Monte Carlo
-    on the same stream."""
+    """Error counts of one batch against the time-domain Monte Carlo on the
+    same stream: equal for indexed, whose draws are the chain's; within
+    |z| <= 4 at 2e4 trials for vote 0 of uncoded and differential, which
+    the engine draws in the probe basis (2 probes < 5 taps)."""
     pdp_cfg = PdpConfig(5)
-    U, n_plus, n = 25, 16, 2_000
-    for method, K in ((Method.UNCODED, 16), (Method.DIFFERENTIAL, 16),
-                      (Method.INDEXED, 32)):
-        M = method.votes_per_codeword(K)
+    U, n_plus, sigma2 = 25, 16, 0.1
+    column = _fixed_column(U, n_plus)
+    for method, K, n in ((Method.UNCODED, 16, 20_000),
+                         (Method.DIFFERENTIAL, 16, 20_000),
+                         (Method.INDEXED, 32, 2_000)):
         rng = np.random.default_rng(17)
-        votes = rng.integers(0, 2, size=(n, U, M)) * 2 - 1
-        votes[:, :, 0] = _fixed_column(U, n_plus)
-        _, decisions = oracle(method, K, pdp_cfg, 0.1, votes, rng, positions=0)
-        expected = _count_mv_errors(decisions[:, 0], U, n_plus)
+        votes = _random_votes(rng, n, method.votes_per_codeword(K), column)
+        y = time_domain(method, K, pdp_cfg, sigma2, votes, rng)
+        ctx = DecoderContext.for_link(method, radius_param(K), pdp_cfg, sigma2)
+        expected = _count_mv_errors(decode(y, ctx)[:, 0], U, n_plus)
         got = mv_error_batch(np.random.default_rng(17), n, method, K, U, n_plus,
-                             pdp_cfg, 0.1)
-        assert got == expected
+                             pdp_cfg, sigma2)
+        if method is Method.INDEXED:
+            assert got == expected
+        else:
+            p, q = got / n, expected / n
+            assert abs(p - q) <= 4 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
 
 
 def test_median_matches_time_domain_rounds():

@@ -7,6 +7,10 @@ only through an attribute access (`obj.name`) on something other than an
 imported module: a local variable or `np.zeros` of the same name is not a
 caller. The console entry point `cli.main` is the one exemption. A
 test-only helper or oracle belongs in `tests/`.
+
+The Monte Carlo modules (`MONTE_CARLO`) reach nothing of `airmv.theory`,
+directly or through other package modules, so simulation and theory stay
+independent checks of each other.
 """
 
 import ast
@@ -116,3 +120,75 @@ def test_the_scan_sees_a_test_only_name(tmp_path, monkeypatch):
     )
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert unreferenced_names() == ["a.orphan", "a.Box.zeros"]
+
+
+MONTE_CARLO = ("aggregation", "simulate", "channel", "baselines", "median")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The airmv modules a module imports: `from .x import`, `from . import
+    x`, `from airmv.x import` and `import airmv.x`."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            parts = (n.module or "").split(".")
+            if n.level == 0 and parts[0] != "airmv":
+                continue
+            parts = parts[1:] if n.level == 0 else [p for p in parts if p]
+            if parts:
+                out.add(parts[0])
+            else:
+                out.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Import):
+            for alias in n.names:
+                parts = alias.name.split(".")
+                if parts[0] == "airmv" and len(parts) > 1:
+                    out.add(parts[1])
+    return out
+
+
+def theory_importers() -> list[str]:
+    """The Monte Carlo modules that reach `airmv.theory`, directly or through
+    other package modules."""
+    pkg = ROOT / "src" / "airmv"
+    graph = {
+        path.stem: _package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(pkg.glob("*.py"))
+    }
+    found = []
+    for module in MONTE_CARLO:
+        seen, todo = set(), [module]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(graph.get(name, ()))
+        if "theory" in seen:
+            found.append(module)
+    return found
+
+
+def test_the_monte_carlo_is_independent_of_the_theory():
+    assert theory_importers() == []
+
+
+def test_the_scan_sees_a_planted_theory_import(tmp_path, monkeypatch):
+    """Direct, relative-module and transitive imports of the theory are
+    reported; a module that only shares a name with it is not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "aggregation": "from .decoding import powers\n",
+        "decoding": "from .huffman import theory\n",
+        "huffman": "import numpy as np\n",
+        "simulate": "from . import theory\n",
+        "channel": "import airmv.theory as th\n",
+        "baselines": "from airmv.theory import cer\n",
+        "median": "from .helpers import x\n",
+        "helpers": "from .theory import cer\n",
+        "theory": "import numpy as np\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert theory_importers() == ["simulate", "channel", "baselines", "median"]

@@ -4,6 +4,8 @@ import pytest
 from airmv.channel import PdpConfig
 from airmv.encoding import Method
 from airmv.simulate import (
+    _fixed_column,
+    _random_votes,
     mv_error_batch,
     run_trial_batches,
     simulate_cer,
@@ -71,6 +73,22 @@ class TestCerSimulation:
         a = mv_error_batch(stream(3, 0), 4_000, *args)
         b = mv_error_batch(stream(3, 0), 4_000, *args)
         assert a == b
+
+
+def test_random_votes_are_fair_independent_bits():
+    """The Monte Carlo's vote bits: int8 +/-1, vote 0 the fixed column, and
+    over 1e5 users every random position's mean and every adjacent pair's
+    correlation within 5 standard errors of 0."""
+    n, U, M = 4_000, 25, 16
+    column = _fixed_column(U, 9)
+    votes = _random_votes(np.random.default_rng(6), n, M, column)
+    assert votes.dtype == np.int8 and votes.shape == (n, U, M)
+    np.testing.assert_array_equal(votes[:, :, 0], np.broadcast_to(column, (n, U)))
+    free = votes[:, :, 1:].reshape(n * U, M - 1).astype(float)
+    assert np.all(np.abs(free) == 1)
+    se = 1.0 / np.sqrt(n * U)
+    assert np.all(np.abs(free.mean(axis=0)) <= 5 * se)
+    assert np.all(np.abs((free[:, 1:] * free[:, :-1]).mean(axis=0)) <= 5 * se)
 
 
 class TestProbeTables:
