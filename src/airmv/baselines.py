@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import PdpConfig, awgn, sample_channel, superpose
+from .channel import PdpConfig, awgn, complex_normal, sample_channel, superpose
 from .encoding import check_vote_batch
 
 __all__ = [
@@ -109,9 +109,7 @@ def obda_received(
         raise ValueError("truncation threshold must be nonnegative")
     _check_sigma2(sigma2)
     per_mv = np.swapaxes(votes, -1, -2).astype(float)  # (n, M, U)
-    h = (
-        rng.standard_normal(per_mv.shape) + 1j * rng.standard_normal(per_mv.shape)
-    ) / math.sqrt(2)
+    h = complex_normal(per_mv.shape, math.sqrt(0.5), rng)
     if tci:
         gain = np.abs(h) ** 2
         inv = np.where(gain > truncation, np.conjugate(h) / np.maximum(gain, 1e-300), 0)

@@ -7,7 +7,8 @@ published run is replayable byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import os
+from dataclasses import MISSING, dataclass, field, fields
 
 from .baselines import BASELINES, default_sequence_length
 from .encoding import Method
@@ -15,8 +16,15 @@ from .median import votes_per_round
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "build_config"]
 
-EXPERIMENTS = ("cer", "snr", "pmepr", "rmse", "resources", "theory")
-PROPOSED = ("uncoded", "differential", "indexed")
+EXPERIMENTS = {
+    "cer": "computation-error rate vs the positive-vote count",
+    "snr": "computation-error rate vs SNR at a fixed vote split",
+    "pmepr": "peak-to-mean envelope power of transmitted blocks",
+    "rmse": "distributed median computation error over rounds",
+    "resources": "resources consumed per majority-vote computation",
+    "theory": "analytical computation-error rate only",
+}
+PROPOSED = tuple(m.value for m in Method)
 
 
 class ConfigError(ValueError):
@@ -45,8 +53,10 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     out: list[int] = []
     for item in items:
         if ":" in item:
-            lo, hi = item.split(":", 1)
-            out.extend(range(_parse_int(lo), _parse_int(hi) + 1))
+            lo, hi = (_parse_int(end) for end in item.split(":", 1))
+            if hi < lo:
+                raise ConfigError(f"reversed range {item.strip()!r} in {text!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(_parse_int(item))
     if not out:
@@ -78,24 +88,52 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _option(default, key, flag, parse, help):
+    return field(default=default,
+                 metadata={"key": key, "flag": flag, "parse": parse, "help": help})
+
+
 @dataclass
 class ExperimentConfig:
-    experiment: str
-    methods: tuple[str, ...] = ("uncoded", "differential", "indexed")
-    k_values: tuple[int, ...] = (16,)
-    U: int = 25
-    L_e: int = 1
-    rho: float = 1.0
-    snr_db: tuple[float, ...] = (10.0,)
-    n_plus: tuple[int, ...] | None = None
-    trials: int = 100_000
-    realizations: int = 100
-    rounds: int = 500
-    codewords: int = 10_000
-    oversampling: int = 16
-    seed: int | None = None
-    out: str | None = None
-    threads: int = 1
+    """One experiment's options. Each field declares its option once, as
+    `_option(default, file key, flag, parser, help)`: the key names it in a
+    config file and in the CSV echo, the flag on the command line (None for
+    the experiment, which is the subcommand), and the parser reads either's
+    text."""
+
+    experiment: str = _option(MISSING, "experiment", None,
+                              lambda s: s.strip().lower(), None)
+    methods: tuple[str, ...] = _option(
+        PROPOSED, "methods", "--methods", _parse_methods,
+        "comma list, e.g. uncoded,differential,indexed,goldenbaum,obda")
+    k_values: tuple[int, ...] = _option(
+        (16,), "k", "--k", _parse_int_list, "zeros per codeword, e.g. 8,16,32")
+    U: int = _option(25, "u", "--u", _parse_int, "number of transmitters")
+    L_e: int = _option(1, "l_e", "--l-e", _parse_int, "effective channel taps")
+    rho: float = _option(1.0, "rho", "--rho", _parse_float,
+                         "delay-profile decay constant in (0, 1]")
+    snr_db: tuple[float, ...] = _option(
+        (10.0,), "snr_db", "--snr", _parse_float_list,
+        "SNR values in dB ('inf' for noiseless)")
+    n_plus: tuple[int, ...] | None = _option(
+        None, "n_plus", "--n-plus", _parse_int_list,
+        "positive-vote counts, e.g. 22 or 0:25")
+    trials: int = _option(100_000, "trials", "--trials", _parse_int,
+                          "Monte Carlo trials per sweep point")
+    realizations: int = _option(100, "realizations", "--realizations", _parse_int,
+                                "vote realizations for theory / median runs")
+    rounds: int = _option(500, "rounds", "--rounds", _parse_int,
+                          "median communication rounds")
+    codewords: int = _option(10_000, "codewords", "--codewords", _parse_int,
+                             "sampled codewords for pmepr")
+    oversampling: int = _option(16, "oversampling", "--oversampling", _parse_int,
+                                "time-domain oversampling factor")
+    seed: int | None = _option(None, "seed", "--seed", _parse_int,
+                               "master seed (required here or in the file)")
+    out: str | None = _option(None, "out", "--out", lambda s: s.strip(),
+                              "output CSV path (default: stdout)")
+    threads: int = _option(1, "threads", "--threads", _parse_int,
+                           "worker threads for trial batches")
 
     def sigma2(self, snr_db: float) -> float:
         return 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
@@ -106,47 +144,9 @@ class ExperimentConfig:
         return tuple(range(self.U + 1))
 
 
-_PARSERS = {
-    "experiment": lambda s: s.strip().lower(),
-    "methods": _parse_methods,
-    "k_values": _parse_int_list,
-    "U": _parse_int,
-    "L_e": _parse_int,
-    "rho": _parse_float,
-    "snr_db": _parse_float_list,
-    "n_plus": _parse_int_list,
-    "trials": _parse_int,
-    "realizations": _parse_int,
-    "rounds": _parse_int,
-    "codewords": _parse_int,
-    "oversampling": _parse_int,
-    "seed": _parse_int,
-    "out": lambda s: s.strip(),
-    "threads": _parse_int,
-}
-
-_FILE_KEYS = {
-    "experiment": "experiment",
-    "methods": "methods",
-    "k": "k_values",
-    "u": "U",
-    "l_e": "L_e",
-    "rho": "rho",
-    "snr_db": "snr_db",
-    "n_plus": "n_plus",
-    "trials": "trials",
-    "realizations": "realizations",
-    "rounds": "rounds",
-    "codewords": "codewords",
-    "oversampling": "oversampling",
-    "seed": "seed",
-    "out": "out",
-    "threads": "threads",
-}
-
-
 def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment; keys are typed."""
+    by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
     values: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -156,10 +156,13 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, text = (part.strip() for part in line.split("=", 1))
-            field_name = _FILE_KEYS.get(key.lower())
-            if field_name is None:
+            option = by_key.get(key.lower())
+            if option is None:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[field_name] = _PARSERS[field_name](text)
+            try:
+                values[option.name] = option.metadata["parse"](text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -194,6 +197,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("trials must be positive")
     if cfg.threads < 1:
         raise ConfigError("threads must be positive")
+    if cfg.out is not None and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError(f"the directory of out={cfg.out!r} does not exist")
     if not cfg.snr_db:
         raise ConfigError("the SNR list must not be empty")
     for snr_db in cfg.snr_db:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +32,6 @@ from .waveform import (
 
 __all__ = ["ResultRow", "run_experiment", "write_csv", "CSV_COLUMNS"]
 
-CSV_COLUMNS = (
-    "experiment", "method", "K", "U", "L_e", "rho", "snr_db", "n_plus",
-    "metric", "value", "stderr",
-)
-
 # Stream-key domains keep Monte Carlo, theory, pmepr, and median draws apart.
 _DOMAIN_MC = 0
 _DOMAIN_THEORY = 1
@@ -48,19 +43,24 @@ _DOMAIN_MEDIAN = 3
 _PMEPR_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultRow:
+    """One CSV row; the fields are the columns, in order."""
+
     experiment: str
     method: str
-    metric: str
-    value: float
-    stderr: float | None = None
     K: int | None = None
     U: int | None = None
     L_e: int | None = None
     rho: float | None = None
     snr_db: float | None = None
     n_plus: int | None = None
+    metric: str
+    value: float
+    stderr: float | None = None
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _fmt(value) -> str:
@@ -74,23 +74,15 @@ def _fmt(value) -> str:
 
 
 def _config_echo(cfg: ExperimentConfig) -> str:
-    parts = [
-        f"experiment={cfg.experiment}",
-        "methods=" + ",".join(cfg.methods),
-        "k=" + ",".join(str(k) for k in cfg.k_values),
-        f"u={cfg.U}",
-        f"l_e={cfg.L_e}",
-        f"rho={_fmt(cfg.rho)}",
-        "snr_db=" + ",".join(_fmt(s) for s in cfg.snr_db),
-        "n_plus=" + ",".join(str(n) for n in cfg.n_plus_values()),
-        f"trials={cfg.trials}",
-        f"realizations={cfg.realizations}",
-        f"rounds={cfg.rounds}",
-        f"codewords={cfg.codewords}",
-        f"oversampling={cfg.oversampling}",
-        f"seed={cfg.seed}",
-        f"threads={cfg.threads}",
-    ]
+    """Every option but the output path, under its file key, so the line
+    read back as a config file replays the run."""
+    parts = []
+    for f in fields(cfg):
+        if f.name == "out":
+            continue
+        value = cfg.n_plus_values() if f.name == "n_plus" else getattr(cfg, f.name)
+        text = ",".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+        parts.append(f"{f.metadata['key']}={text}")
     return "# airmv " + " ".join(parts)
 
 

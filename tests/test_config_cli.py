@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,30 @@ class TestValidation:
         cfg = make_cfg(n_plus=None)
         assert cfg.n_plus_values() == tuple(range(6))
 
+    def test_reversed_range_rejected(self, tmp_path, capsys):
+        """A range hi:lo used to expand to nothing, so `--k 8,32:16` ran
+        K=8 alone; the flag and the file key both refuse it now."""
+        path = tmp_path / "rev.cfg"
+        path.write_text("k = 8,32:16\n")
+        with pytest.raises(ConfigError, match="'32:16'"):
+            parse_config_file(str(path))
+        with pytest.raises(SystemExit) as exc:
+            config_from_argv(["cer", "--seed", "1", "--k", "8,32:16"])
+        assert exc.value.code == 2
+        assert "'32:16'" in capsys.readouterr().err
+
+    def test_missing_out_directory_rejected(self, tmp_path, capsys):
+        """The output path is checked before the sweep, not after it."""
+        out = tmp_path / "missing" / "x.csv"
+        argv = ["resources", "--seed", "1", "--k", "8", "--methods", "m1",
+                "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "airmv: configuration error" in err and "does not exist" in err
+        assert not out.parent.exists()
+        out.parent.mkdir()
+        assert main(argv) == 0 and out.exists()
+
 
 class TestRunners:
     def test_cer_rows_and_determinism(self):
@@ -210,6 +235,67 @@ class TestCsv:
                      "--codewords", "500", "--seed", "5", "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "e0d0a25e199a2b14fc3b029b01832b1eadf37ab05406f026fa12b15a2a43a007"
+
+
+# The 16 flags every subcommand takes: --config and one per option.
+FLAGS = {
+    "--config", "--seed", "--out", "--trials", "--threads", "--methods", "--k",
+    "--u", "--l-e", "--rho", "--snr", "--n-plus", "--realizations", "--rounds",
+    "--codewords", "--oversampling",
+}
+
+
+class TestOptionTable:
+    """The fields of ExperimentConfig declare the options that the config
+    file, the flags and the CSV echo all read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cer", "--methods", "m1,goldenbaum,obda_phase", "--k", "8,16", "--u", "7",
+         "--l-e", "3", "--rho", "0.8", "--snr", "0,2.5,inf", "--trials", "300"],
+        ["snr", "--k", "16", "--n-plus", "5", "--snr=-3,12", "--threads", "2"],
+        ["rmse", "--methods", "ideal,m2", "--k", "8", "--rounds", "40",
+         "--realizations", "6"],
+        ["pmepr", "--k", "8,32", "--codewords", "500", "--oversampling", "4"],
+        ["resources", "--k", "32", "--l-e", "5", "--u", "10", "--out", "res.csv"],
+    ])
+    def test_echo_replays_the_configuration(self, tmp_path, argv):
+        """The CSV echo, written back as a config file, rebuilds the run's
+        configuration: only the output path is left out, and the default
+        n_plus sweep comes back spelled out."""
+        cfg = config_from_argv(argv + ["--seed", "17"])
+        echo = write_csv([], cfg, out=str(tmp_path / "echo.csv")).splitlines()[0]
+        assert echo.startswith("# airmv ")
+        replay = tmp_path / "replay.cfg"
+        replay.write_text("".join(
+            part.replace("=", " = ", 1) + "\n"
+            for part in echo[len("# airmv "):].split()
+        ))
+        values = parse_config_file(str(replay))
+        rebuilt = build_config(values["experiment"], values, {})
+        assert rebuilt == replace(cfg, out=None, n_plus=cfg.n_plus_values())
+        again = write_csv([], rebuilt, out=str(tmp_path / "again.csv"))
+        assert again.splitlines()[0] == echo
+
+    @pytest.mark.parametrize("experiment",
+                             ["cer", "snr", "pmepr", "rmse", "resources", "theory"])
+    def test_every_subcommand_takes_the_same_flags(self, capsys, experiment):
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags - {"--help"} == FLAGS
+
+    @pytest.mark.parametrize("flag, text", [("--u", "x"), ("--k", "8,y")])
+    def test_bad_flag_value_message(self, capsys, flag, text):
+        """A bad value exits 2 naming the flag and the text, not the
+        function that parsed it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["cer", "--seed", "1", flag, text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        bad = text.split(",")[-1]
+        assert f"argument {flag}: expected an integer, got {bad!r}" in err
+        assert "_parse" not in err
 
 
 class TestCli:
@@ -320,11 +406,14 @@ def script_commands(path: Path) -> list[list[str]]:
     return commands
 
 
-def test_experiment_script_commands_configure():
+def test_experiment_script_commands_configure(tmp_path, monkeypatch):
     """Every sweep of scripts/run_experiments.sh parses and passes
-    validation (nothing is run)."""
+    validation (nothing is run), with its output directory made first as
+    the script's `mkdir -p "$OUT"` makes it."""
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiments.sh"
     commands = script_commands(script)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
     # cer: 3 K x 2 profiles; snr: 2 profiles; pmepr; resources; rmse: 2.
     assert len(commands) == 12
     for argv in commands:
