@@ -1,25 +1,17 @@
 """Probe-domain aggregation: votes to majority-vote decisions.
 
 The detectors read the received polynomial only at their probe points z_p,
-and there it splits over the transmitters:
+where it is R(z_p) = sum_u H_u(z_p) P_u(z_p) + W(z_p): channel polynomial
+times codeword polynomial, summed over users, plus the noise polynomial.
+The engine evaluates that sum from the zero form, P_u(z) = c_lead *
+prod_k (z - zero_k), with no coefficient sequence and no convolution, and
+decides with the detector's `DetectorForm.decide`, as `decode` does on the
+time-domain chain it is tested against.
 
-    R(z_p) = sum_u H_u(z_p) P_u(z_p) + W(z_p),
-
-with H_u a user's channel polynomial, P_u its codeword polynomial and W
-the noise polynomial. The engine evaluates this sum directly from the zero
-form, P_u(z) = c_lead * prod_k (z - zero_k), so no coefficient sequence is
-synthesized and no convolution is formed. The time-domain chain
-(`synthesize_coeffs` -> `sample_channel` -> `superpose` -> `decode`) stays
-the reference the engine is tested against; both end in the detector's
-`DetectorForm.decide`.
-
-Each trial draws only what the detector reads, with the chain's law. A
-user's (H_u(z_1), ..., H_u(z_P)) is CN(0, C_H) with C_H = V_L^T diag(p)
-conj(V_L) (V_L[l, p] = z_p^l, p the tap powers) and the noise values are
-CN(0, sigma2 V^T conj(V)) over the K + L_e noise samples. With fewer probes
-than taps (P < L_e) both are drawn in the probe basis from eigh factors of
-those covariances; otherwise the engine draws the taps and noise samples
-themselves, the very draws of `sample_channel` and `awgn`.
+Each trial draws only what the detector reads: a user's channel values at
+the P probes are CN(0, C_H) and the noise values CN(0, C_W), the
+covariances of `probe_moments`, each drawn from as many of its top
+eigenpairs as its rank allows: min(P, L_e) and min(P, K + L_e) normals.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
@@ -27,11 +19,10 @@ product of its slots' factors (z_p - zero_k), with its share of c_lead;
 P_u(z_p) is the product of one row per byte. The indexed encoder's slots
 depend on all votes at once, so its table holds one row per codeword.
 Users that send the same codeword are indistinguishable at the receiver,
-so the channel is drawn once per codeword sent:
-R = sum_(c, l) G[n, c, l] z_p^l T[c, p], where G[n, c] is the sum of the
-m_c channels of the users that sent codeword c in trial n, which is
-sqrt(m_c) times one draw. A probe that lands on a user's own encoded zero
-meets an exact 0 factor.
+so the channel is drawn once per codeword sent: R = sum_(c, j) G[n, c, j]
+B[j, p] T[c, p], with B the channel basis and G[n, c] the sum of the m_c
+channels of codeword c's senders in trial n, sqrt(m_c) times one draw. A
+probe that lands on a user's own encoded zero meets an exact 0 factor.
 """
 
 from __future__ import annotations
@@ -42,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import PdpConfig, complex_normal
-from .decoding import DecoderContext, detector_form, powers, probe_points
+from .decoding import DecoderContext, detector_form, probe_moments, probe_points
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
@@ -86,15 +77,13 @@ def probe_tables(
     return tuple(tables)
 
 
-def _normal_factor(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normal_factor(cov: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, basis) such that (scale * (a + i b)) @ basis is CN(0, cov)
-    for standard normal a, b: basis^T diag(2 scale^2) conj(basis) = cov.
-
-    eigh, not Cholesky: C_H is near-singular as d -> 1, and its rounding
-    residue below zero is clipped.
-    """
+    for standard normal a, b, from the top `rank` eigenpairs of cov: eigh,
+    as C_H is near-singular as d -> 1; the other eigenpairs of a covariance
+    of that rank and its residue below zero are rounding."""
     lam, q = np.linalg.eigh(cov)
-    return np.sqrt(np.maximum(lam, 0.0) / 2.0), q.T
+    return np.sqrt(np.maximum(lam[-rank:], 0.0) / 2.0), q[:, -rank:].T
 
 
 def _codeword_index(packed: np.ndarray) -> np.ndarray:
@@ -111,18 +100,12 @@ class ProbeAggregator:
     their probe points are evaluated. Votes arrive as (n, U, M) arrays of
     +/-1 and decisions return as (n, len(positions)). Per call the rng
     draws the channel and then, when sigma2 > 0, the noise, each as
-    `complex_normal(shape, scale, rng) @ basis` with the (scale, basis) of
-    `channel_factor` and `noise_factor`: probe-basis factors when P < L_e,
-    else the taps' and noise samples' own (see the module docstring).
+    `complex_normal(shape, scale, rng) @ basis` with the probe-basis
+    (scale, basis) of `channel_factor` and `noise_factor`.
     """
 
     def __init__(
-        self,
-        method: Method,
-        K: int,
-        pdp_cfg: PdpConfig,
-        sigma2: float,
-        positions=None,
+        self, method: Method, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None
     ) -> None:
         if sigma2 < 0:
             raise ValueError("noise variance must be nonnegative")
@@ -135,20 +118,14 @@ class ProbeAggregator:
         self.sigma2 = float(sigma2)
         self.form = detector_form(self.ctx, self.positions)
         self.tables = probe_tables(method, rp, self.positions)
-        L, taps = pdp_cfg.L_e, pdp_cfg.taps
-        v = powers(self.form.points, K + L)
-        if v.shape[1] < L:
-            self.channel_factor = _normal_factor((v[:L].T * taps) @ v[:L].conj())
-            self.noise_factor = _normal_factor(self.sigma2 * (v.T @ v.conj()))
-        else:
-            self.channel_factor = (np.sqrt(taps / 2.0), v[:L])
-            self.noise_factor = (np.sqrt(self.sigma2 / 2.0), v)
+        c_h, c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
+        self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
+        self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
         if method is Method.INDEXED:
-            # Row (c, l) holds basis[l, p] T[c, p]: R = G @ this, channel and all.
+            # Row (c, j) holds basis[j, p] T[c, p]: R = G @ this, channel and all.
             basis = self.channel_factor[1]
-            self._tap_table = (self.tables[0][:, np.newaxis] * basis).reshape(
-                -1, v.shape[1]
-            )
+            rows = self.tables[0][:, np.newaxis] * basis
+            self._basis_table = rows.reshape(-1, basis.shape[1])
 
     def _packed(self, votes) -> np.ndarray:
         votes = check_vote_batch(votes)
@@ -186,7 +163,7 @@ class ProbeAggregator:
             draws = complex_normal((sent.size, scale.size), scale, rng)
             g = np.zeros((n * rows, scale.size), dtype=complex)
             g[sent] = np.sqrt(counts[sent, np.newaxis]) * draws
-            r = g.reshape(n, -1) @ self._tap_table
+            r = g.reshape(n, -1) @ self._basis_table
         else:
             h = complex_normal((n * U, scale.size), scale, rng)
             hz = (h @ basis).reshape(n, U, -1)

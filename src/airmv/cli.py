@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 
@@ -55,12 +56,18 @@ def config_from_argv(argv=None) -> ExperimentConfig:
     A malformed command line exits through argparse; a configuration the
     experiment cannot take raises ConfigError.
     """
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("experiment", "config") and value is not None
-    }
+    # `--snr -3,0` reads as `--snr=-3,0`: argparse would take a value that
+    # starts with '-' and is not one plain number for a flag.
+    flags = {"--config", *(f.metadata["flag"] for f in fields(ExperimentConfig))}
+    glued: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if glued and glued[-1] in flags and re.match(r"-\.?\d", token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    args = _build_parser().parse_args(glued)
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("experiment", "config")}
     file_values = parse_config_file(args.config) if args.config else {}
     return build_config(args.experiment, file_values, overrides)
 

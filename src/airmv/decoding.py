@@ -40,6 +40,7 @@ __all__ = [
     "signal_scale",
     "DecoderContext",
     "powers",
+    "probe_moments",
     "probe_points",
     "DetectorForm",
     "detector_form",
@@ -160,6 +161,18 @@ def powers(points: np.ndarray, n: int) -> np.ndarray:
     trial batches.
     """
     return np.power(points[np.newaxis, :], np.arange(n)[:, np.newaxis])
+
+
+def probe_moments(
+    points: np.ndarray, K: int, pdp_cfg: PdpConfig, sigma2: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(C_H, C_W), the covariances at the probe points of one channel draw
+    and of the noise: C_H[i, j] = sum_l p_l (z_i conj(z_j))^l over the L_e
+    taps and C_W[i, j] = sigma2 sum_n (z_i conj(z_j))^n over the K + L_e
+    noise samples."""
+    L = pdp_cfg.L_e
+    v = powers(np.asarray(points, dtype=complex), K + L)  # v[n, i] = z_i^n
+    return (v[:L].T * pdp_cfg.taps) @ v[:L].conj(), sigma2 * (v.T @ v.conj())
 
 
 def _positions(method: Method, K: int, positions) -> np.ndarray:

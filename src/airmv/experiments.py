@@ -75,14 +75,18 @@ def _fmt(value) -> str:
 
 def _config_echo(cfg: ExperimentConfig) -> str:
     """Every option but the output path, under its file key, so the line
-    read back as a config file replays the run."""
+    read back as a config file replays the run. A float is written as in
+    the CSV unless that rounds it, then in full."""
     parts = []
     for f in fields(cfg):
         if f.name == "out":
             continue
         value = cfg.n_plus_values() if f.name == "n_plus" else getattr(cfg, f.name)
-        text = ",".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
-        parts.append(f"{f.metadata['key']}={text}")
+        texts = [
+            repr(v) if isinstance(v, float) and float(_fmt(v)) != v else _fmt(v)
+            for v in (value if isinstance(value, tuple) else (value,))
+        ]
+        parts.append(f"{f.metadata['key']}={','.join(texts)}")
     return "# airmv " + " ".join(parts)
 
 
@@ -93,12 +97,7 @@ def write_csv(rows, cfg: ExperimentConfig, out=None) -> str:
     buf.write(_config_echo(cfg) + "\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        buf.write(
-            ",".join(
-                _fmt(getattr(row, col)) for col in CSV_COLUMNS
-            )
-            + "\n"
-        )
+        buf.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
     text = buf.getvalue()
     target = out if out is not None else cfg.out
     if target is None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = [
 ]
 
 BATCH_SIZE = 20_000
+
+# One engine per sweep point: its eigh factors cost O(P^3), a batch O(n P).
+_engine = lru_cache(maxsize=1)(ProbeAggregator)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -127,7 +131,7 @@ def mv_error_batch(
         method = Method.from_name(method)
         M = method.votes_per_codeword(K)
         votes = _random_votes(rng, n, M, column)
-        aggregate = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0).aggregate
+        aggregate = _engine(method, K, pdp_cfg, sigma2, 0).aggregate
     return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .channel import PdpConfig
-from .decoding import DecoderContext, DetectorForm, detector_form, powers
+from .decoding import DecoderContext, DetectorForm, detector_form, probe_moments
 from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, zero_form_eval
 
@@ -148,20 +148,17 @@ def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
     (U, K) radius selections `codewords`: Sigma = (P^T conj(P)) o C_H + C_W.
 
     P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`, exactly
-    zero at an encoded zero); C_H[i, j] = sum_l p_l (z_i conj(z_j))^l is the cross-moment of
-    one channel draw and C_W[i, j] = sigma2 sum_n (z_i conj(z_j))^n that of
-    the K + L_e noise samples. The diagonal holds the expected test-point
-    energies of the paper's model.
+    zero at an encoded zero); C_H and C_W are the channel and noise
+    covariances at the probes (`probe_moments`), the law the Monte Carlo
+    draws. The diagonal holds the expected test-point energies of the
+    paper's model.
     """
-    rp, pdp = model.rp, model.pdp
+    rp = model.rp
     inner = np.asarray(codewords, dtype=bool)
     if inner.ndim != 2 or inner.shape[1] != rp.K:
         raise ValueError(f"expected a (U, {rp.K}) selection matrix, got {inner.shape}")
-    z = np.asarray(points, dtype=complex)
-    vals = zero_form_eval(inner, rp, z)
-    v = powers(z, rp.K + pdp.L_e)  # v[n, i] = z_i^n
-    chan = (v[: pdp.L_e].T * pdp.taps) @ v[: pdp.L_e].conj()
-    noise = model.sigma2 * (v.T @ v.conj())
+    vals = zero_form_eval(inner, rp, points)
+    chan, noise = probe_moments(points, rp.K, model.pdp, model.sigma2)
     return (vals.T @ vals.conj()) * chan + noise
 
 

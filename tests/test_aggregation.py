@@ -2,12 +2,11 @@
 
 The chain is what the engine replaces: synthesize every codeword
 (`synthesize_coeffs(vote_pattern(...))`), convolve it with its channel and
-add noise (`superpose`), then evaluate and detect (`decode`). Where the
-engine draws taps and noise samples (at least as many probes as taps), both
-sides draw them from generators in the same state and must agree to
-rounding. With fewer probes than taps the engine draws the probe values
-themselves; the exact checks then lift those draws to taps and noise
-samples, and the moment checks hold their law against the per-user chain.
+add noise (`superpose`), then evaluate and detect (`decode`). The engine
+draws the probe values themselves, in the probe basis; the exact checks lift
+those draws to taps and noise samples that take them at the probes and must
+agree to rounding, and the moment checks hold their law against the
+per-user chain.
 """
 
 import math
@@ -18,7 +17,7 @@ import pytest
 
 from airmv.aggregation import ProbeAggregator, probe_tables
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
-from airmv.decoding import DecoderContext, decode, powers, probe_points
+from airmv.decoding import decode, powers, probe_points
 from airmv.encoding import Method, vote_pattern
 from airmv.huffman import radius_param, root_phases, synthesize_coeffs
 from airmv.median import run_median
@@ -31,16 +30,15 @@ from airmv.simulate import (
 )
 
 
-def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine=None):
-    """Received samples (n, K + L_e) of the time-domain chain.
+def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
+    """Received samples (n, K + L_e) of the time-domain chain on the
+    `engine`'s draws, lifted to taps and noise samples that take those
+    values at its probes (pinv of the Vandermonde matrices).
 
-    Every user's codeword goes through its own `sample_channel` taps, except
-    for indexed: the m_c users sending codeword c share its polynomial, so
-    the chain draws one tap vector per codeword sent, scales it by
-    sqrt(m_c), and superposes the K codewords as K virtual transmitters.
-    Given an `engine` that draws in the probe basis, its channel and noise
-    draws are lifted to taps and noise samples that take those values at
-    its probes (pinv of the Vandermonde matrices).
+    Every user's codeword goes through its own taps, except for indexed:
+    the m_c users sending codeword c share its polynomial, so the chain
+    takes one tap vector per codeword sent, scales it by sqrt(m_c), and
+    superposes the K codewords as K virtual transmitters.
     """
     n, U, M = votes.shape
     rp, L = radius_param(K), pdp_cfg.L_e
@@ -54,17 +52,11 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine=None):
         coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
         weight = np.ones((n, U))
     sent = weight > 0
-    if engine is None:
-        draws = sample_channel(pdp_cfg, np.count_nonzero(sent), rng)
-    else:
-        v = powers(engine.form.points, K + L)
-        scale, basis = engine.channel_factor
-        draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
-        draws = draws @ basis @ np.linalg.pinv(v[:L])
+    v = powers(engine.form.points, K + L)
+    scale, basis = engine.channel_factor
+    draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
     h = np.zeros(coeffs.shape[:-1] + (L,), dtype=complex)
-    h[sent] = weight[sent, np.newaxis] * draws
-    if engine is None:
-        return superpose(coeffs, h, sigma2, rng)
+    h[sent] = weight[sent, np.newaxis] * (draws @ basis @ np.linalg.pinv(v[:L]))
     y = superpose(coeffs, h)
     if sigma2 > 0:
         scale, basis = engine.noise_factor
@@ -77,8 +69,7 @@ def oracle(method, K, pdp_cfg, sigma2, votes, rng, positions=None):
     the engine's draws."""
     engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions)
     points = probe_points(method, radius_param(K), engine.positions)
-    lift = engine if points.size < pdp_cfg.L_e else None
-    y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, lift)
+    y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
     r = y @ powers(points, y.shape[-1])
     return r, decode(y, engine.ctx)[:, list(engine.positions)]
 
@@ -228,22 +219,24 @@ def test_moment_check_catches_a_wrong_law(mutation):
 
 
 @pytest.mark.parametrize("method,K,positions,L_e,sigma2", [
-    (Method.UNCODED, 8, 0, 4, 0.5),         # probe basis
+    (Method.UNCODED, 8, 0, 4, 0.5),         # fewer probes than taps
     (Method.DIFFERENTIAL, 16, 0, 5, 0.1),
     (Method.UNCODED, 512, 0, 8, 2.0),       # d near 1: C_H near-singular
     (Method.INDEXED, 2, None, 3, 0.3),
-    (Method.UNCODED, 8, None, 4, 0.5),      # tap basis
+    (Method.UNCODED, 8, None, 4, 0.5),      # more probes than taps
     (Method.INDEXED, 8, None, 3, 0.5),
+    (Method.UNCODED, 8, 0, 1, 0.5),         # flat: 2 noise rows for K + 1 samples
+    (Method.UNCODED, 8, None, 3, 0.5),      # P = 16 > K + L_e = 11
 ])
 def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2):
     """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
-    of the noise samples seen at the probes, in whichever basis the engine
-    picked: the probes when there are fewer of them than taps."""
+    of the noise samples seen at the probes, from as many rows as its rank
+    allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
     points = probe_points(method, radius_param(K), engine.positions)
     v = powers(points, K + L_e)
     taps = pdp(L_e, 0.5)
-    rows = (points.size,) * 2 if points.size < L_e else (L_e, K + L_e)
+    rows = (min(points.size, L_e), min(points.size, K + L_e))
     pairs = ((engine.channel_factor, rows[0], (v[:L_e].T * taps) @ v[:L_e].conj()),
              (engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj())))
     for (scale, basis), n_rows, cov in pairs:
@@ -275,10 +268,8 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
 
 
 def test_monte_carlo_batch_matches_time_domain_batch():
-    """Error counts of one batch against the time-domain Monte Carlo on the
-    same stream: equal for indexed, whose draws are the chain's; within
-    |z| <= 4 at 2e4 trials for vote 0 of uncoded and differential, which
-    the engine draws in the probe basis (2 probes < 5 taps)."""
+    """Error counts of one batch equal those of the time-domain Monte Carlo
+    on the same stream, with the engine's draws lifted to taps and noise."""
     pdp_cfg = PdpConfig(5)
     U, n_plus, sigma2 = 25, 16, 0.1
     column = _fixed_column(U, n_plus)
@@ -287,16 +278,12 @@ def test_monte_carlo_batch_matches_time_domain_batch():
                          (Method.INDEXED, 32, 2_000)):
         rng = np.random.default_rng(17)
         votes = _random_votes(rng, n, method.votes_per_codeword(K), column)
-        y = time_domain(method, K, pdp_cfg, sigma2, votes, rng)
-        ctx = DecoderContext.for_link(method, radius_param(K), pdp_cfg, sigma2)
-        expected = _count_mv_errors(decode(y, ctx)[:, 0], U, n_plus)
+        engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
+        y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
+        expected = _count_mv_errors(decode(y, engine.ctx)[:, 0], U, n_plus)
         got = mv_error_batch(np.random.default_rng(17), n, method, K, U, n_plus,
                              pdp_cfg, sigma2)
-        if method is Method.INDEXED:
-            assert got == expected
-        else:
-            p, q = got / n, expected / n
-            assert abs(p - q) <= 4 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert got == expected
 
 
 def test_median_matches_time_domain_rounds():

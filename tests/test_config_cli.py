@@ -257,6 +257,7 @@ class TestOptionTable:
          "--realizations", "6"],
         ["pmepr", "--k", "8,32", "--codewords", "500", "--oversampling", "4"],
         ["resources", "--k", "32", "--l-e", "5", "--u", "10", "--out", "res.csv"],
+        ["resources", "--k", "8", "--rho", "0.123456789012"],  # past .10g
     ])
     def test_echo_replays_the_configuration(self, tmp_path, argv):
         """The CSV echo, written back as a config file, rebuilds the run's
@@ -275,6 +276,19 @@ class TestOptionTable:
         assert rebuilt == replace(cfg, out=None, n_plus=cfg.n_plus_values())
         again = write_csv([], rebuilt, out=str(tmp_path / "again.csv"))
         assert again.splitlines()[0] == echo
+
+    @pytest.mark.parametrize("snr, levels", [
+        (["--snr", "-3,0"], (-3.0, 0.0)),
+        (["--snr=-3,0"], (-3.0, 0.0)),
+        (["--snr", "-3"], (-3.0,)),
+        (["--snr", "-.5,-2"], (-0.5, -2.0)),
+    ])
+    def test_negative_snr_list(self, snr, levels):
+        """A list that starts with a negative value reads the same spaced
+        or after '=', and is not taken for a flag."""
+        cfg = config_from_argv(["snr", "--seed", "1", "--k", "8", "--n-plus", "1",
+                                "--u", "2", *snr])
+        assert cfg.snr_db == levels
 
     @pytest.mark.parametrize("experiment",
                              ["cer", "snr", "pmepr", "rmse", "resources", "theory"])
