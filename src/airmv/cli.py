@@ -56,12 +56,13 @@ def config_from_argv(argv=None) -> ExperimentConfig:
     A malformed command line exits through argparse; a configuration the
     experiment cannot take raises ConfigError.
     """
-    # `--snr -3,0` reads as `--snr=-3,0`: argparse would take a value that
-    # starts with '-' and is not one plain number for a flag.
+    # `--snr -3,0` and `--snr -inf` read as `--snr=-3,0` and `--snr=-inf`:
+    # argparse would take a value that starts with '-' and is not one plain
+    # number for a flag.
     flags = {"--config", *(f.metadata["flag"] for f in fields(ExperimentConfig))}
     glued: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if glued and glued[-1] in flags and re.match(r"-\.?\d", token):
+        if glued and glued[-1] in flags and re.match(r"-(\.?\d|inf)", token):
             glued[-1] += "=" + token
         else:
             glued.append(token)

@@ -81,8 +81,7 @@ def signal_scale_uncoded(rp: RadiusParam, d_arg: float) -> float:
 def signal_scale_differential(rp: RadiusParam, d_arg: float) -> float:
     """Per-voter expected signal energy at an even-slot test point."""
     K = rp.K
-    if K < 2 or K % 2 != 0:
-        raise ValueError("differential scheme needs an even K >= 2")
+    Method.DIFFERENTIAL.validate_k(K)
     da = float(d_arg)
     w = root_phases(K)
     base = rp.eta * (K + 1) * (da - 1.0 / da) ** 2 * np.abs(1.0 - w[1]) ** 2 * da**K
@@ -98,8 +97,7 @@ def signal_scale_differential(rp: RadiusParam, d_arg: float) -> float:
 def signal_scale_indexed(rp: RadiusParam, d_arg: float) -> float:
     """Expected signal energy at a voter's own index slot, indexed scheme."""
     K = rp.K
-    if K < 2 or (K & (K - 1)) != 0:
-        raise ValueError("indexed scheme needs K a power of two >= 2")
+    Method.INDEXED.validate_k(K)
     da = float(d_arg)
     return rp.eta * (K + 1) * (da - 1.0 / da) ** 2 * da**K * K * K
 

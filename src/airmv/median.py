@@ -129,6 +129,8 @@ def run_median(
     Device parameters are Uniform(-sqrt(3), sqrt(3)); each round decides
     `votes_per_round(backend, K)` parameters.
     """
+    if U < 1 or realizations < 1:
+        raise ValueError(f"need U, realizations >= 1, got {U=}, {realizations=}")
     M = votes_per_round(backend, K)
 
     rng = stream(seed, *key)

@@ -76,10 +76,9 @@ def run_trial_batches(
 
 
 def _fixed_column(U: int, n_plus: int) -> np.ndarray:
-    col = np.empty(U, dtype=np.int64)
-    col[:n_plus] = 1
-    col[n_plus:] = -1
-    return col
+    if U < 1 or not 0 <= n_plus <= U:
+        raise ValueError(f"need U >= 1 and 0 <= n_plus <= U, got {U=}, {n_plus=}")
+    return np.where(np.arange(U) < n_plus, 1, -1)
 
 
 def _random_votes(rng: np.random.Generator, n: int, M: int, column) -> np.ndarray:

@@ -5,7 +5,7 @@ polynomial are jointly circular Gaussian (the superposed channel gains and
 the noise are), and every detector compares a Hermitian form R^H A R with A
 real diagonal, read off the detector's own linear form
 (`airmv.decoding.detector_form`). Both laws of that form below start from
-the one probe covariance Sigma (`probe_covariance`):
+the one probe covariance Sigma, which `detection_rates` forms:
 
 * the paper's model (the default) keeps only diag(Sigma), i.e. it treats
   the test-point energies as independent exponentials. That is an
@@ -20,20 +20,21 @@ Under either law the CDF of the metric is computed exactly, with no
 quadrature: the two sums are chains of exponential phases, and a race
 between the chains (Neuts 1981) gives it from positive products and one
 matrix exponential. The error rate follows by averaging that CDF over
-realizations of the other transmitters' votes.
+realizations of the other transmitters' votes, all handled in one pass per
+point: one detector form, one `probe_moments` and one zero-form evaluation
+for the whole stack of realizations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from .channel import PdpConfig
-from .decoding import DecoderContext, DetectorForm, detector_form, probe_moments
+from .decoding import DecoderContext, detector_form, probe_moments
 from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, zero_form_eval
 
@@ -42,7 +43,6 @@ __all__ = [
     "CerModel",
     "CerEstimate",
     "cdf_diff_exp_sums",
-    "probe_covariance",
     "detection_rates",
     "cer",
     "vote_averaged_cer",
@@ -143,65 +143,60 @@ class CerModel:
             raise ValueError("sigma2 must be nonnegative")
 
 
-def probe_covariance(codewords, points, model: CerModel) -> np.ndarray:
-    """Covariance of the received polynomial at the probe points, given the
-    (U, K) radius selections `codewords`: Sigma = (P^T conj(P)) o C_H + C_W.
-
-    P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`, exactly
-    zero at an encoded zero); C_H and C_W are the channel and noise
-    covariances at the probes (`probe_moments`), the law the Monte Carlo
-    draws. The diagonal holds the expected test-point energies of the
-    paper's model.
-    """
-    rp = model.rp
-    inner = np.asarray(codewords, dtype=bool)
-    if inner.ndim != 2 or inner.shape[1] != rp.K:
-        raise ValueError(f"expected a (U, {rp.K}) selection matrix, got {inner.shape}")
-    vals = zero_form_eval(inner, rp, points)
-    chan, noise = probe_moments(points, rp.K, model.pdp, model.sigma2)
-    return (vals.T @ vals.conj()) * chan + noise
-
-
 # Eigenvalues of A Sigma smaller than this fraction of the largest one are
 # rounding residue of exactly-zero components (noiseless probes that sit on
 # every user's encoded zero) and are dropped.
 _EIG_RTOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def _form(model: CerModel, ell: int) -> DetectorForm:
-    """Vote ell's detector form; every realization of a point reads it."""
-    ctx = DecoderContext.for_link(model.method, model.rp, model.pdp, model.sigma2)
-    return detector_form(ctx, [ell])
-
-
 def detection_rates(
     codewords, ell: int, model: CerModel, exact: bool = False
-) -> tuple[ExpRateSet, float]:
+) -> tuple[ExpRateSet | list[ExpRateSet], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
     gives P(decision < 0).
 
-    The detector form of vote ell gives the probe points and A = S / s
-    (signed inverse scales: +-1 for the coded schemes, the inverse count
-    scales for uncoded), and x = sum_p A_p b_p (zero for the coded schemes).
-    The paper's independence model takes the means A_pp Sigma_pp, split into
+    `codewords` is one (U, K) radius-selection matrix, which gives one
+    `ExpRateSet`, or an (R, U, K) stack of vote realizations, which gives a
+    list of R; x is the same for all. The detector form of vote ell gives
+    the probe points and A = S / s (signed inverse scales: +-1 for the coded
+    schemes, the inverse count scales for uncoded), and x = sum_p A_p b_p
+    (zero for the coded schemes).
+
+    Each realization's probe covariance is Sigma = (P^T conj(P)) o C_H +
+    C_W: P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`,
+    exactly zero at an encoded zero), and C_H and C_W are the channel and
+    noise covariances at the probes (`probe_moments`), the law the Monte
+    Carlo draws. Its diagonal holds the expected test-point energies. The
+    paper's independence model takes the means A_pp Sigma_pp, split into
     the two sides by the sign of A. With `exact`, Sigma = L L^H and the
     metric is a sum of independent exponentials weighted by the eigenvalues
     of L^H A L, which are those of A Sigma (Turin 1960); positive ones form
-    the plus side and the negated negative ones the minus side.
+    the plus side and the negated negative ones the minus side. Sigma is
+    formed one realization at a time, so memory grows with R U P, not R P^2.
     """
-    form = _form(model, ell)
+    rp = model.rp
+    inner = np.asarray(codewords, dtype=bool)
+    if inner.ndim not in (2, 3):
+        raise ValueError(f"expected (U, K) or (R, U, K) selections, got {inner.shape}")
+    ctx = DecoderContext.for_link(model.method, rp, model.pdp, model.sigma2)
+    form = detector_form(ctx, [ell])
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
-    sigma = probe_covariance(codewords, form.points, model)
-    if not exact:
-        means = weights * sigma.diagonal().real
-        return ExpRateSet.from_means(means[weights > 0], -means[weights < 0]), x
-    evals, vecs = np.linalg.eigh(sigma)
-    root = vecs * np.sqrt(np.clip(evals, 0.0, None))
-    lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
-    lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
-    return ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]), x
+    chan, noise = probe_moments(form.points, rp.K, model.pdp, model.sigma2)
+    vals = zero_form_eval(inner, rp, form.points)
+    rates = []
+    for p in vals.reshape(-1, *vals.shape[-2:]):
+        sigma = (p.T @ p.conj()) * chan + noise
+        if not exact:
+            means = weights * sigma.diagonal().real
+            rates.append(ExpRateSet.from_means(means[weights > 0], -means[weights < 0]))
+            continue
+        evals, vecs = np.linalg.eigh(sigma)
+        root = vecs * np.sqrt(np.clip(evals, 0.0, None))
+        lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
+        lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
+        rates.append(ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]))
+    return (rates if inner.ndim == 3 else rates[0]), x
 
 
 def cer(n_plus: int, n_minus: int, prob_negative: float) -> float:
@@ -238,7 +233,8 @@ def vote_averaged_cer(
     """Average the conditional error CDF over the other transmitters' votes.
 
     The probed vote column is fixed to n_plus ones followed by n_minus
-    minus-ones; all remaining vote entries are drawn equiprobably. With a
+    minus-ones; all remaining vote entries, for every realization at once,
+    are drawn equiprobably in one call. With a
     single vote per codeword there is nothing to sample and the result is
     deterministic (stderr 0).
 
@@ -247,15 +243,15 @@ def vote_averaged_cer(
     of the correlated probes instead (see `detection_rates`). Both laws
     consume the same vote draws.
     """
+    if min(n_plus, n_minus) < 0 or n_plus + n_minus < 1:
+        raise ValueError("need nonnegative vote counts and at least one "
+                         f"transmitter, got n_plus={n_plus}, n_minus={n_minus}")
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     U = n_plus + n_minus
-    if U < 1:
-        raise ValueError("need at least one transmitter")
     M = model.method.votes_per_codeword(model.rp.K)
     if not 0 <= ell < M:
         raise ValueError(f"vote position {ell} out of range for M={M}")
-    fixed = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
 
     if M == 1:
         n_realizations = 1
@@ -266,21 +262,11 @@ def vote_averaged_cer(
         # so no realization needs its CDF.
         return CerEstimate(probability=1.0, stderr=0.0)
 
-    probs = np.empty(n_realizations)
-    for r in range(n_realizations):
-        if M == 1:
-            votes = fixed[:, np.newaxis]
-        else:
-            votes = rng.integers(0, 2, size=(U, M)) * 2 - 1
-            votes[:, ell] = fixed
-        inner = vote_pattern(model.method, votes)
-        rates, x = detection_rates(inner, ell, model, exact=exact)
-        probs[r] = cdf_diff_exp_sums(rates, x)
+    shape = (n_realizations, U, M)
+    votes = rng.integers(0, 2, size=shape) * 2 - 1 if M > 1 else np.empty(shape, int)
+    votes[:, :, ell] = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
+    rates, x = detection_rates(vote_pattern(model.method, votes), ell, model, exact)
+    probs = np.array([cdf_diff_exp_sums(r, x) for r in rates])
 
-    mean_p = float(np.mean(probs))
-    stderr = (
-        float(np.std(probs, ddof=1) / math.sqrt(n_realizations))
-        if n_realizations > 1
-        else 0.0
-    )
-    return CerEstimate(probability=cer(n_plus, n_minus, mean_p), stderr=stderr)
+    stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if probs.size > 1 else 0.0
+    return CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))), float(stderr))

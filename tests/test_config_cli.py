@@ -102,6 +102,11 @@ class TestValidation:
             with pytest.raises(ConfigError, match="SNR"):
                 make_cfg(experiment=experiment, snr_db=(10.0, snr),
                          n_plus=None if experiment == "rmse" else (3,))
+        # A leading `-inf` reaches the SNR rule, not argparse's flag parser.
+        for text in (str(snr), f"{snr},0"):
+            with pytest.raises(ConfigError, match="SNR"):
+                config_from_argv(["snr", "--seed", "1", "--k", "8", "--methods",
+                                  "m1", "--n-plus", "1", "--u", "2", "--snr", text])
         make_cfg(snr_db=(math.inf, -30.0))
 
     def test_defaults_n_plus_sweep(self):
@@ -235,6 +240,18 @@ class TestCsv:
                      "--codewords", "500", "--seed", "5", "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "e0d0a25e199a2b14fc3b029b01832b1eadf37ab05406f026fa12b15a2a43a007"
+
+    def test_theory_csv_bytes_pinned(self, tmp_path):
+        """sha256 of a small theory run, recorded while every realization
+        still had its own rate-building call: uncoded, differential and
+        indexed, K=2 (one vote for the coded schemes), uncoded's nonzero
+        offset x at 0 dB, and the noiseless level."""
+        out = tmp_path / "pin.csv"
+        assert main(["theory", "--methods", "m1,m2,m3", "--k", "2,4", "--u", "5",
+                     "--l-e", "2", "--rho", "0.8", "--snr", "0,inf", "--n-plus", "0:5",
+                     "--realizations", "6", "--seed", "3", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "7940ff48c191e2d173171681097c11e5a2a1bf8020f1d0ba57df69eb40d61ae1"
 
 
 # The 16 flags every subcommand takes: --config and one per option.

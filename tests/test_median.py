@@ -93,6 +93,14 @@ class TestRunMedian:
         b = run_median("indexed", 8, 9, 40, 20, PdpConfig(1), 0.1, seed=4)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("U, realizations, match", [
+        (0, 3, "U=0"), (3, 0, "realization"), (3, -1, "realization"),
+    ])
+    def test_bad_counts_fail_early(self, U, realizations, match):
+        """No transmitter or no realization used to return NaNs."""
+        with pytest.raises(ValueError, match=match):
+            run_median("ideal", 8, U, 3, realizations, PdpConfig(1), 0.1, seed=5)
+
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             run_median("bogus", 8, 9, 10, 5, PdpConfig(1), 0.1, seed=5)

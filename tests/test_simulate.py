@@ -68,6 +68,16 @@ class TestCerSimulation:
         far, _ = simulate_cer(Method.INDEXED, 8, 9, 9, pdp_cfg, 0.1, 30_000, seed=23)
         assert far < near
 
+    @pytest.mark.parametrize("method", ["indexed", "goldenbaum"])
+    @pytest.mark.parametrize("U, n_plus, match", [
+        (5, -1, "n_plus=-1"), (5, 7, "n_plus=7"), (0, 0, "U=0"),
+    ])
+    def test_bad_counts_fail_early(self, method, U, n_plus, match):
+        """n_plus outside 0..U used to be scored as a unanimous split, and
+        U=0 died inside numpy; both now name the count."""
+        with pytest.raises(ValueError, match=match):
+            simulate_cer(method, 8, U, n_plus, PdpConfig(1), 0.1, 100, seed=1)
+
     def test_batch_reproducibility(self):
         args = (Method.UNCODED, 4, 5, 4, PdpConfig(2, 0.5), 0.5)
         a = mv_error_batch(stream(3, 0), 4_000, *args)

@@ -274,6 +274,23 @@ class TestRates:
         assert rd.rates_plus == pytest.approx(ri.rates_minus, rel=1e-12)
         assert rd.rates_minus == pytest.approx(ri.rates_plus, rel=1e-12)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_stack_equals_per_matrix_calls(self, method, exact):
+        """One call on an (R, U, K) stack gives bit for bit the rates and the
+        offset of R calls on its (U, K) matrices (indexed K=8 has P=8
+        probes; vote ell=1 is not the first)."""
+        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        rng = np.random.default_rng(15)
+        votes = rng.integers(0, 2, size=(6, 5, method.votes_per_codeword(8))) * 2 - 1
+        stack = vote_pattern(method, votes)
+        rates, x = detection_rates(stack, 1, model, exact)
+        assert isinstance(rates, list) and len(rates) == 6
+        for r, inner in enumerate(stack):
+            one, x_one = detection_rates(inner, 1, model, exact)
+            assert isinstance(one, ExpRateSet)
+            assert rates[r] == one and x == x_one
+
     def test_complement_symmetry(self):
         """Swapping N+ and N- with complementary votes mirrors the CDF."""
         model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.2)
@@ -349,6 +366,40 @@ class TestVoteAveragedCer:
                                     exact=exact)
             assert est == expected
             assert rng.random() == np.random.default_rng(11).random()
+
+    def test_one_rates_call_per_point(self, monkeypatch):
+        """Every realization of a point goes to one `detection_rates` call."""
+        import airmv.theory as theory
+
+        shapes = []
+
+        def counted(codewords, *args, **kwargs):
+            shapes.append(np.shape(codewords))
+            return detection_rates(codewords, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "detection_rates", counted)
+        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        for exact in (False, True):
+            vote_averaged_cer(4, 1, model, n_realizations=9,
+                              rng=np.random.default_rng(16), exact=exact)
+        assert shapes == [(9, 5, 8)] * 2
+
+    def test_one_draw_replays_per_realization_draws(self):
+        """The single (R, U, M) vote draw equals R draws of (U, M), also for
+        an odd U M, so the stacked pass reads the votes the loop did."""
+        stacked = np.random.default_rng(17).integers(0, 2, size=(7, 25, 3))
+        rng = np.random.default_rng(17)
+        looped = np.stack([rng.integers(0, 2, size=(25, 3)) for _ in range(7)])
+        np.testing.assert_array_equal(stacked, looped)
+
+    @pytest.mark.parametrize("n_plus, n_minus, match", [
+        (-1, 3, "n_plus=-1"), (3, -2, "n_minus=-2"), (0, 0, "n_plus=0, n_minus=0"),
+    ])
+    def test_bad_counts_fail_early(self, n_plus, n_minus, match):
+        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        with pytest.raises(ValueError, match=match):
+            vote_averaged_cer(n_plus, n_minus, model, n_realizations=3,
+                              rng=np.random.default_rng(18))
 
     def test_unanimous_noise_vanishing_limit(self):
         """With every vote positive, the negative side collapses with sigma2."""
