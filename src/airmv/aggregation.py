@@ -23,37 +23,41 @@ so the channel is drawn once per codeword sent: R = sum_(c, j) G[n, c, j]
 B[j, p] T[c, p], with B the channel basis and G[n, c] the sum of the m_c
 channels of codeword c's senders in trial n, sqrt(m_c) times one draw. A
 probe that lands on a user's own encoded zero meets an exact 0 factor.
+
+`backend` is the one place a scheme's name becomes its `aggregate(votes,
+rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
+the vote sum. The error-rate Monte Carlo builds one per sweep point and the
+median one per run; neither caches it.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
+from .baselines import default_sequence_length, goldenbaum_aggregate, obda_aggregate
 from .channel import PdpConfig, complex_normal
-from .decoding import DecoderContext, detector_form, probe_moments, probe_points
+from .decoding import DecoderContext, detector_form, probe_moments
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
-__all__ = ["ProbeAggregator", "probe_tables"]
+__all__ = ["ProbeAggregator", "backend", "probe_tables"]
 
 _CHUNK = 8  # votes per uncoded/differential table: one byte of packed votes
 
 
-@lru_cache(maxsize=None)
 def probe_tables(
-    method: Method, rp: RadiusParam, positions: tuple[int, ...]
+    method: Method, rp: RadiusParam, points: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Tables whose gathered rows multiply to P_u(z_p) (read-only, cached).
+    """Tables whose gathered rows multiply to P_u(z_p) at the probe `points`
+    (read-only, as threads share them).
 
-    The probes are `probe_points` for the vote `positions`. Indexed: one
-    table with a row per codeword index. Uncoded and differential: one
-    table per chunk of eight votes, row b for the chunk's votes spelling
-    bit pattern b (vote j of the chunk is bit j).
+    Indexed: one table with a row per codeword index. Uncoded and
+    differential: one table per chunk of eight votes, row b for the chunk's
+    votes spelling bit pattern b (vote j of the chunk is bit j).
     """
-    points = probe_points(method, rp, positions)
     K, d = rp.K, rp.d
     M = method.votes_per_codeword(K)
     width = M if method is Method.INDEXED else _CHUNK
@@ -111,13 +115,9 @@ class ProbeAggregator:
             raise ValueError("noise variance must be nonnegative")
         rp = radius_param(K)
         self.ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
-        M = self.ctx.n_votes
-        if positions is None:
-            positions = range(M)
-        self.positions = tuple(int(p) for p in np.atleast_1d(positions))
         self.sigma2 = float(sigma2)
-        self.form = detector_form(self.ctx, self.positions)
-        self.tables = probe_tables(method, rp, self.positions)
+        self.form = detector_form(self.ctx, positions)
+        self.tables = probe_tables(method, rp, self.form.points)
         c_h, c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
         self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
         self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
@@ -177,3 +177,30 @@ class ProbeAggregator:
         """Majority-vote decisions at the engine's vote positions."""
         r = self.received(votes, rng)
         return self.form.decide(r.real**2 + r.imag**2)
+
+
+def _ideal(votes, rng):
+    return np.sign(votes.sum(axis=-2)).astype(int)
+
+
+def backend(name, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None):
+    """aggregate(votes, rng) -> decisions for the scheme called `name`.
+
+    `name` is a CLI method name (or a `Method`): "ideal", the sign of the
+    vote sum; "goldenbaum", spending the indexed scheme's resources per MV
+    (`default_sequence_length(K)`); "obda", "obda_phase" and "obda_no_tci",
+    on single-tap subchannels irrespective of the delay profile and K; or a
+    zero-encoded scheme, a `ProbeAggregator` deciding the vote `positions`
+    (all by default). The other backends decide every position they get.
+    The receivers never see the channel realizations.
+    """
+    if name == "ideal":
+        return _ideal
+    if name == "goldenbaum":
+        return partial(goldenbaum_aggregate, L_seq=default_sequence_length(K),
+                       pdp_cfg=pdp_cfg, sigma2=sigma2)
+    if name in ("obda", "obda_phase", "obda_no_tci"):
+        return partial(obda_aggregate, sigma2=sigma2,
+                       phase_errors=name == "obda_phase", tci=name != "obda_no_tci")
+    engine = ProbeAggregator(Method.from_name(name), K, pdp_cfg, sigma2, positions)
+    return engine.aggregate

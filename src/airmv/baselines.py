@@ -10,14 +10,13 @@ Each scheme is one vectorized backend with the contract of
 `airmv.aggregation.ProbeAggregator.aggregate`: votes (n, U, M) of +/-1 in,
 decisions (n, M) out, every (trial, vote position) an independent
 aggregation with its own draws. The Monte Carlo calls it with M = 1, the
-median with all M positions of a round; `aggregator` picks the backend by
-its CLI name.
+median with all M positions of a round; `airmv.aggregation.backend` binds
+a baseline's parameters to its CLI name.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .encoding import check_vote_batch
 
 __all__ = [
     "BASELINES",
-    "aggregator",
     "default_sequence_length",
     "goldenbaum_estimate",
     "goldenbaum_aggregate",
@@ -132,19 +130,3 @@ def obda_aggregate(votes, rng, sigma2, truncation=0.2, phase_errors=False,
     `obda_received`."""
     y = obda_received(votes, rng, sigma2, truncation, phase_errors, tci)
     return np.sign(y.real).astype(int)
-
-
-def aggregator(name: str, K: int, pdp_cfg: PdpConfig, sigma2: float):
-    """aggregate(votes, rng) -> decisions for the baseline called `name`.
-
-    Goldenbaum spends the indexed scheme's resources per MV
-    (`default_sequence_length(K)`); OBDA rides on single-tap subchannels
-    irrespective of the delay profile and K.
-    """
-    if name == "goldenbaum":
-        return partial(goldenbaum_aggregate, L_seq=default_sequence_length(K),
-                       pdp_cfg=pdp_cfg, sigma2=sigma2)
-    if name in ("obda", "obda_phase", "obda_no_tci"):
-        return partial(obda_aggregate, sigma2=sigma2,
-                       phase_errors=name == "obda_phase", tci=name != "obda_no_tci")
-    raise ValueError(f"unknown baseline {name!r}")

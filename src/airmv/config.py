@@ -148,21 +148,25 @@ def parse_config_file(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment; keys are typed."""
     by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, text = (part.strip() for part in line.split("=", 1))
-            option = by_key.get(key.lower())
-            if option is None:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[option.name] = option.metadata["parse"](text)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the config file {path!r}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, text = (part.strip() for part in line.split("=", 1))
+        option = by_key.get(key.lower())
+        if option is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[option.name] = option.metadata["parse"](text)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -197,8 +201,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("trials must be positive")
     if cfg.threads < 1:
         raise ConfigError("threads must be positive")
-    if cfg.out is not None and not os.path.isdir(os.path.dirname(cfg.out) or "."):
-        raise ConfigError(f"the directory of out={cfg.out!r} does not exist")
+    if cfg.out is not None:
+        if not cfg.out or os.path.isdir(cfg.out):
+            raise ConfigError(f"out={cfg.out!r} must name a file")
+        if not os.path.isdir(os.path.dirname(cfg.out) or "."):
+            raise ConfigError(f"the directory of out={cfg.out!r} does not exist")
     if not cfg.snr_db:
         raise ConfigError("the SNR list must not be empty")
     for snr_db in cfg.snr_db:
@@ -230,6 +237,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
                     default_sequence_length(K)
             except ValueError as exc:
                 raise ConfigError(f"{name} at K={K}: {exc}") from exc
+    # OBDA has no K rule of its own; every scheme's rule above needs K >= 2.
+    for K in cfg.k_values:
+        if K < 2:
+            raise ConfigError(f"K={K}: every K must be at least 2")
 
     for n_plus in cfg.n_plus_values():
         if not 0 <= n_plus <= cfg.U:

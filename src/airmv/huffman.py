@@ -45,13 +45,6 @@ def root_phases(K: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _grid_points(K: int) -> np.ndarray:
-    e = np.exp(2j * np.pi * np.arange(K + 1) / (K + 1))
-    e.flags.writeable = False
-    return e
-
-
-@lru_cache(maxsize=None)
 def _grid_transform(K: int) -> np.ndarray:
     # W[p, n] = e^{-j 2 pi p n / (K+1)} / (K+1), applied as a direct matmul.
     p = np.arange(K + 1)
@@ -142,7 +135,7 @@ def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
     zero-form polynomial is evaluated at the K+1 points e^{j 2 pi p/(K+1)}
     and the coefficients recovered with the forward (K+1)-point transform.
     """
-    return zero_form_eval(inner, rp, _grid_points(rp.K)) @ _grid_transform(rp.K)
+    return zero_form_eval(inner, rp, root_phases(rp.K + 1)) @ _grid_transform(rp.K)
 
 
 def zeros_to_coeffs(codeword: ZeroCodeword) -> np.ndarray:

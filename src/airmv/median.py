@@ -7,10 +7,9 @@ parameter and nothing else; the aggregator updates the estimate by the
 learning rate times the (possibly miscomputed) majority vote and announces
 it error-free on the downlink.
 
-Each round's (R, U, M) votes go to one `aggregate(votes, rng)` backend:
-the probe-domain engine of `airmv.aggregation` for the zero-encoded
-schemes, a backend of `airmv.baselines` for the baselines, or the ideal
-sign of the vote sum, the same backends the error-rate Monte Carlo calls.
+Each round's (R, U, M) votes go to one `aggregate(votes, rng)` backend,
+which `airmv.aggregation.backend` builds once per run, deciding every vote
+position: the same constructor the error-rate Monte Carlo calls.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregation import ProbeAggregator
-from .baselines import BASELINES, aggregator
+from .aggregation import backend
+from .baselines import BASELINES
 from .channel import PdpConfig
 from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method
@@ -81,39 +80,24 @@ def median_step(state: MedianState, mv: np.ndarray) -> MedianState:
     return replace(state, estimates=new_estimates, iteration=state.iteration + 1)
 
 
-def votes_per_round(backend: str, K: int) -> int:
+def votes_per_round(name: str, K: int) -> int:
     """Votes M decided per round. The zero-encoded backends decide as many
     as their codeword carries; the ideal and baseline backends borrow the
     indexed scheme's M = log2(K), so that all curves answer the same
     problem size."""
-    if backend in BASELINES + ("ideal",):
+    if name in BASELINES + ("ideal",):
         try:
             return Method.INDEXED.votes_per_codeword(K)
         except ValueError:
             raise ValueError(
-                f"the {backend} median decides log2(K) votes per round, "
+                f"the {name} median decides log2(K) votes per round, "
                 "so K must be a power of two >= 2"
             ) from None
-    return Method.from_name(backend).votes_per_codeword(K)
-
-
-def _ideal(votes, rng):
-    return np.sign(votes.sum(axis=-2)).astype(int)
-
-
-def _mv_backend(backend: str, K: int, pdp_cfg: PdpConfig, sigma2: float):
-    """aggregate(votes, rng) -> decisions for one backend, deciding every
-    vote position: (R, U, M) votes in, (R, M) decisions out. The detectors
-    never see the channel realizations."""
-    if backend == "ideal":
-        return _ideal
-    if backend in BASELINES:
-        return aggregator(backend, K, pdp_cfg, sigma2)
-    return ProbeAggregator(Method.from_name(backend), K, pdp_cfg, sigma2).aggregate
+    return Method.from_name(name).votes_per_codeword(K)
 
 
 def run_median(
-    backend: str,
+    name: str,
     K: int,
     U: int,
     rounds: int,
@@ -127,17 +111,17 @@ def run_median(
     recorded after every round; shape (rounds,).
 
     Device parameters are Uniform(-sqrt(3), sqrt(3)); each round decides
-    `votes_per_round(backend, K)` parameters.
+    `votes_per_round(name, K)` parameters.
     """
     if U < 1 or realizations < 1:
         raise ValueError(f"need U, realizations >= 1, got {U=}, {realizations=}")
-    M = votes_per_round(backend, K)
+    M = votes_per_round(name, K)
 
     rng = stream(seed, *key)
     params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(realizations, U, M))
     true_median = np.median(params, axis=-2)
 
-    mv = _mv_backend(backend, K, pdp_cfg, sigma2)
+    mv = backend(name, K, pdp_cfg, sigma2)
     state = MedianState(estimates=np.zeros((realizations, M)), rounds=rounds)
     rmse = np.empty(rounds)
     for i in range(rounds):

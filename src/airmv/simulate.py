@@ -1,9 +1,9 @@
 """Vectorized Monte Carlo link-level trials.
 
-One entry, `simulate_cer`, serves every scheme: a batch fixes the scored
-vote and hands it to the scheme's `aggregate(votes, rng)` backend, the
-probe-domain engine of `airmv.aggregation` or a backend of
-`airmv.baselines`, the same ones the median runs.
+One entry, `simulate_cer`, serves every scheme: it builds the scheme's
+`aggregate(votes, rng)` with `airmv.aggregation.backend` once, deciding
+vote 0 alone, and every batch fixes the scored vote and hands the votes to
+it. These are the backends the median runs.
 
 Trials are processed in fixed-size batches; every batch derives its own
 generator from (master seed, stream key, batch index), so results are
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
-from .aggregation import ProbeAggregator
-from .baselines import BASELINES, aggregator
+from .aggregation import backend
+from .baselines import BASELINES
 from .channel import PdpConfig
 from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method
@@ -35,9 +34,6 @@ __all__ = [
 ]
 
 BATCH_SIZE = 20_000
-
-# One engine per sweep point: its eigh factors cost O(P^3), a batch O(n P).
-_engine = lru_cache(maxsize=1)(ProbeAggregator)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -106,31 +102,21 @@ def _count_mv_errors(decisions: np.ndarray, U: int, n_plus: int) -> int:
 
 
 def mv_error_batch(
-    rng: np.random.Generator,
-    n: int,
-    method: Method | str,
-    K: int,
-    U: int,
-    n_plus: int,
-    pdp_cfg: PdpConfig,
-    sigma2: float,
+    rng: np.random.Generator, n: int, aggregate, U: int, n_plus: int, M=None
 ) -> int:
-    """Errors on the probed vote among n trials of any MV scheme.
+    """Errors on vote 0 among n trials of one `aggregate(votes, rng)` backend.
 
-    `method` is a `Method` (or its name) or a baseline name. A zero-encoded
-    codeword carries M votes, drawn at random apart from the fixed vote 0;
-    only vote 0 is scored, so only its probe points are evaluated. A
-    baseline aggregates the fixed vote alone, as (n, U, 1) votes.
+    With M, each trial sends a zero-encoded codeword's M votes, drawn at
+    random apart from the fixed vote 0; only vote 0 is scored, so the
+    backend need decide vote 0 alone. With M None, each trial is the fixed
+    vote alone, as (n, U, 1) votes: a baseline decides every vote on its own
+    draws, so the other votes cannot change vote 0's decision.
     """
     column = _fixed_column(U, n_plus)
-    if method in BASELINES:
+    if M is None:
         votes = np.broadcast_to(column[:, np.newaxis], (n, U, 1))
-        aggregate = aggregator(method, K, pdp_cfg, sigma2)
     else:
-        method = Method.from_name(method)
-        M = method.votes_per_codeword(K)
         votes = _random_votes(rng, n, M, column)
-        aggregate = _engine(method, K, pdp_cfg, sigma2, 0).aggregate
     return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 
 
@@ -152,10 +138,14 @@ def simulate_cer(
     batch_size: int = BATCH_SIZE,
 ) -> tuple[float, float]:
     """Empirical error rate and binomial standard error of any MV scheme
-    (see `mv_error_batch`)."""
+    (see `mv_error_batch`); `method` is a `Method`, its name or a baseline
+    name. The batches, on any number of threads, share one backend, which
+    keeps no state between calls."""
+    M = None if method in BASELINES else Method.from_name(method).votes_per_codeword(K)
+    aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
 
     def counter(rng, n):
-        return mv_error_batch(rng, n, method, K, U, n_plus, pdp_cfg, sigma2)
+        return mv_error_batch(rng, n, aggregate, U, n_plus, M)
 
     errors = run_trial_batches(counter, trials, seed, key, threads, batch_size)
     p = errors / trials

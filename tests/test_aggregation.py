@@ -68,10 +68,11 @@ def oracle(method, K, pdp_cfg, sigma2, votes, rng, positions=None):
     """(R at the engine's probes, decisions) from the time-domain chain on
     the engine's draws."""
     engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions)
-    points = probe_points(method, radius_param(K), engine.positions)
+    points = probe_points(method, radius_param(K), positions)
     y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
     r = y @ powers(points, y.shape[-1])
-    return r, decode(y, engine.ctx)[:, list(engine.positions)]
+    columns = np.arange(votes.shape[-1]) if positions is None else [positions]
+    return r, decode(y, engine.ctx)[:, columns]
 
 
 CASES = [
@@ -233,7 +234,7 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
     of the noise samples seen at the probes, from as many rows as its rank
     allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
-    points = probe_points(method, radius_param(K), engine.positions)
+    points = probe_points(method, radius_param(K), positions)
     v = powers(points, K + L_e)
     taps = pdp(L_e, 0.5)
     rows = (min(points.size, L_e), min(points.size, K + L_e))
@@ -262,7 +263,7 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
             assert np.all(r[:, on_zero] == 0.0)
             assert np.all(r[:, ~on_zero] != 0.0)
             row = 2 ** min(M, 8) - 1 if vote > 0 else 0
-            tables = probe_tables(method, rp, tuple(range(M)))
+            tables = probe_tables(method, rp, probe_points(method, rp))
             product = np.prod([t[row] for t in tables], axis=0)
             assert np.all((product == 0.0) == on_zero)
 
@@ -281,8 +282,8 @@ def test_monte_carlo_batch_matches_time_domain_batch():
         engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
         y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
         expected = _count_mv_errors(decode(y, engine.ctx)[:, 0], U, n_plus)
-        got = mv_error_batch(np.random.default_rng(17), n, method, K, U, n_plus,
-                             pdp_cfg, sigma2)
+        got = mv_error_batch(np.random.default_rng(17), n, engine.aggregate, U,
+                             n_plus, method.votes_per_codeword(K))
         assert got == expected
 
 

@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from airmv.aggregation import backend as build_backend
 from airmv.baselines import (
     BASELINES,
-    aggregator,
     default_sequence_length,
     goldenbaum_aggregate,
     goldenbaum_estimate,
@@ -190,8 +190,8 @@ class TestGoldenbaumStatistics:
             assert pb <= pa + 3 * math.hypot(sa, sb)
 
     def test_unbiased_decode_batch_consistency(self):
-        errs = mv_error_batch(stream(5, 1), 5000, "goldenbaum", 32, 9, 9,
-                              PdpConfig(2, 0.8), 0.1)
+        aggregate = build_backend("goldenbaum", 32, PdpConfig(2, 0.8), 0.1)
+        errs = mv_error_batch(stream(5, 1), 5000, aggregate, 9, 9)
         assert 0 <= errs <= 5000
 
 
@@ -316,7 +316,7 @@ class TestValidation:
 
     def test_unknown_baseline(self):
         with pytest.raises(ValueError):
-            aggregator("bogus", 8, PdpConfig(1), 0.1)
+            build_backend("bogus", 8, PdpConfig(1), 0.1)
 
 
 @pytest.mark.parametrize("name", BASELINES)
@@ -324,14 +324,14 @@ def test_monte_carlo_and_median_calls_match_a_per_trial_loop(name):
     """The Monte Carlo's (n, U, 1) call and the median's (R, U, M) call make
     the decisions of a per-trial loop on the same draws."""
     K, U, n_plus, pdp_cfg, sigma2 = 8, 7, 4, PdpConfig(3, 0.8), 0.1
-    backend = aggregator(name, K, pdp_cfg, sigma2)
+    backend = build_backend(name, K, pdp_cfg, sigma2)
     loop = loop_backend(name, K, pdp_cfg, sigma2)
 
     votes = column_votes(300, U, n_plus)
     expected = loop(votes, np.random.default_rng(21))
     np.testing.assert_array_equal(backend(votes, np.random.default_rng(21)), expected)
-    assert mv_error_batch(np.random.default_rng(21), 300, name, K, U, n_plus,
-                          pdp_cfg, sigma2) == _count_mv_errors(expected[:, 0], U, n_plus)
+    assert mv_error_batch(np.random.default_rng(21), 300, backend, U,
+                          n_plus) == _count_mv_errors(expected[:, 0], U, n_plus)
 
     votes = np.random.default_rng(22).integers(0, 2, (40, U, 3)) * 2 - 1
     np.testing.assert_array_equal(backend(votes, np.random.default_rng(23)),

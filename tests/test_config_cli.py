@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from airmv import cli
 from airmv.cli import config_from_argv, main
 from airmv.config import ConfigError, build_config, parse_config_file
 from airmv.experiments import run_experiment, write_csv
@@ -231,6 +232,32 @@ class TestCsv:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED[experiment, threads]
 
+    # sha256 of a small cer run (at one and two threads) and rmse run of the
+    # zero-encoded schemes, recorded before the Monte Carlo and the median
+    # built their engines with `aggregation.backend`: K=2 has one vote per
+    # coded codeword, and snr inf draws no noise.
+    ZERO_PINNED = {
+        ("cer", "1"): "ac56eee0607d8f721d804f8bf0d69be85b53925b5f42f638b579410827d75c2f",
+        ("cer", "2"): "1f3b3815cbff3292676fe33ec77b6221cea807dd0bc2ec1fdafe91ea5c3afa24",
+        ("rmse", "1"): "43c0e42a7493ec781218930177579b7a2ee77cd7dde16401ce81fdf5554c7ed0",
+    }
+    ZERO_ARGV = {
+        "cer": ["cer", "--methods", "m1,m2,m3", "--k", "2,8", "--u", "5",
+                "--l-e", "2", "--rho", "0.8", "--snr", "0,inf", "--n-plus", "0:5",
+                "--trials", "300", "--realizations", "0", "--seed", "13"],
+        "rmse": ["rmse", "--methods", "ideal,m1,m2,m3", "--k", "8", "--u", "9",
+                 "--l-e", "3", "--rho", "0.8", "--snr", "5,inf", "--rounds", "20",
+                 "--realizations", "6", "--seed", "11"],
+    }
+
+    @pytest.mark.parametrize("experiment, threads", sorted(ZERO_PINNED))
+    def test_zero_encoded_csv_bytes_pinned(self, tmp_path, experiment, threads):
+        out = tmp_path / "pin.csv"
+        argv = self.ZERO_ARGV[experiment] + ["--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.ZERO_PINNED[experiment, threads]
+
     def test_pmepr_csv_bytes_pinned(self, tmp_path):
         """sha256 of a small pmepr run, recorded while the sweep still
         modulated one codeword per call: batching the waveform layer along
@@ -353,6 +380,42 @@ class TestCli:
             assert main(argv + ["--seed", "1", "--trials", "10", "--rounds", "2",
                                 "--realizations", "1"]) == 2
             assert "airmv: configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "1", "-4"])
+    def test_k_below_2_exits_2(self, capsys, k):
+        """OBDA has no K rule of its own, so `--k 0` used to write rows with
+        K=0; every K must be at least 2, as every other scheme's rule says."""
+        argv = ["cer", "--k", k, "--methods", "obda", "--u", "2", "--n-plus", "1",
+                "--seed", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"airmv: configuration error: K={k}: every K must be at least 2" in err
+
+    def test_out_must_name_a_file(self, tmp_path, capsys, monkeypatch):
+        """An empty or directory output path used to fail in write_csv, after
+        the whole sweep had run; it is refused before any trial."""
+        monkeypatch.setattr(cli, "run_experiment", None)
+        argv = ["cer", "--seed", "1", "--k", "4", "--u", "3", "--methods", "m2",
+                "--trials", "10", "--realizations", "0"]
+        cfg_file = tmp_path / "out.cfg"
+        cfg_file.write_text("out =\n")
+        for extra, out in ((["--out", ""], ""),
+                           (["--out", str(tmp_path)], str(tmp_path)),
+                           (["--config", str(cfg_file)], "")):
+            assert main(argv + extra) == 2
+            err = capsys.readouterr().err
+            assert f"airmv: configuration error: out={out!r} must name a file" in err
+
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys):
+        """A config file that is missing, a directory or not UTF-8 is a
+        configuration error naming the file, not a traceback."""
+        latin = tmp_path / "latin.cfg"
+        latin.write_bytes("seed = 1  # caf\xe9\n".encode("latin-1"))
+        for path in (tmp_path / "missing.cfg", tmp_path, latin):
+            assert main(["resources", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"cannot read the config file {str(path)!r}" in err
+            assert err.startswith("airmv: configuration error")
 
     @pytest.mark.parametrize("experiment",
                              ["cer", "theory", "pmepr", "rmse", "resources"])

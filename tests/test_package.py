@@ -11,6 +11,10 @@ test-only helper or oracle belongs in `tests/`.
 The Monte Carlo modules (`MONTE_CARLO`) reach nothing of `airmv.theory`,
 directly or through other package modules, so simulation and theory stay
 independent checks of each other.
+
+Backend construction has one home, `aggregation.backend`: no other module
+names a backend (`BACKENDS`) but the one that defines it and the
+re-exports of `__init__`, and no `lru_cache` wraps a class.
 """
 
 import ast
@@ -192,3 +196,88 @@ def test_the_scan_sees_a_planted_theory_import(tmp_path, monkeypatch):
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert theory_importers() == ["simulate", "channel", "baselines", "median"]
+
+
+# Each backend and the module that defines it.
+BACKENDS = {
+    "ProbeAggregator": "aggregation",
+    "goldenbaum_aggregate": "baselines",
+    "obda_aggregate": "baselines",
+}
+
+
+def _is_lru_cache(node: ast.AST) -> bool:
+    """`lru_cache` or `cache`, bare, as a module attribute or called with
+    its options."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name in ("lru_cache", "cache")
+
+
+def backend_builders() -> list[str]:
+    """`module.name` for each backend a module names outside its homes, and
+    `module.lru_cache(name)` for each package class an lru_cache wraps."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "airmv").glob("*.py"))
+    }
+    classes = {
+        n.name for tree in trees.values() for n in ast.walk(tree)
+        if isinstance(n, ast.ClassDef)
+    }
+    found = []
+    for module, tree in trees.items():
+        names = _names(tree)
+        found += [
+            f"{module}.{name}" for name, home in BACKENDS.items()
+            if names[name] and module not in ("aggregation", home, "__init__")
+        ]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ClassDef):
+                wrapped = [n.name] if any(map(_is_lru_cache, n.decorator_list)) else []
+            elif isinstance(n, ast.Call) and _is_lru_cache(n.func):
+                wrapped = [c for arg in n.args for c in _names(arg) if c in classes]
+            else:
+                continue
+            found += [f"{module}.lru_cache({c})" for c in wrapped]
+    return found
+
+
+def test_backends_are_built_in_one_home():
+    assert backend_builders() == []
+
+
+def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
+    """A backend named outside its homes, by import or by module attribute,
+    and an lru_cache around a class, called or as a decorator, are
+    reported; the homes, the re-exports, a docstring and a cached function
+    are not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "__init__": "from .aggregation import ProbeAggregator\n"
+                    "from .baselines import obda_aggregate\n",
+        "aggregation": "from .baselines import goldenbaum_aggregate, obda_aggregate\n\n"
+                       "class ProbeAggregator:\n    pass\n",
+        "baselines": "def goldenbaum_aggregate():\n    pass\n\n"
+                     "def obda_aggregate():\n    pass\n",
+        "channel": '"""Feeds ProbeAggregator."""\n',
+        "huffman": "import functools\n\n"
+                   "@functools.lru_cache(maxsize=None)\ndef table(K):\n    return K\n\n"
+                   "@functools.cache\nclass Grid:\n    pass\n",
+        "median": "from . import baselines\n\n"
+                  "def mv():\n    return baselines.goldenbaum_aggregate\n",
+        "simulate": "from functools import lru_cache\n"
+                    "from .aggregation import ProbeAggregator\n\n"
+                    "_engine = lru_cache(maxsize=1)(ProbeAggregator)\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert backend_builders() == [
+        "huffman.lru_cache(Grid)",
+        "median.goldenbaum_aggregate",
+        "simulate.ProbeAggregator",
+        "simulate.lru_cache(ProbeAggregator)",
+    ]

@@ -1,6 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
+from airmv import aggregation, simulate
+from airmv.aggregation import backend
 from airmv.channel import PdpConfig
 from airmv.encoding import Method
 from airmv.simulate import (
@@ -78,10 +82,42 @@ class TestCerSimulation:
         with pytest.raises(ValueError, match=match):
             simulate_cer(method, 8, U, n_plus, PdpConfig(1), 0.1, 100, seed=1)
 
+    def test_one_engine_per_sweep_point(self, monkeypatch):
+        """Five batches, on one worker or on more workers than cores, share
+        the engine that simulate_cer builds before them, and count the same
+        errors with it."""
+        built, batches = [], []
+
+        class Counting(aggregation.ProbeAggregator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def batch(*args, **kwargs):
+            batches.append(args[1])
+            return mv_error_batch(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "ProbeAggregator", Counting)
+        monkeypatch.setattr(simulate, "mv_error_batch", batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for method in Method:
+                args, results = (method, 8, 5, 3, PdpConfig(2), 0.1, 5_000), set()
+                for threads in (1, 2, 4):
+                    built.clear()
+                    batches.clear()
+                    results.add(simulate_cer(*args, seed=2, threads=threads,
+                                             batch_size=1_000))
+                    assert len(built) == 1 and batches == [1_000] * 5
+                assert len(results) == 1
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_batch_reproducibility(self):
-        args = (Method.UNCODED, 4, 5, 4, PdpConfig(2, 0.5), 0.5)
-        a = mv_error_batch(stream(3, 0), 4_000, *args)
-        b = mv_error_batch(stream(3, 0), 4_000, *args)
+        aggregate = backend(Method.UNCODED, 4, PdpConfig(2, 0.5), 0.5, positions=0)
+        a = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, M=4)
+        b = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, M=4)
         assert a == b
 
 
@@ -124,12 +160,12 @@ class TestProbeTables:
             bits = (votes > 0).astype(np.intp)
             for positions in (tuple(range(m)), (0,)):
                 values = 1.0
-                for i, table in enumerate(probe_tables(method, rp, positions)):
+                points = probe_points(method, rp, positions)
+                for i, table in enumerate(probe_tables(method, rp, points)):
                     chunk = bits[..., i * width : (i + 1) * width]
                     values = values * table[chunk @ (1 << np.arange(chunk.shape[-1]))]
                 direct = poly_eval(
-                    synthesize_coeffs(vote_pattern(method, votes), rp),
-                    probe_points(method, rp, positions),
+                    synthesize_coeffs(vote_pattern(method, votes), rp), points
                 )
                 np.testing.assert_allclose(values, direct, rtol=0, atol=1e-12)
 
@@ -137,11 +173,14 @@ class TestProbeTables:
         """Table rows grow with the votes per byte, not with 2^M: uncoded
         K=32 (2^32 vote patterns) needs four 256-row tables."""
         from airmv.aggregation import probe_tables
+        from airmv.decoding import probe_points
         from airmv.huffman import radius_param
 
-        tables = probe_tables(Method.UNCODED, radius_param(32), (0,))
+        rp = radius_param(32)
+        tables = probe_tables(Method.UNCODED, rp, probe_points(Method.UNCODED, rp, 0))
         assert [t.shape for t in tables] == [(256, 2)] * 4
-        (table,) = probe_tables(Method.INDEXED, radius_param(128), (0,))
+        rp = radius_param(128)
+        (table,) = probe_tables(Method.INDEXED, rp, probe_points(Method.INDEXED, rp, 0))
         assert table.shape == (128, 128)
         assert not table.flags.writeable
 
