@@ -20,7 +20,7 @@ from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
 from .huffman import radius_param, synthesize_coeffs
 from .median import run_median
-from .simulate import simulate_cer, stream
+from .simulate import cer_backend, simulate_cer, stream
 from .theory import CerModel, vote_averaged_cer
 from .waveform import (
     dfts_ofdm_modulate,
@@ -108,14 +108,6 @@ def write_csv(rows, cfg: ExperimentConfig, out=None) -> str:
     return text
 
 
-def _cer_point(cfg, method_name, K, snr_db, n_plus, key):
-    """Empirical CER for one sweep point of any scheme."""
-    return simulate_cer(
-        method_name, K, cfg.U, n_plus, PdpConfig(cfg.L_e, cfg.rho),
-        cfg.sigma2(snr_db), cfg.trials, cfg.seed, key, cfg.threads,
-    )
-
-
 def _theory_point(cfg, method_name, K, snr_db, n_plus, key):
     model = CerModel(
         Method.from_name(method_name),
@@ -132,9 +124,14 @@ def _theory_point(cfg, method_name, K, snr_db, n_plus, key):
 
 def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
     rows = []
+    pdp_cfg = PdpConfig(cfg.L_e, cfg.rho)
     for ki, K in enumerate(cfg.k_values):
         for si, snr_db in enumerate(cfg.snr_db):
+            sigma2 = cfg.sigma2(snr_db)
             for mi, name in enumerate(cfg.methods):
+                # One backend for every n_plus: it depends on none of them.
+                aggregate = (cer_backend(name, K, pdp_cfg, sigma2)
+                             if with_simulation else None)
                 for n_plus in cfg.n_plus_values():
                     key = (ki, si, mi, n_plus)
                     common = dict(
@@ -142,8 +139,11 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
                         L_e=cfg.L_e, rho=cfg.rho, snr_db=snr_db, n_plus=n_plus,
                     )
                     if with_simulation:
-                        p, se = _cer_point(cfg, name, K, snr_db, n_plus,
-                                           (_DOMAIN_MC,) + key)
+                        p, se = simulate_cer(
+                            name, K, cfg.U, n_plus, pdp_cfg, sigma2, cfg.trials,
+                            cfg.seed, (_DOMAIN_MC,) + key, cfg.threads,
+                            aggregate=aggregate,
+                        )
                         rows.append(ResultRow(metric="cer", value=p, stderr=se,
                                               **common))
                     if name in PROPOSED and cfg.realizations > 0:

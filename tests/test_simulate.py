@@ -6,7 +6,9 @@ import pytest
 from airmv import aggregation, simulate
 from airmv.aggregation import backend
 from airmv.channel import PdpConfig
+from airmv.config import build_config
 from airmv.encoding import Method
+from airmv.experiments import run_experiment
 from airmv.simulate import (
     _fixed_column,
     _random_votes,
@@ -81,6 +83,43 @@ class TestCerSimulation:
         U=0 died inside numpy; both now name the count."""
         with pytest.raises(ValueError, match=match):
             simulate_cer(method, 8, U, n_plus, PdpConfig(1), 0.1, 100, seed=1)
+
+    @pytest.mark.parametrize("U, n_plus", [(5, -1), (5, 7), (0, 0)])
+    def test_bad_counts_fail_before_the_engine_build(self, monkeypatch, U, n_plus):
+        built = []
+
+        class Counting(aggregation.ProbeAggregator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "ProbeAggregator", Counting)
+        with pytest.raises(ValueError):
+            simulate_cer("indexed", 8, U, n_plus, PdpConfig(1), 0.1, 100, seed=1)
+        assert built == []
+
+    def test_one_engine_per_n_plus_sweep(self, monkeypatch):
+        """A cer sweep builds one engine per K, SNR and zero-encoded
+        scheme, shared by all its n_plus values and by both threads."""
+        built = []
+
+        class Counting(aggregation.ProbeAggregator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(aggregation, "ProbeAggregator", Counting)
+        cfg = build_config("cer", {}, dict(
+            seed=4, k_values=(4, 8), U=5, snr_db=(0.0, 10.0), trials=300,
+            methods=("indexed", "goldenbaum", "uncoded"), realizations=0,
+            threads=2,
+        ))
+        rows = run_experiment(cfg)
+        assert len(rows) == 2 * 2 * 3 * 6  # K, SNR, scheme, n_plus = 0..5
+        assert [(a[0].value, a[1], a[3]) for a in built] == [
+            (method, K, sigma2) for K in (4, 8) for sigma2 in (1.0, 0.1)
+            for method in ("indexed", "uncoded")
+        ]
 
     def test_one_engine_per_sweep_point(self, monkeypatch):
         """Five batches, on one worker or on more workers than cores, share
