@@ -268,6 +268,16 @@ class TestCsv:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "e0d0a25e199a2b14fc3b029b01832b1eadf37ab05406f026fa12b15a2a43a007"
 
+    def test_pmepr_prime_length_csv_bytes_pinned(self, tmp_path):
+        """sha256 of a pmepr run at K=16 and 256, where the K+1 coefficients
+        have a prime length, recorded while the synthesis still applied a
+        direct (K+1)-point transform matrix."""
+        out = tmp_path / "pin.csv"
+        assert main(["pmepr", "--seed", "3", "--k", "16,256", "--methods", "m1,m2,m3",
+                     "--codewords", "500", "--oversampling", "4", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "70755a8f0fe7b44bd710ad6677c6fc2856cb4533128d6f42318fa51b9e1f4785"
+
     def test_theory_csv_bytes_pinned(self, tmp_path):
         """sha256 of a small theory run, recorded while every realization
         still had its own rate-building call: uncoded, differential and

@@ -366,24 +366,36 @@ class TestInvariances:
                 )
 
     def test_common_delay_differential_indexed(self):
-        """A shared pure delay scales all radius-d probes by the same factor."""
+        """A shared pure delay z^delta scales every radius-d probe energy by
+        d^(2 delta), so it scales the detector's form value by d^(2 delta) and
+        keeps each decision the votes do not tie. Where the vote sum is 0 the
+        form value is 0 up to rounding, and its sign says nothing."""
         rng = np.random.default_rng(33)
         K, U, L_e = 8, 4, 4
         for method in (Method.DIFFERENTIAL, Method.INDEXED):
             rp = radius_param(K)
             ctx = DecoderContext(method, rp)
+            form = detector_form(ctx)
             M = method.votes_per_codeword(K)
             votes = rng.integers(0, 2, size=(32, U, M)) * 2 - 1
             coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
-            flat = np.zeros((32, U, L_e), complex)
-            flat[..., 0] = 1.0
-            base = decode(superpose(coeffs, flat, 0.0), ctx)
+            untied = votes.sum(axis=1) != 0
+
+            def receive(delta):
+                channel = np.zeros((32, U, L_e), complex)
+                channel[..., delta] = 1.0
+                y = superpose(coeffs, channel, 0.0)
+                r = y @ powers(form.points, y.shape[-1])
+                e = r.real**2 + r.imag**2
+                return e, ((e - form.bias) / form.scale) @ form.signs, decode(y, ctx)
+
+            energies, value, base = receive(0)
             for delta in range(1, L_e):
-                delayed = np.zeros((32, U, L_e), complex)
-                delayed[..., delta] = 1.0
-                np.testing.assert_array_equal(
-                    decode(superpose(coeffs, delayed, 0.0), ctx), base
-                )
+                gain = rp.d ** (2 * delta)
+                _, delayed, decided = receive(delta)
+                tol = 1e-12 * gain * energies.max(axis=-1, keepdims=True)
+                assert np.all(np.abs(delayed - gain * value) <= tol)
+                np.testing.assert_array_equal(decided[untied], base[untied])
 
     def test_decoder_sees_no_channel(self):
         """Coded contexts cannot even carry channel knowledge."""
