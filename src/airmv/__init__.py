@@ -22,20 +22,14 @@ from .decoding import (
     signal_scale_indexed,
     signal_scale_uncoded,
 )
-from .encoding import (
-    Method,
-    encode,
-    votes_to_bits,
-)
+from .encoding import Method, vote_pattern
 from .huffman import (
     RadiusParam,
-    ZeroCodeword,
     aacf,
     poly_eval,
     radius_param,
     synthesize_coeffs,
     zero_form_eval,
-    zeros_to_coeffs,
 )
 from .median import MedianState, local_votes, median_step, run_median
 from .theory import (

@@ -16,6 +16,8 @@ from .config import (
 )
 from .experiments import run_experiment, write_csv
 
+__all__ = ["config_from_argv", "main"]
+
 
 def _flag_type(parse):
     """`parse` as an argparse type: a bad value exits 2 with the parser's

@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 
+import numpy as np
+
 from .baselines import BASELINES, default_sequence_length
+from .channel import PdpConfig
+from .decoding import channel_power, noise_power
 from .encoding import Method
+from .huffman import radius_param
 from .median import votes_per_round
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "build_config"]
@@ -25,6 +31,9 @@ EXPERIMENTS = {
     "theory": "analytical computation-error rate only",
 }
 PROPOSED = tuple(m.value for m in Method)
+# The largest noise power and expected probe energy a run takes: its square
+# is still a finite float, so the second moments of the energies are too.
+_MAX_ENERGY = math.sqrt(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -180,11 +189,25 @@ def build_config(experiment: str, file_values: dict, overrides: dict) -> Experim
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
     cfg = ExperimentConfig(**merged)
-    validate_config(cfg)
+    _validate_config(cfg)
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
+def _probe_energy(K: int, cfg: ExperimentConfig, sigma2: float) -> float:
+    """A bound on the expected energy E|R(z)|^2 at the outer radius |z| = d.
+
+    Each of the U users adds |P(z)|^2 E|H(z)|^2, and |P(z)|^2 is at most
+    (K+1) sum_{n<=K} d^{2n} by Cauchy-Schwarz on its K+1 coefficients of
+    squared norm K+1; the noise adds its own power there.
+    """
+    d = radius_param(K).d
+    with np.errstate(over="ignore"):
+        codeword = noise_power(d, K + 1, K, 1)  # (K+1) sum_{n<=K} d^{2n}
+        channel = channel_power(d, PdpConfig(cfg.L_e, cfg.rho))
+        return cfg.U * codeword * channel + noise_power(d, sigma2, K, cfg.L_e)
+
+
+def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.seed is None:
@@ -211,6 +234,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for snr_db in cfg.snr_db:
         if math.isnan(snr_db) or snr_db == -math.inf:
             raise ConfigError(f"SNR {snr_db} dB is not a level ('inf' is noiseless)")
+        if -snr_db / 10.0 > math.log10(_MAX_ENERGY):
+            raise ConfigError(
+                f"SNR {snr_db} dB: the noise power overflows below "
+                f"{-10.0 * math.log10(_MAX_ENERGY):.1f} dB"
+            )
     if cfg.experiment in ("cer", "snr", "theory", "rmse", "pmepr"):
         if not cfg.k_values:
             raise ConfigError("at least one K is required")
@@ -245,6 +273,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
     for n_plus in cfg.n_plus_values():
         if not 0 <= n_plus <= cfg.U:
             raise ConfigError(f"n_plus={n_plus} outside 0..U")
+
+    coded = set(PROPOSED).intersection(cfg.methods)
+    if coded and cfg.experiment in ("cer", "snr", "theory", "rmse"):
+        snr_db = min(cfg.snr_db)
+        for K in cfg.k_values:
+            energy = _probe_energy(K, cfg, cfg.sigma2(snr_db))
+            if not energy <= _MAX_ENERGY:
+                raise ConfigError(
+                    f"K={K}, L_e={cfg.L_e}, U={cfg.U}, SNR {snr_db} dB: the "
+                    f"expected probe energy {energy:.3g} overflows "
+                    f"(at most {_MAX_ENERGY:.3g})"
+                )
 
     if cfg.experiment == "snr" and len(cfg.n_plus_values()) != 1:
         raise ConfigError("the snr experiment sweeps SNR at a single n_plus")

@@ -1,9 +1,13 @@
-"""Vote-to-codeword encoders for the three aggregation schemes.
+"""Vote-to-codeword encoding for the three aggregation schemes.
 
-All three map a row of +/-1 votes onto the radius selections of a single
-codeword. The uncoded scheme spends one zero per vote, the differential
-scheme a conjugate pair of slots per vote, and the indexed scheme places a
-single inner zero at the slot whose binary index is spelled by the votes.
+One encoder, `vote_pattern`, maps votes of any batch shape (..., M) onto
+the radius selections (..., K) of their codewords: the uncoded scheme
+spends one zero per vote, the differential scheme a conjugate pair of
+slots per vote, and the indexed scheme places a single inner zero at the
+slot whose binary index is spelled by the votes. There is no single-row
+codeword API: one vote row is the batch of shape (M,), and
+`huffman.synthesize_coeffs` turns any batch of selections into
+coefficients.
 """
 
 from __future__ import annotations
@@ -12,18 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .huffman import RadiusParam, ZeroCodeword
-
-__all__ = [
-    "Method",
-    "votes_to_bits",
-    "uncoded_pattern",
-    "differential_pattern",
-    "indexed_pattern",
-    "vote_pattern",
-    "check_vote_batch",
-    "encode",
-]
+__all__ = ["Method", "check_vote_batch", "vote_pattern"]
 
 _ALIASES = {"m1": "uncoded", "m2": "differential", "m3": "indexed"}
 
@@ -66,11 +59,21 @@ class Method(Enum):
         return K.bit_length() - 1
 
 
-def _check_votes(votes) -> np.ndarray:
-    v = np.asarray(votes)
-    if v.size == 0 or not np.all(np.abs(v) == 1):
-        raise ValueError("votes must be a nonempty array with entries in {-1, +1}")
-    return v.astype(np.int64)
+def _vote_array(votes) -> np.ndarray:
+    # Integers in [-1, 1] with no zero are exactly +/-1 (one cheap pass
+    # each instead of an elementwise comparison chain).
+    votes = np.asarray(votes)
+    if (
+        votes.size == 0
+        or not np.issubdtype(votes.dtype, np.integer)
+        or votes.min() < -1
+        or votes.max() > 1
+        or np.count_nonzero(votes) != votes.size
+    ):
+        raise ValueError(
+            "votes must be a nonempty integer array with entries in {-1, +1}"
+        )
+    return votes
 
 
 def check_vote_batch(votes) -> np.ndarray:
@@ -78,69 +81,29 @@ def check_vote_batch(votes) -> np.ndarray:
     votes = np.asarray(votes)
     if votes.ndim != 3:
         raise ValueError(f"expected (n, U, M) votes, got shape {votes.shape}")
-    # Integers in [-1, 1] with no zero are exactly +/-1 (one cheap pass
-    # each instead of an elementwise comparison chain).
-    if (
-        not np.issubdtype(votes.dtype, np.integer)
-        or votes.min() < -1
-        or votes.max() > 1
-        or np.count_nonzero(votes) != votes.size
-    ):
-        raise ValueError("votes must be an integer array with entries in {-1, +1}")
-    return votes
-
-
-def votes_to_bits(votes) -> np.ndarray:
-    """Map votes -1/+1 to bits 0/1."""
-    return (_check_votes(votes) + 1) // 2
-
-
-def uncoded_pattern(votes) -> np.ndarray:
-    """Radius selections (..., K) from (..., K) votes: +1 -> inner zero."""
-    return _check_votes(votes) == 1
-
-
-def differential_pattern(votes) -> np.ndarray:
-    """Radius selections (..., K) from (..., K/2) votes.
-
-    Vote +1 at position l makes slot 2l inner and slot 2l+1 outer; vote -1
-    swaps the pair.
-    """
-    v = _check_votes(votes)
-    out = np.empty(v.shape[:-1] + (2 * v.shape[-1],), dtype=bool)
-    out[..., 0::2] = v == 1
-    out[..., 1::2] = v == -1
-    return out
-
-
-def indexed_pattern(votes) -> np.ndarray:
-    """Radius selections (..., K) from (..., log2 K) votes: one inner zero.
-
-    The inner slot index is sum_l bit_l 2^l with bit_l = (v_l + 1)/2, so
-    vote position l carries bit significance 2^l.
-    """
-    bits = votes_to_bits(votes)
-    m = bits.shape[-1]
-    index = bits @ (1 << np.arange(m))
-    return index[..., np.newaxis] == np.arange(1 << m)
+    return _vote_array(votes)
 
 
 def vote_pattern(method: Method, votes) -> np.ndarray:
+    """Radius selections (..., K) from (..., M) integer +/-1 votes.
+
+    True at slot k picks the inner zero 1/d at phase 2 pi k / K.
+    - Uncoded (M = K): vote +1 at k makes slot k inner.
+    - Differential (M = K/2): vote +1 at l makes slot 2l inner and slot
+      2l+1 outer; vote -1 swaps the pair.
+    - Indexed (M = log2 K): one inner slot, at index sum_l bit_l 2^l with
+      bit_l = (v_l + 1)/2, so vote position l carries significance 2^l.
+    """
+    v = _vote_array(votes)
+    if v.ndim == 0:
+        raise ValueError("votes need a last axis of M votes per codeword")
     if method is Method.UNCODED:
-        return uncoded_pattern(votes)
+        return v == 1
     if method is Method.DIFFERENTIAL:
-        return differential_pattern(votes)
-    return indexed_pattern(votes)
-
-
-def encode(method: Method, votes, rp: RadiusParam) -> ZeroCodeword:
-    """The codeword of one (M,) vote row."""
-    v = _check_votes(votes)
-    if v.ndim != 1:
-        raise ValueError("encode expects a single 1-D vote row")
-    if v.shape[0] != method.votes_per_codeword(rp.K):
-        raise ValueError(
-            f"{method.value} encoding with K={rp.K} takes "
-            f"{method.votes_per_codeword(rp.K)} votes, got {v.shape[0]}"
-        )
-    return ZeroCodeword(vote_pattern(method, v), rp)
+        out = np.empty(v.shape[:-1] + (2 * v.shape[-1],), dtype=bool)
+        out[..., 0::2] = v == 1
+        out[..., 1::2] = v == -1
+        return out
+    m = v.shape[-1]
+    index = (v == 1) @ (1 << np.arange(m))
+    return index[..., np.newaxis] == np.arange(1 << m)

@@ -1,9 +1,10 @@
 """Experiment drivers: sweeps, CSV emission, deterministic stream keying.
 
 Every random quantity derives from (master seed, experiment-local integer
-key), so reruns of the same configuration reproduce output byte for byte
-regardless of the thread count. Rows are accumulated in a fixed order and
-values formatted with a fixed precision.
+key), so reruns of the same configuration reproduce output byte for byte.
+The data rows are also the same whatever the thread count; only the echo
+line, which names `threads=N`, differs. Rows are accumulated in a fixed
+order and values formatted with a fixed precision.
 """
 
 from __future__ import annotations

@@ -7,50 +7,37 @@ both at phase 2*pi*k/K. The leading coefficient is chosen real positive so
 that the squared norm of the coefficient vector is exactly K + 1; any global
 phase would be invisible to the magnitude-based detectors downstream.
 
-One evaluator, `zero_form_eval`, gives P(z) from the zeros at any points;
-the error-rate theory reads it at the probe points. The zero-to-coefficient
-conversion reads it on the (K+1)-point unit-circle grid and applies a
-direct forward transform. The incremental expansion that cross-checks it
-lives in the tests: it accumulates rounding error one zero at a time, the
-grid method does not.
+Selections are plain bool arrays of shape (..., K), as
+`encoding.vote_pattern` makes them; every function here takes a batch of
+any shape, and there is no single-codeword type. One evaluator,
+`zero_form_eval`, gives P(z) from the zeros at any points; the error-rate
+theory reads it at the probe points. `synthesize_coeffs` reads it on the
+(K+1)-point unit-circle grid and applies the forward FFT. The incremental
+expansion that cross-checks it lives in the tests: it accumulates rounding
+error one zero at a time, the grid method does not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "RadiusParam",
-    "ZeroCodeword",
     "radius_param",
     "root_phases",
     "zero_form_eval",
     "synthesize_coeffs",
-    "zeros_to_coeffs",
     "poly_eval",
     "aacf",
 ]
 
 
-@lru_cache(maxsize=None)
 def root_phases(K: int) -> np.ndarray:
-    """Unit phasors e^{j 2 pi k / K} for k = 0..K-1 (read-only, cached)."""
-    w = np.exp(2j * np.pi * np.arange(K) / K)
-    w.flags.writeable = False
-    return w
-
-
-@lru_cache(maxsize=None)
-def _grid_transform(K: int) -> np.ndarray:
-    # W[p, n] = e^{-j 2 pi p n / (K+1)} / (K+1), applied as a direct matmul.
-    p = np.arange(K + 1)
-    w = np.exp(-2j * np.pi * np.outer(p, p) / (K + 1)) / (K + 1)
-    w.flags.writeable = False
-    return w
+    """Unit phasors e^{j 2 pi k / K} for k = 0..K-1."""
+    return np.exp(2j * np.pi * np.arange(K) / K)
 
 
 @dataclass(frozen=True)
@@ -86,24 +73,6 @@ def radius_param(K: int) -> RadiusParam:
     return RadiusParam(int(K), math.sqrt(1.0 + math.sin(math.pi / K)))
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroCodeword:
-    """Per-slot radius selection: inner[k] True picks 1/d at phase 2 pi k / K."""
-
-    inner: np.ndarray
-    rp: RadiusParam
-
-    def __post_init__(self) -> None:
-        inner = np.array(self.inner, dtype=bool, copy=True)
-        if inner.shape != (self.rp.K,):
-            raise ValueError(
-                f"codeword needs exactly {self.rp.K} radius selections, "
-                f"got shape {inner.shape}"
-            )
-        inner.flags.writeable = False
-        object.__setattr__(self, "inner", inner)
-
-
 def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
     """P(z) = c_lead prod_k (z - zero_k) at the 1-D `points`.
 
@@ -129,18 +98,14 @@ def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
 
 
 def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
-    """Convert radius selections to normalized coefficients (grid method).
+    """Normalized coefficients c0..cK, ascending powers, of radius selections.
 
     Batched: `inner` has shape (..., K) and the result (..., K+1). The
     zero-form polynomial is evaluated at the K+1 points e^{j 2 pi p/(K+1)}
-    and the coefficients recovered with the forward (K+1)-point transform.
+    and the coefficients recovered with the forward (K+1)-point FFT.
     """
-    return zero_form_eval(inner, rp, root_phases(rp.K + 1)) @ _grid_transform(rp.K)
-
-
-def zeros_to_coeffs(codeword: ZeroCodeword) -> np.ndarray:
-    """Coefficients c0..cK of the codeword's polynomial, ascending powers."""
-    return synthesize_coeffs(codeword.inner, codeword.rp)
+    grid = zero_form_eval(inner, rp, root_phases(rp.K + 1))
+    return np.fft.fft(grid, axis=-1) / (rp.K + 1)
 
 
 def poly_eval(coeffs: np.ndarray, z) -> np.ndarray:

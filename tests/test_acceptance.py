@@ -20,16 +20,14 @@ from airmv.decoding import (
     signal_scale,
     signal_scale_uncoded,
 )
-from airmv.encoding import Method, encode, vote_pattern
+from airmv.encoding import Method, vote_pattern
 from airmv.huffman import (
     RadiusParam,
-    ZeroCodeword,
     aacf,
     poly_eval,
     radius_param,
     root_phases,
     synthesize_coeffs,
-    zeros_to_coeffs,
 )
 from airmv.median import run_median
 from airmv.simulate import simulate_cer, stream
@@ -82,8 +80,7 @@ def test_criterion_01_worked_example_codewords():
     with _report(1, "K=2, d=2 codeword pair and their noiseless sum"):
         rp = RadiusParam(2, 2.0)
         scale = math.sqrt(12.0 / 17.0)
-        c1 = zeros_to_coeffs(ZeroCodeword([True, False], rp))
-        c2 = zeros_to_coeffs(ZeroCodeword([False, True], rp))
+        c1, c2 = synthesize_coeffs([[True, False], [False, True]], rp)
         assert np.abs(c1 - scale * np.array([-1.0, 1.5, 1.0])).max() < 1e-12
         assert np.abs(c2 - scale * np.array([-1.0, -1.5, 1.0])).max() < 1e-12
         total = superpose(np.stack([c1, c2]), np.ones((2, 1), complex), 0.0)
@@ -127,7 +124,7 @@ def test_criterion_03_huffman_property_suite():
 
 def _noiseless_decisions(method: Method, votes, K: int) -> np.ndarray:
     rp = radius_param(K)
-    c = zeros_to_coeffs(encode(method, votes, rp))
+    c = synthesize_coeffs(vote_pattern(method, votes), rp)
     y = superpose(c[None, :], np.ones((1, 1), complex), 0.0)
     if method is Method.UNCODED:
         ctx = DecoderContext(method, rp, pdp=PdpConfig(1), sigma2=0.0)

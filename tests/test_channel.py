@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airmv.channel import PdpConfig, pdp, sample_channel, superpose
-from airmv.huffman import RadiusParam, ZeroCodeword, poly_eval, zeros_to_coeffs
+from airmv.huffman import RadiusParam, poly_eval, synthesize_coeffs
 
 
 class TestPdp:
@@ -70,9 +70,8 @@ class TestSuperpose:
 
     def test_example_sum(self):
         rp = RadiusParam(2, 2.0)
-        c1 = zeros_to_coeffs(ZeroCodeword([True, False], rp))
-        c2 = zeros_to_coeffs(ZeroCodeword([False, True], rp))
-        y = superpose([c1, c2], [[1.0], [1.0]], 0.0)
+        c = synthesize_coeffs([[True, False], [False, True]], rp)
+        y = superpose(c, [[1.0], [1.0]], 0.0)
         scale = 2 * np.sqrt(12 / 17)
         np.testing.assert_allclose(y, scale * np.array([-1.0, 0.0, 1.0]), atol=1e-12)
         assert abs(poly_eval(y, 1.0)) < 1e-12
@@ -93,11 +92,11 @@ class TestSuperpose:
         from airmv.huffman import radius_param, root_phases
 
         rp = radius_param(8)
-        cw = ZeroCodeword(rng.integers(0, 2, 8).astype(bool), rp)
-        c = zeros_to_coeffs(cw)
+        inner = rng.integers(0, 2, 8).astype(bool)
+        c = synthesize_coeffs(inner, rp)
         h = rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
         y = superpose(c[None, :], h, 0.0)
-        zeros = np.where(cw.inner, 1 / rp.d, rp.d) * root_phases(8)
+        zeros = np.where(inner, 1 / rp.d, rp.d) * root_phases(8)
         assert np.abs(poly_eval(y, zeros)).max() < 1e-8
 
     def test_received_length_and_energy(self):

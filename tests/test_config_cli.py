@@ -454,6 +454,39 @@ class TestCli:
             assert "airmv: configuration error: SNR" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["cer", "theory", "rmse"])
+    def test_overflowing_probe_energy_exits_2(self, capsys, tmp_path, experiment):
+        """At K=2 and L_e=1100 the channel power at radius d = sqrt(2) is
+        about 2^1099 / 1100, past the largest float: cer wrote cer=1 from NaN
+        decisions, theory raised 'all rates must be strictly positive' and
+        rmse could raise LinAlgError. The link is refused before any trial."""
+        out = tmp_path / "x.csv"
+        argv = [experiment, "--seed", "1", "--k", "2", "--l-e", "1100", "--methods",
+                "m3", "--u", "3", "--trials", "100", "--rounds", "3",
+                "--realizations", "0" if experiment == "cer" else "2", "--out", str(out)]
+        if experiment != "rmse":
+            argv += ["--n-plus", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("airmv: configuration error: K=2, L_e=1100, U=3, SNR 10.0 dB: the "
+                "expected probe energy inf overflows") in err
+        assert not out.exists()
+
+    def test_overflowing_noise_power_exits_2(self, capsys):
+        """`--snr -3100` raised OverflowError from `ExperimentConfig.sigma2`
+        in the middle of the run."""
+        argv = ["cer", "--seed", "1", "--k", "8", "--u", "3", "--n-plus", "2",
+                "--methods", "m2", "--trials", "100", "--realizations", "0"]
+        assert main(argv + ["--snr", "-3100"]) == 2
+        err = capsys.readouterr().err
+        assert "airmv: configuration error: SNR -3100.0 dB: the noise power overflows" in err
+        # The bound is on the energy, not a fixed SNR floor: -1530 dB at
+        # K=2 and one user stays below it, at K=8 it does not.
+        link = dict(snr_db=(-1530.0,), U=1, n_plus=(1,), methods=("differential",))
+        make_cfg(k_values=(2,), **link)
+        with pytest.raises(ConfigError, match="K=8, L_e=1, U=1, SNR -1530.0 dB"):
+            make_cfg(k_values=(2, 8), **link)
+
     def test_config_file_with_override(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
         cfg_file.write_text(

@@ -17,13 +17,12 @@ from airmv.decoding import (
     signal_scale_indexed,
     signal_scale_uncoded,
 )
-from airmv.encoding import Method, encode, vote_pattern
+from airmv.encoding import Method, vote_pattern
 from airmv.huffman import (
     RadiusParam,
     poly_eval,
     radius_param,
     synthesize_coeffs,
-    zeros_to_coeffs,
 )
 
 
@@ -36,8 +35,7 @@ def flat_context(method, K, sigma2=0.0):
 
 def noiseless_receive(method, votes, K, channel=None):
     rp = radius_param(K)
-    cw = encode(method, votes, rp)
-    c = zeros_to_coeffs(cw)
+    c = synthesize_coeffs(vote_pattern(method, votes), rp)
     h = np.array([[1.0 + 0j]]) if channel is None else np.asarray(channel)
     return superpose(c[None, :], h, 0.0)
 
@@ -254,7 +252,7 @@ class TestNoiselessCorrectness:
         rng = np.random.default_rng(13)
         other = rng.integers(0, 2, size=(3, K)) * 2 - 1
         other[:, 2] = [1, 1, -1]
-        coeffs = np.stack([zeros_to_coeffs(encode(Method.UNCODED, v, rp)) for v in other])
+        coeffs = synthesize_coeffs(vote_pattern(Method.UNCODED, other), rp)
         y = superpose(coeffs, np.ones((3, 1), complex), 0.0)
         ctx = flat_context(Method.UNCODED, K)
         assert decode(y, ctx)[2] == 1
@@ -266,9 +264,7 @@ class TestNoiselessCorrectness:
         rp = radius_param(K)
         v1 = np.array([1, 1, -1])  # index 3
         v2 = np.array([1, -1, 1])  # index 5
-        coeffs = np.stack([
-            zeros_to_coeffs(encode(Method.INDEXED, v, rp)) for v in (v1, v2)
-        ])
+        coeffs = synthesize_coeffs(vote_pattern(Method.INDEXED, np.stack([v1, v2])), rp)
         y = superpose(coeffs, np.ones((2, 1), complex), 0.0)
         dec = decode(y, flat_context(Method.INDEXED, K))
         assert dec[0] == 1  # both voted +1 on bit 0
@@ -357,7 +353,7 @@ class TestInvariances:
             )
             for _ in range(40):
                 votes = rng.integers(0, 2, M) * 2 - 1
-                c = zeros_to_coeffs(encode(method, votes, rp))
+                c = synthesize_coeffs(vote_pattern(method, votes), rp)
                 h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 base = decode(superpose(c[None], h[None], 0.0), ctx)
                 rot = h * np.exp(1j * rng.uniform(0, 2 * np.pi))

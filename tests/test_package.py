@@ -14,7 +14,12 @@ independent checks of each other.
 
 Backend construction has one home, `aggregation.backend`: no other module
 names a backend (`BACKENDS`) but the one that defines it and the
-re-exports of `__init__`, and no `lru_cache` wraps a class.
+re-exports of `__init__`. Nothing in the package caches: no module uses
+functools' `lru_cache` or `cache`.
+
+Each module but `__init__` declares `__all__`, and the functions and
+classes it lists are exactly its public top-level ones; any other name it
+lists is a top-level constant.
 """
 
 import ast
@@ -206,41 +211,15 @@ BACKENDS = {
 }
 
 
-def _is_lru_cache(node: ast.AST) -> bool:
-    """`lru_cache` or `cache`, bare, as a module attribute or called with
-    its options."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-    return name in ("lru_cache", "cache")
-
-
 def backend_builders() -> list[str]:
-    """`module.name` for each backend a module names outside its homes, and
-    `module.lru_cache(name)` for each package class an lru_cache wraps."""
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted((ROOT / "src" / "airmv").glob("*.py"))
-    }
-    classes = {
-        n.name for tree in trees.values() for n in ast.walk(tree)
-        if isinstance(n, ast.ClassDef)
-    }
+    """`module.name` for each backend a module names outside its homes."""
     found = []
-    for module, tree in trees.items():
-        names = _names(tree)
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        names = _names(ast.parse(path.read_text(encoding="utf-8")))
         found += [
-            f"{module}.{name}" for name, home in BACKENDS.items()
-            if names[name] and module not in ("aggregation", home, "__init__")
+            f"{path.stem}.{name}" for name, home in BACKENDS.items()
+            if names[name] and path.stem not in ("aggregation", home, "__init__")
         ]
-        for n in ast.walk(tree):
-            if isinstance(n, ast.ClassDef):
-                wrapped = [n.name] if any(map(_is_lru_cache, n.decorator_list)) else []
-            elif isinstance(n, ast.Call) and _is_lru_cache(n.func):
-                wrapped = [c for arg in n.args for c in _names(arg) if c in classes]
-            else:
-                continue
-            found += [f"{module}.lru_cache({c})" for c in wrapped]
     return found
 
 
@@ -250,9 +229,7 @@ def test_backends_are_built_in_one_home():
 
 def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
     """A backend named outside its homes, by import or by module attribute,
-    and an lru_cache around a class, called or as a decorator, are
-    reported; the homes, the re-exports, a docstring and a cached function
-    are not."""
+    is reported; the homes, the re-exports and a docstring are not."""
     pkg = tmp_path / "src" / "airmv"
     pkg.mkdir(parents=True)
     plants = {
@@ -263,9 +240,6 @@ def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
         "baselines": "def goldenbaum_aggregate():\n    pass\n\n"
                      "def obda_aggregate():\n    pass\n",
         "channel": '"""Feeds ProbeAggregator."""\n',
-        "huffman": "import functools\n\n"
-                   "@functools.lru_cache(maxsize=None)\ndef table(K):\n    return K\n\n"
-                   "@functools.cache\nclass Grid:\n    pass\n",
         "median": "from . import baselines\n\n"
                   "def mv():\n    return baselines.goldenbaum_aggregate\n",
         "simulate": "from functools import lru_cache\n"
@@ -275,9 +249,114 @@ def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
     for name, text in plants.items():
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
-    assert backend_builders() == [
-        "huffman.lru_cache(Grid)",
-        "median.goldenbaum_aggregate",
-        "simulate.ProbeAggregator",
-        "simulate.lru_cache(ProbeAggregator)",
-    ]
+    assert backend_builders() == ["median.goldenbaum_aggregate", "simulate.ProbeAggregator"]
+
+
+CACHES = ("lru_cache", "cache")
+
+
+def cache_uses() -> list[str]:
+    """`module:line` of each import or attribute access of functools'
+    `lru_cache` or `cache` in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functools = {
+            alias.asname or alias.name
+            for n in ast.walk(tree) if isinstance(n, ast.Import)
+            for alias in n.names if alias.name == "functools"
+        }
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom) and n.module == "functools":
+                hit = any(alias.name in CACHES for alias in n.names)
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                hit = n.attr in CACHES and n.value.id in functools
+            else:
+                continue
+            if hit:
+                found.append(f"{path.stem}:{n.lineno}")
+    return found
+
+
+def test_nothing_in_the_package_caches():
+    assert cache_uses() == []
+
+
+def test_the_scan_sees_a_planted_cache(tmp_path, monkeypatch):
+    """An imported `lru_cache` or `cache`, and functools' own under any
+    alias, are reported; other functools names and a variable named cache
+    are not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "aggregation": "from functools import reduce\n\ncache = {}\n",
+        "huffman": "import functools as ft\n\n"
+                   "@ft.lru_cache(maxsize=None)\ndef table(K):\n    return K\n",
+        "median": "import functools\n\n"
+                  "@functools.cache\nclass Grid:\n    pass\n",
+        "simulate": "from functools import lru_cache as memo, partial\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert cache_uses() == ["huffman:3", "median:3", "simulate:1"]
+
+
+def _top_level(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(public functions and classes, every other name bound) at the top
+    level of a module."""
+    defs = {n.name for n in filter(_public, tree.body)}
+    bound = {
+        t.id for n in tree.body if isinstance(n, (ast.Assign, ast.AnnAssign))
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        if isinstance(t, ast.Name)
+    }
+    return defs, bound
+
+
+def export_mismatches() -> list[str]:
+    """`module.name` for each public function or class a module's `__all__`
+    leaves out and each name it lists that the module does not define;
+    `module.__all__` for a module without one."""
+    found = []
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        listed = [
+            ast.literal_eval(n.value) for n in tree.body
+            if isinstance(n, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+        ]
+        if not listed:
+            found.append(f"{path.stem}.__all__")
+            continue
+        defs, bound = _top_level(tree)
+        names = set(listed[0])
+        found += [f"{path.stem}.{name}" for name in sorted(defs ^ (names - bound))]
+    return found
+
+
+def test_all_lists_exactly_the_public_definitions():
+    assert export_mismatches() == []
+
+
+def test_the_scan_sees_a_planted_export_mismatch(tmp_path, monkeypatch):
+    """A public function left out of `__all__`, a listed name the module
+    does not define and a module without `__all__` are reported; a listed
+    constant, a private function and `__init__` are not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "__init__": "from .a import used\n",
+        "a": '__all__ = ["LIMIT", "Box", "used", "gone"]\n\nLIMIT = 3\n\n'
+             "class Box:\n    pass\n\n"
+             "def used():\n    pass\n\n"
+             "def _helper():\n    pass\n\n"
+             "def forgotten():\n    pass\n",
+        "b": "def main():\n    pass\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert export_mismatches() == ["a.forgotten", "a.gone", "b.__all__"]

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from airmv.channel import PdpConfig
 from airmv.decoding import channel_power, noise_power, signal_scale_uncoded
-from airmv.encoding import Method, encode, vote_pattern
+from airmv.encoding import Method, vote_pattern
 from airmv.huffman import poly_eval, radius_param, root_phases, synthesize_coeffs
 from airmv.theory import (
     CerModel,
@@ -230,10 +230,7 @@ class TestRates:
         votes = np.array([[1, -1, 1, -1]])
         inner = encode_matrix(Method.UNCODED, votes, rp)
         rates, x = detection_rates(inner, 0, model)
-        cw = encode(Method.UNCODED, votes[0], rp)
-        from airmv.huffman import zeros_to_coeffs
-
-        p_val = abs(poly_eval(zeros_to_coeffs(cw), rp.d)) ** 2
+        p_val = abs(poly_eval(synthesize_coeffs(inner[0], rp), rp.d)) ** 2
         g = signal_scale_uncoded(rp, rp.d)
         fch = channel_power(rp.d, model.pdp)
         fn = noise_power(rp.d, model.sigma2, rp.K, model.pdp.L_e)
