@@ -19,10 +19,13 @@ the one probe covariance Sigma, which `detection_rates` forms:
 Under either law the CDF of the metric is computed exactly, with no
 quadrature: the two sums are chains of exponential phases, and a race
 between the chains (Neuts 1981) gives it from positive products and one
-matrix exponential. The error rate follows by averaging that CDF over
-realizations of the other transmitters' votes, all handled in one pass per
-point: one detector form, one `probe_moments` and one zero-form evaluation
-for the whole stack of realizations.
+matrix exponential. That exponential, of a bidiagonal phase generator,
+is computed in numpy (`_survival`) by scaling and squaring with its
+diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
+2009). The error rate follows by averaging that CDF over realizations of
+the other transmitters' votes, all handled in one pass per point: one
+detector form, one `probe_moments` and one zero-form evaluation for the
+whole stack of realizations.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .channel import PdpConfig
 from .decoding import DecoderContext, detector_form, probe_moments
@@ -99,17 +101,65 @@ def _race(first: list[float], second: list[float]) -> list[float]:
     return column
 
 
+# Degree of the series for exp(B), B >= 0 with ||B||_inf <= 1: the tail after
+# it is below 1/19! < 1e-17.
+_SERIES_DEGREE = 18
+
+
+def _survival(lam: np.ndarray, t: float) -> np.ndarray:
+    """exp(Q t) 1 for the phase generator Q = -diag(lam) + diag(lam[:-1], 1):
+    entry i is the probability that a chain entered at phase i is still
+    running after t > 0.
+
+    Scaling and squaring (Al-Mohy & Higham 2009): exp(Q t / 2^s) is squared
+    s times, and at every scale y = lam t / 2^j the diagonal exp(-y_i) and
+    the superdiagonal y_i (e^-y_i+1 - e^-y_i) / (y_i - y_i+1) are set in
+    closed form. That divided difference is written e^-min (1 - e^-d) / d
+    with d = |y_i - y_i+1|, which stays finite for rates over any number of
+    decades. Only the entries beyond the superdiagonal come from the series
+    and the squares, so a chain of one or two phases needs neither: one
+    phase is exp(-lam t). The series is that of exp(-mu) exp(B), B = Q t /
+    2^s + mu I with mu the largest scaled y, whose terms are all
+    nonnegative, as are the squares.
+    """
+    x = lam * t
+    n = x.size
+    s = max(0, math.frexp(x.max())[1]) if n > 2 else 0
+    y = np.ldexp(x, np.arange(-s, 1)[:, None])
+    diagonal = np.exp(-y)
+    e = np.zeros((n, n))
+    if n > 1:
+        a, b = y[:, :-1], y[:, 1:]
+        d = np.abs(a - b)
+        ratio = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
+        superdiagonal = a * np.exp(-np.minimum(a, b)) * ratio
+    if n > 2:
+        mu = y[0].max()
+        shifted = np.diag(mu - y[0]) + np.diag(y[0, :-1], 1)
+        term = np.eye(n)
+        for k in range(1, _SERIES_DEGREE + 1):
+            term = term @ shifted / k
+            e += term
+        e *= math.exp(-mu)
+    for j in range(s + 1):
+        if j:
+            e = e @ e
+        e.flat[:: n + 1] = diagonal[j]
+        if n > 1:
+            e.flat[1 :: n + 1] = superdiagonal[j]
+    # A row of exp(Q t) sums to at most 1; rounding may pass it by an ulp.
+    return np.minimum(e.sum(axis=1), 1.0)
+
+
 def _exceeds(first: list[float], second: list[float], t: float) -> float:
     """P(first > second + t) for t >= 0: once the second chain ends, the
-    first still has to outlast t from its current phase, pi expm(Q t) 1 with
+    first still has to outlast t from its current phase, pi exp(Q t) 1 with
     Q the first chain's phase generator (-lam_i on the diagonal, lam_i just
-    above it). At t = 0 that is sum(pi)."""
+    above it), from `_survival`. At t = 0 that is sum(pi)."""
     pi = np.array(_race(first, second))
     if t == 0.0 or pi.size == 0:
         return float(pi.sum())
-    lam = np.array(first)
-    q = np.diag(-lam) + np.diag(lam[:-1], 1)
-    return float(pi @ expm(q * t).sum(axis=1))
+    return float(pi @ _survival(np.array(first), t))
 
 
 def cdf_diff_exp_sums(rates: ExpRateSet, x: float) -> float:

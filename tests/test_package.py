@@ -15,7 +15,8 @@ independent checks of each other.
 Backend construction has one home, `aggregation.backend`: no other module
 names a backend (`BACKENDS`) but the one that defines it and the
 re-exports of `__init__`. Nothing in the package caches: no module uses
-functools' `lru_cache` or `cache`.
+functools' `lru_cache` or `cache`. Nothing in the package imports scipy, a
+test dependency only, and importing the CLI loads none of it.
 
 Each module but `__init__` declares `__all__`, and the functions and
 classes it lists are exactly its public top-level ones; any other name it
@@ -23,6 +24,9 @@ lists is a top-level constant.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -300,6 +304,56 @@ def test_the_scan_sees_a_planted_cache(tmp_path, monkeypatch):
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert cache_uses() == ["huffman:3", "median:3", "simulate:1"]
+
+
+def scipy_imports() -> list[str]:
+    """`module:line` of each `import scipy...` or `from scipy... import` in
+    the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.split(".", 1)[0] == "scipy" for name in names):
+                found.append(f"{path.stem}:{n.lineno}")
+    return found
+
+
+def test_nothing_in_the_package_imports_scipy():
+    assert scipy_imports() == []
+
+
+def test_the_scan_sees_a_planted_scipy_import(tmp_path, monkeypatch):
+    """`import scipy`, a submodule import under any alias, `from scipy...`
+    and an import inside a function are reported; a module or a relative
+    import that only shares the name is not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "aggregation": "import numpy as np, scipy\n",
+        "channel": "import scipy_like\nfrom . import scipy\nfrom .scipy import expm\n",
+        "huffman": "import scipy.linalg as sl\n",
+        "median": "def f():\n    from scipy.special import erf\n    return erf\n",
+        "theory": "from scipy import linalg\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert scipy_imports() == ["aggregation:1", "huffman:1", "median:2", "theory:1"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = ("import sys, airmv.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def _top_level(tree: ast.Module) -> tuple[set[str], set[str]]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from airmv.channel import PdpConfig
 from airmv.decoding import channel_power, noise_power, signal_scale_uncoded
@@ -14,6 +15,7 @@ from airmv.huffman import poly_eval, radius_param, root_phases, synthesize_coeff
 from airmv.theory import (
     CerModel,
     ExpRateSet,
+    _survival,
     cdf_diff_exp_sums,
     cer,
     detection_rates,
@@ -193,6 +195,79 @@ class TestPhaseRace:
         vals = [cdf_diff_exp_sums(rates, float(x)) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+class TestSurvival:
+    """exp(Q t) 1 for the bidiagonal phase generator, computed in numpy,
+    against closed forms and scipy's general matrix exponential."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_erlang_survival(self, n):
+        """Coincident rates: from phase i, n - i phases of rate lam remain,
+        so entry i is the Erlang survival sum_{k<n-i} e^{-lam t} (lam t)^k / k!."""
+        for lam, t in itertools.product((0.3, 1.0, 7.0), (0.01, 0.5, 2.0, 10.0, 40.0)):
+            x = lam * t
+            expected = [
+                sum(math.exp(-x) * x**k / math.factorial(k) for k in range(n - i))
+                for i in range(n)
+            ]
+            got = _survival(np.full(n, lam), t)
+            assert got == pytest.approx(expected, rel=0, abs=1e-14), (lam, t)
+
+    @pytest.mark.parametrize("lam", [(0.5, 3.0), (4.0, 0.2), (1.0, 1.0 + 1e-3),
+                                     (0.3, 2.0, 11.0), (9.0, 0.1, 1.5, 0.6)])
+    def test_hypoexponential_survival(self, lam):
+        """Distinct rates: the survival of a sum of exponentials is
+        sum_i e^{-lam_i t} prod_{j != i} lam_j / (lam_j - lam_i)."""
+        def survival(rates, t):
+            return sum(
+                math.exp(-a * t) * math.prod(b / (b - a) for b in rates if b != a)
+                for a in rates
+            )
+
+        for t in (1e-3, 0.1, 1.0, 5.0, 30.0):
+            expected = [survival(lam[i:], t) for i in range(len(lam))]
+            got = _survival(np.array(lam), t)
+            assert got == pytest.approx(expected, rel=0, abs=1e-12), t
+
+    def test_rates_over_twelve_decades_stay_a_survival(self):
+        """Finite, in [0, 1] and nonincreasing in t to rounding: near 1 a
+        row sum rounds either way by an ulp or two."""
+        rng = np.random.default_rng(16)
+        ts = np.logspace(-9, 8, 52)
+        for _ in range(40):
+            lam = 10.0 ** rng.uniform(-6, 6, int(rng.integers(1, 9)))
+            vals = np.array([_survival(lam, float(t)) for t in ts])
+            assert np.isfinite(vals).all(), lam
+            assert ((vals >= 0.0) & (vals <= 1.0)).all(), lam
+            assert (np.diff(vals, axis=0) <= 1e-15).all(), lam
+        # a fast phase next to slow ones: the chain outlasts t exactly when
+        # the slow phases do, to within the fast phase's mean 1e-6
+        lam = np.array([1e6, 1e-6, 1e-6])
+        for t in (1e2, 1e6, 1e8):
+            x = 1e-6 * t
+            assert _survival(lam, t)[0] == pytest.approx(
+                math.exp(-x) * (1.0 + x), rel=1e-5, abs=1e-300
+            )
+
+    def test_one_phase_is_exp(self):
+        rng = np.random.default_rng(17)
+        for lam, t in zip(10.0 ** rng.uniform(-6, 6, 500), 10.0 ** rng.uniform(-9, 8, 500)):
+            rate = np.array([lam])
+            assert _survival(rate, t)[0] == np.exp(-rate * t)[0], (lam, t)
+
+    def test_matches_scipy_expm(self):
+        rng = np.random.default_rng(18)
+        for _ in range(500):
+            n = int(rng.integers(1, 13))
+            lam = 10.0 ** rng.uniform(-1, 1, n)
+            if rng.random() < 0.3:
+                lam[: n // 2] = lam[0]
+            t = float(10.0 ** rng.uniform(-2, 1))
+            q = np.diag(-lam) + np.diag(lam[:-1], 1)
+            assert _survival(lam, t) == pytest.approx(
+                expm(q * t).sum(axis=1), rel=0, abs=1e-12
+            ), (lam, t)
 
 
 class TestCer:
