@@ -58,13 +58,14 @@ def config_from_argv(argv=None) -> ExperimentConfig:
     A malformed command line exits through argparse; a configuration the
     experiment cannot take raises ConfigError.
     """
-    # `--snr -3,0` and `--snr -inf` read as `--snr=-3,0` and `--snr=-inf`:
+    # `--snr -3,0` and `--snr -Inf` read as `--snr=-3,0` and `--snr=-Inf`:
     # argparse would take a value that starts with '-' and is not one plain
-    # number for a flag.
+    # number for a flag. The words match in any case, as the parser reads them.
     flags = {"--config", *(f.metadata["flag"] for f in fields(ExperimentConfig))}
     glued: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if glued and glued[-1] in flags and re.match(r"-(\.?\d|inf)", token):
+        if (glued and glued[-1] in flags
+                and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE)):
             glued[-1] += "=" + token
         else:
             glued.append(token)

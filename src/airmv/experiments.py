@@ -5,6 +5,10 @@ key), so reruns of the same configuration reproduce output byte for byte.
 The data rows are also the same whatever the thread count; only the echo
 line, which names `threads=N`, differs. Rows are accumulated in a fixed
 order and values formatted with a fixed precision.
+
+The pmepr sweep reads only the codewords, so it evaluates each distinct
+codeword of its draws once (`huffman.distinct_rows`) and gathers the
+PMEPRs back to the draws before the statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
-from .huffman import radius_param, synthesize_coeffs
+from .huffman import distinct_rows, radius_param, synthesize_coeffs
 from .median import run_median
 from .simulate import cer_backend, simulate_cer, stream
 from .theory import CerModel, vote_averaged_cer
@@ -39,8 +43,9 @@ _DOMAIN_THEORY = 1
 _DOMAIN_PMEPR = 2
 _DOMAIN_MEDIAN = 3
 
-# Codewords per waveform call of the pmepr sweep: bounds the transient
-# (codewords, oversampling * (K+1)) signal to a few MB.
+# Distinct codewords per waveform call of the pmepr sweep: bounds the
+# transient zero-form grid and coefficients, (chunk, K+1) each, and the
+# oversampled signal, (chunk, oversampling * (K+1)), to a few MB.
 _PMEPR_CHUNK = 256
 
 
@@ -172,12 +177,14 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             M = method.votes_per_codeword(K)
             rng = stream(cfg.seed, _DOMAIN_PMEPR, ki, mi)
             votes = rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1
-            coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
+            codewords, drawn = distinct_rows(vote_pattern(method, votes))
             samples = np.concatenate([
-                pmepr(dfts_ofdm_modulate(coeffs[i : i + _PMEPR_CHUNK],
-                                         cfg.oversampling))
-                for i in range(0, cfg.codewords, _PMEPR_CHUNK)
-            ])
+                pmepr(dfts_ofdm_modulate(
+                    synthesize_coeffs(codewords[i : i + _PMEPR_CHUNK], rp),
+                    cfg.oversampling,
+                ))
+                for i in range(0, len(codewords), _PMEPR_CHUNK)
+            ])[drawn]
             common = dict(experiment=cfg.experiment, method=name, K=K)
             for q, tag in quantiles:
                 rows.append(ResultRow(

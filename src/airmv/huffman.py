@@ -15,6 +15,11 @@ theory reads it at the probe points. `synthesize_coeffs` reads it on the
 (K+1)-point unit-circle grid and applies the forward FFT. The incremental
 expansion that cross-checks it lives in the tests: it accumulates rounding
 error one zero at a time, the grid method does not.
+
+Both evaluators work row by row, so a row's result does not depend on the
+other rows of its batch. Callers that evaluate random draws from a small
+codebook therefore evaluate each distinct row once (`distinct_rows`) and
+gather the results back to the draws.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "root_phases",
     "zero_form_eval",
     "synthesize_coeffs",
+    "distinct_rows",
     "poly_eval",
     "aacf",
 ]
@@ -106,6 +112,23 @@ def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
     """
     grid = zero_form_eval(inner, rp, root_phases(rp.K + 1))
     return np.fft.fft(grid, axis=-1) / (rp.K + 1)
+
+
+def distinct_rows(selections) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (..., K) selection batch, and for each input
+    row the index of its distinct row: `rows[inverse]` rebuilds the input bit
+    for bit.
+
+    `rows` has shape (n, K) and `inverse` the batch shape (...). Each row is
+    packed to bytes and compared as one opaque key, so any K works, K = 256
+    included; the rows come out in the keys' sorted order.
+    """
+    inner = np.asarray(selections, dtype=bool)
+    flat = inner.reshape(-1, inner.shape[-1])
+    packed = np.packbits(flat, axis=-1)
+    keys = packed.view(np.dtype((np.void, packed.shape[-1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return flat[first], inverse.reshape(inner.shape[:-1])
 
 
 def poly_eval(coeffs: np.ndarray, z) -> np.ndarray:

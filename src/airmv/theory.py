@@ -24,8 +24,8 @@ is computed in numpy (`_survival`) by scaling and squaring with its
 diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
 2009). The error rate follows by averaging that CDF over realizations of
 the other transmitters' votes, all handled in one pass per point: one
-detector form, one `probe_moments` and one zero-form evaluation for the
-whole stack of realizations.
+detector form, one `probe_moments` and one zero-form evaluation of the
+distinct codewords in the whole stack of realizations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .channel import PdpConfig
 from .decoding import DecoderContext, detector_form, probe_moments
 from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, zero_form_eval
+from .huffman import RadiusParam, distinct_rows, zero_form_eval
 
 __all__ = [
     "ExpRateSet",
@@ -214,11 +214,12 @@ def detection_rates(
 
     Each realization's probe covariance is Sigma = (P^T conj(P)) o C_H +
     C_W: P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`,
-    exactly zero at an encoded zero), and C_H and C_W are the channel and
-    noise covariances at the probes (`probe_moments`), the law the Monte
-    Carlo draws. Its diagonal holds the expected test-point energies. The
-    paper's independence model takes the means A_pp Sigma_pp, split into
-    the two sides by the sign of A. With `exact`, Sigma = L L^H and the
+    exactly zero at an encoded zero; evaluated once per distinct codeword of
+    the whole stack and gathered back to the users), and C_H and C_W are
+    the channel and noise covariances at the probes (`probe_moments`), the
+    law the Monte Carlo draws. Its diagonal holds the expected test-point
+    energies. The paper's independence model takes the means A_pp Sigma_pp,
+    split into the two sides by the sign of A. With `exact`, Sigma = L L^H and the
     metric is a sum of independent exponentials weighted by the eigenvalues
     of L^H A L, which are those of A Sigma (Turin 1960); positive ones form
     the plus side and the negated negative ones the minus side. Sigma is
@@ -233,7 +234,8 @@ def detection_rates(
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
     chan, noise = probe_moments(form.points, rp.K, model.pdp, model.sigma2)
-    vals = zero_form_eval(inner, rp, form.points)
+    rows, drawn = distinct_rows(inner)
+    vals = zero_form_eval(rows, rp, form.points)[drawn]
     rates = []
     for p in vals.reshape(-1, *vals.shape[-2:]):
         sigma = (p.T @ p.conj()) * chan + noise

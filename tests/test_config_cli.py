@@ -6,12 +6,17 @@ import shlex
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from airmv import cli
+from airmv import cli, experiments
 from airmv.cli import config_from_argv, main
 from airmv.config import ConfigError, build_config, parse_config_file
+from airmv.encoding import Method, vote_pattern
 from airmv.experiments import run_experiment, write_csv
+from airmv.huffman import radius_param, synthesize_coeffs
+from airmv.simulate import stream
+from airmv.waveform import dfts_ofdm_modulate, pmepr
 
 
 def make_cfg(tmp_path=None, **overrides):
@@ -170,6 +175,40 @@ class TestRunners:
         rows = run_experiment(cfg)
         ofdm = [r for r in rows if r.metric == "pmepr_ofdm_db"]
         assert len(ofdm) == 1 and ofdm[0].value == pytest.approx(1.79, abs=0.05)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_pmepr_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, chunk):
+        """Each distinct codeword's PMEPR is computed in chunks of
+        `_PMEPR_CHUNK` rows; no row depends on the others in its chunk."""
+        argv = ["pmepr", "--k", "8,32", "--methods", "m1,m2,m3", "--codewords", "300",
+                "--oversampling", "4", "--seed", "5"]
+        assert main(argv + ["--out", str(tmp_path / "default.csv")]) == 0
+        monkeypatch.setattr(experiments, "_PMEPR_CHUNK", chunk)
+        assert main(argv + ["--out", str(tmp_path / "chunk.csv")]) == 0
+        assert ((tmp_path / "chunk.csv").read_bytes()
+                == (tmp_path / "default.csv").read_bytes())
+
+    def test_pmepr_samples_equal_a_row_by_row_computation(self):
+        """The statistics of the deduplicated sweep are those of every drawn
+        codeword synthesized, modulated and measured on its own."""
+        cfg = make_cfg(experiment="pmepr", methods=("uncoded", "differential", "indexed"),
+                       k_values=(8,), codewords=300, oversampling=4, n_plus=None)
+        rows = run_experiment(cfg)
+        rp = radius_param(8)
+        for mi, name in enumerate(cfg.methods):
+            method = Method.from_name(name)
+            rng = stream(cfg.seed, experiments._DOMAIN_PMEPR, 0, mi)
+            votes = rng.integers(0, 2, size=(300, method.votes_per_codeword(8))) * 2 - 1
+            samples = np.array([
+                pmepr(dfts_ofdm_modulate(synthesize_coeffs(vote_pattern(method, v), rp), 4))
+                for v in votes
+            ])
+            expected = {f"pmepr_dfts_{tag}_db": float(np.quantile(samples, q))
+                        for q, tag in ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"),
+                                       (0.999, "p999"))}
+            expected["pmepr_dfts_mean_db"] = float(samples.mean())
+            expected["pmepr_dfts_max_db"] = float(samples.max())
+            assert {r.metric: r.value for r in rows if r.method == name} == expected
 
     def test_rmse_rows(self):
         cfg = make_cfg(experiment="rmse", methods=("ideal",), k_values=(4,),
@@ -436,19 +475,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert "airmv: configuration error" in err and "uncoded at K=1" in err
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "0,NaN"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0,NaN",
+                                     "-Inf", "-INF", "-Infinity", "-nan"])
     @pytest.mark.parametrize("experiment", ["cer", "theory", "rmse"])
     def test_snr_that_is_not_a_level_exits_2(self, capsys, tmp_path, experiment, snr):
         """A NaN SNR used to end in a traceback (cer, theory) or in a garbage
         RMSE (rmse), and -inf in CERs of infinite noise; both are refused,
-        from the command line and from a configuration file."""
+        from the command line and from a configuration file. A value after a
+        space that starts with '-' reaches the same rule in any case
+        (`--snr -Inf` used to exit with argparse's "expected one argument")."""
         argv = [experiment, "--seed", "1", "--k", "8", "--methods", "m2", "--u", "5",
                 "--trials", "10", "--rounds", "3", "--realizations", "2"]
         if experiment != "rmse":
             argv += ["--n-plus", "3"]
         cfg_file = tmp_path / "snr.cfg"
         cfg_file.write_text(f"snr_db = {snr}\n")
-        for extra in ([f"--snr={snr}"], ["--config", str(cfg_file)]):
+        for extra in ([f"--snr={snr}"], ["--snr", snr], ["--config", str(cfg_file)]):
             assert main(argv + extra + ["--out", str(tmp_path / "x.csv")]) == 2
             err = capsys.readouterr().err
             assert "airmv: configuration error: SNR" in err

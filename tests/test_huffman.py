@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from airmv.huffman import (
     RadiusParam,
     aacf,
+    distinct_rows,
     poly_eval,
     radius_param,
     root_phases,
@@ -249,3 +250,42 @@ class TestZeroCodeword:
         zeros = np.array([0.5, 2, 2, 0.5]) * w
         np.testing.assert_allclose(encoded_zeros(inner, rp), zeros, atol=0)
         assert np.all(zero_form_eval(inner, rp, zeros) == 0.0)
+
+
+def stack_of(rows, R, U):
+    """An (R, U, K) stack whose entry (r, u) is row (r * U + u) % len(rows)."""
+    rows = np.asarray(rows, dtype=bool)
+    return rows[np.arange(R * U).reshape(R, U) % len(rows)]
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("selections", [
+        stack_of(np.random.default_rng(1).integers(0, 2, (7, 8)), 5, 4),
+        np.random.default_rng(2).integers(0, 2, (40, 256)).astype(bool),
+        stack_of(np.eye(256, dtype=bool)[[3, 3, 200, 255, 200]], 3, 2),
+        np.array([[True, False, True]]),
+        np.ones((6, 9), dtype=bool),
+        np.array([[True], [False], [True]]),
+    ], ids=["stack", "k256-distinct", "k256-stack", "single", "all-equal", "k1"])
+    def test_rows_rebuild_the_input(self, selections):
+        rows, inverse = distinct_rows(selections)
+        K = selections.shape[-1]
+        assert rows.dtype == bool and rows.shape[1] == K
+        assert inverse.shape == selections.shape[:-1]
+        rebuilt = rows[inverse]
+        assert rebuilt.shape == selections.shape
+        assert np.array_equal(rebuilt, selections)
+        keys = [row.tobytes() for row in rows]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {row.tobytes() for row in selections.reshape(-1, K)}
+
+    def test_counts(self):
+        """Rows that differ only past the first 64 bits stay apart; equal
+        rows collapse to one."""
+        wide = np.zeros((4, 256), dtype=bool)
+        wide[1, 255] = wide[2, 64] = wide[3, 64] = True
+        assert len(distinct_rows(wide)[0]) == 3
+        assert len(distinct_rows(np.ones((50, 9), dtype=bool))[0]) == 1
+        assert len(distinct_rows(np.eye(256, dtype=bool))[0]) == 256
+        rows, inverse = distinct_rows(np.array([[False, True]]))
+        assert rows.tolist() == [[False, True]] and inverse.tolist() == [0]

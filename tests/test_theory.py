@@ -11,7 +11,14 @@ from scipy.linalg import expm
 from airmv.channel import PdpConfig
 from airmv.decoding import channel_power, noise_power, signal_scale_uncoded
 from airmv.encoding import Method, vote_pattern
-from airmv.huffman import poly_eval, radius_param, root_phases, synthesize_coeffs
+from airmv import theory
+from airmv.huffman import (
+    poly_eval,
+    radius_param,
+    root_phases,
+    synthesize_coeffs,
+    zero_form_eval,
+)
 from airmv.theory import (
     CerModel,
     ExpRateSet,
@@ -362,6 +369,37 @@ class TestRates:
             one, x_one = detection_rates(inner, 1, model, exact)
             assert isinstance(one, ExpRateSet)
             assert rates[r] == one and x == x_one
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_zero_form_once_per_distinct_codeword(self, monkeypatch, method, exact):
+        """One `zero_form_eval` call per `detection_rates` call, on exactly
+        the distinct rows of the (R, U, K) stack, with the rates and offset
+        of the path that evaluates every row."""
+        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        rng = np.random.default_rng(16)
+        votes = rng.integers(0, 2, size=(12, 5, method.votes_per_codeword(8))) * 2 - 1
+        stack = vote_pattern(method, votes)
+        calls = []
+
+        def spy(inner, rp, points):
+            calls.append(np.array(inner))
+            return zero_form_eval(inner, rp, points)
+
+        monkeypatch.setattr(theory, "zero_form_eval", spy)
+        rates, x = detection_rates(stack, 1, model, exact)
+        assert len(calls) == 1
+        keys = [row.tobytes() for row in calls[0]]
+        assert len(set(keys)) == len(keys) < 60
+        assert set(keys) == {row.tobytes() for row in stack.reshape(-1, 8)}
+
+        def every_row(selections):
+            flat = selections.reshape(-1, 8)
+            return flat, np.arange(len(flat)).reshape(selections.shape[:-1])
+
+        monkeypatch.setattr(theory, "distinct_rows", every_row)
+        assert detection_rates(stack, 1, model, exact) == (rates, x)
+        assert len(calls[1]) == 60
 
     def test_complement_symmetry(self):
         """Swapping N+ and N- with complementary votes mirrors the CDF."""
