@@ -8,21 +8,35 @@ prod_k (z - zero_k), with no coefficient sequence and no convolution, and
 decides with the detector's `DetectorForm.decide`, as `decode` does on the
 time-domain chain it is tested against.
 
-Each trial draws only what the detector reads: a user's channel values at
-the P probes are CN(0, C_H) and the noise values CN(0, C_W), the
-covariances of `probe_moments`, each drawn from as many of its top
-eigenpairs as its rank allows: min(P, L_e) and min(P, K + L_e) normals.
+Each trial draws only what the detector reads, by one of two rules. The
+noise values at the P probes are CN(0, C_W), a covariance of
+`probe_moments`, drawn from as many of its top eigenpairs as its rank
+allows, min(P, K + L_e) normals, after the signal in both rules.
+
+* An engine that decides several votes draws each user's channel values at
+  the probes jointly, CN(0, C_H), from min(P, L_e) normals: the decisions
+  of one trial share the channel.
+* An engine that decides one vote (the Monte Carlo's vote 0, or a
+  differential or indexed codeword at K = 2, which carries one vote) needs
+  no per-user draw. Each user's
+  codeword is exactly zero at every probe of that vote but one, so the
+  signal terms of different probes sum disjoint users and are independent:
+  probe p's is CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
+  C_H's off-diagonal entries never enter.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
 product of its slots' factors (z_p - zero_k), with its share of c_lead;
-P_u(z_p) is the product of one row per byte. The indexed encoder's slots
-depend on all votes at once, so its table holds one row per codeword.
-Users that send the same codeword are indistinguishable at the receiver,
-so the channel is drawn once per codeword sent: R = sum_(c, j) G[n, c, j]
-B[j, p] T[c, p], with B the channel basis and G[n, c] the sum of the m_c
-channels of codeword c's senders in trial n, sqrt(m_c) times one draw. A
-probe that lands on a user's own encoded zero meets an exact 0 factor.
+P_u(z_p) is the product of one row per byte, and |P_u(z_p)|^2 the product
+of the rows of the tables' squared magnitudes. The indexed encoder's slots
+depend on all votes at once, so its table holds one row per codeword; it is
+diagonal, T[c, p] = 0 unless p = c. Users that send the same codeword are
+indistinguishable at the receiver: for several votes the channel is drawn
+once per codeword sent, R = sum_(c, j) G[n, c, j] B[j, p] T[c, p], with B
+the channel basis and G[n, c] the sum of the m_c channels of codeword c's
+senders in trial n, sqrt(m_c) times one draw; for one vote, probe p's
+signal variance is m_p |T[p, p]|^2 C_H[p, p]. A probe that lands on a
+user's own encoded zero meets an exact 0 factor.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
 rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
@@ -90,6 +104,14 @@ def _normal_factor(cov: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(lam[-rank:], 0.0) / 2.0), q[:, -rank:].T
 
 
+def _table_product(tables, packed: np.ndarray) -> np.ndarray:
+    """prod_i tables[i][packed[..., i]]: one gathered row per byte of votes."""
+    product = np.take(tables[0], packed[..., 0], axis=0)
+    for i in range(1, len(tables)):
+        product *= np.take(tables[i], packed[..., i], axis=0)
+    return product
+
+
 def _codeword_index(packed: np.ndarray) -> np.ndarray:
     index = packed[..., 0].astype(np.intp)
     for i in range(1, packed.shape[-1]):
@@ -103,9 +125,12 @@ class ProbeAggregator:
     `positions` names the vote positions to decide (all by default); only
     their probe points are evaluated. Votes arrive as (n, U, M) arrays of
     +/-1 and decisions return as (n, len(positions)). Per call the rng
-    draws the channel and then, when sigma2 > 0, the noise, each as
+    draws the signal and then, when sigma2 > 0, the noise as
     `complex_normal(shape, scale, rng) @ basis` with the probe-basis
-    (scale, basis) of `channel_factor` and `noise_factor`.
+    (scale, basis) of `noise_factor`. An engine deciding several votes draws
+    each user's channel likewise from `channel_factor`; one deciding a
+    single vote (`single_vote`) draws one normal per probe, scaled by
+    `channel_scale`, sqrt(C_H[p, p] / 2), times sqrt(sum_u |P_u(z_p)|^2).
     """
 
     def __init__(
@@ -119,13 +144,19 @@ class ProbeAggregator:
         self.form = detector_form(self.ctx, positions)
         self.tables = probe_tables(method, rp, self.form.points)
         c_h, c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
-        self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
         self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
-        if method is Method.INDEXED:
-            # Row (c, j) holds basis[j, p] T[c, p]: R = G @ this, channel and all.
-            basis = self.channel_factor[1]
-            rows = self.tables[0][:, np.newaxis] * basis
-            self._basis_table = rows.reshape(-1, basis.shape[1])
+        self.single_vote = self.form.signs.shape[1] == 1
+        if self.single_vote:
+            # Each user is nonzero at one probe only: see `received`.
+            self.channel_scale = np.sqrt(c_h.diagonal().real / 2.0)
+            self._power_tables = tuple(t.real**2 + t.imag**2 for t in self.tables)
+        else:
+            self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
+            if method is Method.INDEXED:
+                # Row (c, j) holds basis[j, p] T[c, p]: R = G @ this, channel and all.
+                basis = self.channel_factor[1]
+                rows = self.tables[0][:, np.newaxis] * basis
+                self._basis_table = rows.reshape(-1, basis.shape[1])
 
     def _packed(self, votes) -> np.ndarray:
         votes = check_vote_batch(votes)
@@ -142,29 +173,44 @@ class ProbeAggregator:
 
     def _values(self, packed: np.ndarray) -> np.ndarray:
         if self.ctx.method is Method.INDEXED:
-            return self.tables[0][_codeword_index(packed)]
-        values = self.tables[0][packed[..., 0]]
-        for i in range(1, len(self.tables)):
-            values *= self.tables[i][packed[..., i]]
-        return values
+            return np.take(self.tables[0], _codeword_index(packed), axis=0)
+        return _table_product(self.tables, packed)
+
+    def _codeword_counts(self, packed: np.ndarray) -> np.ndarray:
+        """(n, rows) senders m_c of each indexed codeword c per trial."""
+        n, rows = packed.shape[0], self.tables[0].shape[0]
+        cells = _codeword_index(packed) + rows * np.arange(n)[:, np.newaxis]
+        return np.bincount(cells.ravel(), minlength=n * rows).reshape(n, rows)
+
+    def _signal_power(self, packed: np.ndarray) -> np.ndarray:
+        """sum_u |P_u(z_p)|^2 per trial and probe, (n, P)."""
+        if self.ctx.method is Method.INDEXED:
+            # T is diagonal: the m_p senders of codeword p, each |T_pp|^2.
+            return self._codeword_counts(packed) * self._power_tables[0].diagonal()
+        return _table_product(self._power_tables, packed).sum(axis=1)
 
     def received(self, votes, rng: np.random.Generator) -> np.ndarray:
         """R(z_p) at every probe point; shape (n, P)."""
         packed = self._packed(votes)
         n, U, _ = packed.shape
-        scale, basis = self.channel_factor
-        if self.ctx.method is Method.INDEXED:
+        if self.single_vote:
+            # Each user's codeword is nonzero at one probe of the vote, so the
+            # probes' signal terms sum disjoint users: independent, CN(0,
+            # C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
+            scale = np.sqrt(self._signal_power(packed)) * self.channel_scale
+            r = complex_normal(scale.shape, scale, rng)
+        elif self.ctx.method is Method.INDEXED:
             # m_c users sending codeword c: their channel sum is sqrt(m_c)
             # times one draw, made only for the codewords sent.
-            rows = self.tables[0].shape[0]
-            cells = _codeword_index(packed) + rows * np.arange(n)[:, np.newaxis]
-            counts = np.bincount(cells.ravel(), minlength=n * rows)
+            scale, _ = self.channel_factor
+            counts = self._codeword_counts(packed).ravel()
             sent = np.flatnonzero(counts)
             draws = complex_normal((sent.size, scale.size), scale, rng)
-            g = np.zeros((n * rows, scale.size), dtype=complex)
+            g = np.zeros((counts.size, scale.size), dtype=complex)
             g[sent] = np.sqrt(counts[sent, np.newaxis]) * draws
             r = g.reshape(n, -1) @ self._basis_table
         else:
+            scale, basis = self.channel_factor
             h = complex_normal((n * U, scale.size), scale, rng)
             hz = (h @ basis).reshape(n, U, -1)
             r = np.einsum("nup,nup->np", hz, self._values(packed))

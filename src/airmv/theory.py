@@ -9,9 +9,11 @@ the one probe covariance Sigma, which `detection_rates` forms:
 
 * the paper's model (the default) keeps only diag(Sigma), i.e. it treats
   the test-point energies as independent exponentials. That is an
-  approximation: every probe sees one shared noise sequence and each
-  user's single channel draw, so the energies are correlated, most visibly
-  at low SNR;
+  approximation: every probe sees one shared noise sequence, so the
+  energies are correlated, most visibly at low SNR. The channel adds no
+  correlation: each user's codeword is exactly zero at every probe of the
+  vote but one, so the signal part of Sigma is diagonal, and at snr=inf
+  the two laws coincide;
 * the exact law (Turin 1960) keeps the full covariance Sigma. The form is
   then a difference of independent exponential sums whose means are the
   eigenvalues of A Sigma.

@@ -38,7 +38,8 @@ def _oversampled(bins: np.ndarray, oversampling: int, gain: float) -> np.ndarray
     n = bins.shape[-1]
     spectrum = np.zeros(bins.shape[:-1] + (oversampling * n,), dtype=complex)
     spectrum[..., :n] = bins
-    signal = np.fft.ifft(spectrum)
+    # In place: writing the transform into fresh memory costs more than it.
+    signal = np.fft.ifft(spectrum, out=spectrum)
     signal *= gain
     return signal
 

@@ -9,6 +9,7 @@ agree to rounding, and the moment checks hold their law against the
 per-user chain.
 """
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -39,6 +40,14 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
     the m_c users sending codeword c share its polynomial, so the chain
     takes one tap vector per codeword sent, scales it by sqrt(m_c), and
     superposes the K codewords as K virtual transmitters.
+
+    An engine that decides one vote draws each probe's signal value r_p,
+    not each user's channel. Each sender is nonzero at one probe p of that
+    vote, where its weighted polynomial a_u(z_p) gets the channel value
+    c_p conj(a_u(z_p)), c_p = r_p / sum_u |a_u(z_p)|^2 over the probe's
+    senders (0 where that sum is 0), so that the senders sum to r_p; its
+    taps are the least-norm ones with that value, pinv of the probe's one
+    Vandermonde row.
     """
     n, U, M = votes.shape
     rp, L = radius_param(K), pdp_cfg.L_e
@@ -51,12 +60,25 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
     else:
         coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
         weight = np.ones((n, U))
-    sent = weight > 0
     v = powers(engine.form.points, K + L)
-    scale, basis = engine.channel_factor
-    draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
-    h = np.zeros(coeffs.shape[:-1] + (L,), dtype=complex)
-    h[sent] = weight[sent, np.newaxis] * (draws @ basis @ np.linalg.pinv(v[:L]))
+    if engine.single_vote:
+        P = v.shape[1]
+        a = weight[..., np.newaxis] * (coeffs @ v[: K + 1])
+        probe = np.abs(a).argmax(axis=-1)
+        own = np.take_along_axis(a, probe[..., np.newaxis], axis=-1)[..., 0]
+        mine = probe[..., np.newaxis] == np.arange(P)
+        power = (np.abs(own[..., np.newaxis]) ** 2 * mine).sum(axis=1)
+        r = complex_normal((n, P), engine.channel_scale * np.sqrt(power), rng)
+        c = np.divide(r, power, out=np.zeros_like(r), where=power > 0)
+        value = np.take_along_axis(c, probe, axis=-1) * own.conj()
+        rows = np.stack([np.linalg.pinv(v[:L, [p]])[0] for p in range(P)])
+        h = (weight * value)[..., np.newaxis] * rows[probe]
+    else:
+        sent = weight > 0
+        scale, basis = engine.channel_factor
+        draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
+        h = np.zeros(coeffs.shape[:-1] + (L,), dtype=complex)
+        h[sent] = weight[sent, np.newaxis] * (draws @ basis @ np.linalg.pinv(v[:L]))
     y = superpose(coeffs, h)
     if sigma2 > 0:
         scale, basis = engine.noise_factor
@@ -117,27 +139,30 @@ def test_matches_time_domain_oracle(method, K, U, L_e, sigma2, positions):
 
 def test_draws_match_the_time_domain_chain():
     """The engine leaves the rng where the time-domain chain leaves it."""
-    for sigma2 in (0.2, 0.0):
+    for sigma2, positions in itertools.product((0.2, 0.0), (None, 0)):
         votes = np.random.default_rng(0).integers(0, 2, size=(50, 4, 3)) * 2 - 1
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        ProbeAggregator(Method.INDEXED, 8, PdpConfig(2), sigma2).aggregate(votes, a)
-        oracle(Method.INDEXED, 8, PdpConfig(2), sigma2, votes, b)
+        engine = ProbeAggregator(Method.INDEXED, 8, PdpConfig(2), sigma2, positions)
+        engine.aggregate(votes, a)
+        oracle(Method.INDEXED, 8, PdpConfig(2), sigma2, votes, b, positions)
         assert a.random() == b.random()
 
 
-# (method, K, positions, L_e, sigma2, fixed (U, M) votes): vote 0 of uncoded
-# and differential and all of uncoded K=2 draw in the probe basis (the
-# noiseless K=2 case sees C_H's cross terms, since each user is nonzero at
-# two probes); indexed draws one channel per codeword sent, with m_c of 3,
-# 1 and 2.
+# (method, K, positions, L_e, sigma2, fixed (U, M) votes): the vote-0
+# engines draw one normal per probe, from sum_u |P_u(z_p)|^2 (indexed: m_p
+# |T_pp|^2, with m_c of 3, 1 and 2); all of uncoded K=2 draws each user's
+# channel in the probe basis (noiseless, it sees C_H's cross terms, since
+# each user is nonzero at two probes); all of indexed K=8 draws one channel
+# per codeword sent, with m_c of 3, 1 and 2.
+_REPEATED = 2 * ((np.array([[0], [0], [0], [3], [5], [5]]) >> np.arange(3)) & 1) - 1
 MOMENT_CASES = [
     (Method.UNCODED, 8, 0, 4, 0.5,
      np.random.default_rng(2).integers(0, 2, size=(4, 8)) * 2 - 1),
     (Method.DIFFERENTIAL, 8, 0, 4, 0.5,
      np.random.default_rng(3).integers(0, 2, size=(4, 4)) * 2 - 1),
     (Method.UNCODED, 2, None, 5, 0.0, np.array([[1, 1], [1, -1], [-1, 1]])),
-    (Method.INDEXED, 8, None, 3, 0.5,
-     2 * ((np.array([[0], [0], [0], [3], [5], [5]]) >> np.arange(3)) & 1) - 1),
+    (Method.INDEXED, 8, None, 3, 0.5, _REPEATED),
+    (Method.INDEXED, 8, 0, 3, 0.5, _REPEATED),
 ]
 N_MOMENT = 100_000
 
@@ -210,11 +235,17 @@ def _counts_for_their_roots(patch):
     patch.setattr(np, "sqrt", lambda x: x)
 
 
+def _power_of_the_sum(patch):
+    patch.setattr(ProbeAggregator, "_signal_power",
+                  lambda self, packed: np.abs(self._values(packed).sum(axis=1)) ** 2)
+
+
 @pytest.mark.parametrize("mutation", [
     {"mutate_build": _reversed_taps},           # a wrong tap profile
     {"mutate_build": _diagonal_covariances},    # independent probes
     {"mutate_draw": _counts_for_their_roots},   # m_c in place of sqrt(m_c)
-], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt"])
+    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, vote 0 only
+], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum"])
 def test_moment_check_catches_a_wrong_law(mutation):
     assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
 
@@ -232,14 +263,23 @@ def test_moment_check_catches_a_wrong_law(mutation):
 def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2):
     """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
     of the noise samples seen at the probes, from as many rows as its rank
-    allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise."""
+    allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise.
+    An engine that decides one vote reads only the channel's variances at
+    the probes: 2 channel_scale^2 is diag(C_H), and it builds no factor."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
     points = probe_points(method, radius_param(K), positions)
     v = powers(points, K + L_e)
     taps = pdp(L_e, 0.5)
+    c_h = (v[:L_e].T * taps) @ v[:L_e].conj()
     rows = (min(points.size, L_e), min(points.size, K + L_e))
-    pairs = ((engine.channel_factor, rows[0], (v[:L_e].T * taps) @ v[:L_e].conj()),
-             (engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj())))
+    pairs = [(engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj()))]
+    assert engine.single_vote == (positions == 0 or method.votes_per_codeword(K) == 1)
+    if engine.single_vote:
+        assert not hasattr(engine, "channel_factor")
+        np.testing.assert_allclose(2 * engine.channel_scale**2, c_h.diagonal().real,
+                                   rtol=0, atol=1e-12 * np.abs(c_h).max())
+    else:
+        pairs.append((engine.channel_factor, rows[0], c_h))
     for (scale, basis), n_rows, cov in pairs:
         assert basis.shape == (n_rows, points.size)
         got = (basis.T * (2 * scale**2)) @ basis.conj()
@@ -248,24 +288,51 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
 
 def test_probe_on_an_encoded_zero_is_exactly_zero():
     """Noiseless, every user sending the same codeword: the probes at that
-    codeword's zeros read exactly 0, the others do not."""
+    codeword's zeros read exactly 0, the others do not, for every vote and
+    for vote 0 alone."""
     K, U, pdp_cfg = 8, 4, PdpConfig(3)
     rp = radius_param(K)
-    for method in Method:
+    for method, positions in itertools.product(Method, (None, 0)):
         M = method.votes_per_codeword(K)
+        points = probe_points(method, rp, positions)
+        tables = probe_tables(method, rp, points)
         for vote in (-1, 1):
             votes = np.full((20, U, M), vote)
-            engine = ProbeAggregator(method, K, pdp_cfg, 0.0)
+            engine = ProbeAggregator(method, K, pdp_cfg, 0.0, positions)
             r = engine.received(votes, np.random.default_rng(1))
             zeros = np.where(vote_pattern(method, votes[0, 0]), 1.0 / rp.d, rp.d)
-            on_zero = np.isin(probe_points(method, rp), zeros * root_phases(K))
+            on_zero = np.isin(points, zeros * root_phases(K))
             assert on_zero.any() and not on_zero.all()
             assert np.all(r[:, on_zero] == 0.0)
             assert np.all(r[:, ~on_zero] != 0.0)
             row = 2 ** min(M, 8) - 1 if vote > 0 else 0
-            tables = probe_tables(method, rp, probe_points(method, rp))
             product = np.prod([t[row] for t in tables], axis=0)
             assert np.all((product == 0.0) == on_zero)
+
+
+@pytest.mark.parametrize("K", [2, 8, 32])
+@pytest.mark.parametrize("method", list(Method))
+def test_single_vote_users_are_nonzero_at_one_probe(method, K):
+    """The one-vote draw rule rests on this: every codeword is nonzero at
+    exactly one probe of the decided vote, so the probes' signal terms sum
+    disjoint users. Every codeword for indexed and for up to 16 votes, 4096
+    random ones beyond. The engine's sum_u |P_u(z_p)|^2 equals that of its
+    codeword values."""
+    M = method.votes_per_codeword(K)
+    for positions in [0] + ([None] if M == 1 else []):
+        engine = ProbeAggregator(method, K, PdpConfig(2), 0.1, positions)
+        assert engine.single_vote
+        assert not hasattr(engine, "_basis_table")
+        if method is Method.INDEXED or M <= 16:
+            index = np.arange(2 ** M)[:, np.newaxis]
+            votes = 2 * ((index >> np.arange(M)) & 1) - 1
+        else:
+            votes = 2 * np.random.default_rng(K).integers(0, 2, size=(4096, M)) - 1
+        packed = engine._packed(votes[np.newaxis])  # one trial, a user per row
+        values = engine._values(packed)
+        assert np.all(np.count_nonzero(values, axis=-1) == 1)
+        power = (values.real**2 + values.imag**2).sum(axis=1)
+        np.testing.assert_allclose(engine._signal_power(packed), power, rtol=1e-13)
 
 
 def test_monte_carlo_batch_matches_time_domain_batch():

@@ -272,12 +272,16 @@ class TestCsv:
         assert digest == self.PINNED[experiment, threads]
 
     # sha256 of a small cer run (at one and two threads) and rmse run of the
-    # zero-encoded schemes, recorded before the Monte Carlo and the median
-    # built their engines with `aggregation.backend`: K=2 has one vote per
-    # coded codeword, and snr inf draws no noise.
+    # zero-encoded schemes: K=2 has one vote per coded codeword, and snr inf
+    # draws no noise. The rmse pin dates from before the Monte Carlo and the
+    # median built their engines with `aggregation.backend`. The cer pair was
+    # re-recorded when the Monte Carlo's one-vote engines began to draw one
+    # normal per probe instead of each user's channel: the same law, with
+    # other draws. Before that, at 4e5 trials a cell, this grid and the
+    # benchmark's cer legs agreed with the per-user draw within |z| <= 2.42.
     ZERO_PINNED = {
-        ("cer", "1"): "ac56eee0607d8f721d804f8bf0d69be85b53925b5f42f638b579410827d75c2f",
-        ("cer", "2"): "1f3b3815cbff3292676fe33ec77b6221cea807dd0bc2ec1fdafe91ea5c3afa24",
+        ("cer", "1"): "acdbdbcd919a770e599641e6c044558798a9532b29358069e8c29ff6e3002fa7",
+        ("cer", "2"): "65ad115c31d59163da491e090ddd56ddb801d3e39ac6ec7eac7f179b44a9dc40",
         ("rmse", "1"): "43c0e42a7493ec781218930177579b7a2ee77cd7dde16401ce81fdf5554c7ed0",
     }
     ZERO_ARGV = {
