@@ -48,8 +48,22 @@ class PdpConfig:
 
 def complex_normal(shape, scale, rng: np.random.Generator) -> np.ndarray:
     """scale * (a + i b) with a, b standard normal of `shape`: CN(0, 2 scale^2)
-    entries. All real parts are drawn before the imaginary ones."""
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    entries. All real parts are drawn before the imaginary ones.
+
+    The result is built in place: the real parts land in one float buffer
+    and are scaled into `out.real`, then the imaginary parts are drawn into
+    the same buffer and scaled into `out.imag`. The draws, their order and
+    the values are bitwise those of `scale * (a + 1j * b)`, at the cost of
+    one float buffer beside the result instead of three complex temporaries.
+    `scale` (a scalar, or an array broadcasting to `shape`) must not widen
+    `shape`.
+    """
+    out = np.empty(shape, dtype=complex)
+    buf = rng.standard_normal(out.shape)
+    np.multiply(scale, buf, out=out.real)
+    rng.standard_normal(out=buf)
+    np.multiply(scale, buf, out=out.imag)
+    return out
 
 
 def sample_channel(
@@ -82,6 +96,10 @@ def superpose(
     zero-padded linear convolution yields (..., K+L_e) samples. Noise w_n is
     CN(0, sigma2), drawn from `rng` when sigma2 > 0.
     """
+    if sigma2 < 0:
+        raise ValueError("noise variance must be nonnegative")
+    if sigma2 > 0 and rng is None:
+        raise ValueError("an rng is required when sigma2 > 0")
     c = np.asarray(coeff_seqs, dtype=complex)
     h = np.asarray(channels, dtype=complex)
     if c.ndim < 2 or h.ndim < 2 or c.shape[:-1] != h.shape[:-1]:
@@ -94,10 +112,6 @@ def superpose(
     y = np.zeros(c.shape[:-2] + (n_coef + n_tap - 1,), dtype=complex)
     for tap in range(n_tap):
         y[..., tap : tap + n_coef] += np.einsum("...u,...un->...n", h[..., tap], c)
-    if sigma2 < 0:
-        raise ValueError("noise variance must be nonnegative")
     if sigma2 > 0:
-        if rng is None:
-            raise ValueError("an rng is required when sigma2 > 0")
         y += awgn(y.shape, sigma2, rng)
     return y

@@ -6,10 +6,12 @@ the backend's statistic against the transmitted signals rebuilt from them.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import airmv.baselines
 from airmv.aggregation import backend as build_backend
 from airmv.baselines import (
     BASELINES,
@@ -19,7 +21,7 @@ from airmv.baselines import (
     obda_aggregate,
     obda_received,
 )
-from airmv.channel import PdpConfig, awgn, sample_channel
+from airmv.channel import PdpConfig, awgn, sample_channel, superpose
 from airmv.median import MedianState, local_votes, median_step, run_median
 from airmv.simulate import (
     _count_mv_errors,
@@ -40,6 +42,18 @@ def goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, M, U, L_seq))
     h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
     return phases, h
+
+
+def goldenbaum_reference(votes, rng, L_seq, pdp_cfg, sigma2):
+    """Estimates of the full-batch chain: every user's sqrt(v + 1) e^{i phase}
+    sequence, silent or not, convolved in one `superpose` call."""
+    n, U, M = votes.shape
+    phases, h = goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg)
+    per_mv = np.swapaxes(votes, -1, -2)
+    seqs = np.sqrt(per_mv + 1.0)[..., np.newaxis] * np.exp(1j * phases)
+    y = superpose(seqs, h, sigma2, rng)
+    energy = np.sum(np.abs(y) ** 2, axis=-1)
+    return (energy - y.shape[-1] * sigma2) / L_seq - U
 
 
 def obda_taps(rng, n, M, U):
@@ -173,6 +187,74 @@ class TestGoldenbaumDecode:
             with pytest.raises(ValueError):
                 goldenbaum_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0),
                                      L_seq, PdpConfig(1), 0.1)
+
+
+class TestGoldenbaumBlocks:
+    """The block evaluation over sending users makes the full-batch chain's
+    draws and estimates, bit for bit, wherever the blocks fall."""
+
+    BLOCK = airmv.baselines._GOLDENBAUM_BLOCK
+
+    @staticmethod
+    def votes(kind, n, U, M):
+        rng = np.random.default_rng(31)
+        if kind == "column":
+            return column_votes(n, U, (U + 1) // 2)
+        if kind == "random":
+            return rng.integers(0, 2, (n, U, M)) * 2 - 1
+        if kind == "sparse":  # most blocks leave most users silent
+            return np.where(rng.random((n, U, M)) < 0.002, 1, -1)
+        return np.full((n, U, M), 1 if kind == "all" else -1)
+
+    def assert_matches_reference(self, votes, L_seq, pdp_cfg, sigma2):
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        got = goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2)
+        expected = goldenbaum_reference(votes, ref_rng, L_seq, pdp_cfg, sigma2)
+        np.testing.assert_array_equal(got, expected)
+        # run_median shares one rng over its rounds: the state must agree too.
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "kind, n, U, M",
+        [
+            ("column", 2 * BLOCK + 37, 25, 1),  # several blocks, ragged last
+            ("column", 50, 25, 1),  # fewer trials than one block
+            ("random", 100, 25, 3),  # the median's round shape
+            ("sparse", BLOCK + 9, 9, 2),
+            ("silent", BLOCK + 3, 4, 2),
+            ("all", BLOCK + 3, 4, 2),
+        ],
+    )
+    def test_matches_the_full_batch_chain(self, kind, n, U, M, sigma2):
+        self.assert_matches_reference(
+            self.votes(kind, n, U, M), 7, PdpConfig(5), sigma2
+        )
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_estimates_do_not_depend_on_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(airmv.baselines, "_GOLDENBAUM_BLOCK", block)
+        for kind in ("random", "sparse"):
+            self.assert_matches_reference(
+                self.votes(kind, 40, 6, 3), 4, PdpConfig(3, 0.8), 0.2
+            )
+
+    def test_peak_memory_stays_near_the_draws(self):
+        """One Monte Carlo batch (20k trials, U=25, K=32 so L_seq=7, L_e=5):
+        the traced peak stays within 1.4x the bytes of its phases, taps and
+        noise (2.3x for the full-batch chain)."""
+        n, U, L_seq, L_e = 20_000, 25, default_sequence_length(32), 5
+        votes = column_votes(n, U, 16)
+        drawn = n * U * L_seq * 8 + n * U * L_e * 16 + n * (L_seq + L_e - 1) * 16
+        tracemalloc.start()
+        try:
+            goldenbaum_estimate(
+                votes, np.random.default_rng(0), L_seq, PdpConfig(L_e), 0.1
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * drawn, f"peak {peak / drawn:.2f}x the drawn bytes"
 
 
 class TestGoldenbaumStatistics:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmv.channel import PdpConfig, pdp, sample_channel, superpose
+from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.huffman import RadiusParam, poly_eval, synthesize_coeffs
 
 
@@ -34,6 +34,29 @@ class TestPdp:
             pdp(3, 0.0)
         with pytest.raises(ValueError):
             pdp(3, 1.5)
+
+
+class TestComplexNormal:
+    """The in-place build keeps the values and draws of scale * (a + 1j b)."""
+
+    @pytest.mark.parametrize(
+        "shape, scale",
+        [
+            ((20_000, 32), 0.3),
+            ((5_000, 5), np.sqrt(np.array([0.4, 0.25, 0.2, 0.1, 0.05]) / 2)),
+            ((7, 3, 4), np.array([[1.5], [0.0], [2.0]])),
+            ((), 0.7),
+        ],
+    )
+    def test_bitwise_equal_to_the_expression(self, shape, scale):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = complex_normal(shape, scale, rng)
+        expected = scale * (
+            ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)
+        )
+        assert got.shape == expected.shape and got.dtype == complex
+        np.testing.assert_array_equal(got, expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSampleChannel:
@@ -123,6 +146,15 @@ class TestSuperpose:
             superpose(np.ones((1, 3)), np.ones((1, 1)), 0.1)
         with pytest.raises(ValueError):
             superpose(np.ones((1, 3)), np.ones((1, 1)), -1.0)
+
+    def test_noise_checks_come_before_any_work(self):
+        """A bad sigma2 or a missing rng is reported before the shapes are
+        even compared, let alone convolved."""
+        mismatched = (np.ones((2, 3)), np.ones((3, 1)))
+        with pytest.raises(ValueError, match="noise variance"):
+            superpose(*mismatched, -1.0)
+        with pytest.raises(ValueError, match="rng is required"):
+            superpose(*mismatched, 0.1)
 
     def test_noise_variance(self):
         rng = np.random.default_rng(8)
