@@ -13,16 +13,18 @@ noise values at the P probes are CN(0, C_W), a covariance of
 `probe_moments`, drawn from as many of its top eigenpairs as its rank
 allows, min(P, K + L_e) normals, after the signal in both rules.
 
-* An engine that decides several votes draws each user's channel values at
-  the probes jointly, CN(0, C_H), from min(P, L_e) normals: the decisions
-  of one trial share the channel.
-* An engine that decides one vote (the Monte Carlo's vote 0, or a
-  differential or indexed codeword at K = 2, which carries one vote) needs
-  no per-user draw. Each user's
-  codeword is exactly zero at every probe of that vote but one, so the
-  signal terms of different probes sum disjoint users and are independent:
-  probe p's is CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
-  C_H's off-diagonal entries never enter.
+* Where each user's codeword is nonzero at one probe of the engine only,
+  the signal terms of different probes sum disjoint users and are
+  independent: probe p's is CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one
+  normal per probe, and C_H's off-diagonal entries never enter. That holds
+  for every indexed engine, whose codeword puts its one inner zero at the
+  slot its votes spell, and for every engine that decides one vote (the
+  Monte Carlo's vote 0, or a differential codeword at K = 2, which carries
+  one vote): a user's pair of probes holds one of its own encoded zeros.
+* An uncoded or differential engine that decides several votes draws each
+  user's channel values at the probes jointly, CN(0, C_H), from min(P, L_e)
+  normals: a user is nonzero at one probe of each vote, so the decisions
+  of one trial share the channel and C_H's cross terms matter.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
@@ -30,13 +32,9 @@ product of its slots' factors (z_p - zero_k), with its share of c_lead;
 P_u(z_p) is the product of one row per byte, and |P_u(z_p)|^2 the product
 of the rows of the tables' squared magnitudes. The indexed encoder's slots
 depend on all votes at once, so its table holds one row per codeword; it is
-diagonal, T[c, p] = 0 unless p = c. Users that send the same codeword are
-indistinguishable at the receiver: for several votes the channel is drawn
-once per codeword sent, R = sum_(c, j) G[n, c, j] B[j, p] T[c, p], with B
-the channel basis and G[n, c] the sum of the m_c channels of codeword c's
-senders in trial n, sqrt(m_c) times one draw; for one vote, probe p's
-signal variance is m_p |T[p, p]|^2 C_H[p, p]. A probe that lands on a
-user's own encoded zero meets an exact 0 factor.
+diagonal, T[c, p] = 0 unless p = c, and probe p's signal variance is m_p
+|T[p, p]|^2 C_H[p, p] for the m_p users sending codeword p. A probe that
+lands on a user's own encoded zero meets an exact 0 factor.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
 rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
@@ -127,10 +125,11 @@ class ProbeAggregator:
     +/-1 and decisions return as (n, len(positions)). Per call the rng
     draws the signal and then, when sigma2 > 0, the noise as
     `complex_normal(shape, scale, rng) @ basis` with the probe-basis
-    (scale, basis) of `noise_factor`. An engine deciding several votes draws
-    each user's channel likewise from `channel_factor`; one deciding a
-    single vote (`single_vote`) draws one normal per probe, scaled by
-    `channel_scale`, sqrt(C_H[p, p] / 2), times sqrt(sum_u |P_u(z_p)|^2).
+    (scale, basis) of `noise_factor`. Where each user is nonzero at one
+    probe only (`one_probe_per_user`: every indexed engine, and every engine
+    deciding one vote), the signal is one normal per probe, scaled by
+    `channel_scale`, sqrt(C_H[p, p] / 2), times sqrt(sum_u |P_u(z_p)|^2);
+    otherwise each user's channel is drawn likewise from `channel_factor`.
     """
 
     def __init__(
@@ -145,18 +144,13 @@ class ProbeAggregator:
         self.tables = probe_tables(method, rp, self.form.points)
         c_h, c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
         self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
-        self.single_vote = self.form.signs.shape[1] == 1
-        if self.single_vote:
-            # Each user is nonzero at one probe only: see `received`.
+        self.one_probe_per_user = (method is Method.INDEXED
+                                   or self.form.signs.shape[1] == 1)
+        if self.one_probe_per_user:
             self.channel_scale = np.sqrt(c_h.diagonal().real / 2.0)
             self._power_tables = tuple(t.real**2 + t.imag**2 for t in self.tables)
         else:
             self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
-            if method is Method.INDEXED:
-                # Row (c, j) holds basis[j, p] T[c, p]: R = G @ this, channel and all.
-                basis = self.channel_factor[1]
-                rows = self.tables[0][:, np.newaxis] * basis
-                self._basis_table = rows.reshape(-1, basis.shape[1])
 
     def _packed(self, votes) -> np.ndarray:
         votes = check_vote_batch(votes)
@@ -193,22 +187,11 @@ class ProbeAggregator:
         """R(z_p) at every probe point; shape (n, P)."""
         packed = self._packed(votes)
         n, U, _ = packed.shape
-        if self.single_vote:
-            # Each user's codeword is nonzero at one probe of the vote, so the
-            # probes' signal terms sum disjoint users: independent, CN(0,
-            # C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
+        if self.one_probe_per_user:
+            # The probes' signal terms sum disjoint users: independent,
+            # CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
             scale = np.sqrt(self._signal_power(packed)) * self.channel_scale
             r = complex_normal(scale.shape, scale, rng)
-        elif self.ctx.method is Method.INDEXED:
-            # m_c users sending codeword c: their channel sum is sqrt(m_c)
-            # times one draw, made only for the codewords sent.
-            scale, _ = self.channel_factor
-            counts = self._codeword_counts(packed).ravel()
-            sent = np.flatnonzero(counts)
-            draws = complex_normal((sent.size, scale.size), scale, rng)
-            g = np.zeros((counts.size, scale.size), dtype=complex)
-            g[sent] = np.sqrt(counts[sent, np.newaxis]) * draws
-            r = g.reshape(n, -1) @ self._basis_table
         else:
             scale, basis = self.channel_factor
             h = complex_normal((n * U, scale.size), scale, rng)

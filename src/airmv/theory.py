@@ -12,8 +12,8 @@ the one probe covariance Sigma, which `detection_rates` forms:
   approximation: every probe sees one shared noise sequence, so the
   energies are correlated, most visibly at low SNR. The channel adds no
   correlation: each user's codeword is exactly zero at every probe of the
-  vote but one, so the signal part of Sigma is diagonal, and at snr=inf
-  the two laws coincide;
+  vote but one, so the signal part of Sigma is diagonal, C_H[p, p] sum_u
+  |P_u(z_p)|^2, and at snr=inf the two laws coincide;
 * the exact law (Turin 1960) keeps the full covariance Sigma. The form is
   then a difference of independent exponential sums whose means are the
   eigenvalues of A Sigma.
@@ -26,8 +26,9 @@ is computed in numpy (`_survival`) by scaling and squaring with its
 diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
 2009). The error rate follows by averaging that CDF over realizations of
 the other transmitters' votes, all handled in one pass per point: one
-detector form, one `probe_moments` and one zero-form evaluation of the
-distinct codewords in the whole stack of realizations.
+detector form, one `probe_moments`, one zero-form evaluation of the
+distinct codewords in the whole stack of realizations, and the signal
+diagonals of the whole stack at once.
 """
 
 from __future__ import annotations
@@ -214,18 +215,22 @@ def detection_rates(
     schemes, the inverse count scales for uncoded), and x = sum_p A_p b_p
     (zero for the coded schemes).
 
-    Each realization's probe covariance is Sigma = (P^T conj(P)) o C_H +
-    C_W: P[u, i] = P_u(z_i) comes from the zero form (`zero_form_eval`,
-    exactly zero at an encoded zero; evaluated once per distinct codeword of
-    the whole stack and gathered back to the users), and C_H and C_W are
-    the channel and noise covariances at the probes (`probe_moments`), the
-    law the Monte Carlo draws. Its diagonal holds the expected test-point
-    energies. The paper's independence model takes the means A_pp Sigma_pp,
-    split into the two sides by the sign of A. With `exact`, Sigma = L L^H and the
+    Each realization's probe covariance is Sigma = D + C_W, with C_W the
+    noise covariance at the probes and D diagonal: each user's codeword is
+    exactly zero at every probe of the vote but one, so the signal terms of
+    different probes sum disjoint users, and D_pp = C_H[p, p] sum_u
+    |P_u(z_p)|^2, with C_H the channel covariance at the probes
+    (`probe_moments`, the law the Monte Carlo draws) and P_u(z_p) from the
+    zero form (`zero_form_eval`, exactly zero at an encoded zero; evaluated
+    once per distinct codeword of the whole stack and gathered back to the
+    users). The diagonal of Sigma holds the expected test-point energies.
+    The paper's independence model takes the means A_pp Sigma_pp, split into
+    the two sides by the sign of A. With `exact`, Sigma = L L^H and the
     metric is a sum of independent exponentials weighted by the eigenvalues
     of L^H A L, which are those of A Sigma (Turin 1960); positive ones form
-    the plus side and the negated negative ones the minus side. Sigma is
-    formed one realization at a time, so memory grows with R U P, not R P^2.
+    the plus side and the negated negative ones the minus side. The paper
+    model reads the whole stack's diagonals at once; the exact law forms
+    Sigma one realization at a time, so memory grows with R U P, not R P^2.
     """
     rp = model.rp
     inner = np.asarray(codewords, dtype=bool)
@@ -237,19 +242,20 @@ def detection_rates(
     x = float(np.dot(weights, form.bias))
     chan, noise = probe_moments(form.points, rp.K, model.pdp, model.sigma2)
     rows, drawn = distinct_rows(inner)
-    vals = zero_form_eval(rows, rp, form.points)[drawn]
-    rates = []
-    for p in vals.reshape(-1, *vals.shape[-2:]):
-        sigma = (p.T @ p.conj()) * chan + noise
-        if not exact:
-            means = weights * sigma.diagonal().real
-            rates.append(ExpRateSet.from_means(means[weights > 0], -means[weights < 0]))
-            continue
-        evals, vecs = np.linalg.eigh(sigma)
-        root = vecs * np.sqrt(np.clip(evals, 0.0, None))
-        lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
-        lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
-        rates.append(ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]))
+    vals = zero_form_eval(rows, rp, form.points)
+    power = (vals.real**2 + vals.imag**2)[drawn].sum(axis=-2)
+    signal = power.reshape(-1, power.shape[-1]) * chan.diagonal().real
+    if not exact:
+        means = weights * (signal + noise.diagonal().real)
+        rates = [ExpRateSet.from_means(m[weights > 0], -m[weights < 0]) for m in means]
+    else:
+        rates = []
+        for d in signal:
+            evals, vecs = np.linalg.eigh(noise + np.diag(d))
+            root = vecs * np.sqrt(np.clip(evals, 0.0, None))
+            lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
+            lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
+            rates.append(ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]))
     return (rates if inner.ndim == 3 else rates[0]), x
 
 

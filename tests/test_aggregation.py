@@ -34,36 +34,24 @@ from airmv.simulate import (
 def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
     """Received samples (n, K + L_e) of the time-domain chain on the
     `engine`'s draws, lifted to taps and noise samples that take those
-    values at its probes (pinv of the Vandermonde matrices).
+    values at its probes (pinv of the Vandermonde matrices), with every
+    user's codeword through its own taps.
 
-    Every user's codeword goes through its own taps, except for indexed:
-    the m_c users sending codeword c share its polynomial, so the chain
-    takes one tap vector per codeword sent, scales it by sqrt(m_c), and
-    superposes the K codewords as K virtual transmitters.
-
-    An engine that decides one vote draws each probe's signal value r_p,
-    not each user's channel. Each sender is nonzero at one probe p of that
-    vote, where its weighted polynomial a_u(z_p) gets the channel value
-    c_p conj(a_u(z_p)), c_p = r_p / sum_u |a_u(z_p)|^2 over the probe's
-    senders (0 where that sum is 0), so that the senders sum to r_p; its
-    taps are the least-norm ones with that value, pinv of the probe's one
-    Vandermonde row.
+    An engine whose users are each nonzero at one probe (every indexed
+    engine, and every engine that decides one vote) draws each probe's
+    signal value r_p, not each user's channel. A sender nonzero at probe p
+    gets the channel value c_p conj(P_u(z_p)) there, c_p = r_p / sum_u
+    |P_u(z_p)|^2 over the probe's senders (0 where that sum is 0), so that
+    the senders sum to r_p; its taps are the least-norm ones with that
+    value, pinv of the probe's one Vandermonde row.
     """
     n, U, M = votes.shape
     rp, L = radius_param(K), pdp_cfg.L_e
-    if method is Method.INDEXED:
-        patterns = 2 * ((np.arange(K)[:, np.newaxis] >> np.arange(M)) & 1) - 1
-        codewords = synthesize_coeffs(vote_pattern(method, patterns), rp)
-        coeffs = np.broadcast_to(codewords, (n, K, K + 1))
-        index = ((votes > 0) << np.arange(M)).sum(axis=-1)
-        weight = np.sqrt((index[..., np.newaxis] == np.arange(K)).sum(axis=1))
-    else:
-        coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
-        weight = np.ones((n, U))
+    coeffs = synthesize_coeffs(vote_pattern(method, votes), rp)
     v = powers(engine.form.points, K + L)
-    if engine.single_vote:
+    if engine.one_probe_per_user:
         P = v.shape[1]
-        a = weight[..., np.newaxis] * (coeffs @ v[: K + 1])
+        a = coeffs @ v[: K + 1]
         probe = np.abs(a).argmax(axis=-1)
         own = np.take_along_axis(a, probe[..., np.newaxis], axis=-1)[..., 0]
         mine = probe[..., np.newaxis] == np.arange(P)
@@ -72,13 +60,11 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
         c = np.divide(r, power, out=np.zeros_like(r), where=power > 0)
         value = np.take_along_axis(c, probe, axis=-1) * own.conj()
         rows = np.stack([np.linalg.pinv(v[:L, [p]])[0] for p in range(P)])
-        h = (weight * value)[..., np.newaxis] * rows[probe]
+        h = value[..., np.newaxis] * rows[probe]
     else:
-        sent = weight > 0
         scale, basis = engine.channel_factor
-        draws = complex_normal((np.count_nonzero(sent), scale.size), scale, rng)
-        h = np.zeros(coeffs.shape[:-1] + (L,), dtype=complex)
-        h[sent] = weight[sent, np.newaxis] * (draws @ basis @ np.linalg.pinv(v[:L]))
+        draws = complex_normal((n, U, scale.size), scale, rng)
+        h = draws @ basis @ np.linalg.pinv(v[:L])
     y = superpose(coeffs, h)
     if sigma2 > 0:
         scale, basis = engine.noise_factor
@@ -138,22 +124,26 @@ def test_matches_time_domain_oracle(method, K, U, L_e, sigma2, positions):
 
 
 def test_draws_match_the_time_domain_chain():
-    """The engine leaves the rng where the time-domain chain leaves it."""
-    for sigma2, positions in itertools.product((0.2, 0.0), (None, 0)):
-        votes = np.random.default_rng(0).integers(0, 2, size=(50, 4, 3)) * 2 - 1
+    """The engine leaves the rng where the time-domain chain leaves it, under
+    both draw rules: one normal per probe (indexed, at every position) and
+    each user's channel (differential, all positions)."""
+    cases = [(Method.INDEXED, None), (Method.INDEXED, 0), (Method.DIFFERENTIAL, None)]
+    for sigma2, (method, positions) in itertools.product((0.2, 0.0), cases):
+        M = method.votes_per_codeword(8)
+        votes = np.random.default_rng(0).integers(0, 2, size=(50, 4, M)) * 2 - 1
         a, b = np.random.default_rng(3), np.random.default_rng(3)
-        engine = ProbeAggregator(Method.INDEXED, 8, PdpConfig(2), sigma2, positions)
+        engine = ProbeAggregator(method, 8, PdpConfig(2), sigma2, positions)
+        assert engine.one_probe_per_user == (method is Method.INDEXED)
         engine.aggregate(votes, a)
-        oracle(Method.INDEXED, 8, PdpConfig(2), sigma2, votes, b, positions)
+        oracle(method, 8, PdpConfig(2), sigma2, votes, b, positions)
         assert a.random() == b.random()
 
 
 # (method, K, positions, L_e, sigma2, fixed (U, M) votes): the vote-0
-# engines draw one normal per probe, from sum_u |P_u(z_p)|^2 (indexed: m_p
-# |T_pp|^2, with m_c of 3, 1 and 2); all of uncoded K=2 draws each user's
-# channel in the probe basis (noiseless, it sees C_H's cross terms, since
-# each user is nonzero at two probes); all of indexed K=8 draws one channel
-# per codeword sent, with m_c of 3, 1 and 2.
+# engines and both indexed ones draw one normal per probe, from sum_u
+# |P_u(z_p)|^2 (indexed: m_p |T_pp|^2, with m_c of 3, 1 and 2); all of
+# uncoded K=2 draws each user's channel in the probe basis (noiseless, it
+# sees C_H's cross terms, since each user is nonzero at two probes).
 _REPEATED = 2 * ((np.array([[0], [0], [0], [3], [5], [5]]) >> np.arange(3)) & 1) - 1
 MOMENT_CASES = [
     (Method.UNCODED, 8, 0, 4, 0.5,
@@ -243,8 +233,8 @@ def _power_of_the_sum(patch):
 @pytest.mark.parametrize("mutation", [
     {"mutate_build": _reversed_taps},           # a wrong tap profile
     {"mutate_build": _diagonal_covariances},    # independent probes
-    {"mutate_draw": _counts_for_their_roots},   # m_c in place of sqrt(m_c)
-    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, vote 0 only
+    {"mutate_draw": _counts_for_their_roots},   # the signal power, not its root
+    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, per-probe rule only
 ], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum"])
 def test_moment_check_catches_a_wrong_law(mutation):
     assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
@@ -264,8 +254,10 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
     """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
     of the noise samples seen at the probes, from as many rows as its rank
     allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise.
-    An engine that decides one vote reads only the channel's variances at
-    the probes: 2 channel_scale^2 is diag(C_H), and it builds no factor."""
+    An engine whose users are each nonzero at one probe (every indexed
+    engine, and every engine that decides one vote) reads only the channel's
+    variances at the probes: 2 channel_scale^2 is diag(C_H), and it builds
+    no factor."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
     points = probe_points(method, radius_param(K), positions)
     v = powers(points, K + L_e)
@@ -273,8 +265,9 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
     c_h = (v[:L_e].T * taps) @ v[:L_e].conj()
     rows = (min(points.size, L_e), min(points.size, K + L_e))
     pairs = [(engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj()))]
-    assert engine.single_vote == (positions == 0 or method.votes_per_codeword(K) == 1)
-    if engine.single_vote:
+    assert engine.one_probe_per_user == (
+        method is Method.INDEXED or positions == 0 or method.votes_per_codeword(K) == 1)
+    if engine.one_probe_per_user:
         assert not hasattr(engine, "channel_factor")
         np.testing.assert_allclose(2 * engine.channel_scale**2, c_h.diagonal().real,
                                    rtol=0, atol=1e-12 * np.abs(c_h).max())
@@ -313,16 +306,19 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
 @pytest.mark.parametrize("K", [2, 8, 32])
 @pytest.mark.parametrize("method", list(Method))
 def test_single_vote_users_are_nonzero_at_one_probe(method, K):
-    """The one-vote draw rule rests on this: every codeword is nonzero at
-    exactly one probe of the decided vote, so the probes' signal terms sum
-    disjoint users. Every codeword for indexed and for up to 16 votes, 4096
-    random ones beyond. The engine's sum_u |P_u(z_p)|^2 equals that of its
-    codeword values."""
+    """The per-probe draw rule rests on this: every codeword is nonzero at
+    exactly one probe of the engine, so the probes' signal terms sum
+    disjoint users. That holds at vote 0 for every scheme, and at every
+    position for indexed (and for a K = 2 codeword, which carries one vote).
+    Every codeword for indexed and for up to 16 votes, 4096 random ones
+    beyond. The engine's sum_u |P_u(z_p)|^2 equals that of its codeword
+    values."""
     M = method.votes_per_codeword(K)
-    for positions in [0] + ([None] if M == 1 else []):
+    every = method is Method.INDEXED or M == 1
+    for positions in [0] + ([None] if every else []):
         engine = ProbeAggregator(method, K, PdpConfig(2), 0.1, positions)
-        assert engine.single_vote
-        assert not hasattr(engine, "_basis_table")
+        assert engine.one_probe_per_user
+        assert not hasattr(engine, "channel_factor")
         if method is Method.INDEXED or M <= 16:
             index = np.arange(2 ** M)[:, np.newaxis]
             votes = 2 * ((index >> np.arange(M)) & 1) - 1

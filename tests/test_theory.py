@@ -9,7 +9,14 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from airmv.channel import PdpConfig
-from airmv.decoding import channel_power, noise_power, signal_scale_uncoded
+from airmv.decoding import (
+    DecoderContext,
+    channel_power,
+    detector_form,
+    noise_power,
+    probe_moments,
+    signal_scale_uncoded,
+)
 from airmv.encoding import Method, vote_pattern
 from airmv import theory
 from airmv.huffman import (
@@ -400,6 +407,47 @@ class TestRates:
         monkeypatch.setattr(theory, "distinct_rows", every_row)
         assert detection_rates(stack, 1, model, exact) == (rates, x)
         assert len(calls[1]) == 60
+
+    @staticmethod
+    def outer_product_rates(inner, ell, model, exact):
+        """Rates of one (U, K) matrix from the full probe covariance Sigma =
+        (P^T conj(P)) o C_H + C_W, asserting that P^T conj(P) is exactly
+        diagonal: the premise of `detection_rates`' diagonal signal term."""
+        ctx = DecoderContext.for_link(model.method, model.rp, model.pdp, model.sigma2)
+        form = detector_form(ctx, [ell])
+        weights = form.signs[:, 0] / form.scale
+        chan, noise = probe_moments(form.points, model.rp.K, model.pdp, model.sigma2)
+        p = zero_form_eval(inner, model.rp, form.points)
+        outer = p.T @ p.conj()
+        assert np.all(outer[~np.eye(outer.shape[0], dtype=bool)] == 0)
+        sigma = outer * chan + noise
+        if not exact:
+            means = weights * sigma.diagonal().real
+            return ExpRateSet.from_means(means[weights > 0], -means[weights < 0])
+        evals, vecs = np.linalg.eigh(sigma)
+        root = vecs * np.sqrt(np.clip(evals, 0.0, None))
+        lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
+        lam = lam[np.abs(lam) > 1e-12 * np.abs(lam).max(initial=0.0)]
+        return ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0])
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_matches_the_outer_product_oracle(self, method, exact):
+        """The stacked diagonal signal term gives the rates of the full
+        outer-product covariance, to 1e-13 relative, at K = 2, 8 and 32 and
+        at the first and last vote."""
+        for K in (2, 8, 32):
+            model = make_model(method, K, L_e=3, rho=0.7, sigma2=0.3)
+            M = method.votes_per_codeword(K)
+            rng = np.random.default_rng(K)
+            stack = vote_pattern(method, rng.integers(0, 2, size=(6, 5, M)) * 2 - 1)
+            for ell in sorted({0, M - 1}):
+                rates, _ = detection_rates(stack, ell, model, exact)
+                for got, inner in zip(rates, stack):
+                    want = self.outer_product_rates(inner, ell, model, exact)
+                    for a, b in ((got.rates_plus, want.rates_plus),
+                                 (got.rates_minus, want.rates_minus)):
+                        np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
     def test_complement_symmetry(self):
         """Swapping N+ and N- with complementary votes mirrors the CDF."""
