@@ -28,7 +28,10 @@ diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
 the other transmitters' votes, all handled in one pass per point: one
 detector form, one `probe_moments`, one zero-form evaluation of the
 distinct codewords in the whole stack of realizations, and the signal
-diagonals of the whole stack at once.
+diagonals of the whole stack at once. The rates stay (R, n) arrays, and
+the race runs over the whole stack, one step per anti-diagonal of its
+recurrence, once for each group of realizations with the same numbers of
+finite rates (phases of nonzero length) on the two sides.
 """
 
 from __future__ import annotations
@@ -54,6 +57,18 @@ __all__ = [
 ]
 
 
+def _inverse(means) -> np.ndarray:
+    """Rates 1 / means as a float array, inf for a zero mean (a phase of
+    length zero). A negative, NaN or infinite mean raises ValueError."""
+    means = np.asarray(means, dtype=float)
+    if (means < 0).any():
+        raise ValueError("means must be nonnegative")
+    rates = np.divide(1.0, means, out=np.full(means.shape, math.inf), where=means != 0)
+    if not (rates > 0).all():
+        raise ValueError("all rates must be strictly positive")
+    return rates
+
+
 @dataclass(frozen=True)
 class ExpRateSet:
     """Exponential rates of the two sums A and B entering P(A - B < x).
@@ -73,34 +88,39 @@ class ExpRateSet:
 
     @classmethod
     def from_means(cls, means_plus, means_minus) -> "ExpRateSet":
-        def invert(means):
-            out = []
-            for m in means:
-                if m < 0:
-                    raise ValueError("means must be nonnegative")
-                out.append(math.inf if m == 0.0 else 1.0 / m)
-            return tuple(out)
-
-        return cls(invert(means_plus), invert(means_minus))
+        return cls(tuple(_inverse(means_plus).tolist()),
+                   tuple(_inverse(means_minus).tolist()))
 
 
-def _race(first: list[float], second: list[float]) -> list[float]:
-    """pi[i]: probability that the `second` chain of exponential phases ends
-    while the `first` is in its phase i.
+def _race(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """pi[r, i]: probability that row r's `second` chain of exponential
+    phases ends while its `first` is in its phase i, for (R, n1) and (R, n2)
+    stacks of finite rates: every realization of a point whose sides have
+    these finite chain lengths (one group of `_cdf`).
 
     Both chains run at once; from state (phases of first done, phases of
     second done) the next phase to end is the first's with probability
     lam / (lam + mu), else the second's. Mass that leaves the first chain
     before the second ends is dropped (the first finished first). Every term
-    is a product of positive factors.
+    is a product of positive factors. Cell (j, i) of the recurrence needs
+    cells (j - 1, i) and (j, i - 1), so one step runs a whole anti-diagonal
+    i + j of every row at once: n1 + n2 - 1 steps in all.
     """
-    column = [1.0] + [0.0] * (len(first) - 1) if first else []
-    for mu in second:
-        visit = 0.0
-        for i, lam in enumerate(first):
-            visit += column[i]
-            column[i] = visit * mu / (lam + mu)
-            visit *= lam / (lam + mu)
+    rows, n1 = first.shape
+    column = np.zeros((rows, n1))
+    column[:, :1] = 1.0
+    # visit[:, i + 1]: mass that passed phase i of the first chain while the
+    # second is in the phase of the current anti-diagonal; visit[:, 0] is 0.
+    visit = np.zeros((rows, n1 + 1))
+    n2 = second.shape[1]
+    for k in range(n1 + n2 - 1 if n1 and n2 else 0):
+        lo, hi = max(0, k - n2 + 1), min(k, n1 - 1) + 1
+        lam = first[:, lo:hi]
+        mu = second[:, k - hi + 1 : k - lo + 1][:, ::-1]
+        v = visit[:, lo:hi] + column[:, lo:hi]
+        total = lam + mu
+        column[:, lo:hi] = v * mu / total
+        visit[:, lo + 1 : hi + 1] = v * (lam / total)
     return column
 
 
@@ -109,10 +129,29 @@ def _race(first: list[float], second: list[float]) -> list[float]:
 _SERIES_DEGREE = 18
 
 
+def _series(y: np.ndarray) -> np.ndarray:
+    """exp(-Y) for each row y of an (R, n) stack, with Y = diag(y) -
+    diag(y[:-1], 1) and max(y) <= 1: exp(-mu) times the series of exp(B),
+    B = mu I - Y >= 0 with mu = max(y)."""
+    rows, n = y.shape
+    mu = y.max(axis=1)
+    shifted = np.zeros((rows, n, n))
+    shifted.reshape(rows, -1)[:, :: n + 1] = mu[:, None] - y
+    shifted.reshape(rows, -1)[:, 1 :: n + 1] = y[:, :-1]
+    term = np.tile(np.eye(n), (rows, 1, 1))
+    e = np.zeros((rows, n, n))
+    for k in range(1, _SERIES_DEGREE + 1):
+        term = term @ shifted / k
+        e += term
+    e *= np.array([math.exp(-m) for m in mu])[:, None, None]
+    return e
+
+
 def _survival(lam: np.ndarray, t: float) -> np.ndarray:
-    """exp(Q t) 1 for the phase generator Q = -diag(lam) + diag(lam[:-1], 1):
-    entry i is the probability that a chain entered at phase i is still
-    running after t > 0.
+    """exp(Q t) 1 for the phase generator Q = -diag(lam) + diag(lam[:-1], 1)
+    of each row of an (R, n) stack (or of one (n,) chain), such as the
+    first chains of one group of `_cdf`: entry [r, i] is the probability
+    that row r's chain entered at phase i is still running after t > 0.
 
     Scaling and squaring (Al-Mohy & Higham 2009): exp(Q t / 2^s) is squared
     s times, and at every scale y = lam t / 2^j the diagonal exp(-y_i) and
@@ -120,49 +159,80 @@ def _survival(lam: np.ndarray, t: float) -> np.ndarray:
     closed form. That divided difference is written e^-min (1 - e^-d) / d
     with d = |y_i - y_i+1|, which stays finite for rates over any number of
     decades. Only the entries beyond the superdiagonal come from the series
-    and the squares, so a chain of one or two phases needs neither: one
-    phase is exp(-lam t). The series is that of exp(-mu) exp(B), B = Q t /
-    2^s + mu I with mu the largest scaled y, whose terms are all
-    nonnegative, as are the squares.
+    (`_series`) and the squares, so a chain of one or two phases needs
+    neither: one phase is exp(-lam t). Each row takes its own s; a row of s
+    squares joins the stack's common scale ladder s steps before its end,
+    so every step squares all the rows it holds with one stacked matmul.
     """
-    x = lam * t
-    n = x.size
-    s = max(0, math.frexp(x.max())[1]) if n > 2 else 0
-    y = np.ldexp(x, np.arange(-s, 1)[:, None])
+    x = np.reshape(lam * t, (-1, np.shape(lam)[-1]))
+    rows, n = x.shape
+    s = np.maximum(0, np.frexp(x.max(axis=1))[1]) if n > 2 else np.zeros(rows, int)
+    # In decreasing s, the rows on the ladder at any step are a prefix.
+    order = np.argsort(-s, kind="stable")
+    x, s = x[order], s[order]
+    top = int(s[0])
+    joined = np.searchsorted(-s, np.arange(-top, 1), side="right").tolist()
+    y = np.ldexp(x, np.arange(-top, 1)[:, None, None])
     diagonal = np.exp(-y)
-    e = np.zeros((n, n))
     if n > 1:
-        a, b = y[:, :-1], y[:, 1:]
+        a, b = y[..., :-1], y[..., 1:]
         d = np.abs(a - b)
         ratio = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
         superdiagonal = a * np.exp(-np.minimum(a, b)) * ratio
-    if n > 2:
-        mu = y[0].max()
-        shifted = np.diag(mu - y[0]) + np.diag(y[0, :-1], 1)
-        term = np.eye(n)
-        for k in range(1, _SERIES_DEGREE + 1):
-            term = term @ shifted / k
-            e += term
-        e *= math.exp(-mu)
-    for j in range(s + 1):
-        if j:
-            e = e @ e
-        e.flat[:: n + 1] = diagonal[j]
+    e = np.zeros((rows, n, n))
+    flat = e.reshape(rows, -1)
+    started = 0
+    for g, live in enumerate(joined):
+        if n > 2:
+            if started:
+                e[:started] = e[:started] @ e[:started]
+            if live > started:
+                e[started:live] = _series(y[g, started:live])
+            started = live
+        flat[:live, :: n + 1] = diagonal[g, :live]
         if n > 1:
-            e.flat[1 :: n + 1] = superdiagonal[j]
+            flat[:live, 1 :: n + 1] = superdiagonal[g, :live]
     # A row of exp(Q t) sums to at most 1; rounding may pass it by an ulp.
-    return np.minimum(e.sum(axis=1), 1.0)
+    out = np.empty((rows, n))
+    out[order] = np.minimum(e.sum(axis=2), 1.0)
+    return out.reshape(np.shape(lam))
 
 
-def _exceeds(first: list[float], second: list[float], t: float) -> float:
-    """P(first > second + t) for t >= 0: once the second chain ends, the
-    first still has to outlast t from its current phase, pi exp(Q t) 1 with
-    Q the first chain's phase generator (-lam_i on the diagonal, lam_i just
-    above it), from `_survival`. At t = 0 that is sum(pi)."""
-    pi = np.array(_race(first, second))
-    if t == 0.0 or pi.size == 0:
-        return float(pi.sum())
-    return float(pi @ _survival(np.array(first), t))
+def _exceeds(first: np.ndarray, second: np.ndarray, t: float) -> np.ndarray:
+    """P(first > second + t) for t >= 0, per row of (R, n1) and (R, n2)
+    stacks: once the second chain ends, the first still has to outlast t
+    from its current phase, pi exp(Q t) 1 with Q the first chain's phase
+    generator (-lam_i on the diagonal, lam_i just above it), from
+    `_survival`. At t = 0 that is sum(pi)."""
+    pi = _race(first, second)
+    if t == 0.0 or pi.shape[1] == 0:
+        return pi.sum(axis=1)
+    return (pi[:, None, :] @ _survival(first, t)[:, :, None])[:, 0, 0]
+
+
+def _cdf(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:
+    """CDF of A - B at x for each row of (R, n1) and (R, n2) rate stacks,
+    inf marking a phase of length zero.
+
+    Rows are grouped by their counts of finite rates on each side, and each
+    group is raced on its finite rates, in their order: one `_exceeds` call
+    per group, not per row.
+    """
+    finite_plus, finite_minus = np.isfinite(plus), np.isfinite(minus)
+    groups: dict[tuple[int, int], list[int]] = {}
+    counts = zip(finite_plus.sum(axis=1).tolist(), finite_minus.sum(axis=1).tolist())
+    for r, key in enumerate(counts):
+        groups.setdefault(key, []).append(r)
+    f = np.empty(len(plus))
+    for (n1, n2), rows in groups.items():
+        rows = np.array(rows)
+        a = plus[rows][finite_plus[rows]].reshape(rows.size, n1)
+        b = minus[rows][finite_minus[rows]].reshape(rows.size, n2)
+        if not n1 and not n2:
+            f[rows] = 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
+        else:
+            f[rows] = 1.0 - _exceeds(a, b, x) if x >= 0 else _exceeds(b, a, -x)
+    return np.clip(f, 0.0, 1.0)
 
 
 def cdf_diff_exp_sums(rates: ExpRateSet, x: float) -> float:
@@ -171,14 +241,11 @@ def cdf_diff_exp_sums(rates: ExpRateSet, x: float) -> float:
     Exact, by the phase race of the two sums (Neuts 1981): F(x) =
     1 - P(A > B + x) for x >= 0 and P(B > A - x) for x < 0, each read off
     `_exceeds`. Coincident rates need no special handling; infinite rates
-    are phases of length zero and drop out.
+    are phases of length zero and drop out. One row of the stacked `_cdf`.
     """
-    a = [r for r in rates.rates_plus if math.isfinite(r)]
-    b = [r for r in rates.rates_minus if math.isfinite(r)]
-    if not a and not b:
-        return 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
-    f = 1.0 - _exceeds(a, b, x) if x >= 0 else _exceeds(b, a, -x)
-    return min(1.0, max(0.0, f))
+    plus = np.array(rates.rates_plus, dtype=float).reshape(1, -1)
+    minus = np.array(rates.rates_minus, dtype=float).reshape(1, -1)
+    return float(_cdf(plus, minus, x)[0])
 
 
 @dataclass(frozen=True)
@@ -203,14 +270,17 @@ _EIG_RTOL = 1e-12
 
 
 def detection_rates(
-    codewords, ell: int, model: CerModel, exact: bool = False
-) -> tuple[ExpRateSet | list[ExpRateSet], float]:
+    codewords, ell: int, model: CerModel, exact: bool = False, *, arrays: bool = False
+) -> tuple[ExpRateSet | list[ExpRateSet] | tuple[np.ndarray, np.ndarray], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
     gives P(decision < 0).
 
     `codewords` is one (U, K) radius-selection matrix, which gives one
     `ExpRateSet`, or an (R, U, K) stack of vote realizations, which gives a
-    list of R; x is the same for all. The detector form of vote ell gives
+    list of R; x is the same for all. With `arrays`, the rates are instead
+    the (R, n1) plus and (R, n2) minus float arrays that those sets are
+    built from (R = 1 for one matrix), inf marking a phase of length zero:
+    the form `vote_averaged_cer` races. The detector form of vote ell gives
     the probe points and A = S / s (signed inverse scales: +-1 for the coded
     schemes, the inverse count scales for uncoded), and x = sum_p A_p b_p
     (zero for the coded schemes).
@@ -225,12 +295,16 @@ def detection_rates(
     once per distinct codeword of the whole stack and gathered back to the
     users). The diagonal of Sigma holds the expected test-point energies.
     The paper's independence model takes the means A_pp Sigma_pp, split into
-    the two sides by the sign of A. With `exact`, Sigma = L L^H and the
-    metric is a sum of independent exponentials weighted by the eigenvalues
-    of L^H A L, which are those of A Sigma (Turin 1960); positive ones form
-    the plus side and the negated negative ones the minus side. The paper
-    model reads the whole stack's diagonals at once; the exact law forms
-    Sigma one realization at a time, so memory grows with R U P, not R P^2.
+    the two sides by the sign of A; a zero mean is an infinite rate. With
+    `exact`, Sigma = L L^H and the metric is a sum of independent
+    exponentials weighted by the eigenvalues of L^H A L, which are those of
+    A Sigma (Turin 1960); positive ones form the plus side and the negated
+    negative ones the minus side. In the arrays both sides are then P wide,
+    each eigenvalue at its ascending position and inf at the others (the
+    other sign, or below the `_EIG_RTOL` cut); the sets keep only the
+    finite rates. The paper model reads the whole stack's diagonals at
+    once; the exact law forms Sigma one realization at a time, so memory
+    grows with R U P, not R P^2.
     """
     rp = model.rp
     inner = np.asarray(codewords, dtype=bool)
@@ -247,15 +321,21 @@ def detection_rates(
     signal = power.reshape(-1, power.shape[-1]) * chan.diagonal().real
     if not exact:
         means = weights * (signal + noise.diagonal().real)
-        rates = [ExpRateSet.from_means(m[weights > 0], -m[weights < 0]) for m in means]
+        plus, minus = _inverse(means[:, weights > 0]), _inverse(-means[:, weights < 0])
     else:
-        rates = []
-        for d in signal:
+        lam = np.empty(signal.shape)
+        for r, d in enumerate(signal):
             evals, vecs = np.linalg.eigh(noise + np.diag(d))
             root = vecs * np.sqrt(np.clip(evals, 0.0, None))
-            lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
-            lam = lam[np.abs(lam) > _EIG_RTOL * np.abs(lam).max(initial=0.0)]
-            rates.append(ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0]))
+            lam[r] = np.linalg.eigvalsh((root.conj().T * weights) @ root)
+        lam[np.abs(lam) <= _EIG_RTOL * np.abs(lam).max(axis=1, keepdims=True)] = 0.0
+        plus, minus = _inverse(np.maximum(lam, 0.0)), _inverse(np.maximum(-lam, 0.0))
+    if arrays:
+        return (plus, minus), x
+    if exact:  # the sets keep the finite rates, not the padding
+        plus = [row[np.isfinite(row)] for row in plus]
+        minus = [row[np.isfinite(row)] for row in minus]
+    rates = [ExpRateSet(tuple(p.tolist()), tuple(m.tolist())) for p, m in zip(plus, minus)]
     return (rates if inner.ndim == 3 else rates[0]), x
 
 
@@ -301,7 +381,10 @@ def vote_averaged_cer(
     By default the conditional CDF is the paper's, which approximates the
     test-point energies as independent exponentials; `exact` uses the law
     of the correlated probes instead (see `detection_rates`). Both laws
-    consume the same vote draws.
+    consume the same vote draws. The rates of all realizations come as
+    (R, n) arrays from one `detection_rates` call, and `_cdf` races the
+    whole stack at once, one race per group of equal finite chain lengths;
+    no `ExpRateSet` is built.
     """
     if min(n_plus, n_minus) < 0 or n_plus + n_minus < 1:
         raise ValueError("need nonnegative vote counts and at least one "
@@ -325,8 +408,10 @@ def vote_averaged_cer(
     shape = (n_realizations, U, M)
     votes = rng.integers(0, 2, size=shape) * 2 - 1 if M > 1 else np.empty(shape, int)
     votes[:, :, ell] = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
-    rates, x = detection_rates(vote_pattern(model.method, votes), ell, model, exact)
-    probs = np.array([cdf_diff_exp_sums(r, x) for r in rates])
+    (plus, minus), x = detection_rates(
+        vote_pattern(model.method, votes), ell, model, exact, arrays=True
+    )
+    probs = _cdf(plus, minus, x)
 
     stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if probs.size > 1 else 0.0
     return CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))), float(stderr))

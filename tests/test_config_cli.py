@@ -338,6 +338,18 @@ class TestCsv:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "7940ff48c191e2d173171681097c11e5a2a1bf8020f1d0ba57df69eb40d61ae1"
 
+    def test_multi_phase_theory_csv_bytes_pinned(self, tmp_path):
+        """sha256 of a theory run with many phases per side, recorded while
+        the phase race still ran once per realization over Python floats:
+        indexed K=32 has 16 probes a side, and at snr=inf its realizations
+        keep differing counts of finite rates (zero-length phases)."""
+        out = tmp_path / "pin.csv"
+        assert main(["theory", "--methods", "m1,m2,m3", "--k", "8,32", "--u", "25",
+                     "--l-e", "5", "--snr", "0,10,inf", "--n-plus", "14,18,22",
+                     "--realizations", "40", "--seed", "1", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "a29b0afdf2078e22c8ac9e6208a77e80346a39c14795d45f18b8c95d7560f2e7"
+
 
 # The 16 flags every subcommand takes: --config and one per option.
 FLAGS = {

@@ -284,6 +284,75 @@ class TestSurvival:
             ), (lam, t)
 
 
+def scalar_race(first, second):
+    """The phase race of one pair of chains over Python floats, one cell at
+    a time: the reference the stacked `_race` must match bit for bit."""
+    column = [1.0] + [0.0] * (len(first) - 1) if first else []
+    for mu in second:
+        visit = 0.0
+        for i, lam in enumerate(first):
+            visit += column[i]
+            column[i] = visit * mu / (lam + mu)
+            visit *= lam / (lam + mu)
+    return column
+
+
+def spread_rates(rng, shape):
+    """Rates over twelve decades, some of them repeated within a row."""
+    rates = 10.0 ** rng.uniform(-6, 6, shape)
+    repeat = rng.random(shape) < 0.2
+    rates[repeat] = np.broadcast_to(rates[..., :1], shape)[repeat]
+    return rates
+
+
+class TestStackedRace:
+    """The race and the tails over a stack of chains equal, bit for bit,
+    the same computation one chain at a time."""
+
+    @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 40),
+                                        (40, 1), (2, 7), (17, 5), (40, 40)])
+    def test_race_matches_the_scalar_reference(self, n1, n2):
+        rng = np.random.default_rng(100 * n1 + n2)
+        first, second = spread_rates(rng, (6, n1)), spread_rates(rng, (6, n2))
+        pi = theory._race(first, second)
+        assert pi.shape == (6, n1)
+        for r in range(6):
+            want = scalar_race(first[r].tolist(), second[r].tolist())
+            assert np.array_equal(pi[r], want), (n1, n2, r)
+
+    def test_mixed_lengths_race_on_their_finite_rates(self):
+        """Rows of one stack with 0 to 40 finite rates a side (inf marks a
+        phase of length zero) give what each row's finite rates give alone:
+        at x = 0 the reference race's mass, elsewhere a one-row call."""
+        rng = np.random.default_rng(19)
+        plus, minus = spread_rates(rng, (60, 40)), spread_rates(rng, (60, 40))
+        for rates in (plus, minus):
+            keep = rng.integers(0, 41, size=(60, 1))
+            rates[rng.random((60, 40)).argsort(axis=1) >= keep] = math.inf
+        got = theory._cdf(plus, minus, 0.0)
+        for r in range(60):
+            a = plus[r][np.isfinite(plus[r])].tolist()
+            b = minus[r][np.isfinite(minus[r])].tolist()
+            f = 0.5 if not a and not b else 1.0 - float(np.array(scalar_race(a, b)).sum())
+            assert got[r] == min(1.0, max(0.0, f)), r
+        for x in (-3e-4, 2.5, -1e4):
+            got = theory._cdf(plus, minus, x)
+            for r in range(60):
+                one = ExpRateSet(tuple(plus[r].tolist()), tuple(minus[r].tolist()))
+                assert got[r] == cdf_diff_exp_sums(one, x), (x, r)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 25])
+    def test_stacked_survival_matches_per_chain_calls(self, n):
+        """Rows over twelve decades take different numbers of squarings, yet
+        each row of the stack is its own chain's survival."""
+        rng = np.random.default_rng(n)
+        lam = spread_rates(rng, (8, n))
+        for t in (1e-7, 0.3, 40.0, 1e5):
+            got = _survival(lam, t)
+            for r in range(8):
+                assert np.array_equal(got[r], _survival(lam[r], t)), (t, r)
+
+
 class TestCer:
     def test_tie_is_certain_error(self):
         assert cer(3, 3, 0.123) == 1.0
@@ -541,6 +610,83 @@ class TestVoteAveragedCer:
             vote_averaged_cer(4, 1, model, n_realizations=9,
                               rng=np.random.default_rng(16), exact=exact)
         assert shapes == [(9, 5, 8)] * 2
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_equals_a_loop_over_detection_rates(self, method, exact):
+        """The stacked point returns exactly the estimate of a loop of
+        `cdf_diff_exp_sums` over `detection_rates`' list, at K = 2, 8, 32
+        and SNR 0, 10 dB and inf (vote M - 1, so not always the first)."""
+        n_plus, n_minus, R = 5, 2, 20
+        for K, snr_db in itertools.product((2, 8, 32), (0.0, 10.0, math.inf)):
+            sigma2 = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+            model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+            M = method.votes_per_codeword(K)
+            rng = np.random.default_rng(K)
+            votes = rng.integers(0, 2, size=(R if M > 1 else 1, 7, M)) * 2 - 1
+            votes[:, :, M - 1] = [1] * n_plus + [-1] * n_minus
+            rates, x = detection_rates(vote_pattern(method, votes), M - 1, model, exact)
+            probs = np.array([cdf_diff_exp_sums(r, x) for r in rates])
+            stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if M > 1 else 0.0
+            want = theory.CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))),
+                                      float(stderr))
+            got = vote_averaged_cer(n_plus, n_minus, model, n_realizations=R,
+                                    rng=np.random.default_rng(K), ell=M - 1, exact=exact)
+            assert got == want, (K, snr_db)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_one_race_per_finite_count_group(self, monkeypatch, exact):
+        """Indexed K=32 at snr=inf: realizations differ in how many probes
+        carry signal, so their sides differ in finite rates. The point runs
+        one race per (finite plus, finite minus) count pair, each on all the
+        rows of that pair, never one per realization."""
+        stacks, races = [], []
+        race = theory._race
+
+        def kept_stacks(*args, **kwargs):
+            stacks.append(detection_rates(*args, **kwargs))
+            return stacks[-1]
+
+        def counted_race(first, second):
+            races.append((first.shape, second.shape))
+            return race(first, second)
+
+        monkeypatch.setattr(theory, "detection_rates", kept_stacks)
+        monkeypatch.setattr(theory, "_race", counted_race)
+        model = make_model(Method.INDEXED, 32, L_e=5, sigma2=0.0)
+        vote_averaged_cer(14, 11, model, n_realizations=40,
+                          rng=np.random.default_rng(1), exact=exact)
+        ((plus, minus), x), = stacks
+        assert x == 0.0
+        counts = sorted(zip(np.isfinite(plus).sum(axis=1).tolist(),
+                            np.isfinite(minus).sum(axis=1).tolist()))
+        groups = sorted(set(counts))
+        assert 1 < len(groups) < 40
+        assert sorted((a[1], b[1], a[0]) for a, b in races) == [
+            (*g, counts.count(g)) for g in groups
+        ]
+
+    @pytest.mark.parametrize("bad, match", [(-1e9, "nonnegative"),
+                                            (math.nan, "strictly positive"),
+                                            (math.inf, "strictly positive")])
+    def test_bad_mean_fails_in_the_stacked_path(self, monkeypatch, bad, match):
+        """A negative, NaN or infinite mean in one realization's rates is
+        rejected as `ExpRateSet` rejects it, with ValueError."""
+        moments = theory.probe_moments
+
+        def spoiled(*args):
+            chan, noise = moments(*args)
+            noise = noise.copy()
+            noise[0, 0] = bad
+            return chan, noise
+
+        monkeypatch.setattr(theory, "probe_moments", spoiled)
+        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        with pytest.raises(ValueError, match=match):
+            vote_averaged_cer(4, 1, model, n_realizations=5,
+                              rng=np.random.default_rng(20))
+        with pytest.raises(ValueError, match=match):
+            ExpRateSet.from_means([1.0, bad], [2.0])
 
     def test_one_draw_replays_per_realization_draws(self):
         """The single (R, U, M) vote draw equals R draws of (U, M), also for
