@@ -129,29 +129,10 @@ def _race(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 _SERIES_DEGREE = 18
 
 
-def _series(y: np.ndarray) -> np.ndarray:
-    """exp(-Y) for each row y of an (R, n) stack, with Y = diag(y) -
-    diag(y[:-1], 1) and max(y) <= 1: exp(-mu) times the series of exp(B),
-    B = mu I - Y >= 0 with mu = max(y)."""
-    rows, n = y.shape
-    mu = y.max(axis=1)
-    shifted = np.zeros((rows, n, n))
-    shifted.reshape(rows, -1)[:, :: n + 1] = mu[:, None] - y
-    shifted.reshape(rows, -1)[:, 1 :: n + 1] = y[:, :-1]
-    term = np.tile(np.eye(n), (rows, 1, 1))
-    e = np.zeros((rows, n, n))
-    for k in range(1, _SERIES_DEGREE + 1):
-        term = term @ shifted / k
-        e += term
-    e *= np.array([math.exp(-m) for m in mu])[:, None, None]
-    return e
-
-
 def _survival(lam: np.ndarray, t: float) -> np.ndarray:
-    """exp(Q t) 1 for the phase generator Q = -diag(lam) + diag(lam[:-1], 1)
-    of each row of an (R, n) stack (or of one (n,) chain), such as the
-    first chains of one group of `_cdf`: entry [r, i] is the probability
-    that row r's chain entered at phase i is still running after t > 0.
+    """exp(Q t) 1 for the phase generator Q = -diag(lam) + diag(lam[:-1], 1):
+    entry i is the probability that a chain entered at phase i is still
+    running after t > 0.
 
     Scaling and squaring (Al-Mohy & Higham 2009): exp(Q t / 2^s) is squared
     s times, and at every scale y = lam t / 2^j the diagonal exp(-y_i) and
@@ -159,43 +140,38 @@ def _survival(lam: np.ndarray, t: float) -> np.ndarray:
     closed form. That divided difference is written e^-min (1 - e^-d) / d
     with d = |y_i - y_i+1|, which stays finite for rates over any number of
     decades. Only the entries beyond the superdiagonal come from the series
-    (`_series`) and the squares, so a chain of one or two phases needs
-    neither: one phase is exp(-lam t). Each row takes its own s; a row of s
-    squares joins the stack's common scale ladder s steps before its end,
-    so every step squares all the rows it holds with one stacked matmul.
+    and the squares, so a chain of one or two phases needs neither: one
+    phase is exp(-lam t). The series is that of exp(-mu) exp(B), B = Q t /
+    2^s + mu I with mu the largest scaled y, whose terms are all
+    nonnegative, as are the squares.
     """
-    x = np.reshape(lam * t, (-1, np.shape(lam)[-1]))
-    rows, n = x.shape
-    s = np.maximum(0, np.frexp(x.max(axis=1))[1]) if n > 2 else np.zeros(rows, int)
-    # In decreasing s, the rows on the ladder at any step are a prefix.
-    order = np.argsort(-s, kind="stable")
-    x, s = x[order], s[order]
-    top = int(s[0])
-    joined = np.searchsorted(-s, np.arange(-top, 1), side="right").tolist()
-    y = np.ldexp(x, np.arange(-top, 1)[:, None, None])
+    x = lam * t
+    n = x.size
+    s = max(0, math.frexp(x.max())[1]) if n > 2 else 0
+    y = np.ldexp(x, np.arange(-s, 1)[:, None])
     diagonal = np.exp(-y)
+    e = np.zeros((n, n))
     if n > 1:
-        a, b = y[..., :-1], y[..., 1:]
+        a, b = y[:, :-1], y[:, 1:]
         d = np.abs(a - b)
         ratio = np.divide(-np.expm1(-d), d, out=np.ones_like(d), where=d > 0)
         superdiagonal = a * np.exp(-np.minimum(a, b)) * ratio
-    e = np.zeros((rows, n, n))
-    flat = e.reshape(rows, -1)
-    started = 0
-    for g, live in enumerate(joined):
-        if n > 2:
-            if started:
-                e[:started] = e[:started] @ e[:started]
-            if live > started:
-                e[started:live] = _series(y[g, started:live])
-            started = live
-        flat[:live, :: n + 1] = diagonal[g, :live]
+    if n > 2:
+        mu = y[0].max()
+        shifted = np.diag(mu - y[0]) + np.diag(y[0, :-1], 1)
+        term = np.eye(n)
+        for k in range(1, _SERIES_DEGREE + 1):
+            term = term @ shifted / k
+            e += term
+        e *= math.exp(-mu)
+    for j in range(s + 1):
+        if j:
+            e = e @ e
+        e.flat[:: n + 1] = diagonal[j]
         if n > 1:
-            flat[:live, 1 :: n + 1] = superdiagonal[g, :live]
+            e.flat[1 :: n + 1] = superdiagonal[j]
     # A row of exp(Q t) sums to at most 1; rounding may pass it by an ulp.
-    out = np.empty((rows, n))
-    out[order] = np.minimum(e.sum(axis=2), 1.0)
-    return out.reshape(np.shape(lam))
+    return np.minimum(e.sum(axis=1), 1.0)
 
 
 def _exceeds(first: np.ndarray, second: np.ndarray, t: float) -> np.ndarray:
@@ -203,11 +179,12 @@ def _exceeds(first: np.ndarray, second: np.ndarray, t: float) -> np.ndarray:
     stacks: once the second chain ends, the first still has to outlast t
     from its current phase, pi exp(Q t) 1 with Q the first chain's phase
     generator (-lam_i on the diagonal, lam_i just above it), from
-    `_survival`. At t = 0 that is sum(pi)."""
+    `_survival` one row at a time. At t = 0 that is sum(pi), as on every
+    coded point; only uncoded has t != 0, with one phase a side."""
     pi = _race(first, second)
     if t == 0.0 or pi.shape[1] == 0:
         return pi.sum(axis=1)
-    return (pi[:, None, :] @ _survival(first, t)[:, :, None])[:, 0, 0]
+    return np.array([p @ _survival(f, t) for p, f in zip(pi, first)])
 
 
 def _cdf(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:

@@ -297,6 +297,15 @@ def scalar_race(first, second):
     return column
 
 
+def scalar_exceeds(first, second, t):
+    """P(first > second + t) for one pair of chains as Python lists: the
+    reference race, then the chain's survival after t."""
+    pi = np.array(scalar_race(first, second))
+    if t == 0.0 or pi.size == 0:
+        return float(pi.sum())
+    return float(pi @ _survival(np.array(first), t))
+
+
 def spread_rates(rng, shape):
     """Rates over twelve decades, some of them repeated within a row."""
     rates = 10.0 ** rng.uniform(-6, 6, shape)
@@ -306,8 +315,8 @@ def spread_rates(rng, shape):
 
 
 class TestStackedRace:
-    """The race and the tails over a stack of chains equal, bit for bit,
-    the same computation one chain at a time."""
+    """The race and the CDF over a stack of chains equal, bit for bit, the
+    same computation one chain at a time."""
 
     @pytest.mark.parametrize("n1, n2", [(0, 0), (0, 3), (3, 0), (1, 1), (1, 40),
                                         (40, 1), (2, 7), (17, 5), (40, 40)])
@@ -322,35 +331,40 @@ class TestStackedRace:
 
     def test_mixed_lengths_race_on_their_finite_rates(self):
         """Rows of one stack with 0 to 40 finite rates a side (inf marks a
-        phase of length zero) give what each row's finite rates give alone:
-        at x = 0 the reference race's mass, elsewhere a one-row call."""
+        phase of length zero) give what each row's finite rates give alone
+        through the reference race and the per-chain survival, at x = 0 and
+        away from it (so chains longer than two phases reach the series and
+        the squares)."""
         rng = np.random.default_rng(19)
         plus, minus = spread_rates(rng, (60, 40)), spread_rates(rng, (60, 40))
         for rates in (plus, minus):
             keep = rng.integers(0, 41, size=(60, 1))
             rates[rng.random((60, 40)).argsort(axis=1) >= keep] = math.inf
-        got = theory._cdf(plus, minus, 0.0)
-        for r in range(60):
-            a = plus[r][np.isfinite(plus[r])].tolist()
-            b = minus[r][np.isfinite(minus[r])].tolist()
-            f = 0.5 if not a and not b else 1.0 - float(np.array(scalar_race(a, b)).sum())
-            assert got[r] == min(1.0, max(0.0, f)), r
-        for x in (-3e-4, 2.5, -1e4):
+        assert ((np.isfinite(plus).sum(axis=1) > 2) & (np.isfinite(minus).sum(axis=1) > 2)).any()
+        for x in (0.0, 3e-4, -3e-4, 2.5, -1e4):
             got = theory._cdf(plus, minus, x)
             for r in range(60):
-                one = ExpRateSet(tuple(plus[r].tolist()), tuple(minus[r].tolist()))
-                assert got[r] == cdf_diff_exp_sums(one, x), (x, r)
+                a = plus[r][np.isfinite(plus[r])].tolist()
+                b = minus[r][np.isfinite(minus[r])].tolist()
+                if not a and not b:
+                    f = 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
+                elif x >= 0:
+                    f = 1.0 - scalar_exceeds(a, b, x)
+                else:
+                    f = scalar_exceeds(b, a, -x)
+                assert got[r] == min(1.0, max(0.0, f)), (x, r)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 9, 25])
-    def test_stacked_survival_matches_per_chain_calls(self, n):
-        """Rows over twelve decades take different numbers of squarings, yet
-        each row of the stack is its own chain's survival."""
-        rng = np.random.default_rng(n)
-        lam = spread_rates(rng, (8, n))
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 4), (2, 1), (3, 3), (9, 2)])
+    def test_tails_match_the_scalar_reference(self, n1, n2):
+        """Away from t = 0 each row of a stack of chains outlasts t as its
+        chain does alone, for one phase (uncoded's shape) and longer."""
+        rng = np.random.default_rng(10 * n1 + n2)
+        first, second = spread_rates(rng, (30, n1)), spread_rates(rng, (30, n2))
         for t in (1e-7, 0.3, 40.0, 1e5):
-            got = _survival(lam, t)
-            for r in range(8):
-                assert np.array_equal(got[r], _survival(lam[r], t)), (t, r)
+            got = theory._exceeds(first, second, t)
+            for r in range(30):
+                want = scalar_exceeds(first[r].tolist(), second[r].tolist(), t)
+                assert got[r] == want, (t, r)
 
 
 class TestCer:
