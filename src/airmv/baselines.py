@@ -13,11 +13,18 @@ aggregation with its own draws. The Monte Carlo calls it with M = 1, the
 median with all M positions of a round; `airmv.aggregation.backend` binds
 a baseline's parameters to its CLI name.
 
-Goldenbaum draws for every user, silent or not, in a fixed order (phases,
-taps, noise), and then evaluates the received energy in blocks of trials
-over only the users that send in the block. Dropping a silent user drops
-exact zeros, so the estimates are bitwise those of one full convolution,
-while a call's peak memory stays within about 1.4x the bytes it draws.
+In Goldenbaum's scheme a -1 voter is silent, so the rng draws only for the
+users that send: their phases, then their taps, then the noise of every
+received window. A sender's first chip is fixed to phase 0. That is exact,
+not an approximation: its taps are circularly symmetric and independent of
+its phases, so rotating the whole sequence by the first chip's phase (the
+taps absorb the rotation) leaves the law of what is received unchanged,
+and the remaining phase differences are still i.i.d. uniform. The energy
+is then evaluated in blocks of trials over only the users that send in the
+block, their draws scattered into zero-filled arrays: silent cells add
+exact zeros, so the estimates are bitwise those of one full convolution of
+the same sequences, and a call's peak memory stays within about 1.4x the
+bytes it draws.
 """
 
 from __future__ import annotations
@@ -71,40 +78,63 @@ def goldenbaum_estimate(
     per sample, through its own multipath draw. Subtracting the expected
     noise energy of the whole L_seq + L_e - 1 sample window makes
     (|y|^2 - window sigma2) / L_seq - U an unbiased estimate of the vote
-    sum. Per call the rng draws the (n, M, U, L_seq) phases, the
-    (n * M, U, L_e) taps of `sample_channel` and then, when sigma2 > 0,
-    the (n, M, window) noise of `awgn`, whatever the votes.
+    sum.
+
+    Draws are made only for the S sending (trial, position, user) cells,
+    counted in C order of the (n, M, U) per-vote layout. Per call the rng
+    draws the (S, L_seq - 1) phases of every chip but the first, the
+    (S, L_e) taps (`sample_channel`, one transmitter per sender) and then,
+    when sigma2 > 0, the (n, M, window) noise of `awgn`; nothing for a
+    silent user. Each sender's first chip is sqrt(2) at phase 0. The law of
+    y is exactly that of uniform phases on every chip: the taps are
+    circularly symmetric CN(0, diag p) and independent of the phases, so
+    e^{i phi_0} h has the law of h, and phi_k - phi_0 are i.i.d. uniform.
 
     After the draws, blocks of `_GOLDENBAUM_BLOCK` trials are evaluated in
-    turn, each over the users that vote +1 somewhere in the block: the
-    others add exact zeros, so the estimates are bitwise those of the full
-    convolution (`superpose`) over every user. Beside its draws a call
-    holds only one block's temporaries, so its peak memory stays within
-    1.4x the bytes it draws (2.3x for one full-batch convolution).
+    turn, each over the users that vote +1 somewhere in the block. The
+    block's senders are scattered into zero-filled (b, M, u, .) sequence
+    and tap arrays by the block's vote mask, whose C order is the draws'.
+    Silent cells add exact zeros, so the estimates are bitwise those of the
+    full convolution (`superpose`) of the same sequences over every user.
+    Beside its draws a call holds only one block's temporaries, so its
+    peak memory stays within 1.4x the bytes it draws.
     """
     votes = check_vote_batch(votes)
     if L_seq < 1:
         raise ValueError("sequence length must be positive")
     _check_sigma2(sigma2)
     n, U, M = votes.shape
-    per_mv = np.swapaxes(votes, -1, -2)  # (n, M, U)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=per_mv.shape + (L_seq,))
-    h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
+    sending = np.swapaxes(votes, -1, -2) > 0  # (n, M, U)
+    S = int(np.count_nonzero(sending))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(S, L_seq - 1))
+    h = sample_channel(pdp_cfg, 1, rng, trials=S).reshape(S, pdp_cfg.L_e)
     window = L_seq + pdp_cfg.L_e - 1
     noise = awgn((n, M, window), sigma2, rng) if sigma2 > 0 else None
     energy = np.empty((n, M))
+    first = 0  # the block's first sender in draw order
     for lo in range(0, n, _GOLDENBAUM_BLOCK):
         block = slice(lo, lo + _GOLDENBAUM_BLOCK)
-        sends = np.any(votes[block] > 0, axis=(0, 2))
-        users = slice(None) if sends.all() else np.flatnonzero(sends)
-        # sqrt(v + 1) e^{i phase}, with e^{i phase} written as cos and sin.
-        sent_phases = phases[block][:, :, users]
-        seqs = np.empty(sent_phases.shape, dtype=complex)
-        np.cos(sent_phases, out=seqs.real)
-        np.sin(sent_phases, out=seqs.imag)
-        seqs *= np.sqrt(per_mv[block][:, :, users] + 1.0)[..., np.newaxis]
-        taps = h[block][:, :, users]
-        y = np.zeros(seqs.shape[:2] + (window,), dtype=complex)
+        mask = sending[block]
+        users = np.any(mask, axis=(0, 1))
+        if not users.all():
+            mask = mask[:, :, users]
+        senders = slice(first, first + int(np.count_nonzero(mask)))
+        first = senders.stop
+        # sqrt(2) e^{i phase}, with e^{i phase} written as cos and sin.
+        chips = np.empty((senders.stop - senders.start, L_seq), dtype=complex)
+        chips[:, 0] = 1.0
+        np.cos(phases[senders], out=chips.real[:, 1:])
+        np.sin(phases[senders], out=chips.imag[:, 1:])
+        chips *= math.sqrt(2.0)
+        if mask.all():  # every cell sends: the draws are already in place
+            seqs = chips.reshape(mask.shape + (L_seq,))
+            taps = h[senders].reshape(mask.shape + (pdp_cfg.L_e,))
+        else:
+            seqs = np.zeros(mask.shape + (L_seq,), dtype=complex)
+            seqs[mask] = chips
+            taps = np.zeros(mask.shape + (pdp_cfg.L_e,), dtype=complex)
+            taps[mask] = h[senders]
+        y = np.zeros(mask.shape[:2] + (window,), dtype=complex)
         for tap in range(pdp_cfg.L_e):
             y[..., tap : tap + L_seq] += np.einsum(
                 "...u,...un->...n", taps[..., tap], seqs

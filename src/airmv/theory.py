@@ -247,20 +247,19 @@ _EIG_RTOL = 1e-12
 
 
 def detection_rates(
-    codewords, ell: int, model: CerModel, exact: bool = False, *, arrays: bool = False
-) -> tuple[ExpRateSet | list[ExpRateSet] | tuple[np.ndarray, np.ndarray], float]:
+    codewords, ell: int, model: CerModel, exact: bool = False
+) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
     gives P(decision < 0).
 
-    `codewords` is one (U, K) radius-selection matrix, which gives one
-    `ExpRateSet`, or an (R, U, K) stack of vote realizations, which gives a
-    list of R; x is the same for all. With `arrays`, the rates are instead
-    the (R, n1) plus and (R, n2) minus float arrays that those sets are
-    built from (R = 1 for one matrix), inf marking a phase of length zero:
-    the form `vote_averaged_cer` races. The detector form of vote ell gives
-    the probe points and A = S / s (signed inverse scales: +-1 for the coded
-    schemes, the inverse count scales for uncoded), and x = sum_p A_p b_p
-    (zero for the coded schemes).
+    `codewords` is an (R, U, K) stack of vote realizations, or one (U, K)
+    radius-selection matrix (R = 1). The rates are the (R, n1) plus and
+    (R, n2) minus float arrays, one row per realization, inf marking a
+    phase of length zero: the form `_cdf` races. x is the same for all
+    realizations. The detector form of vote ell gives the probe points and
+    A = S / s (signed inverse scales: +-1 for the coded schemes, the
+    inverse count scales for uncoded), and x = sum_p A_p b_p (zero for the
+    coded schemes).
 
     Each realization's probe covariance is Sigma = D + C_W, with C_W the
     noise covariance at the probes and D diagonal: each user's codeword is
@@ -276,12 +275,11 @@ def detection_rates(
     `exact`, Sigma = L L^H and the metric is a sum of independent
     exponentials weighted by the eigenvalues of L^H A L, which are those of
     A Sigma (Turin 1960); positive ones form the plus side and the negated
-    negative ones the minus side. In the arrays both sides are then P wide,
-    each eigenvalue at its ascending position and inf at the others (the
-    other sign, or below the `_EIG_RTOL` cut); the sets keep only the
-    finite rates. The paper model reads the whole stack's diagonals at
-    once; the exact law forms Sigma one realization at a time, so memory
-    grows with R U P, not R P^2.
+    negative ones the minus side. Both sides are then P wide, each
+    eigenvalue at its ascending position and inf at the others (the other
+    sign, or below the `_EIG_RTOL` cut). The paper model reads the whole
+    stack's diagonals at once; the exact law forms Sigma one realization at
+    a time, so memory grows with R U P, not R P^2.
     """
     rp = model.rp
     inner = np.asarray(codewords, dtype=bool)
@@ -307,13 +305,7 @@ def detection_rates(
             lam[r] = np.linalg.eigvalsh((root.conj().T * weights) @ root)
         lam[np.abs(lam) <= _EIG_RTOL * np.abs(lam).max(axis=1, keepdims=True)] = 0.0
         plus, minus = _inverse(np.maximum(lam, 0.0)), _inverse(np.maximum(-lam, 0.0))
-    if arrays:
-        return (plus, minus), x
-    if exact:  # the sets keep the finite rates, not the padding
-        plus = [row[np.isfinite(row)] for row in plus]
-        minus = [row[np.isfinite(row)] for row in minus]
-    rates = [ExpRateSet(tuple(p.tolist()), tuple(m.tolist())) for p, m in zip(plus, minus)]
-    return (rates if inner.ndim == 3 else rates[0]), x
+    return (plus, minus), x
 
 
 def cer(n_plus: int, n_minus: int, prob_negative: float) -> float:
@@ -385,9 +377,8 @@ def vote_averaged_cer(
     shape = (n_realizations, U, M)
     votes = rng.integers(0, 2, size=shape) * 2 - 1 if M > 1 else np.empty(shape, int)
     votes[:, :, ell] = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
-    (plus, minus), x = detection_rates(
-        vote_pattern(model.method, votes), ell, model, exact, arrays=True
-    )
+    codewords = vote_pattern(model.method, votes)
+    (plus, minus), x = detection_rates(codewords, ell, model, exact)
     probs = _cdf(plus, minus, x)
 
     stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if probs.size > 1 else 0.0

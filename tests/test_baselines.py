@@ -21,7 +21,7 @@ from airmv.baselines import (
     obda_aggregate,
     obda_received,
 )
-from airmv.channel import PdpConfig, awgn, sample_channel, superpose
+from airmv.channel import PdpConfig, awgn, complex_normal, sample_channel, superpose
 from airmv.median import MedianState, local_votes, median_step, run_median
 from airmv.simulate import (
     _count_mv_errors,
@@ -37,10 +37,18 @@ def column_votes(n, U, n_plus):
     return np.broadcast_to(_fixed_column(U, n_plus)[:, np.newaxis], (n, U, 1))
 
 
-def goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg):
-    """Phases and taps in the order `goldenbaum_estimate` draws them."""
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, M, U, L_seq))
-    h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
+def goldenbaum_draws(rng, votes, L_seq, pdp_cfg):
+    """Phases and taps in the order `goldenbaum_estimate` draws them, laid
+    out (n, M, U, .) per (trial, position, user). Only the S senders draw,
+    in C order of that layout: the phases of chips 1..L_seq-1, then the
+    taps. A sender's first chip has phase 0; silent cells hold zeros."""
+    n, U, M = votes.shape
+    sending = np.swapaxes(votes, -1, -2) > 0
+    S = int(np.count_nonzero(sending))
+    phases = np.zeros((n, M, U, L_seq))
+    phases[..., 1:][sending] = rng.uniform(0.0, 2.0 * np.pi, size=(S, L_seq - 1))
+    h = np.zeros((n, M, U, pdp_cfg.L_e), dtype=complex)
+    h[sending] = complex_normal((S, pdp_cfg.L_e), np.sqrt(pdp_cfg.taps / 2.0), rng)
     return phases, h
 
 
@@ -48,9 +56,23 @@ def goldenbaum_reference(votes, rng, L_seq, pdp_cfg, sigma2):
     """Estimates of the full-batch chain: every user's sqrt(v + 1) e^{i phase}
     sequence, silent or not, convolved in one `superpose` call."""
     n, U, M = votes.shape
-    phases, h = goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg)
+    phases, h = goldenbaum_draws(rng, votes, L_seq, pdp_cfg)
     per_mv = np.swapaxes(votes, -1, -2)
     seqs = np.sqrt(per_mv + 1.0)[..., np.newaxis] * np.exp(1j * phases)
+    y = superpose(seqs, h, sigma2, rng)
+    energy = np.sum(np.abs(y) ** 2, axis=-1)
+    return (energy - y.shape[-1] * sigma2) / L_seq - U
+
+
+def goldenbaum_every_user(votes, rng, L_seq, pdp_cfg, sigma2):
+    """Estimates under the former draws, the law's reference: uniform phases
+    on every chip and taps for every user, silent or not, then the noise."""
+    n, U, M = votes.shape
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n, M, U, L_seq))
+    h = sample_channel(pdp_cfg, U, rng, trials=n * M).reshape(n, M, U, pdp_cfg.L_e)
+    seqs = np.sqrt(np.swapaxes(votes, -1, -2) + 1.0)[..., np.newaxis] * np.exp(
+        1j * phases
+    )
     y = superpose(seqs, h, sigma2, rng)
     energy = np.sum(np.abs(y) ** 2, axis=-1)
     return (energy - y.shape[-1] * sigma2) / L_seq - U
@@ -67,7 +89,7 @@ def goldenbaum_loop(votes, rng, L_seq, pdp_cfg, sigma2):
     """Decisions of a per-trial, per-user Goldenbaum receiver."""
     n, U, M = votes.shape
     window = L_seq + pdp_cfg.L_e - 1
-    phases, h = goldenbaum_draws(rng, n, M, U, L_seq, pdp_cfg)
+    phases, h = goldenbaum_draws(rng, votes, L_seq, pdp_cfg)
     noise = awgn((n, M, window), sigma2, rng) if sigma2 > 0 else np.zeros((n, M, window))
     out = np.empty((n, M), dtype=int)
     for t in range(n):
@@ -134,7 +156,7 @@ class TestGoldenbaumEncode:
         n, L_seq, pdp_cfg = 500, 5, PdpConfig(1)
         votes = np.broadcast_to(np.array([[1], [-1]]), (n, 2, 1))
         est = goldenbaum_estimate(votes, np.random.default_rng(0), L_seq, pdp_cfg, 0.0)
-        _, h = goldenbaum_draws(np.random.default_rng(0), n, 1, 2, L_seq, pdp_cfg)
+        _, h = goldenbaum_draws(np.random.default_rng(0), votes, L_seq, pdp_cfg)
         # energy / L_seq = est + U
         np.testing.assert_allclose(est + 2, 2 * np.abs(h[:, :, 0, 0]) ** 2,
                                    rtol=1e-12, atol=1e-12)
@@ -143,9 +165,9 @@ class TestGoldenbaumEncode:
         """A lone +1 voter sends |s|^2 = 2 per sample: over a single tap the
         energy is 2 L_seq |h|^2, whatever the random phases."""
         n, L_seq, pdp_cfg = 500, 6, PdpConfig(1)
-        est = goldenbaum_estimate(np.ones((n, 1, 1), int), np.random.default_rng(1),
-                                  L_seq, pdp_cfg, 0.0)
-        _, h = goldenbaum_draws(np.random.default_rng(1), n, 1, 1, L_seq, pdp_cfg)
+        votes = np.ones((n, 1, 1), int)
+        est = goldenbaum_estimate(votes, np.random.default_rng(1), L_seq, pdp_cfg, 0.0)
+        _, h = goldenbaum_draws(np.random.default_rng(1), votes, L_seq, pdp_cfg)
         np.testing.assert_allclose(est + 1, 2 * np.abs(h[:, :, 0, 0]) ** 2,
                                    rtol=1e-12, atol=1e-12)
 
@@ -239,13 +261,46 @@ class TestGoldenbaumBlocks:
                 self.votes(kind, 40, 6, 3), 4, PdpConfig(3, 0.8), 0.2
             )
 
+    @pytest.mark.parametrize("L_seq", [1, 5])
+    @pytest.mark.parametrize("kind", ["column", "random", "sparse"])
+    def test_draws_count_only_the_senders(self, kind, L_seq):
+        """A call consumes S (L_seq - 1) uniforms, 2 S L_e normals for the
+        taps and 2 n M window normals for the noise, S the senders: at
+        L_seq = 1 no phase at all. The estimates stay the full-batch
+        chain's."""
+        L_e = 4
+        votes = self.votes(kind, 500, 9, 3)
+        n, _, M = votes.shape
+        S = int(np.count_nonzero(votes > 0))
+        rng, replay = np.random.default_rng(6), np.random.default_rng(6)
+        goldenbaum_estimate(votes, rng, L_seq, PdpConfig(L_e), 0.3)
+        replay.random(S * (L_seq - 1))
+        replay.standard_normal(2 * S * L_e + 2 * n * M * (L_seq + L_e - 1))
+        assert rng.bit_generator.state == replay.bit_generator.state
+        self.assert_matches_reference(votes, L_seq, PdpConfig(L_e), 0.3)
+
+    def test_all_silent_votes_draw_only_the_noise(self):
+        votes = self.votes("silent", 300, 5, 2)
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        est = goldenbaum_estimate(votes, rng, 7, PdpConfig(3), 0.0)
+        assert rng.bit_generator.state == before
+        np.testing.assert_array_equal(est, -5.0)
+        rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+        est = goldenbaum_estimate(votes, rng, 7, PdpConfig(3), 0.1)
+        noise = awgn((300, 2, 9), 0.1, replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
+        energy = np.sum(np.abs(noise) ** 2, axis=-1)
+        np.testing.assert_array_equal(est, (energy - 9 * 0.1) / 7 - 5)
+
     def test_peak_memory_stays_near_the_draws(self):
-        """One Monte Carlo batch (20k trials, U=25, K=32 so L_seq=7, L_e=5):
-        the traced peak stays within 1.4x the bytes of its phases, taps and
-        noise (2.3x for the full-batch chain)."""
+        """One Monte Carlo batch (20k trials, U=25, K=32 so L_seq=7, L_e=5,
+        16 senders a trial): the traced peak stays within 1.4x the bytes of
+        the senders' phases and taps and the noise."""
         n, U, L_seq, L_e = 20_000, 25, default_sequence_length(32), 5
         votes = column_votes(n, U, 16)
-        drawn = n * U * L_seq * 8 + n * U * L_e * 16 + n * (L_seq + L_e - 1) * 16
+        S = n * 16
+        drawn = S * (L_seq - 1) * 8 + S * L_e * 16 + n * (L_seq + L_e - 1) * 16
         tracemalloc.start()
         try:
             goldenbaum_estimate(
@@ -275,6 +330,42 @@ class TestGoldenbaumStatistics:
         aggregate = build_backend("goldenbaum", 32, PdpConfig(2, 0.8), 0.1)
         errs = mv_error_batch(stream(5, 1), 5000, aggregate, 9, 9)
         assert 0 <= errs <= 5000
+
+
+class TestGoldenbaumLaw:
+    """The sender-only draws with a fixed first chip against the former
+    draws for every user and chip: the same law of the estimate. Each side
+    runs 100k independent trials (5 batches of 20k); every statistic must
+    agree within 4 standard errors."""
+
+    TRIALS, BATCH = 100_000, 20_000
+
+    @classmethod
+    def estimates(cls, estimate, seed, votes, L_seq, pdp_cfg, sigma2):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
+            estimate(votes, rng, L_seq, pdp_cfg, sigma2)
+            for _ in range(cls.TRIALS // cls.BATCH)
+        ]).ravel()
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.1])
+    @pytest.mark.parametrize("K, U, n_plus", [(8, 7, 4), (8, 7, 2), (32, 9, 5),
+                                              (32, 9, 3)])
+    def test_matches_the_every_user_draws(self, K, U, n_plus, sigma2):
+        L_seq, pdp_cfg = default_sequence_length(K), PdpConfig(3, 0.8)
+        votes = column_votes(self.BATCH, U, n_plus)
+        new = self.estimates(goldenbaum_estimate, 41, votes, L_seq, pdp_cfg, sigma2)
+        old = self.estimates(goldenbaum_every_user, 42, votes, L_seq, pdp_cfg, sigma2)
+        n = new.size
+        truth = 1 if 2 * n_plus > U else -1
+        p, q = np.mean(np.sign(new) != truth), np.mean(np.sign(old) != truth)
+        assert abs(p - q) <= 4 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert abs(new.mean() - old.mean()) <= 4 * math.sqrt(
+            (new.var() + old.var()) / n
+        )
+        # Var of a sample variance: (m4 - var^2) / n.
+        spread = [(np.mean((e - e.mean()) ** 4) - e.var() ** 2) / n for e in (new, old)]
+        assert abs(new.var() - old.var()) <= 4 * math.sqrt(sum(spread))
 
 
 class TestObdaEncode:

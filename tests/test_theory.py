@@ -386,13 +386,26 @@ def encode_matrix(method, votes, rp):
     return vote_pattern(method, np.asarray(votes))
 
 
+def rate_sets(codewords, ell, model, exact=False):
+    """`detection_rates` as `ExpRateSet`s: one for a (U, K) matrix, a list
+    of R for an (R, U, K) stack. The exact law's sets keep only the finite
+    rates, not the padding of its P-wide sides."""
+    (plus, minus), x = detection_rates(codewords, ell, model, exact)
+    if exact:
+        plus = [row[np.isfinite(row)] for row in plus]
+        minus = [row[np.isfinite(row)] for row in minus]
+    sets = [ExpRateSet(tuple(p.tolist()), tuple(m.tolist()))
+            for p, m in zip(plus, minus)]
+    return (sets if np.ndim(codewords) == 3 else sets[0]), x
+
+
 class TestRates:
     def test_uncoded_noiseless_unanimous_negative(self):
         """Every polynomial vanishes at the radius-d probe: no signal term."""
         model = make_model(Method.UNCODED, 4, sigma2=0.0)
         votes = -np.ones((3, 4), dtype=int)
         inner = encode_matrix(Method.UNCODED, votes, model.rp)
-        rates, x = detection_rates(inner, 0, model)
+        rates, x = rate_sets(inner, 0, model)
         assert rates.rates_plus == (math.inf,)  # degenerate: exact zero mean
         assert x == 0.0
 
@@ -401,7 +414,7 @@ class TestRates:
         rp = model.rp
         votes = np.array([[1, -1, 1, -1]])
         inner = encode_matrix(Method.UNCODED, votes, rp)
-        rates, x = detection_rates(inner, 0, model)
+        rates, x = rate_sets(inner, 0, model)
         p_val = abs(poly_eval(synthesize_coeffs(inner[0], rp), rp.d)) ** 2
         g = signal_scale_uncoded(rp, rp.d)
         fch = channel_power(rp.d, model.pdp)
@@ -415,14 +428,14 @@ class TestRates:
         for _ in range(20):
             votes = rng.integers(0, 2, size=(5, 8)) * 2 - 1
             inner = encode_matrix(Method.UNCODED, votes, model.rp)
-            rates, _ = detection_rates(inner, 0, model)
+            rates, _ = rate_sets(inner, 0, model)
             assert all(map(math.isfinite, rates.rates_plus + rates.rates_minus))
 
     def test_coded_single_user_single_signal_slot(self):
         model = make_model(Method.INDEXED, 8, sigma2=0.0)
         votes = np.array([[1, -1, 1]])  # index 5
         inner = encode_matrix(Method.INDEXED, votes, model.rp)
-        rates, _ = detection_rates(inner, 0, model)
+        rates, _ = rate_sets(inner, 0, model)
         finite_plus = [r for r in rates.rates_plus if math.isfinite(r)]
         # only slot 5 carries signal; it sits on the bit-0 = 1 side
         assert len(finite_plus) == 1
@@ -434,10 +447,10 @@ class TestRates:
         votes = rng.integers(0, 2, size=(4, 1)) * 2 - 1
         model_d = make_model(Method.DIFFERENTIAL, 2, sigma2=0.3)
         model_i = make_model(Method.INDEXED, 2, sigma2=0.3)
-        rd, _ = detection_rates(
+        rd, _ = rate_sets(
             encode_matrix(Method.DIFFERENTIAL, votes, model_d.rp), 0, model_d
         )
-        ri, _ = detection_rates(
+        ri, _ = rate_sets(
             encode_matrix(Method.INDEXED, -votes, model_i.rp), 0, model_i
         )
         assert rd.rates_plus == pytest.approx(ri.rates_minus, rel=1e-12)
@@ -453,10 +466,10 @@ class TestRates:
         rng = np.random.default_rng(15)
         votes = rng.integers(0, 2, size=(6, 5, method.votes_per_codeword(8))) * 2 - 1
         stack = vote_pattern(method, votes)
-        rates, x = detection_rates(stack, 1, model, exact)
+        rates, x = rate_sets(stack, 1, model, exact)
         assert isinstance(rates, list) and len(rates) == 6
         for r, inner in enumerate(stack):
-            one, x_one = detection_rates(inner, 1, model, exact)
+            one, x_one = rate_sets(inner, 1, model, exact)
             assert isinstance(one, ExpRateSet)
             assert rates[r] == one and x == x_one
 
@@ -477,7 +490,7 @@ class TestRates:
             return zero_form_eval(inner, rp, points)
 
         monkeypatch.setattr(theory, "zero_form_eval", spy)
-        rates, x = detection_rates(stack, 1, model, exact)
+        rates, x = rate_sets(stack, 1, model, exact)
         assert len(calls) == 1
         keys = [row.tobytes() for row in calls[0]]
         assert len(set(keys)) == len(keys) < 60
@@ -488,7 +501,7 @@ class TestRates:
             return flat, np.arange(len(flat)).reshape(selections.shape[:-1])
 
         monkeypatch.setattr(theory, "distinct_rows", every_row)
-        assert detection_rates(stack, 1, model, exact) == (rates, x)
+        assert rate_sets(stack, 1, model, exact) == (rates, x)
         assert len(calls[1]) == 60
 
     @staticmethod
@@ -525,7 +538,7 @@ class TestRates:
             rng = np.random.default_rng(K)
             stack = vote_pattern(method, rng.integers(0, 2, size=(6, 5, M)) * 2 - 1)
             for ell in sorted({0, M - 1}):
-                rates, _ = detection_rates(stack, ell, model, exact)
+                rates, _ = rate_sets(stack, ell, model, exact)
                 for got, inner in zip(rates, stack):
                     want = self.outer_product_rates(inner, ell, model, exact)
                     for a, b in ((got.rates_plus, want.rates_plus),
@@ -539,8 +552,8 @@ class TestRates:
         votes = rng.integers(0, 2, size=(5, 2)) * 2 - 1
         inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
         inner_c = encode_matrix(Method.DIFFERENTIAL, -votes, model.rp)
-        p = cdf_diff_exp_sums(*detection_rates(inner, 0, model))
-        q = cdf_diff_exp_sums(*detection_rates(inner_c, 0, model))
+        p = cdf_diff_exp_sums(*rate_sets(inner, 0, model))
+        q = cdf_diff_exp_sums(*rate_sets(inner_c, 0, model))
         assert p == pytest.approx(1.0 - q, abs=1e-6)
 
 
@@ -562,7 +575,7 @@ class TestVoteAveragedCer:
         for other in itertools.product((-1, 1), repeat=2):
             votes = np.stack([fixed, np.array(other)], axis=1)
             inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
-            probs.append(cdf_diff_exp_sums(*detection_rates(inner, 0, model)))
+            probs.append(cdf_diff_exp_sums(*rate_sets(inner, 0, model)))
         exact = cer(n_plus, n_minus, float(np.mean(probs)))
         rng = np.random.default_rng(7)
         est = vote_averaged_cer(n_plus, n_minus, model, n_realizations=400, rng=rng)
@@ -639,7 +652,7 @@ class TestVoteAveragedCer:
             rng = np.random.default_rng(K)
             votes = rng.integers(0, 2, size=(R if M > 1 else 1, 7, M)) * 2 - 1
             votes[:, :, M - 1] = [1] * n_plus + [-1] * n_minus
-            rates, x = detection_rates(vote_pattern(method, votes), M - 1, model, exact)
+            rates, x = rate_sets(vote_pattern(method, votes), M - 1, model, exact)
             probs = np.array([cdf_diff_exp_sums(r, x) for r in rates])
             stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if M > 1 else 0.0
             want = theory.CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))),
@@ -735,7 +748,7 @@ class TestVoteAveragedCer:
         model = make_model(Method.INDEXED, 4, sigma2=0.2)
         votes = rng.integers(0, 2, size=(3, 2)) * 2 - 1
         inner = encode_matrix(Method.INDEXED, votes, model.rp)
-        rates, x = detection_rates(inner, 0, model)
+        rates, x = rate_sets(inner, 0, model)
         assert x == 0.0
         assert len(rates.rates_plus) == 2 and len(rates.rates_minus) == 2
 
@@ -842,9 +855,8 @@ class TestExactCorrelatedModel:
                                 + noise_power(da, sigma2, K, model.pdp.L_e))
 
                     for ell in range(M):
-                        paper, x = detection_rates(inner, ell, model)
-                        exact, x_exact = detection_rates(inner, ell, model,
-                                                         exact=True)
+                        paper, x = rate_sets(inner, ell, model)
+                        exact, x_exact = rate_sets(inner, ell, model, exact=True)
                         assert x_exact == pytest.approx(x, rel=1e-12, abs=1e-15)
                         if sigma2 == 0.0:
                             assert cdf_diff_exp_sums(exact, x) == pytest.approx(
