@@ -35,7 +35,6 @@ from .median import MedianState, local_votes, median_step, run_median
 from .theory import (
     CerEstimate,
     CerModel,
-    ExpRateSet,
     cdf_diff_exp_sums,
     cer,
     detection_rates,

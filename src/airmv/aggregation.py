@@ -31,10 +31,14 @@ votes are packed eight to a byte and each byte indexes a table of the
 product of its slots' factors (z_p - zero_k), with its share of c_lead;
 P_u(z_p) is the product of one row per byte, and |P_u(z_p)|^2 the product
 of the rows of the tables' squared magnitudes. The indexed encoder's slots
-depend on all votes at once, so its table holds one row per codeword; it is
-diagonal, T[c, p] = 0 unless p = c, and probe p's signal variance is m_p
-|T[p, p]|^2 C_H[p, p] for the m_p users sending codeword p. A probe that
-lands on a user's own encoded zero meets an exact 0 factor.
+depend on all votes at once, and codeword c is exactly zero at every probe
+but its own slot's, so its table keeps one value per codeword, P_c(z_c),
+and probe c's signal variance is m_c |P_c(z_c)|^2 C_H[c, c] for the m_c
+users sending codeword c. A probe that lands on a user's own encoded zero
+meets an exact 0 factor. `signal_power` reads sum_u |P_u(z_p)|^2 off the
+tables, for this engine's per-probe draw and for `theory.detection_rates`
+alike: the Monte Carlo and the theory evaluate the signal once, the same
+way.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
 rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
@@ -55,7 +59,7 @@ from .decoding import DecoderContext, detector_form, probe_moments
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
-__all__ = ["ProbeAggregator", "backend", "probe_tables"]
+__all__ = ["ProbeAggregator", "backend", "probe_tables", "signal_power"]
 
 _CHUNK = 8  # votes per uncoded/differential table: one byte of packed votes
 
@@ -66,9 +70,12 @@ def probe_tables(
     """Tables whose gathered rows multiply to P_u(z_p) at the probe `points`
     (read-only, as threads share them).
 
-    Indexed: one table with a row per codeword index. Uncoded and
-    differential: one table per chunk of eight votes, row b for the chunk's
-    votes spelling bit pattern b (vote j of the chunk is bit j).
+    Uncoded and differential: one (256, P) table per chunk of eight votes,
+    row b for the chunk's votes spelling bit pattern b (vote j of the chunk
+    is bit j). Indexed: one (K,) table, P_c(z_c) for each codeword c at its
+    own slot's probe c (`points` are the K slots in order). Codeword c is
+    exactly zero at every other probe, so that diagonal is all any product
+    reads.
     """
     K, d = rp.K, rp.d
     M = method.votes_per_codeword(K)
@@ -83,9 +90,12 @@ def probe_tables(
         zeros = np.where(inner, 1.0 / d, d) * w[start : start + inner.shape[1]]
         # This chunk's share of c_lead = sqrt(eta (K+1)) d^(n_inner - K/2).
         share = d ** (np.count_nonzero(inner, axis=1) - inner.shape[1] / 2)
-        table = np.repeat(share[:, np.newaxis].astype(complex), points.size, axis=1)
+        table = share.astype(complex)
+        if method is not Method.INDEXED:
+            table = np.repeat(table[:, np.newaxis], points.size, axis=1)
+            zeros = zeros[..., np.newaxis]
         for k in range(inner.shape[1]):
-            table *= points - zeros[:, k, np.newaxis]
+            table *= points - zeros[:, k]
         tables.append(table)
     tables[0] *= math.sqrt(rp.eta * (K + 1))
     for table in tables:
@@ -102,6 +112,21 @@ def _normal_factor(cov: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(np.maximum(lam[-rank:], 0.0) / 2.0), q[:, -rank:].T
 
 
+def _packed(votes, M: int) -> np.ndarray:
+    """(n, U, M) +/-1 votes as (n, U, ceil(M / 8)) bytes, vote j at bit j % 8
+    of byte j // 8."""
+    votes = check_vote_batch(votes)
+    if votes.shape[-1] != M:
+        raise ValueError(f"expected (n, U, {M}) votes, got shape {votes.shape}")
+    # Pad each row to whole bytes so that one flat packbits call packs them
+    # all (packing along a short last axis is far slower).
+    nbytes = -(-M // 8)
+    bits = np.zeros(votes.shape[:-1] + (8 * nbytes,), dtype=bool)
+    np.greater(votes, 0, out=bits[..., :M])
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    return packed.reshape(votes.shape[:-1] + (nbytes,))
+
+
 def _table_product(tables, packed: np.ndarray) -> np.ndarray:
     """prod_i tables[i][packed[..., i]]: one gathered row per byte of votes."""
     product = np.take(tables[0], packed[..., 0], axis=0)
@@ -110,11 +135,30 @@ def _table_product(tables, packed: np.ndarray) -> np.ndarray:
     return product
 
 
-def _codeword_index(packed: np.ndarray) -> np.ndarray:
+def _codeword_counts(packed: np.ndarray, K: int) -> np.ndarray:
+    """(n, K) senders m_c of each indexed codeword c per trial."""
     index = packed[..., 0].astype(np.intp)
     for i in range(1, packed.shape[-1]):
         index |= packed[..., i].astype(np.intp) << (8 * i)
-    return index
+    n = packed.shape[0]
+    cells = index + K * np.arange(n)[:, np.newaxis]
+    return np.bincount(cells.ravel(), minlength=n * K).reshape(n, K)
+
+
+def signal_power(method: Method, tables, votes) -> np.ndarray:
+    """sum_u |P_u(z_p)|^2 per trial and probe, (n, P), for (n, U, M) +/-1
+    votes and the `probe_tables` of `method` at the probes.
+
+    Uncoded and differential: the product of the gathered rows of the
+    tables' squared magnitudes, summed over the users. Indexed: the m_c
+    senders of each codeword c, each |P_c(z_c)|^2 at probe c.
+    """
+    # Each table has a row per bit pattern of its chunk's votes.
+    packed = _packed(votes, sum(t.shape[0].bit_length() - 1 for t in tables))
+    power = [table.real**2 + table.imag**2 for table in tables]
+    if method is Method.INDEXED:
+        return _codeword_counts(packed, power[0].size) * power[0]
+    return _table_product(power, packed).sum(axis=1)
 
 
 class ProbeAggregator:
@@ -128,7 +172,7 @@ class ProbeAggregator:
     (scale, basis) of `noise_factor`. Where each user is nonzero at one
     probe only (`one_probe_per_user`: every indexed engine, and every engine
     deciding one vote), the signal is one normal per probe, scaled by
-    `channel_scale`, sqrt(C_H[p, p] / 2), times sqrt(sum_u |P_u(z_p)|^2);
+    `channel_scale`, sqrt(C_H[p, p] / 2), times the root of `signal_power`;
     otherwise each user's channel is drawn likewise from `channel_factor`.
     """
 
@@ -148,58 +192,27 @@ class ProbeAggregator:
                                    or self.form.signs.shape[1] == 1)
         if self.one_probe_per_user:
             self.channel_scale = np.sqrt(c_h.diagonal().real / 2.0)
-            self._power_tables = tuple(t.real**2 + t.imag**2 for t in self.tables)
         else:
             self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
 
-    def _packed(self, votes) -> np.ndarray:
-        votes = check_vote_batch(votes)
-        M = self.ctx.n_votes
-        if votes.shape[-1] != M:
-            raise ValueError(f"expected (n, U, {M}) votes, got shape {votes.shape}")
-        # Pad each row to whole bytes so that one flat packbits call packs
-        # them all (packing along a short last axis is far slower).
-        nbytes = -(-M // 8)
-        bits = np.zeros(votes.shape[:-1] + (8 * nbytes,), dtype=bool)
-        np.greater(votes, 0, out=bits[..., :M])
-        packed = np.packbits(bits.reshape(-1), bitorder="little")
-        return packed.reshape(votes.shape[:-1] + (nbytes,))
-
-    def _values(self, packed: np.ndarray) -> np.ndarray:
-        if self.ctx.method is Method.INDEXED:
-            return np.take(self.tables[0], _codeword_index(packed), axis=0)
-        return _table_product(self.tables, packed)
-
-    def _codeword_counts(self, packed: np.ndarray) -> np.ndarray:
-        """(n, rows) senders m_c of each indexed codeword c per trial."""
-        n, rows = packed.shape[0], self.tables[0].shape[0]
-        cells = _codeword_index(packed) + rows * np.arange(n)[:, np.newaxis]
-        return np.bincount(cells.ravel(), minlength=n * rows).reshape(n, rows)
-
-    def _signal_power(self, packed: np.ndarray) -> np.ndarray:
-        """sum_u |P_u(z_p)|^2 per trial and probe, (n, P)."""
-        if self.ctx.method is Method.INDEXED:
-            # T is diagonal: the m_p senders of codeword p, each |T_pp|^2.
-            return self._codeword_counts(packed) * self._power_tables[0].diagonal()
-        return _table_product(self._power_tables, packed).sum(axis=1)
-
     def received(self, votes, rng: np.random.Generator) -> np.ndarray:
         """R(z_p) at every probe point; shape (n, P)."""
-        packed = self._packed(votes)
-        n, U, _ = packed.shape
         if self.one_probe_per_user:
             # The probes' signal terms sum disjoint users: independent,
             # CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
-            scale = np.sqrt(self._signal_power(packed)) * self.channel_scale
+            power = signal_power(self.ctx.method, self.tables, votes)
+            scale = np.sqrt(power) * self.channel_scale
             r = complex_normal(scale.shape, scale, rng)
         else:
+            packed = _packed(votes, self.ctx.n_votes)
+            n, U, _ = packed.shape
             scale, basis = self.channel_factor
             h = complex_normal((n * U, scale.size), scale, rng)
             hz = (h @ basis).reshape(n, U, -1)
-            r = np.einsum("nup,nup->np", hz, self._values(packed))
+            r = np.einsum("nup,nup->np", hz, _table_product(self.tables, packed))
         if self.sigma2 > 0:
             scale, basis = self.noise_factor
-            r += complex_normal((n, basis.shape[0]), scale, rng) @ basis
+            r += complex_normal((r.shape[0], basis.shape[0]), scale, rng) @ basis
         return r
 
     def aggregate(self, votes, rng: np.random.Generator) -> np.ndarray:

@@ -10,11 +10,13 @@ phase would be invisible to the magnitude-based detectors downstream.
 Selections are plain bool arrays of shape (..., K), as
 `encoding.vote_pattern` makes them; every function here takes a batch of
 any shape, and there is no single-codeword type. One evaluator,
-`zero_form_eval`, gives P(z) from the zeros at any points; the error-rate
-theory reads it at the probe points. `synthesize_coeffs` reads it on the
-(K+1)-point unit-circle grid and applies the forward FFT. The incremental
-expansion that cross-checks it lives in the tests: it accumulates rounding
-error one zero at a time, the grid method does not.
+`zero_form_eval`, gives P(z) from the zeros at any points;
+`synthesize_coeffs` reads it on the (K+1)-point unit-circle grid and
+applies the forward FFT. The incremental expansion that cross-checks it
+lives in the tests: it accumulates rounding error one zero at a time, the
+grid method does not. At the detectors' probe points, the Monte Carlo and
+the error-rate theory read P(z) from the tables of `airmv.aggregation`
+instead, which the tests check against `zero_form_eval`.
 
 Both evaluators work row by row, so a row's result does not depend on the
 other rows of its batch. Callers that evaluate random draws from a small

@@ -24,14 +24,18 @@ between the chains (Neuts 1981) gives it from positive products and one
 matrix exponential. That exponential, of a bidiagonal phase generator,
 is computed in numpy (`_survival`) by scaling and squaring with its
 diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
-2009). The error rate follows by averaging that CDF over realizations of
-the other transmitters' votes, all handled in one pass per point: one
-detector form, one `probe_moments`, one zero-form evaluation of the
-distinct codewords in the whole stack of realizations, and the signal
-diagonals of the whole stack at once. The rates stay (R, n) arrays, and
-the race runs over the whole stack, one step per anti-diagonal of its
-recurrence, once for each group of realizations with the same numbers of
-finite rates (phases of nonzero length) on the two sides.
+2009). The error event's probability is read off its own tail of the race
+(`cer`), so a deep-tail error rate keeps its relative precision; only the
+uncoded detector's nonzero offset can need a complement. The error rate
+follows by averaging over realizations of the other transmitters' votes,
+all handled in one pass per point: one vote draw, one detector form, one
+`probe_moments`, one set of the engine's probe tables
+(`aggregation.probe_tables`) and one `aggregation.signal_power` call for
+the signal diagonals of the whole stack: the evaluator the Monte Carlo
+draws from. The rates stay (R, n) arrays, and the race runs over the
+whole stack, one step per anti-diagonal of its recurrence, once for each
+group of realizations with the same numbers of finite rates (phases of
+nonzero length) on the two sides.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregation import probe_tables, signal_power
 from .channel import PdpConfig
 from .decoding import DecoderContext, detector_form, probe_moments
-from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, distinct_rows, zero_form_eval
+from .encoding import Method
+from .huffman import RadiusParam
 
 __all__ = [
-    "ExpRateSet",
     "CerModel",
     "CerEstimate",
     "cdf_diff_exp_sums",
@@ -69,34 +73,11 @@ def _inverse(means) -> np.ndarray:
     return rates
 
 
-@dataclass(frozen=True)
-class ExpRateSet:
-    """Exponential rates of the two sums A and B entering P(A - B < x).
-
-    Rates are inverse means. An infinite rate marks a degenerate component
-    concentrated at zero (a noiseless side with no signal term): a phase of
-    length zero, which the race in `cdf_diff_exp_sums` drops.
-    """
-
-    rates_plus: tuple[float, ...]
-    rates_minus: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for rates in (self.rates_plus, self.rates_minus):
-            if any(not (r > 0.0) or math.isnan(r) for r in rates):
-                raise ValueError("all rates must be strictly positive")
-
-    @classmethod
-    def from_means(cls, means_plus, means_minus) -> "ExpRateSet":
-        return cls(tuple(_inverse(means_plus).tolist()),
-                   tuple(_inverse(means_minus).tolist()))
-
-
 def _race(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """pi[r, i]: probability that row r's `second` chain of exponential
     phases ends while its `first` is in its phase i, for (R, n1) and (R, n2)
     stacks of finite rates: every realization of a point whose sides have
-    these finite chain lengths (one group of `_cdf`).
+    these finite chain lengths (one group of `cdf_diff_exp_sums`).
 
     Both chains run at once; from state (phases of first done, phases of
     second done) the next phase to end is the first's with probability
@@ -187,13 +168,19 @@ def _exceeds(first: np.ndarray, second: np.ndarray, t: float) -> np.ndarray:
     return np.array([p @ _survival(f, t) for p, f in zip(pi, first)])
 
 
-def _cdf(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:
-    """CDF of A - B at x for each row of (R, n1) and (R, n2) rate stacks,
-    inf marking a phase of length zero.
+def cdf_diff_exp_sums(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:
+    """P(A - B < x) for each row of (R, n1) plus and (R, n2) minus rate
+    arrays, A and B independent sums of exponentials whose rates are the
+    row's; inf marks a phase of length zero, which drops out.
 
-    Rows are grouped by their counts of finite rates on each side, and each
-    group is raced on its finite rates, in their order: one `_exceeds` call
-    per group, not per row.
+    Exact, by the phase race of the two sums (Neuts 1981), read off
+    `_exceeds`: P(B > A - x) for x <= 0, and 1 - P(A > B + x) for x > 0,
+    the one case whose own tail would need a negative shift. So at x = 0
+    a small probability comes from its own tail, not as a difference from
+    1. Coincident rates need no special handling. Rows are grouped by
+    their counts of finite rates on each side, and each group is raced on
+    its finite rates, in their order: one `_exceeds` call per group, not
+    per row.
     """
     finite_plus, finite_minus = np.isfinite(plus), np.isfinite(minus)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -208,21 +195,8 @@ def _cdf(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:
         if not n1 and not n2:
             f[rows] = 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
         else:
-            f[rows] = 1.0 - _exceeds(a, b, x) if x >= 0 else _exceeds(b, a, -x)
+            f[rows] = 1.0 - _exceeds(a, b, x) if x > 0 else _exceeds(b, a, -x)
     return np.clip(f, 0.0, 1.0)
-
-
-def cdf_diff_exp_sums(rates: ExpRateSet, x: float) -> float:
-    """CDF of A - B at x, A and B independent sums of exponentials.
-
-    Exact, by the phase race of the two sums (Neuts 1981): F(x) =
-    1 - P(A > B + x) for x >= 0 and P(B > A - x) for x < 0, each read off
-    `_exceeds`. Coincident rates need no special handling; infinite rates
-    are phases of length zero and drop out. One row of the stacked `_cdf`.
-    """
-    plus = np.array(rates.rates_plus, dtype=float).reshape(1, -1)
-    minus = np.array(rates.rates_minus, dtype=float).reshape(1, -1)
-    return float(_cdf(plus, minus, x)[0])
 
 
 @dataclass(frozen=True)
@@ -247,53 +221,46 @@ _EIG_RTOL = 1e-12
 
 
 def detection_rates(
-    codewords, ell: int, model: CerModel, exact: bool = False
+    votes, ell: int, model: CerModel, exact: bool = False
 ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
     gives P(decision < 0).
 
-    `codewords` is an (R, U, K) stack of vote realizations, or one (U, K)
-    radius-selection matrix (R = 1). The rates are the (R, n1) plus and
-    (R, n2) minus float arrays, one row per realization, inf marking a
-    phase of length zero: the form `_cdf` races. x is the same for all
-    realizations. The detector form of vote ell gives the probe points and
-    A = S / s (signed inverse scales: +-1 for the coded schemes, the
-    inverse count scales for uncoded), and x = sum_p A_p b_p (zero for the
-    coded schemes).
+    `votes` is an (R, U, M) stack of +/-1 vote realizations. The rates are
+    the (R, n1) plus and (R, n2) minus float arrays, one row per
+    realization, inf marking a phase of length zero: the form
+    `cdf_diff_exp_sums` races. x is the same for all realizations. The
+    detector form of vote ell gives the probe points and A = S / s (signed
+    inverse scales: +-1 for the coded schemes, the inverse count scales for
+    uncoded), and x = sum_p A_p b_p (zero for the coded schemes).
 
     Each realization's probe covariance is Sigma = D + C_W, with C_W the
     noise covariance at the probes and D diagonal: each user's codeword is
     exactly zero at every probe of the vote but one, so the signal terms of
     different probes sum disjoint users, and D_pp = C_H[p, p] sum_u
     |P_u(z_p)|^2, with C_H the channel covariance at the probes
-    (`probe_moments`, the law the Monte Carlo draws) and P_u(z_p) from the
-    zero form (`zero_form_eval`, exactly zero at an encoded zero; evaluated
-    once per distinct codeword of the whole stack and gathered back to the
-    users). The diagonal of Sigma holds the expected test-point energies.
-    The paper's independence model takes the means A_pp Sigma_pp, split into
-    the two sides by the sign of A; a zero mean is an infinite rate. With
-    `exact`, Sigma = L L^H and the metric is a sum of independent
-    exponentials weighted by the eigenvalues of L^H A L, which are those of
-    A Sigma (Turin 1960); positive ones form the plus side and the negated
-    negative ones the minus side. Both sides are then P wide, each
-    eigenvalue at its ascending position and inf at the others (the other
-    sign, or below the `_EIG_RTOL` cut). The paper model reads the whole
-    stack's diagonals at once; the exact law forms Sigma one realization at
-    a time, so memory grows with R U P, not R P^2.
+    (`probe_moments`) and the sum read from the engine's tables at the
+    probes (`aggregation.signal_power`): the law the Monte Carlo draws, from
+    the same numbers. The diagonal of Sigma holds the expected test-point
+    energies. The paper's independence model takes the means A_pp
+    Sigma_pp, split into the two sides by the sign of A; a zero mean is an
+    infinite rate. With `exact`, Sigma = L L^H and the metric is a sum of
+    independent exponentials weighted by the eigenvalues of L^H A L, which
+    are those of A Sigma (Turin 1960); positive ones form the plus side and
+    the negated negative ones the minus side. Both sides are then P wide,
+    each eigenvalue at its ascending position and inf at the others (the
+    other sign, or below the `_EIG_RTOL` cut). The paper model reads the
+    whole stack's diagonals at once; the exact law forms Sigma one
+    realization at a time, so memory grows with R U P, not R P^2.
     """
     rp = model.rp
-    inner = np.asarray(codewords, dtype=bool)
-    if inner.ndim not in (2, 3):
-        raise ValueError(f"expected (U, K) or (R, U, K) selections, got {inner.shape}")
     ctx = DecoderContext.for_link(model.method, rp, model.pdp, model.sigma2)
     form = detector_form(ctx, [ell])
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
     chan, noise = probe_moments(form.points, rp.K, model.pdp, model.sigma2)
-    rows, drawn = distinct_rows(inner)
-    vals = zero_form_eval(rows, rp, form.points)
-    power = (vals.real**2 + vals.imag**2)[drawn].sum(axis=-2)
-    signal = power.reshape(-1, power.shape[-1]) * chan.diagonal().real
+    tables = probe_tables(model.method, rp, form.points)
+    signal = signal_power(model.method, tables, votes) * chan.diagonal().real
     if not exact:
         means = weights * (signal + noise.diagonal().real)
         plus, minus = _inverse(means[:, weights > 0]), _inverse(-means[:, weights < 0])
@@ -308,18 +275,25 @@ def detection_rates(
     return (plus, minus), x
 
 
-def cer(n_plus: int, n_minus: int, prob_negative: float) -> float:
-    """Computation-error rate from P(metric difference < 0).
+def cer(
+    n_plus: int, n_minus: int, plus: np.ndarray, minus: np.ndarray, x: float
+) -> np.ndarray:
+    """Computation-error rate of each realization, from the (R, n) plus and
+    minus rates of its metric difference A - B and the decision offset x
+    (`detection_rates`).
 
-    An exact tie in the true votes counts as an error outright.
+    An error is the event A - B < x when n_plus > n_minus and A - B > x,
+    i.e. B - A < -x, when n_plus < n_minus: either way one
+    `cdf_diff_exp_sums` call, which reads a small rate off its own tail. An
+    exact tie in the true votes counts as an error outright.
     """
     if n_plus < 0 or n_minus < 0:
         raise ValueError("vote counts must be nonnegative")
     if n_plus > n_minus:
-        return prob_negative
+        return cdf_diff_exp_sums(plus, minus, x)
     if n_plus < n_minus:
-        return 1.0 - prob_negative
-    return 1.0
+        return cdf_diff_exp_sums(minus, plus, -x)
+    return np.ones(len(plus))
 
 
 @dataclass(frozen=True)
@@ -339,7 +313,7 @@ def vote_averaged_cer(
     ell: int = 0,
     exact: bool = False,
 ) -> CerEstimate:
-    """Average the conditional error CDF over the other transmitters' votes.
+    """Average the conditional error rate over the other transmitters' votes.
 
     The probed vote column is fixed to n_plus ones followed by n_minus
     minus-ones; all remaining vote entries, for every realization at once,
@@ -347,13 +321,12 @@ def vote_averaged_cer(
     single vote per codeword there is nothing to sample and the result is
     deterministic (stderr 0).
 
-    By default the conditional CDF is the paper's, which approximates the
+    By default the conditional law is the paper's, which approximates the
     test-point energies as independent exponentials; `exact` uses the law
     of the correlated probes instead (see `detection_rates`). Both laws
     consume the same vote draws. The rates of all realizations come as
-    (R, n) arrays from one `detection_rates` call, and `_cdf` races the
-    whole stack at once, one race per group of equal finite chain lengths;
-    no `ExpRateSet` is built.
+    (R, n) arrays from one `detection_rates` call, and `cer` races the
+    whole stack at once, one race per group of equal finite chain lengths.
     """
     if min(n_plus, n_minus) < 0 or n_plus + n_minus < 1:
         raise ValueError("need nonnegative vote counts and at least one "
@@ -377,9 +350,8 @@ def vote_averaged_cer(
     shape = (n_realizations, U, M)
     votes = rng.integers(0, 2, size=shape) * 2 - 1 if M > 1 else np.empty(shape, int)
     votes[:, :, ell] = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
-    codewords = vote_pattern(model.method, votes)
-    (plus, minus), x = detection_rates(codewords, ell, model, exact)
-    probs = _cdf(plus, minus, x)
+    (plus, minus), x = detection_rates(votes, ell, model, exact)
+    probs = cer(n_plus, n_minus, plus, minus, x)
 
     stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if probs.size > 1 else 0.0
-    return CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))), float(stderr))
+    return CerEstimate(float(np.mean(probs)), float(stderr))

@@ -16,11 +16,12 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from airmv.aggregation import ProbeAggregator, probe_tables
+from airmv import aggregation
+from airmv.aggregation import ProbeAggregator, probe_tables, signal_power
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.decoding import decode, powers, probe_points
 from airmv.encoding import Method, vote_pattern
-from airmv.huffman import radius_param, root_phases, synthesize_coeffs
+from airmv.huffman import radius_param, root_phases, synthesize_coeffs, zero_form_eval
 from airmv.median import run_median
 from airmv.simulate import (
     _count_mv_errors,
@@ -226,8 +227,14 @@ def _counts_for_their_roots(patch):
 
 
 def _power_of_the_sum(patch):
-    patch.setattr(ProbeAggregator, "_signal_power",
-                  lambda self, packed: np.abs(self._values(packed).sum(axis=1)) ** 2)
+    def power(method, tables, votes):
+        packed = aggregation._packed(votes, votes.shape[-1])
+        if method is Method.INDEXED:
+            counts = aggregation._codeword_counts(packed, tables[0].size)
+            return np.abs(counts * tables[0]) ** 2
+        return np.abs(aggregation._table_product(tables, packed).sum(axis=1)) ** 2
+
+    patch.setattr(aggregation, "signal_power", power)
 
 
 @pytest.mark.parametrize("mutation", [
@@ -300,7 +307,9 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
             assert np.all(r[:, ~on_zero] != 0.0)
             row = 2 ** min(M, 8) - 1 if vote > 0 else 0
             product = np.prod([t[row] for t in tables], axis=0)
-            assert np.all((product == 0.0) == on_zero)
+            # The indexed table holds each codeword at its own probe only.
+            expected = on_zero[row] if method is Method.INDEXED else on_zero
+            assert np.all((product == 0.0) == expected)
 
 
 @pytest.mark.parametrize("K", [2, 8, 32])
@@ -311,8 +320,8 @@ def test_single_vote_users_are_nonzero_at_one_probe(method, K):
     disjoint users. That holds at vote 0 for every scheme, and at every
     position for indexed (and for a K = 2 codeword, which carries one vote).
     Every codeword for indexed and for up to 16 votes, 4096 random ones
-    beyond. The engine's sum_u |P_u(z_p)|^2 equals that of its codeword
-    values."""
+    beyond, evaluated by the zero form (`zero_form_eval`). The engine's
+    sum_u |P_u(z_p)|^2 equals that of those values."""
     M = method.votes_per_codeword(K)
     every = method is Method.INDEXED or M == 1
     for positions in [0] + ([None] if every else []):
@@ -324,11 +333,35 @@ def test_single_vote_users_are_nonzero_at_one_probe(method, K):
             votes = 2 * ((index >> np.arange(M)) & 1) - 1
         else:
             votes = 2 * np.random.default_rng(K).integers(0, 2, size=(4096, M)) - 1
-        packed = engine._packed(votes[np.newaxis])  # one trial, a user per row
-        values = engine._values(packed)
+        values = zero_form_eval(vote_pattern(method, votes), radius_param(K),
+                                engine.form.points)
         assert np.all(np.count_nonzero(values, axis=-1) == 1)
-        power = (values.real**2 + values.imag**2).sum(axis=1)
-        np.testing.assert_allclose(engine._signal_power(packed), power, rtol=1e-13)
+        power = (values.real**2 + values.imag**2).sum(axis=0)
+        got = signal_power(method, engine.tables, votes[np.newaxis])  # one trial
+        np.testing.assert_allclose(got[0], power, rtol=1e-13)
+
+
+@pytest.mark.parametrize("method,K", [(m, K) for m in Method for K in (2, 8, 32)]
+                         + [(Method.INDEXED, 256)])
+def test_signal_power_matches_the_zero_form(method, K):
+    """`signal_power`, the one evaluator of the engine and the theory, gives
+    sum_u |P_u(z_p)|^2 of the zero form (`zero_form_eval` of each user's
+    codeword) at vote ell's probes, to 1e-13 relative, and exactly 0 where
+    that sum is 0: trial 0 has every user vote +1 at ell and trial 1 every
+    user -1, so some probes sit on every sender's zero."""
+    rp = radius_param(K)
+    M = method.votes_per_codeword(K)
+    votes = np.random.default_rng(K).integers(0, 2, size=(8, 5, M)) * 2 - 1
+    for ell in sorted({0, M - 1}):
+        votes[:2, :, ell] = [[1], [-1]]
+        points = probe_points(method, rp, ell)
+        values = zero_form_eval(vote_pattern(method, votes), rp, points)
+        want = (values.real**2 + values.imag**2).sum(axis=1)
+        got = signal_power(method, probe_tables(method, rp, points), votes)
+        assert got.shape == want.shape == (8, points.size)
+        assert (want == 0).any() and (want > 0).any()
+        assert np.all(got[want == 0] == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_monte_carlo_batch_matches_time_domain_batch():

@@ -195,6 +195,7 @@ class TestProbeTables:
             votes = rng.integers(0, 2, size=(40, 3, m)) * 2 - 1
             # Vote j of a table's chunk is bit j of its row index; indexed
             # has one chunk of all m votes, the others one per eight votes.
+            # The indexed table holds each codeword at its own probe only.
             width = m if method is Method.INDEXED else 8
             bits = (votes > 0).astype(np.intp)
             for positions in (tuple(range(m)), (0,)):
@@ -206,11 +207,15 @@ class TestProbeTables:
                 direct = poly_eval(
                     synthesize_coeffs(vote_pattern(method, votes), rp), points
                 )
+                if method is Method.INDEXED:
+                    own = bits @ (1 << np.arange(m))
+                    direct = np.take_along_axis(direct, own[..., np.newaxis], -1)[..., 0]
                 np.testing.assert_allclose(values, direct, rtol=0, atol=1e-12)
 
     def test_large_codebook_needs_no_synthesis(self):
         """Table rows grow with the votes per byte, not with 2^M: uncoded
-        K=32 (2^32 vote patterns) needs four 256-row tables."""
+        K=32 (2^32 vote patterns) needs four 256-row tables. Indexed keeps
+        one value per codeword, its own probe's: a read-only (K,) table."""
         from airmv.aggregation import probe_tables
         from airmv.decoding import probe_points
         from airmv.huffman import radius_param
@@ -220,7 +225,7 @@ class TestProbeTables:
         assert [t.shape for t in tables] == [(256, 2)] * 4
         rp = radius_param(128)
         (table,) = probe_tables(Method.INDEXED, rp, probe_points(Method.INDEXED, rp, 0))
-        assert table.shape == (128, 128)
+        assert table.shape == (128,)
         assert not table.flags.writeable
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from airmv.huffman import (
 )
 from airmv.theory import (
     CerModel,
-    ExpRateSet,
     _survival,
     cdf_diff_exp_sums,
     cer,
@@ -42,6 +42,26 @@ def closed_form_single(a, b, x):
     if x >= 0:
         return 1.0 - b / (a + b) * math.exp(-a * x)
     return a / (a + b) * math.exp(b * x)
+
+
+class Rates(NamedTuple):
+    """One realization's plus and minus rates, as tuples."""
+
+    rates_plus: tuple
+    rates_minus: tuple
+
+
+def from_means(means_plus, means_minus):
+    """`Rates` from the two sides' means, through the package's one
+    validation, `_inverse` (a zero mean is an infinite rate)."""
+    return Rates(tuple(theory._inverse(means_plus).tolist()),
+                 tuple(theory._inverse(means_minus).tolist()))
+
+
+def cdf(rates, x):
+    """`cdf_diff_exp_sums` of one realization's `Rates`."""
+    plus, minus = (np.array(side, dtype=float).reshape(1, -1) for side in rates)
+    return float(cdf_diff_exp_sums(plus, minus, x)[0])
 
 
 def gil_pelaez_cdf(rates, x):
@@ -94,11 +114,11 @@ def gil_pelaez_cdf(rates, x):
 
 class TestCdfDiffExpSums:
     def test_symmetric_pair(self):
-        rates = ExpRateSet((2.5,), (2.5,))
-        assert cdf_diff_exp_sums(rates, 0.0) == pytest.approx(0.5, abs=1e-9)
+        rates = Rates((2.5,), (2.5,))
+        assert cdf(rates, 0.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_single_pair_closed_form(self):
-        assert cdf_diff_exp_sums(ExpRateSet((1.0,), (3.0,)), 0.0) == pytest.approx(
+        assert cdf(Rates((1.0,), (3.0,)), 0.0) == pytest.approx(
             0.25, abs=1e-9
         )
 
@@ -107,7 +127,7 @@ class TestCdfDiffExpSums:
         for _ in range(100):
             a, b = rng.uniform(0.05, 20.0, size=2)
             x = rng.uniform(-2.0, 2.0) / min(a, b)
-            got = cdf_diff_exp_sums(ExpRateSet((a,), (b,)), x)
+            got = cdf(Rates((a,), (b,)), x)
             assert got == pytest.approx(closed_form_single(a, b, x), abs=1e-6)
 
     def test_multi_rate_against_sampling(self):
@@ -117,11 +137,11 @@ class TestCdfDiffExpSums:
         n = 2_000_000
         A = sum(rng.exponential(m, n) for m in means_a)
         B = sum(rng.exponential(m, n) for m in means_b)
-        rates = ExpRateSet.from_means(means_a, means_b)
+        rates = from_means(means_a, means_b)
         for x in (-0.5, 0.0, 1.5):
             emp = float(np.mean(A - B <= x))
             se = math.sqrt(emp * (1 - emp) / n)
-            assert abs(cdf_diff_exp_sums(rates, x) - emp) < 3 * se
+            assert abs(cdf(rates, x) - emp) < 3 * se
 
     def test_coincident_rates(self):
         # repeated poles on both sides; compare against sampling
@@ -129,24 +149,24 @@ class TestCdfDiffExpSums:
         n = 1_000_000
         A = rng.exponential(1.0, (4, n)).sum(axis=0)
         B = rng.exponential(1.0, (4, n)).sum(axis=0)
-        rates = ExpRateSet((1.0,) * 4, (1.0,) * 4)
-        assert cdf_diff_exp_sums(rates, 0.0) == pytest.approx(0.5, abs=1e-9)
+        rates = Rates((1.0,) * 4, (1.0,) * 4)
+        assert cdf(rates, 0.0) == pytest.approx(0.5, abs=1e-9)
         emp = float(np.mean(A - B <= 2.0))
         se = math.sqrt(emp * (1 - emp) / n)
-        assert abs(cdf_diff_exp_sums(rates, 2.0) - emp) < 3 * se
+        assert abs(cdf(rates, 2.0) - emp) < 3 * se
 
     def test_degenerate_sides(self):
-        nothing = ExpRateSet((), ())
-        assert cdf_diff_exp_sums(nothing, -1.0) == 0.0
-        assert cdf_diff_exp_sums(nothing, 1.0) == 1.0
-        only_b = ExpRateSet((), (2.0,))
-        assert cdf_diff_exp_sums(only_b, -0.3) == pytest.approx(
+        nothing = Rates((), ())
+        assert cdf(nothing, -1.0) == 0.0
+        assert cdf(nothing, 1.0) == 1.0
+        only_b = Rates((), (2.0,))
+        assert cdf(only_b, -0.3) == pytest.approx(
             math.exp(2.0 * -0.3), abs=1e-8
         )
-        assert cdf_diff_exp_sums(only_b, 0.25) == pytest.approx(1.0, abs=1e-8)
+        assert cdf(only_b, 0.25) == pytest.approx(1.0, abs=1e-8)
         # infinite rate == degenerate component at zero
-        with_inf = ExpRateSet((math.inf,), (2.0,))
-        assert cdf_diff_exp_sums(with_inf, -0.3) == pytest.approx(
+        with_inf = Rates((math.inf,), (2.0,))
+        assert cdf(with_inf, -0.3) == pytest.approx(
             math.exp(2.0 * -0.3), abs=1e-8
         )
 
@@ -155,19 +175,21 @@ class TestCdfDiffExpSums:
     def test_nondecreasing_in_x(self, seed):
         rng = np.random.default_rng(seed)
         na, nb = rng.integers(1, 5, size=2)
-        rates = ExpRateSet(
+        rates = Rates(
             tuple(rng.uniform(0.1, 5.0, na)), tuple(rng.uniform(0.1, 5.0, nb))
         )
         xs = np.linspace(-4.0, 4.0, 21)
-        vals = [cdf_diff_exp_sums(rates, float(x)) for x in xs]
+        vals = [cdf(rates, float(x)) for x in xs]
         assert all(b >= a - 1e-7 for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_rejects_nonpositive_rates(self):
+        """Rates come from means through `_inverse`, the one validation: an
+        infinite mean (rate 0) or a negative one is rejected."""
         with pytest.raises(ValueError):
-            ExpRateSet((0.0,), (1.0,))
+            from_means([math.inf], [1.0])
         with pytest.raises(ValueError):
-            ExpRateSet((-1.0,), (1.0,))
+            from_means([-1.0], [1.0])
 
 
 class TestPhaseRace:
@@ -181,32 +203,44 @@ class TestPhaseRace:
         for lam, mu in ((1.3, 0.7), (2.0, 2.0), (0.05, 9.0)):
             p, q = lam / (lam + mu), mu / (lam + mu)
             expected = sum(math.comb(n - 1 + k, k) * p**n * q**k for k in range(m))
-            got = cdf_diff_exp_sums(ExpRateSet((lam,) * n, (mu,) * m), 0.0)
+            got = cdf(Rates((lam,) * n, (mu,) * m), 0.0)
             assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_erlang_against_exponential_deep_tail(self):
+        """P(A < B) for Erlang(n, lam) against one Exp(mu) is (lam / (lam +
+        mu))^n: all n phases of A end before B's one. Read off its own tail,
+        it keeps its relative precision down to 1e-25; as 1 - P(A > B) it
+        would round to 0 there."""
+        for n, lam, mu in ((1, 1.0, 3.0), (4, 1.0, 100.0), (4, 2.5, 1e4),
+                           (8, 1.0, 1000.0), (16, 0.3, 9.0), (24, 1.0, 9.0)):
+            expected = (lam / (lam + mu)) ** n
+            assert 1e-25 < expected
+            got = cdf(Rates((lam,) * n, (mu,)), 0.0)
+            assert got == pytest.approx(expected, rel=1e-10, abs=0), (n, lam, mu)
 
     def test_matches_gil_pelaez_oracle(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             na, nb = rng.integers(0, 6, size=2)
-            rates = ExpRateSet(tuple(10.0 ** rng.uniform(-1, 1, na)),
-                               tuple(10.0 ** rng.uniform(-1, 1, nb)))
+            rates = Rates(tuple(10.0 ** rng.uniform(-1, 1, na)),
+                          tuple(10.0 ** rng.uniform(-1, 1, nb)))
             x = float(rng.uniform(-4.0, 4.0))
-            assert cdf_diff_exp_sums(rates, x) == pytest.approx(
+            assert cdf(rates, x) == pytest.approx(
                 gil_pelaez_cdf(rates, x), rel=0, abs=1e-8
             ), (rates, x)
 
     def test_single_pair_over_twelve_decades(self):
         for a, b in ((1e-6, 1e6), (1e6, 1e-6)):
-            rates = ExpRateSet((a,), (b,))
+            rates = Rates((a,), (b,))
             for x in (-1e3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1.0, 1e6):
-                assert cdf_diff_exp_sums(rates, x) == pytest.approx(
+                assert cdf(rates, x) == pytest.approx(
                     closed_form_single(a, b, x), rel=0, abs=1e-12
                 ), (a, b, x)
 
     def test_spread_rates_stay_a_distribution(self):
-        rates = ExpRateSet((1e-6, 1.0, 1e6), (1e-3, 1e6))
+        rates = Rates((1e-6, 1.0, 1e6), (1e-3, 1e6))
         xs = np.concatenate([-np.logspace(8, -9, 35), [0.0], np.logspace(-9, 8, 35)])
-        vals = [cdf_diff_exp_sums(rates, float(x)) for x in xs]
+        vals = [cdf(rates, float(x)) for x in xs]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
@@ -334,7 +368,8 @@ class TestStackedRace:
         phase of length zero) give what each row's finite rates give alone
         through the reference race and the per-chain survival, at x = 0 and
         away from it (so chains longer than two phases reach the series and
-        the squares)."""
+        the squares). At x = 0 that is the race's own P(B > A), not a
+        complement."""
         rng = np.random.default_rng(19)
         plus, minus = spread_rates(rng, (60, 40)), spread_rates(rng, (60, 40))
         for rates in (plus, minus):
@@ -342,13 +377,13 @@ class TestStackedRace:
             rates[rng.random((60, 40)).argsort(axis=1) >= keep] = math.inf
         assert ((np.isfinite(plus).sum(axis=1) > 2) & (np.isfinite(minus).sum(axis=1) > 2)).any()
         for x in (0.0, 3e-4, -3e-4, 2.5, -1e4):
-            got = theory._cdf(plus, minus, x)
+            got = cdf_diff_exp_sums(plus, minus, x)
             for r in range(60):
                 a = plus[r][np.isfinite(plus[r])].tolist()
                 b = minus[r][np.isfinite(minus[r])].tolist()
                 if not a and not b:
                     f = 1.0 if x > 0 else (0.0 if x < 0 else 0.5)
-                elif x >= 0:
+                elif x > 0:
                     f = 1.0 - scalar_exceeds(a, b, x)
                 else:
                     f = scalar_exceeds(b, a, -x)
@@ -368,14 +403,29 @@ class TestStackedRace:
 
 
 class TestCer:
+    """Per-realization error rates from the rates of A - B and the offset x
+    (two realizations: one phase a side, and 1 + 2 phases at x = 0.3)."""
+
+    PLUS = np.array([[1.0, math.inf], [1.0, 2.0]])
+    MINUS = np.array([[3.0], [0.5]])
+
     def test_tie_is_certain_error(self):
-        assert cer(3, 3, 0.123) == 1.0
+        assert np.array_equal(cer(3, 3, self.PLUS, self.MINUS, 0.3), [1.0, 1.0])
 
     def test_majority_positive(self):
-        assert cer(5, 0, 0.1) == 0.1
+        """The error is A - B < x."""
+        got = cer(5, 0, self.PLUS, self.MINUS, 0.0)
+        assert np.array_equal(got, cdf_diff_exp_sums(self.PLUS, self.MINUS, 0.0))
+        assert got[0] == pytest.approx(0.25, rel=1e-15)
 
     def test_majority_negative(self):
-        assert cer(0, 5, 0.1) == pytest.approx(0.9)
+        """The error is A - B > x, i.e. B - A < -x."""
+        for x in (0.0, 0.3, -0.3):
+            got = cer(0, 5, self.PLUS, self.MINUS, x)
+            assert np.array_equal(got, cdf_diff_exp_sums(self.MINUS, self.PLUS, -x))
+            assert got == pytest.approx(1.0 - cdf_diff_exp_sums(self.PLUS, self.MINUS, x),
+                                        rel=1e-12)
+        assert cer(0, 5, self.PLUS, self.MINUS, 0.0)[0] == pytest.approx(0.75, rel=1e-15)
 
 
 def make_model(method, K, L_e=1, rho=1.0, sigma2=0.1):
@@ -386,17 +436,19 @@ def encode_matrix(method, votes, rp):
     return vote_pattern(method, np.asarray(votes))
 
 
-def rate_sets(codewords, ell, model, exact=False):
-    """`detection_rates` as `ExpRateSet`s: one for a (U, K) matrix, a list
-    of R for an (R, U, K) stack. The exact law's sets keep only the finite
+def rate_sets(votes, ell, model, exact=False):
+    """`detection_rates` as `Rates`: one for a (U, M) vote matrix, a list of
+    R for an (R, U, M) stack. The exact law's sets keep only the finite
     rates, not the padding of its P-wide sides."""
-    (plus, minus), x = detection_rates(codewords, ell, model, exact)
+    votes = np.asarray(votes)
+    stack = votes if votes.ndim == 3 else votes[np.newaxis]
+    (plus, minus), x = detection_rates(stack, ell, model, exact)
     if exact:
         plus = [row[np.isfinite(row)] for row in plus]
         minus = [row[np.isfinite(row)] for row in minus]
-    sets = [ExpRateSet(tuple(p.tolist()), tuple(m.tolist()))
+    sets = [Rates(tuple(p.tolist()), tuple(m.tolist()))
             for p, m in zip(plus, minus)]
-    return (sets if np.ndim(codewords) == 3 else sets[0]), x
+    return (sets if votes.ndim == 3 else sets[0]), x
 
 
 class TestRates:
@@ -404,8 +456,7 @@ class TestRates:
         """Every polynomial vanishes at the radius-d probe: no signal term."""
         model = make_model(Method.UNCODED, 4, sigma2=0.0)
         votes = -np.ones((3, 4), dtype=int)
-        inner = encode_matrix(Method.UNCODED, votes, model.rp)
-        rates, x = rate_sets(inner, 0, model)
+        rates, x = rate_sets(votes, 0, model)
         assert rates.rates_plus == (math.inf,)  # degenerate: exact zero mean
         assert x == 0.0
 
@@ -414,7 +465,7 @@ class TestRates:
         rp = model.rp
         votes = np.array([[1, -1, 1, -1]])
         inner = encode_matrix(Method.UNCODED, votes, rp)
-        rates, x = rate_sets(inner, 0, model)
+        rates, x = rate_sets(votes, 0, model)
         p_val = abs(poly_eval(synthesize_coeffs(inner[0], rp), rp.d)) ** 2
         g = signal_scale_uncoded(rp, rp.d)
         fch = channel_power(rp.d, model.pdp)
@@ -427,15 +478,13 @@ class TestRates:
         model = make_model(Method.UNCODED, 8, L_e=3, rho=0.9, sigma2=0.05)
         for _ in range(20):
             votes = rng.integers(0, 2, size=(5, 8)) * 2 - 1
-            inner = encode_matrix(Method.UNCODED, votes, model.rp)
-            rates, _ = rate_sets(inner, 0, model)
+            rates, _ = rate_sets(votes, 0, model)
             assert all(map(math.isfinite, rates.rates_plus + rates.rates_minus))
 
     def test_coded_single_user_single_signal_slot(self):
         model = make_model(Method.INDEXED, 8, sigma2=0.0)
         votes = np.array([[1, -1, 1]])  # index 5
-        inner = encode_matrix(Method.INDEXED, votes, model.rp)
-        rates, _ = rate_sets(inner, 0, model)
+        rates, _ = rate_sets(votes, 0, model)
         finite_plus = [r for r in rates.rates_plus if math.isfinite(r)]
         # only slot 5 carries signal; it sits on the bit-0 = 1 side
         assert len(finite_plus) == 1
@@ -447,62 +496,54 @@ class TestRates:
         votes = rng.integers(0, 2, size=(4, 1)) * 2 - 1
         model_d = make_model(Method.DIFFERENTIAL, 2, sigma2=0.3)
         model_i = make_model(Method.INDEXED, 2, sigma2=0.3)
-        rd, _ = rate_sets(
-            encode_matrix(Method.DIFFERENTIAL, votes, model_d.rp), 0, model_d
-        )
-        ri, _ = rate_sets(
-            encode_matrix(Method.INDEXED, -votes, model_i.rp), 0, model_i
-        )
+        rd, _ = rate_sets(votes, 0, model_d)
+        ri, _ = rate_sets(-votes, 0, model_i)
         assert rd.rates_plus == pytest.approx(ri.rates_minus, rel=1e-12)
         assert rd.rates_minus == pytest.approx(ri.rates_plus, rel=1e-12)
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
     def test_stack_equals_per_matrix_calls(self, method, exact):
-        """One call on an (R, U, K) stack gives bit for bit the rates and the
-        offset of R calls on its (U, K) matrices (indexed K=8 has P=8
+        """One call on an (R, U, M) stack gives bit for bit the rates and the
+        offset of R calls on its (U, M) matrices (indexed K=8 has P=8
         probes; vote ell=1 is not the first)."""
         model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
         rng = np.random.default_rng(15)
         votes = rng.integers(0, 2, size=(6, 5, method.votes_per_codeword(8))) * 2 - 1
-        stack = vote_pattern(method, votes)
-        rates, x = rate_sets(stack, 1, model, exact)
+        rates, x = rate_sets(votes, 1, model, exact)
         assert isinstance(rates, list) and len(rates) == 6
-        for r, inner in enumerate(stack):
-            one, x_one = rate_sets(inner, 1, model, exact)
-            assert isinstance(one, ExpRateSet)
+        for r, matrix in enumerate(votes):
+            one, x_one = rate_sets(matrix, 1, model, exact)
+            assert isinstance(one, Rates)
             assert rates[r] == one and x == x_one
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
-    def test_zero_form_once_per_distinct_codeword(self, monkeypatch, method, exact):
-        """One `zero_form_eval` call per `detection_rates` call, on exactly
-        the distinct rows of the (R, U, K) stack, with the rates and offset
-        of the path that evaluates every row."""
+    def test_tables_built_once_per_call(self, monkeypatch, method, exact):
+        """One `detection_rates` call builds the engine's tables once, at
+        vote ell's probes, and reads the signal of the whole (R, U, M) stack
+        from them in one `signal_power` call."""
         model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
         rng = np.random.default_rng(16)
         votes = rng.integers(0, 2, size=(12, 5, method.votes_per_codeword(8))) * 2 - 1
-        stack = vote_pattern(method, votes)
-        calls = []
+        built, read = [], []
+        probe_tables, signal_power = theory.probe_tables, theory.signal_power
 
-        def spy(inner, rp, points):
-            calls.append(np.array(inner))
-            return zero_form_eval(inner, rp, points)
+        def built_tables(method, rp, points):
+            built.append(points)
+            return probe_tables(method, rp, points)
 
-        monkeypatch.setattr(theory, "zero_form_eval", spy)
-        rates, x = rate_sets(stack, 1, model, exact)
-        assert len(calls) == 1
-        keys = [row.tobytes() for row in calls[0]]
-        assert len(set(keys)) == len(keys) < 60
-        assert set(keys) == {row.tobytes() for row in stack.reshape(-1, 8)}
+        def read_power(method, tables, votes):
+            read.append(np.shape(votes))
+            return signal_power(method, tables, votes)
 
-        def every_row(selections):
-            flat = selections.reshape(-1, 8)
-            return flat, np.arange(len(flat)).reshape(selections.shape[:-1])
-
-        monkeypatch.setattr(theory, "distinct_rows", every_row)
-        assert rate_sets(stack, 1, model, exact) == (rates, x)
-        assert len(calls[1]) == 60
+        monkeypatch.setattr(theory, "probe_tables", built_tables)
+        monkeypatch.setattr(theory, "signal_power", read_power)
+        rate_sets(votes, 1, model, exact)
+        ctx = DecoderContext.for_link(method, model.rp, model.pdp, model.sigma2)
+        assert len(built) == 1
+        np.testing.assert_array_equal(built[0], detector_form(ctx, [1]).points)
+        assert read == [votes.shape]
 
     @staticmethod
     def outer_product_rates(inner, ell, model, exact):
@@ -519,12 +560,12 @@ class TestRates:
         sigma = outer * chan + noise
         if not exact:
             means = weights * sigma.diagonal().real
-            return ExpRateSet.from_means(means[weights > 0], -means[weights < 0])
+            return from_means(means[weights > 0], -means[weights < 0])
         evals, vecs = np.linalg.eigh(sigma)
         root = vecs * np.sqrt(np.clip(evals, 0.0, None))
         lam = np.linalg.eigvalsh((root.conj().T * weights) @ root)
         lam = lam[np.abs(lam) > 1e-12 * np.abs(lam).max(initial=0.0)]
-        return ExpRateSet.from_means(lam[lam > 0], -lam[lam < 0])
+        return from_means(lam[lam > 0], -lam[lam < 0])
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
@@ -536,10 +577,10 @@ class TestRates:
             model = make_model(method, K, L_e=3, rho=0.7, sigma2=0.3)
             M = method.votes_per_codeword(K)
             rng = np.random.default_rng(K)
-            stack = vote_pattern(method, rng.integers(0, 2, size=(6, 5, M)) * 2 - 1)
+            votes = rng.integers(0, 2, size=(6, 5, M)) * 2 - 1
             for ell in sorted({0, M - 1}):
-                rates, _ = rate_sets(stack, ell, model, exact)
-                for got, inner in zip(rates, stack):
+                rates, _ = rate_sets(votes, ell, model, exact)
+                for got, inner in zip(rates, vote_pattern(method, votes)):
                     want = self.outer_product_rates(inner, ell, model, exact)
                     for a, b in ((got.rates_plus, want.rates_plus),
                                  (got.rates_minus, want.rates_minus)):
@@ -550,10 +591,8 @@ class TestRates:
         model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.2)
         rng = np.random.default_rng(6)
         votes = rng.integers(0, 2, size=(5, 2)) * 2 - 1
-        inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
-        inner_c = encode_matrix(Method.DIFFERENTIAL, -votes, model.rp)
-        p = cdf_diff_exp_sums(*rate_sets(inner, 0, model))
-        q = cdf_diff_exp_sums(*rate_sets(inner_c, 0, model))
+        p = cdf(*rate_sets(votes, 0, model))
+        q = cdf(*rate_sets(-votes, 0, model))
         assert p == pytest.approx(1.0 - q, abs=1e-6)
 
 
@@ -574,9 +613,9 @@ class TestVoteAveragedCer:
         probs = []
         for other in itertools.product((-1, 1), repeat=2):
             votes = np.stack([fixed, np.array(other)], axis=1)
-            inner = encode_matrix(Method.DIFFERENTIAL, votes, model.rp)
-            probs.append(cdf_diff_exp_sums(*rate_sets(inner, 0, model)))
-        exact = cer(n_plus, n_minus, float(np.mean(probs)))
+            (plus, minus), x = detection_rates(votes[np.newaxis], 0, model)
+            probs.append(cer(n_plus, n_minus, plus, minus, x)[0])
+        exact = float(np.mean(probs))
         rng = np.random.default_rng(7)
         est = vote_averaged_cer(n_plus, n_minus, model, n_realizations=400, rng=rng)
         assert abs(est.probability - exact) < max(3 * est.stderr, 1e-9)
@@ -627,23 +666,25 @@ class TestVoteAveragedCer:
 
         shapes = []
 
-        def counted(codewords, *args, **kwargs):
-            shapes.append(np.shape(codewords))
-            return detection_rates(codewords, *args, **kwargs)
+        def counted(votes, *args, **kwargs):
+            shapes.append(np.shape(votes))
+            return detection_rates(votes, *args, **kwargs)
 
         monkeypatch.setattr(theory, "detection_rates", counted)
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         for exact in (False, True):
             vote_averaged_cer(4, 1, model, n_realizations=9,
                               rng=np.random.default_rng(16), exact=exact)
-        assert shapes == [(9, 5, 8)] * 2
+        assert shapes == [(9, 5, 3)] * 2
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
     def test_equals_a_loop_over_detection_rates(self, method, exact):
         """The stacked point returns exactly the estimate of a loop of
-        `cdf_diff_exp_sums` over `detection_rates`' list, at K = 2, 8, 32
-        and SNR 0, 10 dB and inf (vote M - 1, so not always the first)."""
+        one-row `cdf_diff_exp_sums` calls over `detection_rates`' rows, at
+        K = 2, 8, 32 and SNR 0, 10 dB and inf (vote M - 1, so not always the
+        first). With n_plus > n_minus the error is A - B < x, at x = 0 the
+        race's own P(B > A)."""
         n_plus, n_minus, R = 5, 2, 20
         for K, snr_db in itertools.product((2, 8, 32), (0.0, 10.0, math.inf)):
             sigma2 = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
@@ -652,11 +693,10 @@ class TestVoteAveragedCer:
             rng = np.random.default_rng(K)
             votes = rng.integers(0, 2, size=(R if M > 1 else 1, 7, M)) * 2 - 1
             votes[:, :, M - 1] = [1] * n_plus + [-1] * n_minus
-            rates, x = rate_sets(vote_pattern(method, votes), M - 1, model, exact)
-            probs = np.array([cdf_diff_exp_sums(r, x) for r in rates])
+            rates, x = rate_sets(votes, M - 1, model, exact)
+            probs = np.array([cdf(r, x) for r in rates])
             stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if M > 1 else 0.0
-            want = theory.CerEstimate(cer(n_plus, n_minus, float(np.mean(probs))),
-                                      float(stderr))
+            want = theory.CerEstimate(float(np.mean(probs)), float(stderr))
             got = vote_averaged_cer(n_plus, n_minus, model, n_realizations=R,
                                     rng=np.random.default_rng(K), ell=M - 1, exact=exact)
             assert got == want, (K, snr_db)
@@ -666,7 +706,9 @@ class TestVoteAveragedCer:
         """Indexed K=32 at snr=inf: realizations differ in how many probes
         carry signal, so their sides differ in finite rates. The point runs
         one race per (finite plus, finite minus) count pair, each on all the
-        rows of that pair, never one per realization."""
+        rows of that pair, never one per realization. With n_plus > n_minus
+        the error A < B is read off as P(B > A): the minus chain races
+        first."""
         stacks, races = [], []
         race = theory._race
 
@@ -689,7 +731,7 @@ class TestVoteAveragedCer:
                             np.isfinite(minus).sum(axis=1).tolist()))
         groups = sorted(set(counts))
         assert 1 < len(groups) < 40
-        assert sorted((a[1], b[1], a[0]) for a, b in races) == [
+        assert sorted((b[1], a[1], a[0]) for a, b in races) == [
             (*g, counts.count(g)) for g in groups
         ]
 
@@ -698,7 +740,8 @@ class TestVoteAveragedCer:
                                             (math.inf, "strictly positive")])
     def test_bad_mean_fails_in_the_stacked_path(self, monkeypatch, bad, match):
         """A negative, NaN or infinite mean in one realization's rates is
-        rejected as `ExpRateSet` rejects it, with ValueError."""
+        rejected with ValueError, as the one validation, `_inverse`, rejects
+        it for any caller."""
         moments = theory.probe_moments
 
         def spoiled(*args):
@@ -713,7 +756,7 @@ class TestVoteAveragedCer:
             vote_averaged_cer(4, 1, model, n_realizations=5,
                               rng=np.random.default_rng(20))
         with pytest.raises(ValueError, match=match):
-            ExpRateSet.from_means([1.0, bad], [2.0])
+            from_means([1.0, bad], [2.0])
 
     def test_one_draw_replays_per_realization_draws(self):
         """The single (R, U, M) vote draw equals R draws of (U, M), also for
@@ -747,8 +790,7 @@ class TestVoteAveragedCer:
         rng = np.random.default_rng(11)
         model = make_model(Method.INDEXED, 4, sigma2=0.2)
         votes = rng.integers(0, 2, size=(3, 2)) * 2 - 1
-        inner = encode_matrix(Method.INDEXED, votes, model.rp)
-        rates, x = rate_sets(inner, 0, model)
+        rates, x = rate_sets(votes, 0, model)
         assert x == 0.0
         assert len(rates.rates_plus) == 2 and len(rates.rates_minus) == 2
 
@@ -855,12 +897,12 @@ class TestExactCorrelatedModel:
                                 + noise_power(da, sigma2, K, model.pdp.L_e))
 
                     for ell in range(M):
-                        paper, x = rate_sets(inner, ell, model)
-                        exact, x_exact = rate_sets(inner, ell, model, exact=True)
+                        paper, x = rate_sets(votes, ell, model)
+                        exact, x_exact = rate_sets(votes, ell, model, exact=True)
                         assert x_exact == pytest.approx(x, rel=1e-12, abs=1e-15)
                         if sigma2 == 0.0:
-                            assert cdf_diff_exp_sums(exact, x) == pytest.approx(
-                                cdf_diff_exp_sums(paper, x), abs=1e-9
+                            assert cdf(exact, x) == pytest.approx(
+                                cdf(paper, x), abs=1e-9
                             )
                         if method is Method.UNCODED:
                             plus, minus = [rp.d * w[ell]], [w[ell] / rp.d]
