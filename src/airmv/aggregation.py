@@ -38,7 +38,8 @@ users sending codeword c. A probe that lands on a user's own encoded zero
 meets an exact 0 factor. `signal_power` reads sum_u |P_u(z_p)|^2 off the
 tables, for this engine's per-probe draw and for `theory.detection_rates`
 alike: the Monte Carlo and the theory evaluate the signal once, the same
-way.
+way. The pmepr sweep of `airmv.experiments` reads codewords on the
+(K+1)-point grid through `table_product` of the uncoded tables too.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
 rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
@@ -59,7 +60,7 @@ from .decoding import DecoderContext, detector_form, probe_moments
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
-__all__ = ["ProbeAggregator", "backend", "probe_tables", "signal_power"]
+__all__ = ["ProbeAggregator", "backend", "probe_tables", "signal_power", "table_product"]
 
 _CHUNK = 8  # votes per uncoded/differential table: one byte of packed votes
 
@@ -127,8 +128,14 @@ def _packed(votes, M: int) -> np.ndarray:
     return packed.reshape(votes.shape[:-1] + (nbytes,))
 
 
-def _table_product(tables, packed: np.ndarray) -> np.ndarray:
-    """prod_i tables[i][packed[..., i]]: one gathered row per byte of votes."""
+def table_product(tables, packed: np.ndarray) -> np.ndarray:
+    """prod_i tables[i][packed[..., i]]: one gathered row per byte of votes.
+
+    An uncoded vote row is its selection row, so the uncoded tables evaluate
+    any codeword, differential and indexed included, from its selections
+    packed little-endian, eight to a byte
+    (`np.packbits(..., axis=-1, bitorder="little")`).
+    """
     product = np.take(tables[0], packed[..., 0], axis=0)
     for i in range(1, len(tables)):
         product *= np.take(tables[i], packed[..., i], axis=0)
@@ -158,7 +165,7 @@ def signal_power(method: Method, tables, votes) -> np.ndarray:
     power = [table.real**2 + table.imag**2 for table in tables]
     if method is Method.INDEXED:
         return _codeword_counts(packed, power[0].size) * power[0]
-    return _table_product(power, packed).sum(axis=1)
+    return table_product(power, packed).sum(axis=1)
 
 
 class ProbeAggregator:
@@ -209,7 +216,7 @@ class ProbeAggregator:
             scale, basis = self.channel_factor
             h = complex_normal((n * U, scale.size), scale, rng)
             hz = (h @ basis).reshape(n, U, -1)
-            r = np.einsum("nup,nup->np", hz, _table_product(self.tables, packed))
+            r = np.einsum("nup,nup->np", hz, table_product(self.tables, packed))
         if self.sigma2 > 0:
             scale, basis = self.noise_factor
             r += complex_normal((r.shape[0], basis.shape[0]), scale, rng) @ basis

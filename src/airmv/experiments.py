@@ -8,7 +8,11 @@ order and values formatted with a fixed precision.
 
 The pmepr sweep reads only the codewords, so it evaluates each distinct
 codeword of its draws once (`huffman.distinct_rows`) and gathers the
-PMEPRs back to the draws before the statistics.
+PMEPRs back to the draws before the statistics. It reads each codeword's
+P(z) on the (K+1)-point grid from the engine's byte tables
+(`aggregation.probe_tables`), built once per K and shared by the three
+methods: (K/8) * 256 * (K+1) complex values, 0.5 MB at K = 32 and 34 MB
+at K = 256.
 """
 
 from __future__ import annotations
@@ -20,10 +24,17 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .aggregation import probe_tables, table_product
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
-from .huffman import distinct_rows, radius_param, synthesize_coeffs
+from .huffman import (
+    distinct_rows,
+    grid_coeffs,
+    radius_param,
+    root_phases,
+    synthesize_coeffs,
+)
 from .median import run_median
 from .simulate import cer_backend, simulate_cer, stream
 from .theory import CerModel, vote_averaged_cer
@@ -44,7 +55,7 @@ _DOMAIN_PMEPR = 2
 _DOMAIN_MEDIAN = 3
 
 # Distinct codewords per waveform call of the pmepr sweep: bounds the
-# transient zero-form grid and coefficients, (chunk, K+1) each, and the
+# transient grid values and coefficients, (chunk, K+1) each, and the
 # oversampled signal, (chunk, oversampling * (K+1)), to a few MB.
 _PMEPR_CHUNK = 256
 
@@ -172,18 +183,24 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             metric="pmepr_ofdm_db",
             value=pmepr(ofdm_map_modulate(ref, cfg.oversampling)),
         ))
+        # An uncoded vote row is its selection row, so these tables read
+        # every method's codewords from their packed selections.
+        tables = probe_tables(Method.UNCODED, rp, root_phases(K + 1))
         for mi, name in enumerate(cfg.methods):
             method = Method.from_name(name)
             M = method.votes_per_codeword(K)
             rng = stream(cfg.seed, _DOMAIN_PMEPR, ki, mi)
-            votes = rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1
-            codewords, drawn = distinct_rows(vote_pattern(method, votes))
+            # The votes die with the encoding: at K=32 they take 2.5 MB,
+            # more than the tables.
+            codewords, drawn = distinct_rows(vote_pattern(
+                method, rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1))
+            packed = np.packbits(codewords, axis=-1, bitorder="little")
             samples = np.concatenate([
                 pmepr(dfts_ofdm_modulate(
-                    synthesize_coeffs(codewords[i : i + _PMEPR_CHUNK], rp),
+                    grid_coeffs(table_product(tables, packed[i : i + _PMEPR_CHUNK])),
                     cfg.oversampling,
                 ))
-                for i in range(0, len(codewords), _PMEPR_CHUNK)
+                for i in range(0, len(packed), _PMEPR_CHUNK)
             ])[drawn]
             common = dict(experiment=cfg.experiment, method=name, K=K)
             for q, tag in quantiles:

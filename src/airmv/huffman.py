@@ -12,13 +12,17 @@ Selections are plain bool arrays of shape (..., K), as
 any shape, and there is no single-codeword type. One evaluator,
 `zero_form_eval`, gives P(z) from the zeros at any points;
 `synthesize_coeffs` reads it on the (K+1)-point unit-circle grid and
-applies the forward FFT. The incremental expansion that cross-checks it
-lives in the tests: it accumulates rounding error one zero at a time, the
-grid method does not. At the detectors' probe points, the Monte Carlo and
-the error-rate theory read P(z) from the tables of `airmv.aggregation`
-instead, which the tests check against `zero_form_eval`.
+applies the forward FFT, `grid_coeffs`. The incremental expansion that
+cross-checks it lives in the tests: it accumulates rounding error one zero
+at a time, the grid method does not. At the detectors' probe points, the
+Monte Carlo and the error-rate theory read P(z) from the tables of
+`airmv.aggregation` instead, which the tests check against
+`zero_form_eval`. So does the pmepr sweep on the grid: it builds the
+uncoded tables at the K+1 grid points once per K, (K/8) * 256 * (K+1)
+complex values (0.5 MB at K = 32, 34 MB at K = 256), reads every method's
+distinct codewords off them and applies `grid_coeffs`.
 
-Both evaluators work row by row, so a row's result does not depend on the
+Every evaluator works row by row, so a row's result does not depend on the
 other rows of its batch. Callers that evaluate random draws from a small
 codebook therefore evaluate each distinct row once (`distinct_rows`) and
 gather the results back to the draws.
@@ -36,6 +40,7 @@ __all__ = [
     "radius_param",
     "root_phases",
     "zero_form_eval",
+    "grid_coeffs",
     "synthesize_coeffs",
     "distinct_rows",
     "poly_eval",
@@ -105,15 +110,21 @@ def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
     return vals
 
 
+def grid_coeffs(grid: np.ndarray) -> np.ndarray:
+    """Coefficients c0..cK, ascending powers, of the degree-K polynomial
+    whose values at the K+1 points e^{j 2 pi p/(K+1)} lie along the last
+    axis of `grid`: the forward (K+1)-point FFT divided by K+1."""
+    return np.fft.fft(grid, axis=-1) / grid.shape[-1]
+
+
 def synthesize_coeffs(inner: np.ndarray, rp: RadiusParam) -> np.ndarray:
     """Normalized coefficients c0..cK, ascending powers, of radius selections.
 
     Batched: `inner` has shape (..., K) and the result (..., K+1). The
     zero-form polynomial is evaluated at the K+1 points e^{j 2 pi p/(K+1)}
-    and the coefficients recovered with the forward (K+1)-point FFT.
+    and the coefficients recovered by `grid_coeffs`.
     """
-    grid = zero_form_eval(inner, rp, root_phases(rp.K + 1))
-    return np.fft.fft(grid, axis=-1) / (rp.K + 1)
+    return grid_coeffs(zero_form_eval(inner, rp, root_phases(rp.K + 1)))
 
 
 def distinct_rows(selections) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from airmv import aggregation
-from airmv.aggregation import ProbeAggregator, probe_tables, signal_power
+from airmv.aggregation import ProbeAggregator, probe_tables, signal_power, table_product
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.decoding import decode, powers, probe_points
 from airmv.encoding import Method, vote_pattern
@@ -232,7 +232,7 @@ def _power_of_the_sum(patch):
         if method is Method.INDEXED:
             counts = aggregation._codeword_counts(packed, tables[0].size)
             return np.abs(counts * tables[0]) ** 2
-        return np.abs(aggregation._table_product(tables, packed).sum(axis=1)) ** 2
+        return np.abs(aggregation.table_product(tables, packed).sum(axis=1)) ** 2
 
     patch.setattr(aggregation, "signal_power", power)
 
@@ -362,6 +362,29 @@ def test_signal_power_matches_the_zero_form(method, K):
         assert (want == 0).any() and (want > 0).any()
         assert np.all(got[want == 0] == 0)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("method,K", [
+    (m, K) for m in Method for K in (2, 6, 8, 16, 32, 256)
+    if m is not Method.INDEXED or K & (K - 1) == 0
+])
+def test_uncoded_tables_evaluate_any_codeword(method, K):
+    """`table_product` of the uncoded tables at the (K+1)-point grid, as the
+    pmepr sweep reads them, gives `zero_form_eval` of any selection rows
+    packed little-endian, to 1e-12 relative: random codewords of `method`,
+    an all-inner and an all-outer row. K = 2 and 6 end on a partial byte,
+    and K = 16 and 256 have a prime K + 1 (indexed at the powers of two
+    only)."""
+    rp = radius_param(K)
+    points = root_phases(K + 1)
+    M = method.votes_per_codeword(K)
+    votes = np.random.default_rng(K).integers(0, 2, size=(64, M)) * 2 - 1
+    rows = np.concatenate([vote_pattern(method, votes),
+                           np.ones((1, K), bool), np.zeros((1, K), bool)])
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    got = table_product(probe_tables(Method.UNCODED, rp, points), packed)
+    assert got.shape == (66, K + 1)
+    np.testing.assert_allclose(got, zero_form_eval(rows, rp, points), rtol=1e-12, atol=0)
 
 
 def test_monte_carlo_batch_matches_time_domain_batch():

@@ -208,7 +208,8 @@ class TestRunners:
                                        (0.999, "p999"))}
             expected["pmepr_dfts_mean_db"] = float(samples.mean())
             expected["pmepr_dfts_max_db"] = float(samples.max())
-            assert {r.metric: r.value for r in rows if r.method == name} == expected
+            got = {r.metric: r.value for r in rows if r.method == name}
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_rmse_rows(self):
         cfg = make_cfg(experiment="rmse", methods=("ideal",), k_values=(4,),
