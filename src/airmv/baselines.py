@@ -13,18 +13,19 @@ aggregation with its own draws. The Monte Carlo calls it with M = 1, the
 median with all M positions of a round; `airmv.aggregation.backend` binds
 a baseline's parameters to its CLI name.
 
-In Goldenbaum's scheme a -1 voter is silent, so the rng draws only for the
-users that send: their phases, then their taps, then the noise of every
-received window. A sender's first chip is fixed to phase 0. That is exact,
-not an approximation: its taps are circularly symmetric and independent of
-its phases, so rotating the whole sequence by the first chip's phase (the
-taps absorb the rotation) leaves the law of what is received unchanged,
-and the remaining phase differences are still i.i.d. uniform. The energy
-is then evaluated in blocks of trials over only the users that send in the
-block, their draws scattered into zero-filled arrays: silent cells add
-exact zeros, so the estimates are bitwise those of one full convolution of
-the same sequences, and a call's peak memory stays within about 1.4x the
-bytes it draws.
+In Goldenbaum's scheme a -1 voter is silent and the receiver reads only
+the received energy |y|^2, so only its law is drawn. Given the senders'
+sequences, y is CN(0, C) with C = sum_u sum_l p_l a_ul a_ul^H + sigma2 I,
+a_ul a sender's sequence delayed by l samples, and |y|^2 has exactly the
+law of z^H C z with z ~ CN(0, I): both are sum_i lambda_i(C) Exp(1)
+(Turin 1960). The rng draws the chip turns of only the users that send,
+then one unit window z per (trial, position); no taps and no separate
+noise. A sender's first chip is fixed to 1: C is unchanged by a common
+rotation of a sequence, and the remaining phase differences are still
+i.i.d. uniform. The energy is then evaluated in blocks of trials over the
+users that send in the block, their chips scattered into zero-filled
+arrays: silent cells add exact zeros, so the estimates are bitwise those
+of the same evaluation over every user at once.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import PdpConfig, awgn, complex_normal, sample_channel
+from .channel import PdpConfig, awgn, complex_normal
 from .encoding import check_vote_batch
 
 __all__ = [
@@ -48,8 +50,11 @@ __all__ = [
 BASELINES = ("goldenbaum", "obda", "obda_phase", "obda_no_tci")
 
 # Trials per evaluation block of `goldenbaum_estimate`: bounds its transient
-# sequences, taps and received samples to a few MB beside the draws.
+# chips, sequences and correlations to a few MB beside the draws.
 _GOLDENBAUM_BLOCK = 2048
+
+# e^{2 pi i k / 4096}: the table `_unit_phasors` steps from.
+_TURN_TABLE = np.exp(2j * np.pi / 4096 * np.arange(4096))
 
 # OBDA's synchronization phase errors are uniform within +-120 degrees.
 _PHASE_HALFWIDTH = math.radians(120.0)
@@ -68,36 +73,64 @@ def _check_sigma2(sigma2: float) -> None:
         raise ValueError("noise variance must be nonnegative")
 
 
+def _unit_phasors(turns: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{2 pi i turns} into `out`, for turns in [0, 1).
+
+    The top 12 bits of a turn pick a table entry e^{2 pi i k / 4096}; the
+    rest, theta < 2 pi / 4096, enters through a degree-5 Taylor step
+    (cos to theta^4, sin to theta^5; truncation below 1e-19), within a
+    few ulp of `np.exp`. On a block's chips in `goldenbaum_estimate`, whose
+    temporaries stay in cache, it costs less than `np.cos` and `np.sin`; on
+    large unblocked arrays it costs more than `np.exp`.
+    """
+    theta = turns * float(_TURN_TABLE.size)
+    index = theta.astype(np.intp)  # floor: turns are nonnegative
+    theta -= index
+    theta *= 2.0 * np.pi / _TURN_TABLE.size
+    t2 = theta * theta
+    out.real = 1.0 + t2 * (t2 / 24.0 - 0.5)
+    out.imag = theta * (1.0 + t2 * (t2 / 120.0 - 1.0 / 6.0))
+    out *= _TURN_TABLE[index]
+    return out
+
+
 def goldenbaum_estimate(
     votes, rng: np.random.Generator, L_seq: int, pdp_cfg: PdpConfig, sigma2: float
 ) -> np.ndarray:
     """Noise-debiased vote-sum estimates, shape (n, M).
 
-    User u sends sqrt(vote + 1) times a random unimodular sequence of
+    User u sends sqrt(vote + 1) times a random unimodular sequence s_u of
     length L_seq, so a -1 voter is silent and a +1 voter sends |s|^2 = 2
-    per sample, through its own multipath draw. Subtracting the expected
-    noise energy of the whole L_seq + L_e - 1 sample window makes
-    (|y|^2 - window sigma2) / L_seq - U an unbiased estimate of the vote
-    sum.
+    per sample, through its own multipath draw h_u ~ CN(0, diag p), p =
+    `pdp_cfg.taps`. Subtracting the expected noise energy of the whole
+    window = L_seq + L_e - 1 samples makes (|y|^2 - window sigma2) / L_seq
+    - U an unbiased estimate of the vote sum.
+
+    The receiver reads only |y|^2, so only its law is drawn. Given the
+    sequences, y is CN(0, C) with C = sum_u sum_l p_l a_ul a_ul^H +
+    sigma2 I, a_ul = sqrt(2) s_u delayed by l samples. Then |y|^2 has
+    exactly the law of z^H C z with z ~ CN(0, I_window): both are
+    sum_i lambda_i(C) Exp(1). So
+
+        |y|^2 ~ 2 sum_u sum_l p_l |sum_n s_u[n] conj(z[n + l])|^2
+                + sigma2 |z|^2.
 
     Draws are made only for the S sending (trial, position, user) cells,
     counted in C order of the (n, M, U) per-vote layout. Per call the rng
-    draws the (S, L_seq - 1) phases of every chip but the first, the
-    (S, L_e) taps (`sample_channel`, one transmitter per sender) and then,
-    when sigma2 > 0, the (n, M, window) noise of `awgn`; nothing for a
-    silent user. Each sender's first chip is sqrt(2) at phase 0. The law of
-    y is exactly that of uniform phases on every chip: the taps are
-    circularly symmetric CN(0, diag p) and independent of the phases, so
-    e^{i phi_0} h has the law of h, and phi_k - phi_0 are i.i.d. uniform.
+    draws the (S, L_seq - 1) chip turns of every chip but the first
+    (`rng.random`, phases in units of 2 pi) and then one (n, M, window)
+    unit window z (`complex_normal` at scale sqrt(1/2)), whatever sigma2;
+    no taps and no separate noise. Each sender's first chip is 1: C is
+    unchanged when s_u is rotated by a common phase, and the remaining
+    phase differences are i.i.d. uniform.
 
     After the draws, blocks of `_GOLDENBAUM_BLOCK` trials are evaluated in
-    turn, each over the users that vote +1 somewhere in the block. The
-    block's senders are scattered into zero-filled (b, M, u, .) sequence
-    and tap arrays by the block's vote mask, whose C order is the draws'.
-    Silent cells add exact zeros, so the estimates are bitwise those of the
-    full convolution (`superpose`) of the same sequences over every user.
-    Beside its draws a call holds only one block's temporaries, so its
-    peak memory stays within 1.4x the bytes it draws.
+    turn, each over the users that vote +1 somewhere in the block (all
+    users if fewer than two do). The block's chips (`_unit_phasors`) are
+    scattered into zero-filled (b, M, u, L_seq) sequences by the block's
+    vote mask, whose C order is the draws'; a silent cell adds exact
+    zeros, so the estimates are bitwise those of the same evaluation over
+    every user at once.
     """
     votes = check_vote_batch(votes)
     if L_seq < 1:
@@ -106,42 +139,37 @@ def goldenbaum_estimate(
     n, U, M = votes.shape
     sending = np.swapaxes(votes, -1, -2) > 0  # (n, M, U)
     S = int(np.count_nonzero(sending))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(S, L_seq - 1))
-    h = sample_channel(pdp_cfg, 1, rng, trials=S).reshape(S, pdp_cfg.L_e)
+    turns = rng.random((S, L_seq - 1))
     window = L_seq + pdp_cfg.L_e - 1
-    noise = awgn((n, M, window), sigma2, rng) if sigma2 > 0 else None
+    z = complex_normal((n, M, window), math.sqrt(0.5), rng)
+    p = pdp_cfg.taps
     energy = np.empty((n, M))
     first = 0  # the block's first sender in draw order
     for lo in range(0, n, _GOLDENBAUM_BLOCK):
         block = slice(lo, lo + _GOLDENBAUM_BLOCK)
         mask = sending[block]
         users = np.any(mask, axis=(0, 1))
-        if not users.all():
+        # Keep at least two users: numpy's matmul takes a lone row through
+        # another kernel than a stack of rows, which can move a last bit.
+        if np.count_nonzero(users) > 1 and not users.all():
             mask = mask[:, :, users]
         senders = slice(first, first + int(np.count_nonzero(mask)))
         first = senders.stop
-        # sqrt(2) e^{i phase}, with e^{i phase} written as cos and sin.
         chips = np.empty((senders.stop - senders.start, L_seq), dtype=complex)
         chips[:, 0] = 1.0
-        np.cos(phases[senders], out=chips.real[:, 1:])
-        np.sin(phases[senders], out=chips.imag[:, 1:])
-        chips *= math.sqrt(2.0)
-        if mask.all():  # every cell sends: the draws are already in place
+        _unit_phasors(turns[senders], chips[:, 1:])
+        if mask.all():  # every cell sends: the chips are already in place
             seqs = chips.reshape(mask.shape + (L_seq,))
-            taps = h[senders].reshape(mask.shape + (pdp_cfg.L_e,))
         else:
             seqs = np.zeros(mask.shape + (L_seq,), dtype=complex)
             seqs[mask] = chips
-            taps = np.zeros(mask.shape + (pdp_cfg.L_e,), dtype=complex)
-            taps[mask] = h[senders]
-        y = np.zeros(mask.shape[:2] + (window,), dtype=complex)
-        for tap in range(pdp_cfg.L_e):
-            y[..., tap : tap + L_seq] += np.einsum(
-                "...u,...un->...n", taps[..., tap], seqs
-            )
-        if noise is not None:
-            y += noise[block]
-        energy[block] = np.sum(np.abs(y) ** 2, axis=-1)
+        z_b = z[block]
+        # r[..., u, l] = sum_n s_u[n] conj(z[n + l]): the conjugate of
+        # (delayed s_u)^H z, with the same |r|^2.
+        r = seqs @ np.swapaxes(sliding_window_view(z_b.conj(), L_seq, axis=-1), -1, -2)
+        energy[block] = 2.0 * (np.sum(r.real**2 + r.imag**2, axis=-2) @ p)
+        if sigma2 > 0:
+            energy[block] += sigma2 * np.sum(z_b.real**2 + z_b.imag**2, axis=-1)
     return (energy - window * sigma2) / L_seq - U
 
 

@@ -254,11 +254,17 @@ class TestCsv:
     # 10, 12, 13, 16, 0 and 10 dB), its CER agreed with the old draws within
     # |z| <= 1.87, and the mean RMSE of its K=8 medians (U = 25, 10 dB, 100
     # realizations, 500 rounds, 24 seeds) at every round within |z| <= 0.72.
+    # All four were re-recorded again when Goldenbaum began to draw the
+    # received energy from its law given the sequences (z^H C z, one unit
+    # window z per trial and position, no taps): only the goldenbaum rows
+    # moved. Before that, on the same 24 cells at 4e5 trials its CER agreed
+    # with the tap draws within |z| <= 2.02 (rms 0.81), and the same median
+    # RMSE over 24 seeds a side at every round within |z| <= 1.60.
     PINNED = {
-        ("cer", "1"): "8a6b96d1f454fbc7e358f71be127ab9dabacdf4a69a12c6f10f16e2e1faa0838",
-        ("cer", "2"): "33a6681bf5ea3a87f7d387105a7cb1f3b5f650ccefea723ad11bca77cd0dc33b",
-        ("rmse", "1"): "cfe9267a58f283796171515c565fae8ab3f9c0e94e9fc1c12d89c2c946ea381c",
-        ("rmse", "2"): "5d51977ffcafc559d83394cde1b36bf8509142a9724940f72bfe7f9a518a9f85",
+        ("cer", "1"): "8190b818e1edd60d256166304b916ea5fbf50dbbaa9040b9f3d082cb730ac2c3",
+        ("cer", "2"): "e94f00c24cfa4cda03e4b56c99ad22588d9c0f4dea24cb20d29625ef3cd65d19",
+        ("rmse", "1"): "10c81fcaec3f5d71c7d47a62957d5ac58d80d6fa7f8f0cfa804b546036898d58",
+        ("rmse", "2"): "3f1859c3acc3d75598032d931009a489ea88378d0266f6e32de649e0c81863dd",
     }
     PIN_ARGV = {
         "cer": ["cer", "--methods", "goldenbaum,obda,obda_phase,obda_no_tci",
