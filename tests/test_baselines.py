@@ -1,9 +1,11 @@
 """The Goldenbaum and OBDA backends of `airmv.baselines`.
 
 Signal-level checks replay a backend's draws from a generator in the same
-state (Goldenbaum's chip turns, then its window; OBDA's taps, then phase
-errors, then noise, as each docstring states) and compare the backend's
-statistic against what the receiver reads, rebuilt from them.
+state (Goldenbaum's chip turns, then its window; OBDA's activity
+uniforms, then phase errors, then noise, as each docstring states) and
+compare the backend's statistic against what the receiver reads, rebuilt
+from them. The law gates hold each backend's draws to the former per-tap
+receivers, kept here as oracles.
 """
 
 import math
@@ -85,11 +87,33 @@ def goldenbaum_every_user(votes, rng, L_seq, pdp_cfg, sigma2):
     return (energy - y.shape[-1] * sigma2) / L_seq - U
 
 
-def obda_taps(rng, n, M, U):
-    """The single-tap channels `obda_received` draws first."""
-    return (rng.standard_normal((n, M, U)) + 1j * rng.standard_normal((n, M, U))) / (
-        math.sqrt(2)
-    )
+def obda_activity(rng, n, M, U, truncation=0.2):
+    """The (n, M, U) activity `obda_received` draws first with tci: a node
+    is active when its uniform lies below e^{-truncation}, the probability
+    that |h|^2 ~ Exp(1) exceeds the threshold."""
+    return rng.random((n, M, U)) < math.exp(-truncation)
+
+
+def obda_per_tap(votes, rng, sigma2, truncation=0.2, phase_errors=False, tci=True):
+    """The complex aggregate y of the former per-tap receiver, the law's
+    reference: (n, M, U) taps h ~ CN(0, 1), inverted by conj(h)/|h|^2 above
+    the truncation (tci), phase errors as e^{i theta}, then CN(0, sigma2)
+    noise."""
+    per_mv = np.swapaxes(votes, -1, -2).astype(float)
+    h = complex_normal(per_mv.shape, math.sqrt(0.5), rng)
+    if tci:
+        gain = np.abs(h) ** 2
+        inv = np.where(gain > truncation, np.conjugate(h) / np.maximum(gain, 1e-300), 0)
+        symbols = per_mv * inv
+    else:
+        symbols = per_mv + 0j
+    if phase_errors:
+        w = 2 * math.pi / 3
+        symbols = symbols * np.exp(1j * rng.uniform(-w, w, per_mv.shape))
+    y = np.sum(h * symbols, axis=-1)
+    if sigma2 > 0:
+        y = y + awgn(y.shape, sigma2, rng)
+    return y
 
 
 def goldenbaum_loop_energy(votes, rng, L_seq, pdp_cfg, sigma2):
@@ -124,26 +148,27 @@ def goldenbaum_loop(votes, rng, L_seq, pdp_cfg, sigma2):
 
 
 def obda_loop(votes, rng, sigma2, phase_errors=False, tci=True, truncation=0.2):
-    """Decisions of a per-trial, per-user OBDA receiver."""
+    """Decisions of a per-trial, per-user OBDA receiver on the draws of
+    `obda_received`: the activity, the phase errors, then the real noise;
+    each active node adds vote * cos(theta). Without tci, one normal of
+    variance (U + sigma2)/2 per (trial, position)."""
     n, U, M = votes.shape
-    h = obda_taps(rng, n, M, U)
+    if not tci:
+        return np.sign(math.sqrt((U + sigma2) / 2) * rng.standard_normal((n, M))).astype(int)
+    active = obda_activity(rng, n, M, U, truncation)
     w = 2 * math.pi / 3
     theta = rng.uniform(-w, w, (n, M, U)) if phase_errors else np.zeros((n, M, U))
-    noise = awgn((n, M), sigma2, rng) if sigma2 > 0 else np.zeros((n, M))
+    noise = np.zeros((n, M))
+    if sigma2 > 0:
+        noise = math.sqrt(sigma2 / 2) * rng.standard_normal((n, M))
     out = np.empty((n, M), dtype=int)
     for t in range(n):
         for m in range(M):
             y = noise[t, m]
             for u in range(U):
-                hu, vote = h[t, m, u], votes[t, u, m]
-                if not tci:
-                    symbol = vote
-                elif abs(hu) ** 2 <= truncation:
-                    symbol = 0.0
-                else:
-                    symbol = vote * np.conjugate(hu) / abs(hu) ** 2
-                y += hu * symbol * np.exp(1j * theta[t, m, u])
-            out[t, m] = np.sign(y.real)
+                if active[t, m, u]:
+                    y += votes[t, u, m] * math.cos(theta[t, m, u])
+            out[t, m] = np.sign(y)
     return out
 
 
@@ -256,7 +281,10 @@ class TestGoldenbaumBlocks:
     """The block evaluation over sending users makes the full-batch chain's
     draws and estimates, bit for bit, wherever the blocks fall."""
 
-    BLOCK = airmv.baselines._GOLDENBAUM_BLOCK
+    # Trial counts past the first block that end inside a later one, at the
+    # 1024-trial block (4, 2 and 2 full blocks first) as at 2048 (2, 1, 1).
+    # Literal, so that the test ids do not move with the block size.
+    N_COLUMN, N_SPARSE, N_SMALL = 4133, 2057, 2051
 
     @staticmethod
     def votes(kind, n, U, M):
@@ -281,18 +309,24 @@ class TestGoldenbaumBlocks:
     @pytest.mark.parametrize(
         "kind, n, U, M",
         [
-            ("column", 2 * BLOCK + 37, 25, 1),  # several blocks, ragged last
+            ("column", N_COLUMN, 25, 1),  # several blocks, ragged last
             ("column", 50, 25, 1),  # fewer trials than one block
             ("random", 100, 25, 3),  # the median's round shape
-            ("sparse", BLOCK + 9, 9, 2),
-            ("silent", BLOCK + 3, 4, 2),
-            ("all", BLOCK + 3, 4, 2),
+            ("sparse", N_SPARSE, 9, 2),
+            ("silent", N_SMALL, 4, 2),
+            ("all", N_SMALL, 4, 2),
         ],
     )
     def test_matches_the_full_batch_chain(self, kind, n, U, M, sigma2):
         self.assert_matches_reference(
             self.votes(kind, n, U, M), 7, PdpConfig(5), sigma2
         )
+
+    def test_sizes_end_inside_a_later_block(self):
+        block = airmv.baselines._GOLDENBAUM_BLOCK
+        for n in (self.N_COLUMN, self.N_SPARSE, self.N_SMALL):
+            assert n > block and n % block != 0
+        assert self.N_COLUMN > 2 * block
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_estimates_do_not_depend_on_block_boundaries(self, monkeypatch, block):
@@ -341,8 +375,9 @@ class TestGoldenbaumBlocks:
     def test_peak_memory_stays_near_the_draws(self):
         """One Monte Carlo batch (20k trials, U=25, K=32 so L_seq=7, L_e=5,
         16 senders a trial): the traced peak stays within 2.2x the bytes of
-        the senders' turns and the window (2.03x measured: one 2048-trial
-        block's chips and `_unit_phasors` temporaries beside the draws)."""
+        the senders' turns and the window (1.56x measured with 1024-trial
+        blocks, 2.03x with 2048: one block's chips and `_unit_phasors`
+        temporaries beside the draws)."""
         n, U, L_seq, L_e = 20_000, 25, default_sequence_length(32), 5
         votes = column_votes(n, U, 16)
         S = n * 16
@@ -465,38 +500,52 @@ class TestUnitPhasors:
 
 class TestObdaEncode:
     def test_truncation(self):
-        """A node whose |h|^2 is at or below 0.2 stays silent."""
+        """A node whose |h|^2 is at or below 0.2 stays silent; an active
+        node delivers its vote exactly."""
         n = 2000
         y = obda_received(np.ones((n, 1, 1), int), np.random.default_rng(5), 0.0)
-        gain = np.abs(obda_taps(np.random.default_rng(5), n, 1, 1)[..., 0]) ** 2
-        silent = gain <= 0.2
+        silent = ~obda_activity(np.random.default_rng(5), n, 1, 1)[..., 0]
         assert 0 < silent.sum() < n
         np.testing.assert_array_equal(y[silent], 0.0)
-        assert np.all(y[~silent] != 0.0)
+        np.testing.assert_array_equal(y[~silent], 1.0)
 
     def test_identity_inversion(self):
         """Inverted channels deliver each untruncated vote as itself."""
         n = 2000
         votes = np.random.default_rng(8).integers(0, 2, (n, 1, 3)) * 2 - 1
         y = obda_received(votes, np.random.default_rng(6), 0.0, truncation=0.0)
-        np.testing.assert_allclose(y, votes[:, 0, :], atol=1e-12)
+        np.testing.assert_array_equal(y, votes[:, 0, :])
 
     def test_phase_conjugation(self):
-        """Pre-equalizing by conj(h) makes the aggregate real at every
-        channel phase."""
+        """Pre-equalizing by conj(h) makes the per-tap aggregate real at every
+        channel phase, the sum of the untruncated votes: the fact that lets
+        `obda_received` return the real statistic alone."""
         n = 2000
-        y = obda_received(-np.ones((n, 1, 1), int), np.random.default_rng(7), 0.0)
-        phase = np.angle(obda_taps(np.random.default_rng(7), n, 1, 1))
-        assert np.histogram(phase, bins=4, range=(-np.pi, np.pi))[0].min() > 0
+        votes = np.random.default_rng(9).integers(0, 2, (n, 3, 1)) * 2 - 1
+        y = obda_per_tap(votes, np.random.default_rng(7), 0.0)
+        h = complex_normal((n, 1, 3), math.sqrt(0.5), np.random.default_rng(7))
+        assert np.histogram(np.angle(h), bins=4, range=(-np.pi, np.pi))[0].min() > 0
         np.testing.assert_allclose(y.imag, 0.0, atol=1e-12)
+        active = np.abs(h) ** 2 > 0.2
+        assert 0 < active.sum() < active.size
+        np.testing.assert_allclose(
+            y.real, np.sum(np.swapaxes(votes, -1, -2), axis=-1, where=active), atol=1e-12
+        )
+        got = obda_received(votes, np.random.default_rng(7), 0.0)
+        assert got.dtype == np.float64 and got.shape == (n, 1)
 
     def test_no_tci_mode_sends_raw_bpsk(self):
-        """Without CSI the node sends its vote as is, even over a deep fade."""
-        n = 2000
-        votes = np.random.default_rng(9).integers(0, 2, (n, 1, 1)) * 2 - 1
-        y = obda_received(votes, np.random.default_rng(8), 0.0, tci=False)
-        h = obda_taps(np.random.default_rng(8), n, 1, 1)[..., 0]
-        np.testing.assert_allclose(y, votes[:, 0, :] * h, rtol=1e-12)
+        """Without CSI the node sends its vote as is, even over a deep fade,
+        and vote * h is CN(0, 1) whatever the vote: Re y is one normal of
+        variance (U + sigma2)/2 that does not read the votes."""
+        n, U, sigma2 = 2000, 3, 0.4
+        votes = np.random.default_rng(9).integers(0, 2, (n, U, 2)) * 2 - 1
+        y = obda_received(votes, np.random.default_rng(8), sigma2, tci=False)
+        expected = math.sqrt((U + sigma2) / 2) * np.random.default_rng(8).standard_normal(
+            (n, 2))
+        np.testing.assert_array_equal(y, expected)
+        np.testing.assert_array_equal(
+            obda_received(-votes, np.random.default_rng(8), sigma2, tci=False), y)
 
     def test_phase_error_mean_contribution(self):
         """Per-user expected contribution is vote * E[cos theta] with
@@ -506,20 +555,44 @@ class TestObdaEncode:
         expected = math.sin(2 * math.pi / 3) / (2 * math.pi / 3)
         assert np.mean(y.real) == pytest.approx(expected, abs=0.01)
 
+    @pytest.mark.parametrize("sigma2", [0.0, 0.3])
+    @pytest.mark.parametrize("phase_errors, tci", [(False, True), (True, True),
+                                                   (False, False), (True, False)])
+    def test_draws_follow_the_documented_order(self, phase_errors, tci, sigma2):
+        """Per call: the (n, M, U) activity uniforms and then the phase errors
+        (tci only), then the (n, M) real noise when sigma2 > 0; without tci
+        only the (n, M) normals, whatever sigma2. No taps."""
+        n, U, M = 50, 5, 3
+        votes = np.random.default_rng(15).integers(0, 2, (n, U, M)) * 2 - 1
+        rng, ref = np.random.default_rng(16), np.random.default_rng(16)
+        y = obda_received(votes, rng, sigma2, phase_errors=phase_errors, tci=tci)
+        if tci:
+            delivered = np.where(obda_activity(ref, n, M, U), np.swapaxes(votes, -1, -2),
+                                 0.0)
+            if phase_errors:
+                w = 2 * math.pi / 3
+                delivered *= np.cos(ref.uniform(-w, w, (n, M, U)))
+            expected = delivered.sum(axis=-1)
+            if sigma2 > 0:
+                expected += math.sqrt(sigma2 / 2) * ref.standard_normal((n, M))
+        else:
+            expected = math.sqrt((U + sigma2) / 2) * ref.standard_normal((n, M))
+        np.testing.assert_allclose(y, expected, rtol=0, atol=1e-12)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
 
 class TestObdaDecode:
     def test_coherent_sum(self):
         """Untruncated inverted channels add the votes coherently."""
         y = obda_received(column_votes(500, 5, 3), np.random.default_rng(10), 0.0,
                           truncation=0.0)
-        np.testing.assert_allclose(y, 1.0, atol=1e-12)
+        np.testing.assert_array_equal(y, 1.0)
 
     def test_majority_three_one(self):
         n = 2000
         votes = np.broadcast_to(np.array([[1], [1], [1], [-1]]), (n, 4, 1))
         mv = obda_aggregate(votes, np.random.default_rng(7), 0.0)
-        gain = np.abs(obda_taps(np.random.default_rng(7), n, 1, 4)) ** 2
-        all_active = np.all(gain > 0.2, axis=-1)
+        all_active = obda_activity(np.random.default_rng(7), n, 1, 4).all(axis=-1)
         assert all_active.sum() > 100
         np.testing.assert_array_equal(mv[all_active], 1)
 
@@ -548,6 +621,92 @@ class TestObdaDecode:
                             truncation=1e9)
         assert 1500 < _count_mv_errors(mv[:, 0], 3, 2) < 2500
 
+    def test_noiseless_tie_decides_zero(self):
+        """Two active opposite votes sum to exactly 0 without noise: the
+        decision is 0, not the sign of a rounding residue."""
+        votes = np.broadcast_to(np.array([[1], [-1]]), (10_000, 2, 1))
+        mv = obda_aggregate(votes, np.random.default_rng(17), 0.0, truncation=0.0)
+        np.testing.assert_array_equal(mv, 0)
+
+    def test_noiseless_active_tie_counts_as_an_error(self):
+        """With n_plus = 2 of U = 3 a truncated +1 voter can leave an active
+        tie, or silence: decision 0, which the Monte Carlo scores as an
+        error."""
+        n = 4000
+        mv = obda_aggregate(column_votes(n, 3, 2), np.random.default_rng(18), 0.0)
+        active = obda_activity(np.random.default_rng(18), n, 1, 3)[:, 0]
+        active_sum = active @ _fixed_column(3, 2)
+        assert np.count_nonzero(active_sum == 0) > 100
+        np.testing.assert_array_equal(mv[:, 0], np.sign(active_sum))
+        assert _count_mv_errors(mv[:, 0], 3, 2) == np.count_nonzero(active_sum <= 0)
+
+    def test_noiseless_tie_leaves_the_median_unchanged(self):
+        """A tie's zero decision leaves its median estimate where it was."""
+        votes = np.broadcast_to(np.array([[1], [-1]]), (20, 2, 3))
+        state = MedianState(estimates=np.linspace(-1.0, 1.0, 60).reshape(20, 3))
+        mv = obda_aggregate(votes, np.random.default_rng(19), 0.0, truncation=0.0)
+        np.testing.assert_array_equal(median_step(state, mv).estimates, state.estimates)
+
+
+class TestObdaLaw:
+    """The activity, phase and noise draws of `obda_received` against the
+    former per-tap receiver (`obda_per_tap`): the same law of Re y. Each side
+    runs 100k independent trials (5 batches of 20k); the error rate, mean
+    and variance must agree within 4 standard errors.
+
+    At sigma2 = 0 without phase errors a tie of active votes is possible. It
+    now reads exactly 0 and so decides 0, an error, where the per-tap
+    receiver's rounding residue (|Re y| < 1e-14) decided it at random; the
+    error rates differ there by design, so only the mean and variance, which
+    the residue does not move, are compared."""
+
+    TRIALS, BATCH = 100_000, 20_000
+    MODES = {"obda": {}, "obda_phase": {"phase_errors": True},
+             "obda_no_tci": {"tci": False}}
+
+    @classmethod
+    def statistics(cls, receive, seed, votes, sigma2, mode):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([
+            receive(votes, rng, sigma2, **cls.MODES[mode]).real
+            for _ in range(cls.TRIALS // cls.BATCH)
+        ]).ravel()
+
+    @staticmethod
+    def assert_same_law(new, old, truth, rates=True):
+        n = new.size
+        if rates:
+            p, q = np.mean(np.sign(new) != truth), np.mean(np.sign(old) != truth)
+            assert 0 < p < 1
+            assert abs(p - q) <= 4 * math.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert abs(new.mean() - old.mean()) <= 4 * math.sqrt(
+            (new.var() + old.var()) / n
+        )
+        # Var of a sample variance: (m4 - var^2) / n.
+        spread = [(np.mean((e - e.mean()) ** 4) - e.var() ** 2) / n for e in (new, old)]
+        assert abs(new.var() - old.var()) <= 4 * math.sqrt(sum(spread))
+
+    @pytest.mark.parametrize("sigma2", [0.1, 0.0])
+    @pytest.mark.parametrize("U, n_plus", [(7, 4), (9, 3), (25, 16)])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_per_tap_receiver(self, mode, U, n_plus, sigma2):
+        votes = column_votes(self.BATCH, U, n_plus)
+        new = self.statistics(obda_received, 51, votes, sigma2, mode)
+        old = self.statistics(obda_per_tap, 52, votes, sigma2, mode)
+        tie_possible = sigma2 == 0 and mode == "obda"
+        self.assert_same_law(new, old, 1 if 2 * n_plus > U else -1,
+                             rates=not tie_possible)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_votes_match_the_per_tap_receiver(self, mode):
+        """Random (20k, 9, 3) votes at sigma2 = 0.1, pooled over the (trial,
+        position) cells, the error rate taken against the majority."""
+        votes = np.random.default_rng(53).integers(0, 2, (self.BATCH, 9, 3)) * 2 - 1
+        new = self.statistics(obda_received, 54, votes, 0.1, mode)
+        old = self.statistics(obda_per_tap, 55, votes, 0.1, mode)
+        truth = np.tile(np.sign(votes.sum(axis=1)), (self.TRIALS // self.BATCH, 1))
+        self.assert_same_law(new, old, truth.ravel())
+
 
 class TestValidation:
     """Each backend call checks its inputs once, before any draw."""
@@ -568,6 +727,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             obda_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0), 0.1,
                            truncation=-0.2)
+
+    def test_rejects_nan_truncation(self):
+        """A NaN threshold used to pass and silence every node."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="truncation"):
+            obda_aggregate(np.ones((4, 3, 1), int), rng, 0.1, truncation=math.nan)
+        assert rng.bit_generator.state == state
 
     def test_rejects_bad_votes(self):
         good = np.ones((4, 3, 2), int)
