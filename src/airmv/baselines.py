@@ -76,7 +76,7 @@ def default_sequence_length(K: int) -> int:
 
 
 def _check_sigma2(sigma2: float) -> None:
-    if sigma2 < 0:
+    if not sigma2 >= 0:  # NaN too
         raise ValueError("noise variance must be nonnegative")
 
 

@@ -96,7 +96,7 @@ def superpose(
     zero-padded linear convolution yields (..., K+L_e) samples. Noise w_n is
     CN(0, sigma2), drawn from `rng` when sigma2 > 0.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:  # NaN too
         raise ValueError("noise variance must be nonnegative")
     if sigma2 > 0 and rng is None:
         raise ValueError("an rng is required when sigma2 > 0")

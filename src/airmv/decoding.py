@@ -128,7 +128,7 @@ class DecoderContext:
         if self.method is Method.UNCODED:
             if self.pdp is None or self.sigma2 is None:
                 raise ValueError("the uncoded detector needs pdp and sigma2")
-            if self.sigma2 < 0:
+            if not self.sigma2 >= 0:  # NaN too
                 raise ValueError("sigma2 must be nonnegative")
         elif self.pdp is not None or self.sigma2 is not None:
             raise ValueError(

@@ -66,11 +66,15 @@ class MedianState:
 def local_votes(state: MedianState, params: np.ndarray) -> np.ndarray:
     """Votes sign(estimate - parameter) per device; sign(0) resolves to +1.
 
-    `params` has shape (..., U, M) against estimates (..., M); the result
-    matches `params`.
+    `params` has shape (..., U, M) against estimates (..., M); the int8
+    result matches `params`. For finite values estimate - parameter >= 0
+    exactly when estimate >= parameter, so one comparison forms the votes.
     """
-    diff = np.asarray(state.estimates)[..., np.newaxis, :] - np.asarray(params)
-    return np.where(diff >= 0, 1, -1)
+    votes = (np.asarray(state.estimates)[..., np.newaxis, :]
+             >= np.asarray(params)).view(np.int8)
+    votes *= 2
+    votes -= 1
+    return votes
 
 
 def median_step(state: MedianState, mv: np.ndarray) -> MedianState:

@@ -40,11 +40,14 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
 
     An engine whose users are each nonzero at one probe (every indexed
     engine, and every engine that decides one vote) draws each probe's
-    signal value r_p, not each user's channel. A sender nonzero at probe p
-    gets the channel value c_p conj(P_u(z_p)) there, c_p = r_p / sum_u
-    |P_u(z_p)|^2 over the probe's senders (0 where that sum is 0), so that
-    the senders sum to r_p; its taps are the least-norm ones with that
-    value, pinv of the probe's one Vandermonde row.
+    signal value r_p, not each user's channel; an indexed engine draws it
+    only at the (trial, probe) cells some user sends to, in C order. A
+    sender nonzero at probe p gets the channel value c_p conj(P_u(z_p))
+    there, c_p = r_p / sum_u |P_u(z_p)|^2 over the probe's senders (0 where
+    that sum is 0), so that the senders sum to r_p; its taps are the
+    least-norm ones with that value, pinv of the probe's one Vandermonde
+    row. An indexed engine's noise at the K slots is the DFT-matrix image
+    of its K eigen-draws of the circulant C_W.
     """
     n, U, M = votes.shape
     rp, L = radius_param(K), pdp_cfg.L_e
@@ -57,7 +60,14 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
         own = np.take_along_axis(a, probe[..., np.newaxis], axis=-1)[..., 0]
         mine = probe[..., np.newaxis] == np.arange(P)
         power = (np.abs(own[..., np.newaxis]) ** 2 * mine).sum(axis=1)
-        r = complex_normal((n, P), engine.channel_scale * np.sqrt(power), rng)
+        if method is Method.INDEXED:
+            c_h = (np.abs(v[:L]) ** 2).T @ pdp_cfg.taps  # diag(C_H)
+            cells = np.flatnonzero(power > 0)
+            scale = np.sqrt(c_h[cells % P] / 2 * power.ravel()[cells])
+            r = np.zeros((n, P), dtype=complex)
+            r.ravel()[cells] = complex_normal(cells.size, scale, rng)
+        else:
+            r = complex_normal((n, P), engine.channel_scale * np.sqrt(power), rng)
         c = np.divide(r, power, out=np.zeros_like(r), where=power > 0)
         value = np.take_along_axis(c, probe, axis=-1) * own.conj()
         rows = np.stack([np.linalg.pinv(v[:L, [p]])[0] for p in range(P)])
@@ -68,9 +78,20 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
         h = draws @ basis @ np.linalg.pinv(v[:L])
     y = superpose(coeffs, h)
     if sigma2 > 0:
-        scale, basis = engine.noise_factor
-        y += complex_normal((n, scale.size), scale, rng) @ basis @ np.linalg.pinv(v)
+        if method is Method.INDEXED:
+            w = complex_normal((n, K), engine.noise_scale, rng) @ _dft(K).T
+        else:
+            scale, basis = engine.noise_factor
+            w = complex_normal((n, scale.size), scale, rng) @ basis
+        y += w @ np.linalg.pinv(v)
     return y
+
+
+def _dft(K):
+    """F[p, k] = e^{2 pi i p k / K}: C_W at the K indexed slots is F diag(c)
+    F^H."""
+    k = np.arange(K)
+    return np.exp(2j * np.pi / K * (np.outer(k, k) % K))
 
 
 def oracle(method, K, pdp_cfg, sigma2, votes, rng, positions=None):
@@ -237,12 +258,32 @@ def _power_of_the_sum(patch):
     patch.setattr(aggregation, "signal_power", power)
 
 
+def _unfolded_noise(patch):
+    def eigenvalues(K, L_e, d, sigma2):
+        return sigma2 * (d * d) ** np.arange(K)
+
+    patch.setattr(aggregation, "_circulant_noise", eigenvalues)
+
+
+def _no_dft(patch):
+    patch.setattr(np.fft, "ifft", lambda a, *args, **kwargs: a)
+
+
+# On the indexed draw the signal scale is sqrt(C_H[c, c] / 2) |P_c(z_c)|
+# sqrt(m_c): its root is of m_c alone, so m_c-not-sqrt draws variance m_c^2
+# |P_c|^2 there, the power of the sum, which the indexed draw never reads
+# through `signal_power`. The noise mutations reach only the indexed draw:
+# its eigenvalues without the n >= K terms folded in, and its eigen-draws
+# at the probes without the DFT, independent probes.
 @pytest.mark.parametrize("mutation", [
     {"mutate_build": _reversed_taps},           # a wrong tap profile
     {"mutate_build": _diagonal_covariances},    # independent probes
-    {"mutate_draw": _counts_for_their_roots},   # the signal power, not its root
-    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, per-probe rule only
-], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum"])
+    {"mutate_draw": _counts_for_their_roots},   # m_c, not its root
+    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, vote-0 rule only
+    {"mutate_build": _unfolded_noise},          # C_W's eigenvalues unfolded
+    {"mutate_draw": _no_dft},                   # indexed noise without its DFT
+], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum",
+        "unfolded-C_W", "no-dft"])
 def test_moment_check_catches_a_wrong_law(mutation):
     assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
 
@@ -251,11 +292,15 @@ def test_moment_check_catches_a_wrong_law(mutation):
     (Method.UNCODED, 8, 0, 4, 0.5),         # fewer probes than taps
     (Method.DIFFERENTIAL, 16, 0, 5, 0.1),
     (Method.UNCODED, 512, 0, 8, 2.0),       # d near 1: C_H near-singular
-    (Method.INDEXED, 2, None, 3, 0.3),
+    (Method.INDEXED, 2, None, 3, 0.3),      # n = 0, 2, 4 fold onto k = 0
     (Method.UNCODED, 8, None, 4, 0.5),      # more probes than taps
     (Method.INDEXED, 8, None, 3, 0.5),
     (Method.UNCODED, 8, 0, 1, 0.5),         # flat: 2 noise rows for K + 1 samples
     (Method.UNCODED, 8, None, 3, 0.5),      # P = 16 > K + L_e = 11
+    (Method.INDEXED, 2, None, 1, 0.3),
+    (Method.INDEXED, 32, 0, 5, 0.1),
+    (Method.INDEXED, 512, None, 8, 0.3),
+    (Method.INDEXED, 1024, None, 5, 0.3),
 ])
 def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2):
     """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
@@ -264,14 +309,29 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
     An engine whose users are each nonzero at one probe (every indexed
     engine, and every engine that decides one vote) reads only the channel's
     variances at the probes: 2 channel_scale^2 is diag(C_H), and it builds
-    no factor."""
+    no factor. An indexed engine builds no basis either: its noise factor is
+    the DFT matrix F, with 2 noise_scale^2 the closed-form eigenvalues c_k =
+    sigma2 sum d^{2n} (n = k mod K) of the circulant C_W, and 2
+    sender_scale^2 is diag(C_H) |P_c(z_c)|^2."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
     points = probe_points(method, radius_param(K), positions)
     v = powers(points, K + L_e)
     taps = pdp(L_e, 0.5)
     c_h = (v[:L_e].T * taps) @ v[:L_e].conj()
+    c_w = sigma2 * (v.T @ v.conj())
+    if method is Method.INDEXED:
+        assert engine.one_probe_per_user
+        assert not hasattr(engine, "noise_factor")
+        assert not hasattr(engine, "channel_factor")
+        signal = c_h.diagonal().real * np.abs(engine.tables[0]) ** 2
+        np.testing.assert_allclose(2 * engine.sender_scale**2, signal,
+                                   rtol=0, atol=1e-12 * signal.max())
+        F = _dft(K)
+        got = (F * (2 * engine.noise_scale**2)) @ F.conj().T
+        np.testing.assert_allclose(got, c_w, rtol=0, atol=1e-12 * np.abs(c_w).max())
+        return
     rows = (min(points.size, L_e), min(points.size, K + L_e))
-    pairs = [(engine.noise_factor, rows[1], sigma2 * (v.T @ v.conj()))]
+    pairs = [(engine.noise_factor, rows[1], c_w)]
     assert engine.one_probe_per_user == (
         method is Method.INDEXED or positions == 0 or method.votes_per_codeword(K) == 1)
     if engine.one_probe_per_user:
@@ -284,6 +344,59 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
         assert basis.shape == (n_rows, points.size)
         got = (basis.T * (2 * scale**2)) @ basis.conj()
         np.testing.assert_allclose(got, cov, rtol=0, atol=1e-12 * np.abs(cov).max())
+
+
+@pytest.mark.parametrize("sigma2", [0.2, 0.0])
+@pytest.mark.parametrize("positions", [None, 1])
+def test_indexed_draws_senders_then_noise(sigma2, positions):
+    """An indexed call draws one complex normal per (trial, probe) cell that
+    some user sends to, in C order (all real parts, then all imaginary),
+    scaled by sender_scale sqrt(m_c), and then, only when sigma2 > 0, n K
+    noise normals likewise, whose unnormalized inverse DFT along the probes
+    is the noise. The rng ends where a replay of exactly those draws ends,
+    and the values are the replay's."""
+    K, n, U = 16, 40, 3
+    M = Method.INDEXED.votes_per_codeword(K)
+    votes = np.random.default_rng(1).integers(0, 2, size=(n, U, M)) * 2 - 1
+    engine = ProbeAggregator(Method.INDEXED, K, PdpConfig(3), sigma2, positions)
+    rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+    r = engine.received(votes, rng)
+
+    codeword = ((votes > 0) << np.arange(M)).sum(axis=-1)
+    counts = np.zeros((n, K), int)
+    np.add.at(counts, (np.arange(n)[:, np.newaxis], codeword), 1)
+    cells = np.flatnonzero(counts)
+    assert 0 < cells.size < n * K
+    signal = replay.standard_normal(cells.size) + 1j * replay.standard_normal(cells.size)
+    expected = np.zeros(n * K, dtype=complex)
+    scale = engine.sender_scale[cells % K] * np.sqrt(counts.ravel()[cells])
+    expected[cells] = scale * signal
+    expected = expected.reshape(n, K)
+    if sigma2 > 0:
+        noise = replay.standard_normal((n, K)) + 1j * replay.standard_normal((n, K))
+        expected += (engine.noise_scale * noise) @ _dft(K).T
+    assert rng.bit_generator.state == replay.bit_generator.state
+    assert np.all(r.ravel()[np.setdiff1d(np.arange(n * K), cells)] == 0) == (sigma2 == 0)
+    np.testing.assert_allclose(r, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_indexed_engines_build_without_eigh(monkeypatch):
+    """No eigendecomposition and no probe covariance: an indexed engine
+    builds from the closed forms and draws, at any K and positions, while
+    the uncoded and differential engines still factor theirs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(aggregation, "probe_moments", forbidden)
+    for K, positions in itertools.product((2, 8, 128, 1024), (None, 0)):
+        engine = ProbeAggregator(Method.INDEXED, K, PdpConfig(5), 0.1, positions)
+        M = Method.INDEXED.votes_per_codeword(K)
+        votes = np.random.default_rng(K).integers(0, 2, size=(6, 4, M)) * 2 - 1
+        assert engine.aggregate(votes, np.random.default_rng(0)).shape[0] == 6
+    for method in (Method.UNCODED, Method.DIFFERENTIAL):
+        with pytest.raises(AssertionError, match="called"):
+            ProbeAggregator(method, 8, PdpConfig(5), 0.1)
 
 
 def test_probe_on_an_encoded_zero_is_exactly_zero():
@@ -441,8 +554,9 @@ def test_simulate_cer_is_thread_invariant():
 
 
 def test_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ProbeAggregator(Method.INDEXED, 8, PdpConfig(1), -0.1)
+    for method, sigma2 in itertools.product(Method, (-0.1, math.nan)):
+        with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+            ProbeAggregator(method, 8, PdpConfig(1), sigma2)
     with pytest.raises(ValueError):
         ProbeAggregator(Method.INDEXED, 8, PdpConfig(1), 0.1, positions=3)
     engine = ProbeAggregator(Method.INDEXED, 8, PdpConfig(1), 0.1)

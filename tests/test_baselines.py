@@ -723,6 +723,28 @@ class TestValidation:
             with pytest.raises(ValueError):
                 backend(np.ones((4, 3, 1), int), sigma2=-0.1)
 
+    def test_rejects_nan_noise(self):
+        """A NaN noise variance used to pass: OBDA returned the noiseless
+        statistic and Goldenbaum NaN estimates, whose decisions are
+        arbitrary integers. It now fails before any draw."""
+        votes = np.ones((4, 3, 2), int)
+        calls = (
+            lambda rng: goldenbaum_estimate(votes, rng, 3, PdpConfig(2), math.nan),
+            lambda rng: goldenbaum_aggregate(votes, rng, 3, PdpConfig(2), math.nan),
+            lambda rng: obda_received(votes, rng, math.nan),
+            lambda rng: obda_aggregate(votes, rng, math.nan, tci=False),
+        )
+        for call in calls:
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+                call(rng)
+            assert rng.bit_generator.state == state
+        for name in BASELINES:
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+                build_backend(name, 8, PdpConfig(2), math.nan)(
+                    votes, np.random.default_rng(0))
+
     def test_rejects_negative_truncation(self):
         with pytest.raises(ValueError):
             obda_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0), 0.1,

@@ -146,6 +146,9 @@ class TestSuperpose:
             superpose(np.ones((1, 3)), np.ones((1, 1)), 0.1)
         with pytest.raises(ValueError):
             superpose(np.ones((1, 3)), np.ones((1, 1)), -1.0)
+        with pytest.raises(ValueError):  # a NaN used to add no noise at all
+            superpose(np.ones((1, 3)), np.ones((1, 1)), float("nan"),
+                      np.random.default_rng(0))
 
     def test_noise_checks_come_before_any_work(self):
         """A bad sigma2 or a missing rng is reported before the shapes are

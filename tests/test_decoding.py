@@ -207,6 +207,12 @@ class TestDecoderContext:
         with pytest.raises(ValueError):
             DecoderContext(Method.UNCODED, rp)
 
+    def test_uncoded_rejects_bad_noise(self):
+        rp = radius_param(4)
+        for sigma2 in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+                DecoderContext(Method.UNCODED, rp, pdp=PdpConfig(1), sigma2=sigma2)
+
     def test_coded_rejects_knowledge(self):
         rp = radius_param(4)
         with pytest.raises(ValueError):

@@ -41,6 +41,30 @@ class TestLocalVotes:
         np.testing.assert_array_equal(local_votes(state, params), [[1]])
 
 
+    def test_one_comparison_matches_the_sign_of_the_difference(self):
+        """The votes are bitwise np.where(estimate - parameter >= 0, 1, -1)
+        on random values with exact ties, +-0.0 on both sides and
+        magnitudes from 1e-300 to 1e300."""
+        rng = np.random.default_rng(3)
+        estimates = rng.uniform(-2, 2, (40, 7))
+        params = rng.uniform(-2, 2, (40, 25, 7))
+        params[:, ::3] = estimates[:, np.newaxis]                 # exact ties
+        estimates[::4] = 0.0
+        estimates[1::4] = -0.0
+        params[:, 1::5] = 0.0
+        params[:, 2::5] = -0.0
+        params[::7] *= 10.0 ** rng.integers(-300, 300, params[::7].shape)
+        state = MedianState(estimates)
+        want = np.where(estimates[:, np.newaxis] - params >= 0, 1, -1)
+        got = local_votes(state, params)
+        assert got.dtype == np.int8
+        assert (got == 1).any() and (got == -1).any()
+        np.testing.assert_array_equal(got, want)
+        # One realization: (U, M) params against (M,) estimates.
+        np.testing.assert_array_equal(local_votes(MedianState(estimates[0]), params[0]),
+                                      want[0])
+
+
 class TestMedianStep:
     def test_descends_by_mu(self):
         state = MedianState(np.array([1.0]), rounds=10, mu_start=0.01, mu_end=0.01)
