@@ -177,7 +177,7 @@ def signal_power(method: Method, tables, votes) -> np.ndarray:
     power = [table.real**2 + table.imag**2 for table in tables]
     if method is Method.INDEXED:
         return _codeword_counts(packed, power[0].size) * power[0]
-    return table_product(power, packed).sum(axis=1)
+    return np.einsum("nup->np", table_product(power, packed))
 
 
 def _circulant_noise(K: int, L_e: int, d: float, sigma2: float) -> np.ndarray:

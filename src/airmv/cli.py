@@ -32,23 +32,23 @@ def _flag_type(parse):
     return convert
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value configuration file")
+def _build_parser() -> argparse.ArgumentParser:
+    # The options every subcommand takes, built once and shared as a parent.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value configuration file")
     for f in fields(ExperimentConfig):
         option = f.metadata
         if option["flag"] is not None:
-            p.add_argument(option["flag"], dest=f.name, metavar=option["key"].upper(),
-                           type=_flag_type(option["parse"]), help=option["help"])
-
-
-def _build_parser() -> argparse.ArgumentParser:
+            common.add_argument(option["flag"], dest=f.name,
+                                metavar=option["key"].upper(),
+                                type=_flag_type(option["parse"]), help=option["help"])
     parser = argparse.ArgumentParser(
         prog="airmv",
         description="Over-the-air majority-vote computation experiments",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, summary in EXPERIMENTS.items():
-        _add_common(sub.add_parser(name, help=summary))
+        sub.add_parser(name, help=summary, parents=[common])
     return parser
 
 

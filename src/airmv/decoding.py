@@ -41,6 +41,7 @@ __all__ = [
     "DecoderContext",
     "powers",
     "probe_moments",
+    "probe_radii",
     "probe_points",
     "DetectorForm",
     "detector_form",
@@ -183,6 +184,12 @@ def _positions(method: Method, K: int, positions) -> np.ndarray:
     return pos
 
 
+def probe_radii(method: Method, rp: RadiusParam) -> tuple[float, ...]:
+    """Radii of the circles the probe points lie on, one per equal block of
+    `probe_points`, in order: uncoded (d, 1/d), the coded schemes (d,)."""
+    return (rp.d, 1.0 / rp.d) if method is Method.UNCODED else (rp.d,)
+
+
 def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
     """Points at which the detector reads R(z) to decide the given votes.
 
@@ -194,10 +201,12 @@ def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
     w = root_phases(rp.K)
     pos = _positions(method, rp.K, positions)
     if method is Method.UNCODED:
-        return np.concatenate([rp.d * w[pos], (1.0 / rp.d) * w[pos]])
-    if method is Method.DIFFERENTIAL:
-        return rp.d * w[np.stack([2 * pos, 2 * pos + 1], axis=-1).reshape(-1)]
-    return rp.d * w
+        slots = pos
+    elif method is Method.DIFFERENTIAL:
+        slots = np.stack([2 * pos, 2 * pos + 1], axis=-1).reshape(-1)
+    else:
+        slots = np.arange(rp.K)
+    return np.concatenate([r * w[slots] for r in probe_radii(method, rp)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +244,7 @@ def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:
     bias, scale = np.zeros(points.size), np.ones(points.size)
     if ctx.method is Method.UNCODED:
         signs = np.concatenate([eye, -eye])
-        radii = (rp.d, 1.0 / rp.d)
+        radii = probe_radii(ctx.method, rp)
         bias = np.repeat(
             [noise_power(da, ctx.sigma2, rp.K, ctx.pdp.L_e) for da in radii], pos.size
         )

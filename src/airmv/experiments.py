@@ -37,7 +37,7 @@ from .huffman import (
 )
 from .median import run_median
 from .simulate import cer_backend, simulate_cer, stream
-from .theory import CerModel, vote_averaged_cer
+from .theory import CerModel, vote_averaged_cers
 from .waveform import (
     dfts_ofdm_modulate,
     ofdm_map_modulate,
@@ -125,18 +125,18 @@ def write_csv(rows, cfg: ExperimentConfig, out=None) -> str:
     return text
 
 
-def _theory_point(cfg, method_name, K, snr_db, n_plus, key):
+def _theory_group(cfg, method_name, K, snr_db, key):
+    """The predictions of every n_plus of one (K, SNR, method), each from
+    its own stream, against one law."""
     model = CerModel(
         Method.from_name(method_name),
         radius_param(K),
         PdpConfig(cfg.L_e, cfg.rho),
         cfg.sigma2(snr_db),
     )
-    rng = stream(cfg.seed, _DOMAIN_THEORY, *key)
-    est = vote_averaged_cer(
-        n_plus, cfg.U - n_plus, model, n_realizations=cfg.realizations, rng=rng
-    )
-    return est.probability, est.stderr
+    n_plus_values = cfg.n_plus_values()
+    rngs = [stream(cfg.seed, _DOMAIN_THEORY, *key, n_plus) for n_plus in n_plus_values]
+    return vote_averaged_cers(cfg.U, n_plus_values, model, rngs, cfg.realizations)
 
 
 def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
@@ -146,10 +146,13 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
         for si, snr_db in enumerate(cfg.snr_db):
             sigma2 = cfg.sigma2(snr_db)
             for mi, name in enumerate(cfg.methods):
-                # One backend for every n_plus: it depends on none of them.
+                # One backend and one theory law for every n_plus: they
+                # depend on none of them.
                 aggregate = (cer_backend(name, K, pdp_cfg, sigma2)
                              if with_simulation else None)
-                for n_plus in cfg.n_plus_values():
+                theory = (_theory_group(cfg, name, K, snr_db, (ki, si, mi))
+                          if name in PROPOSED and cfg.realizations > 0 else None)
+                for ni, n_plus in enumerate(cfg.n_plus_values()):
                     key = (ki, si, mi, n_plus)
                     common = dict(
                         experiment=cfg.experiment, method=name, K=K, U=cfg.U,
@@ -163,10 +166,10 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
                         )
                         rows.append(ResultRow(metric="cer", value=p, stderr=se,
                                               **common))
-                    if name in PROPOSED and cfg.realizations > 0:
-                        p, se = _theory_point(cfg, name, K, snr_db, n_plus, key)
-                        rows.append(ResultRow(metric="cer_theory", value=p,
-                                              stderr=se, **common))
+                    if theory is not None:
+                        rows.append(ResultRow(metric="cer_theory",
+                                              value=theory[ni].probability,
+                                              stderr=theory[ni].stderr, **common))
     return rows
 
 

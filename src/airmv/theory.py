@@ -27,15 +27,21 @@ diagonal and superdiagonal recomputed in closed form (Al-Mohy & Higham
 2009). The error event's probability is read off its own tail of the race
 (`cer`), so a deep-tail error rate keeps its relative precision; only the
 uncoded detector's nonzero offset can need a complement. The error rate
-follows by averaging over realizations of the other transmitters' votes,
-all handled in one pass per point: one vote draw, one detector form, one
-`probe_moments`, one set of the engine's probe tables
+follows by averaging over realizations of the other transmitters' votes.
+
+A sweep's points of one (method, K, SNR, vote) share that law, so they
+are handled in one pass per group (`vote_averaged_cers`): one vote draw
+per point from its own stream, then, for the stacked realizations of the
+whole group, one detector form, one set of the engine's probe tables
 (`aggregation.probe_tables`) and one `aggregation.signal_power` call for
-the signal diagonals of the whole stack: the evaluator the Monte Carlo
-draws from. The rates stay (R, n) arrays, and the race runs over the
-whole stack, one step per anti-diagonal of its recurrence, once for each
-group of realizations with the same numbers of finite rates (phases of
-nonzero length) on the two sides.
+the signal diagonals: the evaluator the Monte Carlo draws from. The
+diagonals of C_H and C_W depend only on the radius of the probe's circle,
+d or 1/d (`decoding.probe_radii`): they are `channel_power` and
+`noise_power` there, one scalar per circle. Only the exact law forms the
+full C_W (`probe_moments`). The rates stay (rows, n) arrays, and the race
+runs over the rows of each error direction at once, one step per
+anti-diagonal of its recurrence, once for each group of rows with the
+same numbers of finite rates (phases of nonzero length) on the two sides.
 """
 
 from __future__ import annotations
@@ -47,7 +53,14 @@ import numpy as np
 
 from .aggregation import probe_tables, signal_power
 from .channel import PdpConfig
-from .decoding import DecoderContext, detector_form, probe_moments
+from .decoding import (
+    DecoderContext,
+    channel_power,
+    detector_form,
+    noise_power,
+    probe_moments,
+    probe_radii,
+)
 from .encoding import Method
 from .huffman import RadiusParam
 
@@ -58,6 +71,7 @@ __all__ = [
     "detection_rates",
     "cer",
     "vote_averaged_cer",
+    "vote_averaged_cers",
 ]
 
 
@@ -159,12 +173,16 @@ def _exceeds(first: np.ndarray, second: np.ndarray, t: float) -> np.ndarray:
     """P(first > second + t) for t >= 0, per row of (R, n1) and (R, n2)
     stacks: once the second chain ends, the first still has to outlast t
     from its current phase, pi exp(Q t) 1 with Q the first chain's phase
-    generator (-lam_i on the diagonal, lam_i just above it), from
-    `_survival` one row at a time. At t = 0 that is sum(pi), as on every
-    coded point; only uncoded has t != 0, with one phase a side."""
+    generator (-lam_i on the diagonal, lam_i just above it). At t = 0 that
+    is sum(pi), as on every coded point. Only uncoded has t != 0, with at
+    most one phase a side, where exp(Q t) 1 is exp(-lam t): pi exp(-lam t)
+    for the whole stack at once. A longer chain takes `_survival` one row
+    at a time."""
     pi = _race(first, second)
     if t == 0.0 or pi.shape[1] == 0:
         return pi.sum(axis=1)
+    if pi.shape[1] == 1:
+        return pi[:, 0] * np.minimum(np.exp(-(first[:, 0] * t)), 1.0)
     return np.array([p @ _survival(f, t) for p, f in zip(pi, first)])
 
 
@@ -210,7 +228,7 @@ class CerModel:
 
     def __post_init__(self) -> None:
         self.method.validate_k(self.rp.K)
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0:  # NaN too
             raise ValueError("sigma2 must be nonnegative")
 
 
@@ -238,33 +256,41 @@ def detection_rates(
     noise covariance at the probes and D diagonal: each user's codeword is
     exactly zero at every probe of the vote but one, so the signal terms of
     different probes sum disjoint users, and D_pp = C_H[p, p] sum_u
-    |P_u(z_p)|^2, with C_H the channel covariance at the probes
-    (`probe_moments`) and the sum read from the engine's tables at the
-    probes (`aggregation.signal_power`): the law the Monte Carlo draws, from
-    the same numbers. The diagonal of Sigma holds the expected test-point
-    energies. The paper's independence model takes the means A_pp
-    Sigma_pp, split into the two sides by the sign of A; a zero mean is an
-    infinite rate. With `exact`, Sigma = L L^H and the metric is a sum of
-    independent exponentials weighted by the eigenvalues of L^H A L, which
-    are those of A Sigma (Turin 1960); positive ones form the plus side and
-    the negated negative ones the minus side. Both sides are then P wide,
-    each eigenvalue at its ascending position and inf at the others (the
-    other sign, or below the `_EIG_RTOL` cut). The paper model reads the
-    whole stack's diagonals at once; the exact law forms Sigma one
-    realization at a time, so memory grows with R U P, not R P^2.
+    |P_u(z_p)|^2, with C_H the channel covariance at the probes and the sum
+    read from the engine's tables at the probes
+    (`aggregation.signal_power`): the law the Monte Carlo draws, from the
+    same numbers. The diagonals of C_H and C_W depend on |z_p| only:
+    `channel_power` and `noise_power` at the radius of the probe's circle
+    (`probe_radii`), one scalar each per circle. The diagonal of Sigma holds
+    the expected test-point energies. The paper's independence model takes
+    the means A_pp Sigma_pp, split into the two sides by the sign of A; a
+    zero mean is an infinite rate. With `exact`, Sigma = L L^H, with the
+    full C_W of `probe_moments`, and the metric is a sum of independent
+    exponentials weighted by the eigenvalues of L^H A L, which are those of
+    A Sigma (Turin 1960); positive ones form the plus side and the negated
+    negative ones the minus side. Both sides are then P wide, each
+    eigenvalue at its ascending position and inf at the others (the other
+    sign, or below the `_EIG_RTOL` cut). The paper model reads the whole
+    stack's diagonals at once; the exact law forms Sigma one realization at
+    a time, so memory grows with R U P, not R P^2.
     """
-    rp = model.rp
-    ctx = DecoderContext.for_link(model.method, rp, model.pdp, model.sigma2)
+    rp, pdp = model.rp, model.pdp
+    ctx = DecoderContext.for_link(model.method, rp, pdp, model.sigma2)
     form = detector_form(ctx, [ell])
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
-    chan, noise = probe_moments(form.points, rp.K, model.pdp, model.sigma2)
     tables = probe_tables(model.method, rp, form.points)
-    signal = signal_power(model.method, tables, votes) * chan.diagonal().real
+    # The probe points fill one equal block per circle.
+    radii = probe_radii(model.method, rp)
+    per_circle = form.points.size // len(radii)
+    chan = np.repeat([channel_power(r, pdp) for r in radii], per_circle)
+    signal = signal_power(model.method, tables, votes) * chan
     if not exact:
-        means = weights * (signal + noise.diagonal().real)
+        noise = [noise_power(r, model.sigma2, rp.K, pdp.L_e) for r in radii]
+        means = weights * (signal + np.repeat(noise, per_circle))
         plus, minus = _inverse(means[:, weights > 0]), _inverse(-means[:, weights < 0])
     else:
+        _, noise = probe_moments(form.points, rp.K, pdp, model.sigma2)
         lam = np.empty(signal.shape)
         for r, d in enumerate(signal):
             evals, vecs = np.linalg.eigh(noise + np.diag(d))
@@ -275,25 +301,26 @@ def detection_rates(
     return (plus, minus), x
 
 
-def cer(
-    n_plus: int, n_minus: int, plus: np.ndarray, minus: np.ndarray, x: float
-) -> np.ndarray:
+def cer(n_plus, n_minus, plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarray:
     """Computation-error rate of each realization, from the (R, n) plus and
     minus rates of its metric difference A - B and the decision offset x
-    (`detection_rates`).
+    (`detection_rates`). The vote counts are one pair for all rows or one
+    per row.
 
     An error is the event A - B < x when n_plus > n_minus and A - B > x,
-    i.e. B - A < -x, when n_plus < n_minus: either way one
-    `cdf_diff_exp_sums` call, which reads a small rate off its own tail. An
-    exact tie in the true votes counts as an error outright.
+    i.e. B - A < -x, when n_plus < n_minus: one `cdf_diff_exp_sums` call
+    for all the rows of each direction, which reads a small rate off its
+    own tail. An exact tie in the true votes counts as an error outright.
     """
-    if n_plus < 0 or n_minus < 0:
+    n_plus, n_minus = (np.broadcast_to(n, len(plus)) for n in (n_plus, n_minus))
+    if (np.minimum(n_plus, n_minus) < 0).any():
         raise ValueError("vote counts must be nonnegative")
-    if n_plus > n_minus:
-        return cdf_diff_exp_sums(plus, minus, x)
-    if n_plus < n_minus:
-        return cdf_diff_exp_sums(minus, plus, -x)
-    return np.ones(len(plus))
+    probs = np.ones(len(plus))
+    for rows, first, second, t in ((n_plus > n_minus, plus, minus, x),
+                                   (n_plus < n_minus, minus, plus, -x)):
+        if rows.any():
+            probs[rows] = cdf_diff_exp_sums(first[rows], second[rows], t)
+    return probs
 
 
 @dataclass(frozen=True)
@@ -302,6 +329,69 @@ class CerEstimate:
 
     probability: float
     stderr: float
+
+
+# Realizations per `detection_rates` call of `vote_averaged_cers`: whole
+# points are stacked up to this many rows, which bounds the (rows, P) rate
+# and race arrays to 32 MB each at K = 1024.
+_STACK_ROWS = 4096
+
+
+def vote_averaged_cers(
+    U: int,
+    n_plus_values,
+    model: CerModel,
+    rngs,
+    n_realizations: int = 100,
+    ell: int = 0,
+    exact: bool = False,
+) -> list[CerEstimate]:
+    """`vote_averaged_cer` of each point n_plus of `n_plus_values`, with
+    n_minus = U - n_plus and the point's own rng of `rngs`, against one law:
+    the same estimates, bit for bit, as one call per point.
+
+    Each point draws its own votes from its own rng, as it would alone. The
+    points' realizations are stacked, and whole points go to one
+    `detection_rates` call, which builds vote ell's detector form and the
+    engine's probe tables once, up to `_STACK_ROWS` realizations; `cer`
+    then races them with one `cdf_diff_exp_sums` call per error direction.
+    Every row's rates and race are its own, so no point reads another's.
+    """
+    for n in n_plus_values:
+        if U < 1 or not 0 <= n <= U:
+            raise ValueError("need nonnegative vote counts and at least one "
+                             f"transmitter, got n_plus={n}, n_minus={U - n}")
+    if n_realizations < 1:
+        raise ValueError("need at least one realization")
+    M = model.method.votes_per_codeword(model.rp.K)
+    if not 0 <= ell < M:
+        raise ValueError(f"vote position {ell} out of range for M={M}")
+    if M == 1:
+        n_realizations = 1
+    elif any(rng is None for rng in rngs):
+        raise ValueError("an rng is required when other votes must be sampled")
+
+    # `cer` counts a true tie as an error whatever the detector does, so a
+    # tie needs no realization.
+    estimates = [CerEstimate(probability=1.0, stderr=0.0)] * len(n_plus_values)
+    live = [i for i, n in enumerate(n_plus_values) if 2 * n != U]
+    R, shape = n_realizations, (n_realizations, U, M)
+    step = max(1, _STACK_ROWS // R)
+    for batch in (live[i : i + step] for i in range(0, len(live), step)):
+        stacks = []
+        for i in batch:
+            n_plus = n_plus_values[i]
+            votes = (rngs[i].integers(0, 2, size=shape) * 2 - 1 if M > 1
+                     else np.empty(shape, int))
+            votes[:, :, ell] = np.repeat([1, -1], [n_plus, U - n_plus])
+            stacks.append(votes)
+        (plus, minus), x = detection_rates(np.concatenate(stacks), ell, model, exact)
+        n_plus = np.repeat([n_plus_values[i] for i in batch], R)
+        probs = cer(n_plus, U - n_plus, plus, minus, x).reshape(-1, R)
+        for i, p in zip(batch, probs):
+            stderr = np.std(p, ddof=1) / math.sqrt(R) if R > 1 else 0.0
+            estimates[i] = CerEstimate(float(np.mean(p)), float(stderr))
+    return estimates
 
 
 def vote_averaged_cer(
@@ -317,9 +407,8 @@ def vote_averaged_cer(
 
     The probed vote column is fixed to n_plus ones followed by n_minus
     minus-ones; all remaining vote entries, for every realization at once,
-    are drawn equiprobably in one call. With a
-    single vote per codeword there is nothing to sample and the result is
-    deterministic (stderr 0).
+    are drawn equiprobably in one call. With a single vote per codeword
+    there is nothing to sample and the result is deterministic (stderr 0).
 
     By default the conditional law is the paper's, which approximates the
     test-point energies as independent exponentials; `exact` uses the law
@@ -327,31 +416,7 @@ def vote_averaged_cer(
     consume the same vote draws. The rates of all realizations come as
     (R, n) arrays from one `detection_rates` call, and `cer` races the
     whole stack at once, one race per group of equal finite chain lengths.
+    This is the one-point call of `vote_averaged_cers`.
     """
-    if min(n_plus, n_minus) < 0 or n_plus + n_minus < 1:
-        raise ValueError("need nonnegative vote counts and at least one "
-                         f"transmitter, got n_plus={n_plus}, n_minus={n_minus}")
-    if n_realizations < 1:
-        raise ValueError("need at least one realization")
-    U = n_plus + n_minus
-    M = model.method.votes_per_codeword(model.rp.K)
-    if not 0 <= ell < M:
-        raise ValueError(f"vote position {ell} out of range for M={M}")
-
-    if M == 1:
-        n_realizations = 1
-    elif rng is None:
-        raise ValueError("an rng is required when other votes must be sampled")
-    if n_plus == n_minus:
-        # `cer` counts a true tie as an error whatever the detector does,
-        # so no realization needs its CDF.
-        return CerEstimate(probability=1.0, stderr=0.0)
-
-    shape = (n_realizations, U, M)
-    votes = rng.integers(0, 2, size=shape) * 2 - 1 if M > 1 else np.empty(shape, int)
-    votes[:, :, ell] = np.concatenate([np.ones(n_plus, int), -np.ones(n_minus, int)])
-    (plus, minus), x = detection_rates(votes, ell, model, exact)
-    probs = cer(n_plus, n_minus, plus, minus, x)
-
-    stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if probs.size > 1 else 0.0
-    return CerEstimate(float(np.mean(probs)), float(stderr))
+    return vote_averaged_cers(n_plus + n_minus, [n_plus], model, [rng],
+                              n_realizations, ell, exact)[0]

@@ -382,6 +382,27 @@ class TestCsv:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "a29b0afdf2078e22c8ac9e6208a77e80346a39c14795d45f18b8c95d7560f2e7"
 
+    def test_cer_with_theory_csv_bytes_pinned(self, tmp_path):
+        """sha256 of a small cer run that also writes the cer_theory rows:
+        the rows of both metrics interleave per point, U=6 holds a tie, K=2
+        one vote per coded codeword, and snr inf draws no noise.
+
+        First recorded while the theory still built its law once per n_plus
+        and read the probe diagonals off `probe_moments`' Vandermonde
+        products (sha256 fdf89e1f...0db2a95). Re-recorded when they became
+        the closed forms `channel_power` and `noise_power` at the probe
+        radius, which moved one byte group: the stderr of indexed, K=8, 0 dB,
+        n_plus=4, 7.166458808e-17 -> 7.850462293e-17. Its four realizations
+        have the same error rate in exact arithmetic, so that stderr is
+        rounding residue; every other value of the run is unchanged."""
+        out = tmp_path / "pin.csv"
+        assert main(["cer", "--methods", "m1,m2,m3", "--k", "2,8", "--u", "6",
+                     "--l-e", "2", "--rho", "0.8", "--snr", "0,inf", "--n-plus", "0:6",
+                     "--trials", "300", "--realizations", "4", "--seed", "13",
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "d010ad142014b7b9e5ab8d50284ded4bef5b8ee43f6bd9abd7ddf15e15a2b5d4"
+
 
 # The 16 flags every subcommand takes: --config and one per option.
 FLAGS = {

@@ -739,18 +739,14 @@ class TestVoteAveragedCer:
                                             (math.nan, "strictly positive"),
                                             (math.inf, "strictly positive")])
     def test_bad_mean_fails_in_the_stacked_path(self, monkeypatch, bad, match):
-        """A negative, NaN or infinite mean in one realization's rates is
-        rejected with ValueError, as the one validation, `_inverse`, rejects
-        it for any caller."""
-        moments = theory.probe_moments
-
+        """A negative, NaN or infinite mean in the rates is rejected with
+        ValueError, as the one validation, `_inverse`, rejects it for any
+        caller. The bad value enters where the paper path reads the noise
+        diagonal: `noise_power` at the probes' radius."""
         def spoiled(*args):
-            chan, noise = moments(*args)
-            noise = noise.copy()
-            noise[0, 0] = bad
-            return chan, noise
+            return bad
 
-        monkeypatch.setattr(theory, "probe_moments", spoiled)
+        monkeypatch.setattr(theory, "noise_power", spoiled)
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
             vote_averaged_cer(4, 1, model, n_realizations=5,
@@ -793,6 +789,115 @@ class TestVoteAveragedCer:
         rates, x = rate_sets(votes, 0, model)
         assert x == 0.0
         assert len(rates.rates_plus) == 2 and len(rates.rates_minus) == 2
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("sigma2", [-0.1, math.nan])
+def test_cer_model_rejects_bad_noise(method, sigma2):
+    """A negative or NaN noise level fails when the model is built, not
+    later in the rates."""
+    with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+        make_model(method, 8, sigma2=sigma2)
+
+
+class TestVoteAveragedCers:
+    """The group entry: the points of one (method, K, SNR, ell) against one
+    law."""
+
+    # U = 6: n_plus = 3 is a tie; 2 and 5 err in opposite directions.
+    U, N_PLUS = 6, [0, 2, 3, 5, 6]
+
+    @staticmethod
+    def rngs(points, seed):
+        return [np.random.default_rng([seed, i]) for i in range(len(points))]
+
+    @pytest.mark.parametrize("stack_rows", [None, 7])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_equals_one_call_per_point(self, monkeypatch, method, exact, stack_rows):
+        """Bit for bit the estimates of `vote_averaged_cer` point by point,
+        at K = 2 (M = 1 for the coded schemes), 8 and 32, 0 dB and snr=inf,
+        with a tie inside the group; also when `_STACK_ROWS` splits the
+        group into one-point calls (R = 5 realizations a point)."""
+        if stack_rows is not None:
+            monkeypatch.setattr(theory, "_STACK_ROWS", stack_rows)
+        for K, sigma2 in itertools.product((2, 8, 32), (1.0, 0.0)):
+            model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+            ell = method.votes_per_codeword(K) - 1
+            got = theory.vote_averaged_cers(self.U, self.N_PLUS, model,
+                                            self.rngs(self.N_PLUS, K), 5, ell, exact)
+            want = [vote_averaged_cer(n, self.U - n, model, 5, rng, ell, exact)
+                    for n, rng in zip(self.N_PLUS, self.rngs(self.N_PLUS, K))]
+            assert got == want, (K, sigma2)
+            assert got[2] == theory.CerEstimate(1.0, 0.0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_law_per_group(self, monkeypatch, method):
+        """A group builds one detector form and one set of probe tables and
+        races each error direction in one `cdf_diff_exp_sums` call. The
+        paper's law never forms the probe covariances; the exact law forms
+        them once."""
+        calls = {"form": 0, "tables": 0, "cdf": [], "moments": 0}
+        form, tables = theory.detector_form, theory.probe_tables
+        cdf_calls, moments = theory.cdf_diff_exp_sums, theory.probe_moments
+
+        def counted_form(*args):
+            calls["form"] += 1
+            return form(*args)
+
+        def counted_tables(*args):
+            calls["tables"] += 1
+            return tables(*args)
+
+        def counted_cdf(plus, minus, x):
+            calls["cdf"].append(len(plus))
+            return cdf_calls(plus, minus, x)
+
+        def forbidden(*args):
+            raise AssertionError("the paper's law reads no probe covariance")
+
+        monkeypatch.setattr(theory, "detector_form", counted_form)
+        monkeypatch.setattr(theory, "probe_tables", counted_tables)
+        monkeypatch.setattr(theory, "cdf_diff_exp_sums", counted_cdf)
+        monkeypatch.setattr(theory, "probe_moments", forbidden)
+        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        theory.vote_averaged_cers(self.U, self.N_PLUS, model,
+                                  self.rngs(self.N_PLUS, 1), 9)
+        assert (calls["form"], calls["tables"]) == (1, 1)
+        # Two points a direction, the tie left out.
+        assert calls["cdf"] == [18, 18]
+
+        def counted_moments(*args):
+            calls["moments"] += 1
+            return moments(*args)
+
+        monkeypatch.setattr(theory, "probe_moments", counted_moments)
+        theory.vote_averaged_cers(self.U, self.N_PLUS, model,
+                                  self.rngs(self.N_PLUS, 1), 9, exact=True)
+        assert (calls["form"], calls["tables"], calls["moments"]) == (2, 2, 1)
+
+    def test_each_point_draws_from_its_own_stream(self):
+        """Every point but the tie draws its (R, U, M) votes from its own
+        rng and nothing more, as a call of its own would."""
+        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        rngs = self.rngs(self.N_PLUS, 2)
+        theory.vote_averaged_cers(self.U, self.N_PLUS, model, rngs, 4)
+        for i, (n, rng) in enumerate(zip(self.N_PLUS, rngs)):
+            replay = np.random.default_rng([2, i])
+            if 2 * n != self.U:
+                replay.integers(0, 2, size=(4, self.U, 3))
+            assert rng.random() == replay.random(), n
+
+    @pytest.mark.parametrize("points, match", [
+        ([2, 7], "n_plus=7, n_minus=-1"), ([-1], "n_plus=-1, n_minus=7"),
+    ])
+    def test_bad_counts_fail_before_any_draw(self, points, match):
+        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        rngs = self.rngs(points, 3)
+        with pytest.raises(ValueError, match=match):
+            theory.vote_averaged_cers(self.U, points, model, rngs, 4)
+        for i, rng in enumerate(rngs):
+            assert rng.random() == np.random.default_rng([3, i]).random()
 
 
 def test_theory_curve_is_u_shaped():
