@@ -32,7 +32,10 @@ structure.
 * Uncoded or differential deciding several votes: each user's channel
   values at the probes are drawn jointly, CN(0, C_H), from min(P, L_e)
   normals: a user is nonzero at one probe of each vote, so the decisions
-  of one trial share the channel and C_H's cross terms matter.
+  of one trial share the channel and C_H's cross terms matter. The sum
+  over users is taken before the probe basis: sum_u (h_u @ basis) P_u =
+  (h^T P) contracted with basis, one batched matmul per call and no
+  (n, U, P) product.
 
 The last two rules draw the noise values at the P probes as CN(0, C_W), a
 covariance of `probe_moments`, from as many of its top eigenpairs as its
@@ -209,7 +212,8 @@ class ProbeAggregator:
       deciding one vote) the signal is one normal per probe, scaled by
       `channel_scale`, sqrt(C_H[p, p] / 2), times the root of
       `signal_power`; otherwise each user's channel is drawn likewise from
-      `channel_factor`.
+      `channel_factor`, (n U, k) normals h, and each trial's h^T is
+      multiplied by its users' codeword values before the basis.
 
     Every indexed engine has `one_probe_per_user` set too.
     """
@@ -273,8 +277,11 @@ class ProbeAggregator:
             n, U, _ = packed.shape
             scale, basis = self.channel_factor
             h = complex_normal((n * U, scale.size), scale, rng)
-            hz = (h @ basis).reshape(n, U, -1)
-            r = np.einsum("nup,nup->np", hz, table_product(self.tables, packed))
+            # sum_u (h_u @ basis) * P_u = sum_k basis[k] * (sum_u h_uk P_u):
+            # contract the users first, so no (n, U, P) product is formed.
+            y = np.matmul(h.reshape(n, U, -1).transpose(0, 2, 1),
+                          table_product(self.tables, packed))
+            r = np.einsum("nkp,kp->np", y, basis)
         if self.sigma2 > 0:
             scale, basis = self.noise_factor
             r += complex_normal((r.shape[0], basis.shape[0]), scale, rng) @ basis

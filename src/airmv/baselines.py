@@ -23,9 +23,10 @@ then one unit window z per (trial, position); no taps and no separate
 noise. A sender's first chip is fixed to 1: C is unchanged by a common
 rotation of a sequence, and the remaining phase differences are still
 i.i.d. uniform. The energy is then evaluated in blocks of trials over the
-users that send in the block, their chips scattered into zero-filled
-arrays: silent cells add exact zeros, so the estimates are bitwise those
-of the same evaluation over every user at once.
+users that send in the block, their chips scattered by flat index into
+zero-filled arrays: silent cells add exact zeros, so the estimates are
+bitwise those of the same evaluation over every user at once. The noise
+term sigma2 |z|^2 is added once per call, after the blocks.
 
 OBDA's receiver reads only sign(Re y), so `obda_received` returns the real
 (n, M) statistic Re y, drawn from its law given the votes: with channel
@@ -134,10 +135,12 @@ def goldenbaum_estimate(
     After the draws, blocks of `_GOLDENBAUM_BLOCK` trials are evaluated in
     turn, each over the users that vote +1 somewhere in the block (all
     users if fewer than two do). The block's chips (`_unit_phasors`) are
-    scattered into zero-filled (b, M, u, L_seq) sequences by the block's
-    vote mask, whose C order is the draws'; a silent cell adds exact
-    zeros, so the estimates are bitwise those of the same evaluation over
-    every user at once.
+    scattered into zero-filled (b, M, u, L_seq) sequences at the flat
+    indices of the block's vote mask, whose C order is the draws'; a
+    silent cell adds exact zeros, so the estimates are bitwise those of the
+    same evaluation over every user at once. The sigma2 |z|^2 term is
+    elementwise per (trial, position), so it is added once, after the
+    blocks.
     """
     votes = check_vote_batch(votes)
     if L_seq < 1:
@@ -155,28 +158,31 @@ def goldenbaum_estimate(
     for lo in range(0, n, _GOLDENBAUM_BLOCK):
         block = slice(lo, lo + _GOLDENBAUM_BLOCK)
         mask = sending[block]
-        users = np.any(mask, axis=(0, 1))
+        # `sending` is C-contiguous, so this reshape is a view; a 2-D
+        # reduction is several times faster than np.any over two axes.
+        users = np.logical_or.reduce(mask.reshape(-1, U), axis=0)
         # Keep at least two users: numpy's matmul takes a lone row through
         # another kernel than a stack of rows, which can move a last bit.
         if np.count_nonzero(users) > 1 and not users.all():
             mask = mask[:, :, users]
-        senders = slice(first, first + int(np.count_nonzero(mask)))
+        cells = np.flatnonzero(mask)  # C order: the draws' order
+        senders = slice(first, first + cells.size)
         first = senders.stop
-        chips = np.empty((senders.stop - senders.start, L_seq), dtype=complex)
-        chips[:, 0] = 1.0
-        _unit_phasors(turns[senders], chips[:, 1:])
-        if mask.all():  # every cell sends: the chips are already in place
-            seqs = chips.reshape(mask.shape + (L_seq,))
-        else:
-            seqs = np.zeros(mask.shape + (L_seq,), dtype=complex)
-            seqs[mask] = chips
-        z_b = z[block]
+        # Into a contiguous buffer: through a strided view of the chips the
+        # phasors cost about 3x.
+        phasors = np.empty((cells.size, L_seq - 1), dtype=complex)
+        _unit_phasors(turns[senders], phasors)
+        seqs = np.zeros((mask.size, L_seq), dtype=complex)
+        seqs[cells, 0] = 1.0  # flat indices: far faster than a boolean mask
+        seqs[cells, 1:] = phasors
+        seqs = seqs.reshape(mask.shape + (L_seq,))
         # r[..., u, l] = sum_n s_u[n] conj(z[n + l]): the conjugate of
         # (delayed s_u)^H z, with the same |r|^2.
-        r = seqs @ np.swapaxes(sliding_window_view(z_b.conj(), L_seq, axis=-1), -1, -2)
+        r = seqs @ np.swapaxes(
+            sliding_window_view(z[block].conj(), L_seq, axis=-1), -1, -2)
         energy[block] = 2.0 * (np.sum(r.real**2 + r.imag**2, axis=-2) @ p)
-        if sigma2 > 0:
-            energy[block] += sigma2 * np.sum(z_b.real**2 + z_b.imag**2, axis=-1)
+    if sigma2 > 0:  # elementwise per (trial, position): once for all blocks
+        energy += sigma2 * np.sum(z.real**2 + z.imag**2, axis=-1)
     return (energy - window * sigma2) / L_seq - U
 
 

@@ -23,9 +23,9 @@ complex values (0.5 MB at K = 32, 34 MB at K = 256), reads every method's
 distinct codewords off them and applies `grid_coeffs`.
 
 Every evaluator works row by row, so a row's result does not depend on the
-other rows of its batch. Callers that evaluate random draws from a small
-codebook therefore evaluate each distinct row once (`distinct_rows`) and
-gather the results back to the draws.
+other rows of its batch. `zero_form_eval` therefore evaluates each distinct
+row of its batch once (`distinct_rows`) and gathers the results back, and
+so can any caller that draws from a small codebook.
 """
 
 from __future__ import annotations
@@ -94,16 +94,24 @@ def zero_form_eval(inner: np.ndarray, rp: RadiusParam, points) -> np.ndarray:
     real positive: the product of zero magnitudes is d^(K - 2 n_inner), so
     the coefficient vector has squared norm exactly K + 1. A point on an
     encoded zero meets an exact 0 factor.
+
+    The product over the zeros is formed once per distinct row
+    (`distinct_rows`) and gathered back. Each row is computed alone, so the
+    result is bitwise that of evaluating every row. c_lead is taken on the
+    input's own shape: numpy's power of a scalar and of an array can
+    differ in the last bit, and a 1-D `inner` keeps the scalar's.
     """
     inner = np.asarray(inner, dtype=bool)
     K, d = rp.K, rp.d
     if inner.shape[-1] != K:
         raise ValueError(f"expected {K} selections on the last axis, got {inner.shape}")
     z = np.asarray(points, dtype=complex)
-    zeros = np.where(inner, 1.0 / d, d) * root_phases(K)
-    vals = np.ones(inner.shape[:-1] + z.shape, dtype=complex)
+    rows, inverse = distinct_rows(inner)
+    zeros = np.where(rows, 1.0 / d, d) * root_phases(K)
+    vals = np.ones(rows.shape[:-1] + z.shape, dtype=complex)
     for k in range(K):
-        vals *= z - zeros[..., k, np.newaxis]
+        vals *= z - zeros[:, k, np.newaxis]
+    vals = vals[inverse]
     n_inner = np.count_nonzero(inner, axis=-1)
     c_lead = math.sqrt(rp.eta * (K + 1)) * d ** (n_inner - K / 2)
     vals *= np.asarray(c_lead)[..., np.newaxis]

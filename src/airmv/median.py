@@ -9,7 +9,11 @@ it error-free on the downlink.
 
 Each round's (R, U, M) votes go to one `aggregate(votes, rng)` backend,
 which `airmv.aggregation.backend` builds once per run, deciding every vote
-position: the same constructor the error-rate Monte Carlo calls.
+position: the same constructor the error-rate Monte Carlo calls. The true
+medians the RMSE is measured against come from one partition at the two
+middle ranks (`true_medians`), the values of `np.median` without the NaN
+check that imports `numpy.ma`, so a round costs little more than its
+draws and a run imports no `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "local_votes",
     "median_step",
     "run_median",
+    "true_medians",
     "votes_per_round",
 ]
 
@@ -100,6 +105,22 @@ def votes_per_round(name: str, K: int) -> int:
     return Method.from_name(name).votes_per_codeword(K)
 
 
+def true_medians(params: np.ndarray) -> np.ndarray:
+    """Per-parameter medians over the devices: (..., U, M) -> (..., M).
+
+    One partition at the two middle ranks, then (lo + hi) / 2, as
+    `np.median` computes it: bitwise equal for finite values, odd U
+    included (x + x is exact, and so is halving it), except that a median
+    of -0.0 keeps its sign where `np.median` returns +0.0, which no
+    squared error sees. `np.median`'s NaN check imports `numpy.ma`, about
+    15 ms per process; this imports nothing.
+    """
+    U = params.shape[-2]
+    lo, hi = (U - 1) // 2, U // 2
+    part = np.partition(params, sorted({lo, hi}), axis=-2)
+    return (part[..., lo, :] + part[..., hi, :]) / 2.0
+
+
 def run_median(
     name: str,
     K: int,
@@ -123,7 +144,7 @@ def run_median(
 
     rng = stream(seed, *key)
     params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(realizations, U, M))
-    true_median = np.median(params, axis=-2)
+    true_median = true_medians(params)
 
     mv = backend(name, K, pdp_cfg, sigma2)
     state = MedianState(estimates=np.zeros((realizations, M)), rounds=rounds)

@@ -380,6 +380,43 @@ def test_indexed_draws_senders_then_noise(sigma2, positions):
     np.testing.assert_allclose(r, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
+def multi_vote_reference(engine, votes, rng):
+    """R(z_p) of the multi-vote rule as a per-user product: each user's
+    channel at the probes, (h @ basis), times its codeword values, summed
+    over the users; then the noise."""
+    packed = aggregation._packed(votes, engine.ctx.n_votes)
+    n, U, _ = packed.shape
+    scale, basis = engine.channel_factor
+    h = complex_normal((n * U, scale.size), scale, rng)
+    hz = (h @ basis).reshape(n, U, -1)
+    r = np.einsum("nup,nup->np", hz, table_product(engine.tables, packed))
+    if engine.sigma2 > 0:
+        scale, basis = engine.noise_factor
+        r += complex_normal((n, basis.shape[0]), scale, rng) @ basis
+    return r
+
+
+@pytest.mark.parametrize("sigma2", [0.1, 0.0])
+@pytest.mark.parametrize("method, K", [
+    (Method.UNCODED, 2), (Method.UNCODED, 8), (Method.UNCODED, 32),
+    # A differential codeword at K = 2 carries one vote: the one-probe rule.
+    (Method.DIFFERENTIAL, 4), (Method.DIFFERENTIAL, 8), (Method.DIFFERENTIAL, 32),
+])
+def test_multi_vote_signal_contracts_the_users_first(method, K, sigma2):
+    """Contracting each trial's channel draw with its codeword rows before
+    the probe basis reassociates the sum only: the per-user product's
+    values to 1e-12 relative, from the same draws."""
+    engine = ProbeAggregator(method, K, PdpConfig(5), sigma2)
+    assert not engine.one_probe_per_user
+    votes = np.random.default_rng(K).integers(0, 2, size=(60, 7, engine.ctx.n_votes)) * 2 - 1
+    rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+    got = engine.received(votes, rng)
+    expected = multi_vote_reference(engine, votes, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
 def test_indexed_engines_build_without_eigh(monkeypatch):
     """No eigendecomposition and no probe covariance: an indexed engine
     builds from the closed forms and draws, at any K and positions, while

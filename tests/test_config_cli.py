@@ -230,6 +230,27 @@ class TestCsv:
         # thread count appears only in the echo comment; data rows identical
         assert texts[0].splitlines()[1:] == texts[1].splitlines()[1:]
 
+    @pytest.mark.parametrize("experiment, overrides", [
+        ("rmse", dict(methods=("ideal", "uncoded", "differential", "indexed",
+                               "goldenbaum", "obda_phase"),
+                      k_values=(4, 8), snr_db=(5.0, math.inf), rounds=15,
+                      realizations=4, n_plus=None)),
+        ("theory", dict(methods=("uncoded", "differential", "indexed"),
+                        k_values=(4, 8), snr_db=(0.0, 10.0), n_plus=(1, 3, 4),
+                        realizations=5)),
+    ])
+    def test_sweep_bytes_do_not_depend_on_threads(self, tmp_path, experiment, overrides):
+        """The rmse and theory sweeps write the same data rows at one and two
+        threads; only the echo line names the thread count."""
+        texts = []
+        for threads in (1, 2):
+            cfg = make_cfg(experiment=experiment, threads=threads, **overrides)
+            texts.append(write_csv(run_experiment(cfg), cfg,
+                                   out=str(tmp_path / f"{experiment}{threads}.csv")))
+        first, second = (text.splitlines() for text in texts)
+        assert "threads=1" in first[0] and "threads=2" in second[0]
+        assert len(first) > 2 and first[1:] == second[1:]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = make_cfg(trials=1_000, methods=("differential",), realizations=2)
         a = write_csv(run_experiment(cfg), cfg, out=str(tmp_path / "a.csv"))

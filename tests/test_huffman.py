@@ -169,6 +169,21 @@ class TestZeroFormEval:
         with pytest.raises(ValueError):
             zero_form_eval(np.zeros((2, 5), bool), radius_param(4), [1.0])
 
+    @pytest.mark.parametrize("K", [2, 8, 33])
+    def test_repeated_rows_evaluate_as_rows_alone(self, K):
+        """The distinct rows are evaluated once and gathered back: bitwise
+        each row's own evaluation, whatever its batch."""
+        rng = np.random.default_rng(K)
+        rows = rng.integers(0, 2, size=(5, K)).astype(bool)
+        inner = rows[rng.integers(0, 5, size=(4, 6))]
+        pts = np.concatenate([root_phases(K + 1), [1.3 - 0.4j]])
+        vals = zero_form_eval(inner, radius_param(K), pts)
+        assert vals.shape == (4, 6, K + 2)
+        for i, j in np.ndindex(4, 6):
+            alone = zero_form_eval(inner[i, j][np.newaxis], radius_param(K), pts)[0]
+            np.testing.assert_array_equal(vals[i, j], alone)
+        assert zero_form_eval(inner[:0], radius_param(K), pts).shape == (0, 6, K + 2)
+
 
 class TestPolyEval:
     def test_hand_example(self):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from airmv.channel import PdpConfig
-from airmv.median import MedianState, local_votes, median_step, run_median
+from airmv.median import MedianState, local_votes, median_step, run_median, true_medians
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestMedianState:
@@ -128,3 +135,37 @@ class TestRunMedian:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             run_median("bogus", 8, 9, 10, 5, PdpConfig(1), 0.1, seed=5)
+
+
+class TestTrueMedians:
+    @pytest.mark.parametrize("U", [1, 2, 3, 24, 25])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bitwise_equal_to_np_median(self, U, ties):
+        """One partition at the two middle ranks, (lo + hi) / 2: the bits of
+        np.median at odd and even U, with tied middle values too."""
+        rng = np.random.default_rng(U)
+        params = rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), size=(200, U, 3))
+        if ties:  # a few levels, so the middle ranks often hold equal values
+            params = np.floor(params * 2.0) / 3.0  # floor makes no -0.0
+        got = true_medians(params)
+        assert got.shape == (200, 3)
+        np.testing.assert_array_equal(got, np.median(params, axis=-2))
+        assert np.array_equal(np.signbit(got), np.signbit(np.median(params, axis=-2)))
+
+    def test_an_rmse_run_does_not_import_numpy_ma(self, tmp_path):
+        """np.median's NaN check imports numpy.ma (about 15 ms a process);
+        no rmse backend needs it."""
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        code = (
+            "import sys\n"
+            "from airmv.cli import main\n"
+            "main(['rmse', '--methods', 'ideal,m1,m2,m3,goldenbaum,obda,obda_phase,"
+            "obda_no_tci', '--k', '8', '--u', '6', '--rounds', '3',"
+            " '--realizations', '4', '--seed', '2', '--out', sys.argv[1]])\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.csv")],
+                             env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
+        assert (tmp_path / "r.csv").stat().st_size > 0
