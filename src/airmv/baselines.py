@@ -22,11 +22,19 @@ law of z^H C z with z ~ CN(0, I): both are sum_i lambda_i(C) Exp(1)
 then one unit window z per (trial, position); no taps and no separate
 noise. A sender's first chip is fixed to 1: C is unchanged by a common
 rotation of a sequence, and the remaining phase differences are still
-i.i.d. uniform. The energy is then evaluated in blocks of trials over the
-users that send in the block, their chips scattered by flat index into
-zero-filled arrays: silent cells add exact zeros, so the estimates are
-bitwise those of the same evaluation over every user at once. The noise
-term sigma2 |z|^2 is added once per call, after the blocks.
+i.i.d. uniform. The energy is then evaluated in blocks of trials, in one
+of two orders of the same quadratic form picked from (L_seq, L_e) alone.
+Short sequences (L_seq - 1 <= L_e) take the Gram order: each (trial,
+position) sums its senders' chip products into their Gram matrix, which
+meets the window's tap-weighted products; every sum is per cell, so the
+estimates do not depend on the blocks. Longer ones take the correlation
+order: the senders' chips, scattered by flat index into zero-filled
+arrays over the users that send in the block, are correlated with the
+window and summed over the users in sequence, so silent cells add exact
+zeros and the estimates are bitwise those of the same evaluation over
+every user at once. The orders differ in the last bits of an estimate
+only. The noise term sigma2 |z|^2 is added once per call, after the
+blocks.
 
 OBDA's receiver reads only sign(Re y), so `obda_received` returns the real
 (n, M) statistic Re y, drawn from its law given the votes: with channel
@@ -102,6 +110,120 @@ def _unit_phasors(turns: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chips(turns: np.ndarray) -> np.ndarray:
+    """The chips e^{2 pi i turns} of a block's senders, through
+    `_unit_phasors` into a new contiguous buffer: through a strided view
+    the phasors cost about 3x. A lone chip is computed beside a dummy one:
+    numpy's one-element in-place complex product rounds differently from
+    its vector loop, which would tie the chip's last bit to the block."""
+    if turns.size == 1:
+        return _chips(np.append(turns, 0.0))[:1].reshape(turns.shape)
+    return _unit_phasors(turns, np.empty(turns.shape, dtype=complex))
+
+
+def _gram_order(L_seq: int, L_e: int) -> bool:
+    """Whether `goldenbaum_estimate` sums its energy in Gram order: when a
+    sender's L_seq (L_seq - 1) / 2 chip pairs are at most half of its
+    L_seq L_e correlation terms, that is when L_seq - 1 <= L_e."""
+    return L_seq - 1 <= L_e
+
+
+def _correlation_block(mask, turns, p, z, out) -> int:
+    """One block's energies in correlation order into `out` (b, M); returns
+    the number of senders, whose chip turns `turns` starts with.
+
+    The block is evaluated over the users that vote +1 somewhere in it
+    (all users if fewer than two do). Their chips are scattered into
+    zero-filled (b, M, u, L_seq) sequences at the flat indices of the vote
+    mask, whose C order is the draws'.
+    """
+    L_seq, L_e = turns.shape[1] + 1, p.size
+    # A 2-D reduction is several times faster than np.any over two axes.
+    users = np.logical_or.reduce(mask.reshape(-1, mask.shape[-1]), axis=0)
+    # Keep at least two users: numpy's matmul takes a lone row through
+    # another kernel than a stack of rows, which can move a last bit.
+    if np.count_nonzero(users) > 1 and not users.all():
+        mask = mask[:, :, users]
+    cells = np.flatnonzero(mask)  # C order: the draws' order
+    phasors = _chips(turns[: cells.size])
+    seqs = np.zeros((mask.size, L_seq), dtype=complex)
+    seqs[cells, 0] = 1.0  # flat indices: far faster than a boolean mask
+    seqs[cells, 1:] = phasors
+    seqs = seqs.reshape(mask.shape + (L_seq,))
+    # r[..., u, l] = sum_n s_u[n] conj(z[n + l]): the conjugate of
+    # (delayed s_u)^H z, with the same |r|^2.
+    r = seqs @ np.swapaxes(sliding_window_view(z.conj(), L_seq, axis=-1), -1, -2)
+    power = r.real**2 + r.imag**2
+    # The users are summed in sequence, so a silent user's exact zero
+    # leaves the sum as it is. np.sum does so along an outer axis, but at
+    # L_e = 1 the users axis is the contiguous one, which it sums pairwise.
+    if L_e == 1:
+        power = np.cumsum(power, axis=-2)[..., -1, :]
+    else:
+        power = np.sum(power, axis=-2)
+    out[...] = 2.0 * (power @ p)
+    return cells.size
+
+
+def _gram_block(counts, turns, p, z, out) -> int:
+    """One block's energies in Gram order into `out` (b, M); returns the
+    number of senders, whose chip turns `turns` starts with.
+
+    `counts` (b, M) holds each (trial, position) cell's senders S_c, which
+    are contiguous in draw order. With the senders' Gram matrix G = sum s
+    s^H and the window's Z[a, b] = sum_l p_l conj(z[a + l]) z[b + l], the
+    energy 2 sum_u sum_l p_l |s_u^H z_l|^2 is 2 sum_{a, b} G[a, b] Z[a, b]
+    = 2 (S_c sum_a Z[a, a] + 2 Re sum_{a < b} G[a, b] Z[a, b]): the chips
+    are unimodular, so G[a, a] = S_c. One `np.add.reduceat` sums each
+    cell's chip products s[a] conj(s[b]). Cells run along the last axis,
+    and every sum over another axis runs over (re, im) float pairs, so it
+    never collapses into a sum along the cells: each cell's sums take the
+    same order whatever the block.
+    """
+    L_seq, L_e = turns.shape[1] + 1, p.size
+    counts = counts.reshape(-1)
+    cells = np.flatnonzero(counts)
+    partial = cells.size < counts.size
+    size = counts[cells]
+    S = int(size.sum())
+    x = _chips(turns[:S])
+    # Chip products of the pairs a < b in row-major order, per sender;
+    # s[0] = 1 and s[b] = x[b - 1], so the pairs (0, b) are conj(x).
+    pairs = [(a, b) for a in range(L_seq) for b in range(a + 1, L_seq)]
+    prods = np.empty((len(pairs), S), dtype=complex)
+    # One product per pair: for a lone sender, a chip broadcast over
+    # several pairs goes through another numpy loop, which rounds
+    # differently.
+    xc = prods[: L_seq - 1]
+    np.conjugate(x.T, out=xc)
+    for row, (a, b) in enumerate(pairs[L_seq - 1 :], L_seq - 1):
+        np.multiply(x[:, a - 1], xc[b - 1], out=prods[row])
+    gram = np.add.reduceat(prods, np.cumsum(size) - size, axis=1)
+    zt = z.reshape(-1, z.shape[-1])
+    zt = (zt[cells] if partial else zt).T.copy()  # (window, cells)
+    # sum_a Z[a, a] = sum_k q_k |z[k]|^2, q = p * ones(L_seq).
+    sq = np.square(zt.view(float))
+    sq *= np.convolve(p, np.ones(L_seq))[:, np.newaxis]
+    trace = np.sum(sq, axis=0)
+    # w[l, j] = z[a_j + l] conj(z[b_j + l]), so Re(G Z) = G . w in floats.
+    ia, ib = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    lags = np.arange(L_e)[:, np.newaxis]
+    w = np.take(zt, (ia + lags).ravel(), axis=0) * np.take(
+        zt.conj(), (ib + lags).ravel(), axis=0)
+    wf = w.view(float).reshape(L_e, -1)
+    wf *= p[:, np.newaxis]
+    zw = np.sum(wf, axis=0).reshape(len(pairs), 2 * cells.size)
+    cross = np.sum(zw * gram.view(float), axis=0)
+    energy = 2.0 * (size * (trace[0::2] + trace[1::2])
+                    + 2.0 * (cross[0::2] + cross[1::2]))
+    if partial:
+        out[...] = 0.0
+        out.reshape(-1)[cells] = energy
+    else:
+        out.reshape(-1)[...] = energy
+    return S
+
+
 def goldenbaum_estimate(
     votes, rng: np.random.Generator, L_seq: int, pdp_cfg: PdpConfig, sigma2: float
 ) -> np.ndarray:
@@ -133,14 +255,26 @@ def goldenbaum_estimate(
     phase differences are i.i.d. uniform.
 
     After the draws, blocks of `_GOLDENBAUM_BLOCK` trials are evaluated in
-    turn, each over the users that vote +1 somewhere in the block (all
-    users if fewer than two do). The block's chips (`_unit_phasors`) are
-    scattered into zero-filled (b, M, u, L_seq) sequences at the flat
-    indices of the block's vote mask, whose C order is the draws'; a
-    silent cell adds exact zeros, so the estimates are bitwise those of the
-    same evaluation over every user at once. The sigma2 |z|^2 term is
-    elementwise per (trial, position), so it is added once, after the
-    blocks.
+    turn, their chips through `_unit_phasors`, in one of two orders of the
+    same quadratic form, chosen from (L_seq, L_e) alone by `_gram_order`:
+
+    - Gram order when L_seq - 1 <= L_e (K <= 16 at L_e = 5, K = 4 at L_e
+      = 1), where a sender's L_seq (L_seq - 1) / 2 chip pairs are at most
+      half of its L_seq L_e correlation terms: per (trial, position) the
+      senders' chip products s[a] conj(s[b]), a < b, are summed into their
+      Gram matrix and contracted with the window's tap-weighted products
+      (`_gram_block`). Every sum is per cell, so the estimates are bitwise
+      the same wherever the blocks fall.
+    - Correlation order otherwise: each sender's sequence is correlated
+      with the window at every delay and |r|^2 summed in sequence over the
+      users that send in the block (`_correlation_block`). A silent cell
+      adds exact zeros, so the estimates are bitwise those of the same
+      evaluation over every user at once.
+
+    The two orders differ in the last bits of an estimate only (below 1e-15
+    of the largest in sampled cases), and the decisions read its sign. The
+    sigma2 |z|^2 term is elementwise per (trial, position), so it is added
+    once, after the blocks.
     """
     votes = check_vote_batch(votes)
     if L_seq < 1:
@@ -149,6 +283,11 @@ def goldenbaum_estimate(
     n, U, M = votes.shape
     sending = np.swapaxes(votes, -1, -2) > 0  # (n, M, U)
     S = int(np.count_nonzero(sending))
+    if _gram_order(L_seq, pdp_cfg.L_e):
+        # The Gram order reads only the senders of each (trial, position).
+        evaluate, sending = _gram_block, sending @ np.ones(U, dtype=np.intp)
+    else:
+        evaluate = _correlation_block
     turns = rng.random((S, L_seq - 1))
     window = L_seq + pdp_cfg.L_e - 1
     z = complex_normal((n, M, window), math.sqrt(0.5), rng)
@@ -157,30 +296,7 @@ def goldenbaum_estimate(
     first = 0  # the block's first sender in draw order
     for lo in range(0, n, _GOLDENBAUM_BLOCK):
         block = slice(lo, lo + _GOLDENBAUM_BLOCK)
-        mask = sending[block]
-        # `sending` is C-contiguous, so this reshape is a view; a 2-D
-        # reduction is several times faster than np.any over two axes.
-        users = np.logical_or.reduce(mask.reshape(-1, U), axis=0)
-        # Keep at least two users: numpy's matmul takes a lone row through
-        # another kernel than a stack of rows, which can move a last bit.
-        if np.count_nonzero(users) > 1 and not users.all():
-            mask = mask[:, :, users]
-        cells = np.flatnonzero(mask)  # C order: the draws' order
-        senders = slice(first, first + cells.size)
-        first = senders.stop
-        # Into a contiguous buffer: through a strided view of the chips the
-        # phasors cost about 3x.
-        phasors = np.empty((cells.size, L_seq - 1), dtype=complex)
-        _unit_phasors(turns[senders], phasors)
-        seqs = np.zeros((mask.size, L_seq), dtype=complex)
-        seqs[cells, 0] = 1.0  # flat indices: far faster than a boolean mask
-        seqs[cells, 1:] = phasors
-        seqs = seqs.reshape(mask.shape + (L_seq,))
-        # r[..., u, l] = sum_n s_u[n] conj(z[n + l]): the conjugate of
-        # (delayed s_u)^H z, with the same |r|^2.
-        r = seqs @ np.swapaxes(
-            sliding_window_view(z[block].conj(), L_seq, axis=-1), -1, -2)
-        energy[block] = 2.0 * (np.sum(r.real**2 + r.imag**2, axis=-2) @ p)
+        first += evaluate(sending[block], turns[first:], p, z[block], energy[block])
     if sigma2 > 0:  # elementwise per (trial, position): once for all blocks
         energy += sigma2 * np.sum(z.real**2 + z.imag**2, axis=-1)
     return (energy - window * sigma2) / L_seq - U

@@ -209,13 +209,34 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             for q, tag in quantiles:
                 rows.append(ResultRow(
                     metric=f"pmepr_dfts_{tag}_db",
-                    value=float(np.quantile(samples, q)), **common,
+                    value=_quantile(samples, q), **common,
                 ))
             rows.append(ResultRow(metric="pmepr_dfts_mean_db",
                                   value=float(samples.mean()), **common))
             rows.append(ResultRow(metric="pmepr_dfts_max_db",
                                   value=float(samples.max()), **common))
     return rows
+
+
+def _quantile(samples: np.ndarray, q: float) -> float:
+    """`np.quantile(samples, q)` of 1-D samples, 0 <= q <= 1, in its
+    default linear method, without the `np.unique` call that imports
+    numpy.ma: the ranks around (n - 1) q (the largest sample, at index -1,
+    from n - 1 on), one partition at the same ranks as numpy's, then its
+    two-sided interpolation (`_lerp`), which steps down from the upper
+    rank when the fraction is at least 1/2. Bitwise equal for finite
+    samples, signed zeros included."""
+    index = (samples.size - 1) * q
+    if index < samples.size - 1:
+        lo = math.floor(index)
+        hi = lo + 1
+    else:
+        lo = hi = -1
+    part = np.partition(samples, sorted({0, -1, lo, hi}))
+    a, b = part[lo], part[hi]
+    t = index - lo
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
 def _run_resources(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -19,6 +19,7 @@ import airmv.baselines
 from airmv.aggregation import backend as build_backend
 from airmv.baselines import (
     BASELINES,
+    _gram_order,
     _unit_phasors,
     default_sequence_length,
     goldenbaum_aggregate,
@@ -27,6 +28,8 @@ from airmv.baselines import (
     obda_received,
 )
 from airmv.channel import PdpConfig, awgn, complex_normal, sample_channel, superpose
+from airmv.config import build_config
+from airmv.experiments import run_experiment, write_csv
 from airmv.median import MedianState, local_votes, median_step, run_median
 from airmv.simulate import (
     _count_mv_errors,
@@ -58,8 +61,9 @@ def goldenbaum_draws(rng, votes, L_seq, pdp_cfg):
 
 
 def goldenbaum_reference(votes, rng, L_seq, pdp_cfg, sigma2):
-    """Estimates of the full-batch evaluation: every user's chips, silent
-    ones zeroed, correlated with the window in one matmul over the batch."""
+    """Estimates of the full-batch evaluation in correlation order: every
+    user's chips, silent ones zeroed, correlated with the window in one
+    matmul over the batch, the users' |r|^2 summed in sequence."""
     n, U, M = votes.shape
     turns, z = goldenbaum_draws(rng, votes, L_seq, pdp_cfg)
     seqs = np.empty(turns.shape, dtype=complex)
@@ -67,7 +71,8 @@ def goldenbaum_reference(votes, rng, L_seq, pdp_cfg, sigma2):
     _unit_phasors(turns[..., 1:], seqs[..., 1:])
     seqs[np.swapaxes(votes, -1, -2) < 0] = 0.0
     r = seqs @ np.swapaxes(sliding_window_view(z.conj(), L_seq, axis=-1), -1, -2)
-    energy = 2.0 * (np.sum(r.real**2 + r.imag**2, axis=-2) @ pdp_cfg.taps)
+    power = np.cumsum(r.real**2 + r.imag**2, axis=-2)[..., -1, :]
+    energy = 2.0 * (power @ pdp_cfg.taps)
     if sigma2 > 0:
         energy += sigma2 * np.sum(z.real**2 + z.imag**2, axis=-1)
     return (energy - z.shape[-1] * sigma2) / L_seq - U
@@ -145,6 +150,33 @@ def goldenbaum_loop(votes, rng, L_seq, pdp_cfg, sigma2):
     window = L_seq + pdp_cfg.L_e - 1
     energy = goldenbaum_loop_energy(votes, rng, L_seq, pdp_cfg, sigma2)
     return np.sign((energy - window * sigma2) / L_seq - votes.shape[1]).astype(int)
+
+
+# The evaluation block of `goldenbaum_estimate` as shipped.
+DEFAULT_BLOCK = airmv.baselines._GOLDENBAUM_BLOCK
+
+
+def assert_gram_order(votes, L_seq, pdp_cfg, sigma2):
+    """Gram-order estimates are bitwise the same in blocks of 1, 7 and the
+    default number of trials, leave the rng where a replay of the draws
+    does, and read z^H C z of the per-user loop to rtol 1e-12 (atol 1e-12
+    U L_seq: est + U rounds a small energy at the scale of U)."""
+    n, U, M = votes.shape
+    estimates = []
+    for block in (1, 7, DEFAULT_BLOCK):
+        rng, replay = np.random.default_rng(17), np.random.default_rng(17)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(airmv.baselines, "_GOLDENBAUM_BLOCK", block)
+            estimates.append(goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2))
+        goldenbaum_draws(replay, votes, L_seq, pdp_cfg)
+        assert rng.bit_generator.state == replay.bit_generator.state
+    for est in estimates[1:]:
+        np.testing.assert_array_equal(est, estimates[0])
+    energy = goldenbaum_loop_energy(votes, np.random.default_rng(17), L_seq, pdp_cfg,
+                                    sigma2)
+    window = L_seq + pdp_cfg.L_e - 1
+    np.testing.assert_allclose((estimates[0] + U) * L_seq + window * sigma2, energy,
+                               rtol=1e-12, atol=1e-12 * U * L_seq)
 
 
 def obda_loop(votes, rng, sigma2, phase_errors=False, tci=True, truncation=0.2):
@@ -278,8 +310,10 @@ class TestGoldenbaumDecode:
 
 
 class TestGoldenbaumBlocks:
-    """The block evaluation over sending users makes the full-batch chain's
-    draws and estimates, bit for bit, wherever the blocks fall."""
+    """The block evaluation makes the full-batch chain's draws, and
+    estimates that do not depend on where the blocks fall: in correlation
+    order the full-batch chain's bit for bit, in Gram order z^H C z of the
+    per-user loop (`assert_gram_order`)."""
 
     # Trial counts past the first block that end inside a later one, at the
     # 1024-trial block (4, 2 and 2 full blocks first) as at 2048 (2, 1, 1).
@@ -298,6 +332,9 @@ class TestGoldenbaumBlocks:
         return np.full((n, U, M), 1 if kind == "all" else -1)
 
     def assert_matches_reference(self, votes, L_seq, pdp_cfg, sigma2):
+        if _gram_order(L_seq, pdp_cfg.L_e):
+            assert_gram_order(votes, L_seq, pdp_cfg, sigma2)
+            return
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
         got = goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2)
         expected = goldenbaum_reference(votes, ref_rng, L_seq, pdp_cfg, sigma2)
@@ -335,6 +372,45 @@ class TestGoldenbaumBlocks:
             self.assert_matches_reference(
                 self.votes(kind, 40, 6, 3), 4, PdpConfig(3, 0.8), 0.2
             )
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("L_seq, L_e", [(7, 5), (5, 3)])
+    def test_correlation_order_does_not_depend_on_block_boundaries(
+            self, monkeypatch, L_seq, L_e, block):
+        assert not _gram_order(L_seq, L_e)
+        monkeypatch.setattr(airmv.baselines, "_GOLDENBAUM_BLOCK", block)
+        for kind in ("random", "sparse"):
+            self.assert_matches_reference(
+                self.votes(kind, 40, 6, 3), L_seq, PdpConfig(L_e, 0.8), 0.2
+            )
+
+    @pytest.mark.parametrize("block", [1, 7, DEFAULT_BLOCK])
+    @pytest.mark.parametrize("U", [9, 25, 40])
+    def test_single_tap_sums_the_users_in_sequence(self, monkeypatch, U, block):
+        """At L_e = 1 the users axis of |r|^2 is the contiguous one, along
+        which np.sum adds pairwise: the sum runs in sequence instead, so a
+        block that leaves out its silent users keeps the full batch's bits
+        (the vote kinds leave out about half, some and most users)."""
+        monkeypatch.setattr(airmv.baselines, "_GOLDENBAUM_BLOCK", block)
+        for L_seq in (3, 7):
+            assert not _gram_order(L_seq, 1)
+            for kind in ("column", "random", "sparse"):
+                self.assert_matches_reference(
+                    self.votes(kind, 60, U, 2), L_seq, PdpConfig(1), 0.1
+                )
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.2])
+    @pytest.mark.parametrize("L_e", [1, 3, 5])
+    @pytest.mark.parametrize("L_seq", [1, 2, 3, 4])
+    def test_gram_order_reads_the_quadratic_form(self, monkeypatch, L_seq, L_e, sigma2):
+        """The Gram order at every (L_seq, L_e), forced where the rule
+        would take the correlation order, on random votes and on sparse
+        single-position ones: empty cells, lone senders and lone chips."""
+        monkeypatch.setattr(airmv.baselines, "_gram_order", lambda L_seq, L_e: True)
+        pdp_cfg = PdpConfig(L_e, 0.8)
+        assert_gram_order(self.votes("random", 24, 6, 3), L_seq, pdp_cfg, sigma2)
+        sparse = np.where(np.random.default_rng(3).random((40, 5, 1)) < 0.15, 1, -1)
+        assert_gram_order(sparse, L_seq, pdp_cfg, sigma2)
 
     @pytest.mark.parametrize("L_seq", [1, 5])
     @pytest.mark.parametrize("kind", ["column", "random", "sparse"])
@@ -811,3 +887,23 @@ def test_run_median_matches_a_per_trial_loop(name):
         state = median_step(state, loop(local_votes(state, params), rng))
         expected[i] = math.sqrt(np.mean((state.estimates - true_median) ** 2))
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("L_e", [1, 3, 5])
+@pytest.mark.parametrize("experiment", ["cer", "rmse"])
+def test_csv_bytes_do_not_depend_on_the_evaluation_order(
+        monkeypatch, tmp_path, experiment, L_e):
+    """The goldenbaum cer and rmse CSVs at K = 4, 8 and 16 (L_seq = 2, 3
+    and 4), noisy and noiseless, are byte for byte the same with every
+    call in Gram order and in correlation order: the orders differ in the
+    last bits of an estimate, and the decisions read only its sign."""
+    cfg = build_config(experiment, {}, dict(
+        seed=11, k_values=(4, 8, 16), U=9, L_e=L_e, rho=0.8, methods=("goldenbaum",),
+        snr_db=(10.0, math.inf), trials=2_000, rounds=40, realizations=20, threads=1,
+    ))
+    texts = []
+    for gram in (True, False):
+        monkeypatch.setattr(airmv.baselines, "_gram_order", lambda L_seq, L_e: gram)
+        texts.append(write_csv(run_experiment(cfg), cfg, out=str(tmp_path / f"{gram}.csv")))
+    assert len(texts[0].splitlines()) > 2
+    assert texts[0] == texts[1]

@@ -144,6 +144,20 @@ class TestValidation:
         assert main(argv) == 0 and out.exists()
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000])
+def test_pmepr_quantile_is_numpys(n):
+    """The pmepr sweep's partition quantile is bitwise np.quantile's
+    default linear method, on distinct and on tied samples, and leaves the
+    samples as they were."""
+    rng = np.random.default_rng(n)
+    for samples in (rng.standard_normal(n) * 3 + 5, np.round(rng.standard_normal(n), 1)):
+        before = samples.copy()
+        for q in (0.5, 0.9, 0.99, 0.999):
+            got, expected = experiments._quantile(samples, q), np.quantile(samples, q)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        np.testing.assert_array_equal(samples, before)
+
+
 class TestRunners:
     def test_cer_rows_and_determinism(self):
         cfg = make_cfg(methods=("differential", "goldenbaum"),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airmv.channel import PdpConfig
+from airmv.config import EXPERIMENTS
 from airmv.median import MedianState, local_votes, median_step, run_median, true_medians
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -152,17 +153,35 @@ class TestTrueMedians:
         np.testing.assert_array_equal(got, np.median(params, axis=-2))
         assert np.array_equal(np.signbit(got), np.signbit(np.median(params, axis=-2)))
 
-    def test_an_rmse_run_does_not_import_numpy_ma(self, tmp_path):
-        """np.median's NaN check imports numpy.ma (about 15 ms a process);
-        no rmse backend needs it."""
+    # One small run of every subcommand; rmse runs every backend.
+    RUNS = {
+        "cer": ["--methods", "m1,m2,m3,goldenbaum,obda", "--k", "8", "--u", "6",
+                "--trials", "200", "--n-plus", "2,4", "--realizations", "2"],
+        "snr": ["--methods", "m1,goldenbaum,obda", "--k", "8", "--u", "6",
+                "--trials", "200", "--n-plus", "4", "--snr", "0,10",
+                "--realizations", "2"],
+        "theory": ["--methods", "m1,m2,m3", "--k", "8", "--u", "6", "--n-plus", "4",
+                   "--realizations", "2"],
+        "pmepr": ["--methods", "m1,m2,m3", "--k", "8", "--codewords", "50"],
+        "resources": ["--methods", "m1,m2,m3", "--k", "8", "--u", "6"],
+        "rmse": ["--methods", "ideal,m1,m2,m3,goldenbaum,obda,obda_phase,obda_no_tci",
+                 "--k", "8", "--u", "6", "--rounds", "3", "--realizations", "4"],
+    }
+
+    def test_every_subcommand_has_a_run(self):
+        assert set(self.RUNS) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("experiment", sorted(RUNS))
+    def test_a_run_does_not_import_numpy_ma(self, tmp_path, experiment):
+        """np.median's NaN check and np.quantile's np.unique import numpy.ma
+        (about 15 ms a process); no subcommand needs it."""
         path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        argv = [experiment, *self.RUNS[experiment], "--seed", "2"]
         code = (
             "import sys\n"
             "from airmv.cli import main\n"
-            "main(['rmse', '--methods', 'ideal,m1,m2,m3,goldenbaum,obda,obda_phase,"
-            "obda_no_tci', '--k', '8', '--u', '6', '--rounds', '3',"
-            " '--realizations', '4', '--seed', '2', '--out', sys.argv[1]])\n"
+            f"main({argv!r} + ['--out', sys.argv[1]])\n"
             "print('numpy.ma' in sys.modules)"
         )
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "r.csv")],
