@@ -9,37 +9,33 @@ decides with the detector's `DetectorForm.decide`, as `decode` does on the
 time-domain chain it is tested against.
 
 Each trial draws only what the detector reads, the signal first and then,
-when sigma2 > 0, the noise, by one of three rules chosen from the probe
-structure.
+when sigma2 > 0, the noise. The signal follows one of two rules, chosen
+from the probe structure.
 
-* Indexed, at any `positions`: every vote reads the K slots on radius d,
-  and codeword c is nonzero only at its own slot's probe c, so the probes'
-  signal terms sum disjoint users: probe c's is CN(0, C_H[c, c] m_c
-  |P_c(z_c)|^2) for the m_c users sending codeword c, and C_H[c, c] =
-  `channel_power(d)` at every probe. One normal is drawn per (trial,
-  probe) cell with m_c > 0, in C order, and the cells nobody sends stay an
-  exact 0: the law of a zero-variance normal. The noise covariance at K
-  equispaced points on one circle is circulant (Gray 2006, Toeplitz and
-  Circulant Matrices): C_W = F diag(c) F^H, F[p, k] = e^{2 pi i p k / K},
-  with c_k = sigma2 sum d^{2n} over the n < K + L_e with n = k (mod K). So
-  the noise is the inverse DFT, unnormalized, of K normals CN(0, c_k), and
-  the build runs no `eigh` and forms no covariance.
-* Uncoded or differential deciding one vote (the Monte Carlo's vote 0, or
-  a differential codeword at K = 2, which carries one vote): a user's pair
-  of probes holds one of its own encoded zeros, so each user is nonzero at
-  one probe and probe p's signal is CN(0, C_H[p, p] sum_u |P_u(z_p)|^2),
-  one normal per probe; C_H's off-diagonal entries never enter.
-* Uncoded or differential deciding several votes: each user's channel
-  values at the probes are drawn jointly, CN(0, C_H), from min(P, L_e)
-  normals: a user is nonzero at one probe of each vote, so the decisions
-  of one trial share the channel and C_H's cross terms matter. The sum
-  over users is taken before the probe basis: sum_u (h_u @ basis) P_u =
-  (h^T P) contracted with basis, one batched matmul per call and no
-  (n, U, P) product.
+* Each user nonzero at one probe: every indexed engine (codeword c is
+  nonzero only at its own slot's probe c) and every engine deciding one
+  vote (the Monte Carlo's vote 0, or a differential codeword at K = 2: a
+  user's pair of probes holds one of its own encoded zeros). The probes'
+  signal terms sum disjoint users, so probe p's is CN(0, C_H[p, p] sum_u
+  |P_u(z_p)|^2), `probe_variances` times `signal_power`. One normal is
+  drawn per (trial, probe) cell of nonzero variance, in C order, and added
+  onto the noise at its flat index; a cell on every sender's zero draws
+  nothing, the law of a zero-variance normal.
+* Uncoded or differential deciding several votes: a user is nonzero at
+  one probe of each vote, so the decisions of one trial share the channel
+  and C_H's cross terms matter. Each user's L_e taps h_ul ~ CN(0, p_l) are
+  drawn and read at the probes through their Vandermonde matrix, H_u(z_p)
+  = sum_l h_ul z_p^l (`powers(points, L_e)`): no covariance, no `eigh`.
+  The users are summed before that basis: sum_u (h_u @ basis) P_u = (h^T
+  P) contracted with basis, one batched matmul and no (n, U, P) product.
 
-The last two rules draw the noise values at the P probes as CN(0, C_W), a
-covariance of `probe_moments`, from as many of its top eigenpairs as its
-rank allows, min(P, K + L_e) normals.
+The noise covariance at the indexed probes, K equispaced points on one
+circle, is circulant (Gray 2006, Toeplitz and Circulant Matrices): C_W =
+F diag(c) F^H, F[p, k] = e^{2 pi i p k / K}, with c_k = sigma2 sum d^{2n}
+over the n < K + L_e with n = k (mod K). So the indexed noise is the
+inverse DFT, unnormalized, of K normals CN(0, c_k). The other engines
+draw the noise at the P probes as CN(0, C_W) of `probe_moments`, from as
+many of its top eigenpairs as its rank allows, min(P, K + L_e) normals.
 
 The uncoded and differential encoders set every slot from one vote, so the
 votes are packed eight to a byte and each byte indexes a table of the
@@ -50,11 +46,11 @@ depend on all votes at once, and codeword c is exactly zero at every probe
 but its own slot's, so its table keeps one value per codeword, P_c(z_c).
 A probe that lands on a user's own encoded zero meets an exact 0 factor.
 `signal_power` reads sum_u |P_u(z_p)|^2 off the tables (indexed: m_c
-|P_c(z_c)|^2, from the `_codeword_counts` the indexed draw reads too), for
-the vote-0 engines' draw and for `theory.detection_rates` alike: the Monte
-Carlo and the theory evaluate the signal the same way. The pmepr
-sweep of `airmv.experiments` reads codewords on the (K+1)-point grid
-through `table_product` of the uncoded tables too.
+|P_c(z_c)|^2, from the `_codeword_counts` of each trial), for the
+one-probe draw and for `theory.detection_rates` alike: the Monte Carlo
+and the theory evaluate the signal the same way. The pmepr sweep of
+`airmv.experiments` reads codewords on the (K+1)-point grid through
+`table_product` of the uncoded tables too.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
 rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
@@ -71,7 +67,8 @@ import numpy as np
 
 from .baselines import default_sequence_length, goldenbaum_aggregate, obda_aggregate
 from .channel import PdpConfig, complex_normal
-from .decoding import DecoderContext, channel_power, detector_form, probe_moments
+from .decoding import (DecoderContext, detector_form, powers, probe_moments,
+                       probe_variances)
 from .encoding import Method, check_vote_batch, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
@@ -122,7 +119,7 @@ def probe_tables(
 def _normal_factor(cov: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """(scale, basis) such that (scale * (a + i b)) @ basis is CN(0, cov)
     for standard normal a, b, from the top `rank` eigenpairs of cov: eigh,
-    as C_H is near-singular as d -> 1; the other eigenpairs of a covariance
+    as C_W is near-singular as d -> 1; the other eigenpairs of a covariance
     of that rank and its residue below zero are rounding."""
     lam, q = np.linalg.eigh(cov)
     return np.sqrt(np.maximum(lam[-rank:], 0.0) / 2.0), q[:, -rank:].T
@@ -200,22 +197,15 @@ class ProbeAggregator:
     +/-1 and decisions return as (n, len(positions)). Per call the rng
     draws the signal and then, when sigma2 > 0, the noise:
 
-    * Indexed: S complex normals, one per (trial, probe) cell whose
-      codeword m_c > 0 users send, in C order of (n, K), scaled by
-      `sender_scale[c]` sqrt(m_c), where sender_scale is sqrt(C_H[c, c] /
-      2) |P_c(z_c)|; then (n, K) normals scaled by `noise_scale`, sqrt(c_k
-      / 2) of the circulant C_W's eigenvalues, whose unnormalized inverse
-      DFT along the probes is the noise. The signal is added at its cells.
-    * Otherwise the noise is `complex_normal(shape, scale, rng) @ basis`
-      with the probe-basis (scale, basis) of `noise_factor`. Where each user
-      is nonzero at one probe only (`one_probe_per_user`: every engine
-      deciding one vote) the signal is one normal per probe, scaled by
-      `channel_scale`, sqrt(C_H[p, p] / 2), times the root of
-      `signal_power`; otherwise each user's channel is drawn likewise from
-      `channel_factor`, (n U, k) normals h, and each trial's h^T is
-      multiplied by its users' codeword values before the basis.
-
-    Every indexed engine has `one_probe_per_user` set too.
+    * `one_probe_per_user` (every indexed engine, and every engine deciding
+      one vote): one complex normal per (trial, probe) cell whose variance,
+      `channel_diagonal` (C_H[p, p]) times `signal_power`, is nonzero, in C
+      order of (n, P). Otherwise (n U, L_e) tap normals scaled by
+      sqrt(p_l / 2), read at the probes through z_p^l: `channel_factor`.
+    * Indexed noise: the unnormalized inverse DFT along the probes of (n, K)
+      normals scaled by `noise_scale`, sqrt(c_k / 2) of the circulant C_W's
+      eigenvalues. Otherwise `complex_normal(shape, scale, rng) @ basis`
+      with the probe-basis (scale, basis) of `noise_factor`.
     """
 
     def __init__(
@@ -230,61 +220,54 @@ class ProbeAggregator:
         self.tables = probe_tables(method, rp, self.form.points)
         self.one_probe_per_user = (method is Method.INDEXED
                                    or self.form.signs.shape[1] == 1)
+        if self.one_probe_per_user:
+            self.channel_diagonal, _ = probe_variances(method, rp, pdp_cfg, sigma2, positions)
+        else:
+            self.channel_factor = (np.sqrt(pdp_cfg.taps / 2.0),
+                                   powers(self.form.points, pdp_cfg.L_e))
         if method is Method.INDEXED:
-            # Every probe is on radius d: C_H[c, c] = channel_power(d).
-            self.sender_scale = (math.sqrt(channel_power(rp.d, pdp_cfg) / 2.0)
-                                 * np.abs(self.tables[0]))
             self.noise_scale = np.sqrt(
                 _circulant_noise(K, pdp_cfg.L_e, rp.d, self.sigma2) / 2.0)
-            return
-        c_h, c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
-        self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
-        if self.one_probe_per_user:
-            self.channel_scale = np.sqrt(c_h.diagonal().real / 2.0)
         else:
-            self.channel_factor = _normal_factor(c_h, pdp_cfg.L_e)
+            c_w = probe_moments(self.form.points, K, pdp_cfg, self.sigma2)
+            self.noise_factor = _normal_factor(c_w, K + pdp_cfg.L_e)
 
-    def _indexed_received(self, votes, rng: np.random.Generator) -> np.ndarray:
-        counts = _codeword_counts(_packed(votes, self.ctx.n_votes), self.form.points.size)
-        shape = counts.shape
-        # On a bool mask flatnonzero is several times faster than on counts.
-        cells = np.flatnonzero(counts > 0)
-        scale = self.sender_scale[cells % shape[1]] * np.sqrt(counts.ravel()[cells])
-        signal = complex_normal(cells.size, scale, rng)
-        # Released before the noise draw, the batch's peak: 34 -> 28 MB
-        # traced per 20k-trial K=32 batch.
-        del counts, scale
-        if self.sigma2 > 0:
-            r = complex_normal(shape, self.noise_scale, rng)
-            np.fft.ifft(r, axis=-1, norm="forward", out=r)
-        else:
-            r = np.zeros(shape, dtype=complex)
-        r.ravel()[cells] += signal  # flat indices: far faster than a mask
-        return r
+    def _noise(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """W(z_p) at every probe, (n, P); exact zeros when sigma2 = 0."""
+        if self.sigma2 == 0:
+            return np.zeros((n, self.form.points.size), dtype=complex)
+        if self.ctx.method is Method.INDEXED:
+            w = complex_normal((n, self.noise_scale.size), self.noise_scale, rng)
+            return np.fft.ifft(w, axis=-1, norm="forward", out=w)
+        scale, basis = self.noise_factor
+        return complex_normal((n, basis.shape[0]), scale, rng) @ basis
 
     def received(self, votes, rng: np.random.Generator) -> np.ndarray:
         """R(z_p) at every probe point; shape (n, P)."""
-        if self.ctx.method is Method.INDEXED:
-            return self._indexed_received(votes, rng)
         if self.one_probe_per_user:
             # The probes' signal terms sum disjoint users: independent,
-            # CN(0, C_H[p, p] sum_u |P_u(z_p)|^2), one normal per probe.
-            power = signal_power(self.ctx.method, self.tables, votes)
-            scale = np.sqrt(power) * self.channel_scale
-            r = complex_normal(scale.shape, scale, rng)
-        else:
-            packed = _packed(votes, self.ctx.n_votes)
-            n, U, _ = packed.shape
-            scale, basis = self.channel_factor
-            h = complex_normal((n * U, scale.size), scale, rng)
-            # sum_u (h_u @ basis) * P_u = sum_k basis[k] * (sum_u h_uk P_u):
-            # contract the users first, so no (n, U, P) product is formed.
-            y = np.matmul(h.reshape(n, U, -1).transpose(0, 2, 1),
-                          table_product(self.tables, packed))
-            r = np.einsum("nkp,kp->np", y, basis)
+            # CN(0, C_H[p, p] sum_u |P_u(z_p)|^2).
+            var = signal_power(self.ctx.method, self.tables, votes)
+            var *= self.channel_diagonal  # in place: it sets the batch's peak
+            # On a bool mask flatnonzero is several times faster than on var.
+            cells = np.flatnonzero(var > 0)
+            signal = complex_normal(cells.size, np.sqrt(var.ravel()[cells] / 2.0), rng)
+            n = var.shape[0]
+            del var  # released before the noise draw
+            r = self._noise(n, rng)
+            r.ravel()[cells] += signal  # flat indices: far faster than a mask
+            return r
+        packed = _packed(votes, self.ctx.n_votes)
+        n, U, _ = packed.shape
+        scale, basis = self.channel_factor
+        h = complex_normal((n * U, scale.size), scale, rng)
+        # sum_u (h_u @ basis) * P_u = sum_l basis[l] * (sum_u h_ul P_u):
+        # contract the users first, so no (n, U, P) product is formed.
+        y = np.matmul(h.reshape(n, U, -1).transpose(0, 2, 1),
+                      table_product(self.tables, packed))
+        r = np.einsum("nkp,kp->np", y, basis)
         if self.sigma2 > 0:
-            scale, basis = self.noise_factor
-            r += complex_normal((r.shape[0], basis.shape[0]), scale, rng) @ basis
+            r += self._noise(n, rng)
         return r
 
     def aggregate(self, votes, rng: np.random.Generator) -> np.ndarray:

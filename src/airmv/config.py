@@ -34,6 +34,10 @@ PROPOSED = tuple(m.value for m in Method)
 # The largest noise power and expected probe energy a run takes: its square
 # is still a finite float, so the second moments of the energies are too.
 _MAX_ENERGY = math.sqrt(sys.float_info.max)
+# The largest K of a zero-encoded run: past it the running product of a
+# codeword's K zero factors (and the uncoded detector's scale) leaves the
+# float range.
+_MAX_ZERO_K = 2048
 
 
 class ConfigError(ValueError):
@@ -275,6 +279,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"n_plus={n_plus} outside 0..U")
 
     coded = set(PROPOSED).intersection(cfg.methods)
+    if coded and cfg.experiment in ("cer", "snr", "theory", "rmse", "pmepr"):
+        for K in cfg.k_values:
+            if K > _MAX_ZERO_K:
+                raise ConfigError(
+                    f"K={K}: a zero-encoded codeword is evaluated as the running "
+                    f"product of its K zero factors, which leaves the float range "
+                    f"past K={_MAX_ZERO_K}"
+                )
     if coded and cfg.experiment in ("cer", "snr", "theory", "rmse"):
         snr_db = min(cfg.snr_db)
         for K in cfg.k_values:

@@ -41,8 +41,8 @@ __all__ = [
     "DecoderContext",
     "powers",
     "probe_moments",
-    "probe_radii",
     "probe_points",
+    "probe_variances",
     "DetectorForm",
     "detector_form",
     "decode",
@@ -162,16 +162,11 @@ def powers(points: np.ndarray, n: int) -> np.ndarray:
     return np.power(points[np.newaxis, :], np.arange(n)[:, np.newaxis])
 
 
-def probe_moments(
-    points: np.ndarray, K: int, pdp_cfg: PdpConfig, sigma2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(C_H, C_W), the covariances at the probe points of one channel draw
-    and of the noise: C_H[i, j] = sum_l p_l (z_i conj(z_j))^l over the L_e
-    taps and C_W[i, j] = sigma2 sum_n (z_i conj(z_j))^n over the K + L_e
-    noise samples."""
-    L = pdp_cfg.L_e
-    v = powers(np.asarray(points, dtype=complex), K + L)  # v[n, i] = z_i^n
-    return (v[:L].T * pdp_cfg.taps) @ v[:L].conj(), sigma2 * (v.T @ v.conj())
+def probe_moments(points: np.ndarray, K: int, pdp_cfg: PdpConfig, sigma2: float) -> np.ndarray:
+    """C_W, the covariance of the noise at the probe points: C_W[i, j] =
+    sigma2 sum_n (z_i conj(z_j))^n over the K + L_e noise samples."""
+    v = powers(np.asarray(points, dtype=complex), K + pdp_cfg.L_e)  # v[n, i] = z_i^n
+    return sigma2 * (v.T @ v.conj())
 
 
 def _positions(method: Method, K: int, positions) -> np.ndarray:
@@ -184,10 +179,15 @@ def _positions(method: Method, K: int, positions) -> np.ndarray:
     return pos
 
 
-def probe_radii(method: Method, rp: RadiusParam) -> tuple[float, ...]:
-    """Radii of the circles the probe points lie on, one per equal block of
-    `probe_points`, in order: uncoded (d, 1/d), the coded schemes (d,)."""
-    return (rp.d, 1.0 / rp.d) if method is Method.UNCODED else (rp.d,)
+def _circles(method: Method, rp: RadiusParam, positions) -> tuple[tuple[float, ...], np.ndarray]:
+    """(radii, slots): the circles the probes of the votes at `positions`
+    lie on, and the slots read on each, in `probe_points` order."""
+    pos = _positions(method, rp.K, positions)
+    if method is Method.UNCODED:
+        return (rp.d, 1.0 / rp.d), pos
+    if method is Method.DIFFERENTIAL:
+        return (rp.d,), np.stack([2 * pos, 2 * pos + 1], axis=-1).reshape(-1)
+    return (rp.d,), np.arange(rp.K)
 
 
 def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
@@ -198,15 +198,22 @@ def probe_points(method: Method, rp: RadiusParam, positions=None) -> np.ndarray:
     first); differential vote l reads slots 2l and 2l+1 at radius d; every
     indexed vote reads all K slots at radius d.
     """
-    w = root_phases(rp.K)
-    pos = _positions(method, rp.K, positions)
-    if method is Method.UNCODED:
-        slots = pos
-    elif method is Method.DIFFERENTIAL:
-        slots = np.stack([2 * pos, 2 * pos + 1], axis=-1).reshape(-1)
-    else:
-        slots = np.arange(rp.K)
-    return np.concatenate([r * w[slots] for r in probe_radii(method, rp)])
+    radii, slots = _circles(method, rp, positions)
+    w = root_phases(rp.K)[slots]
+    return np.concatenate([r * w for r in radii])
+
+
+def probe_variances(
+    method: Method, rp: RadiusParam, pdp_cfg: PdpConfig, sigma2: float, positions=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(C_H[p, p], C_W[p, p]) at each of the `probe_points`, in their order:
+    the expected |H(z_p)|^2 of one user's channel and |W(z_p)|^2 of the
+    noise. Both depend on |z_p| only, so they are the closed forms
+    `channel_power` and `noise_power` at the radius of the probe's circle."""
+    radii, slots = _circles(method, rp, positions)
+    chan = [channel_power(r, pdp_cfg) for r in radii]
+    noise = [noise_power(r, sigma2, rp.K, pdp_cfg.L_e) for r in radii]
+    return np.repeat(chan, slots.size), np.repeat(noise, slots.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,14 +251,9 @@ def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:
     bias, scale = np.zeros(points.size), np.ones(points.size)
     if ctx.method is Method.UNCODED:
         signs = np.concatenate([eye, -eye])
-        radii = probe_radii(ctx.method, rp)
-        bias = np.repeat(
-            [noise_power(da, ctx.sigma2, rp.K, ctx.pdp.L_e) for da in radii], pos.size
-        )
-        scale = np.repeat(
-            [signal_scale_uncoded(rp, da) * channel_power(da, ctx.pdp) for da in radii],
-            pos.size,
-        )
+        chan, bias = probe_variances(ctx.method, rp, ctx.pdp, ctx.sigma2, pos)
+        scale = chan * np.repeat(
+            [signal_scale_uncoded(rp, da) for da in (rp.d, 1.0 / rp.d)], pos.size)
     elif ctx.method is Method.DIFFERENTIAL:
         signs = np.stack([eye, -eye], axis=1).reshape(2 * pos.size, pos.size)
     else:

@@ -36,12 +36,13 @@ whole group, one detector form, one set of the engine's probe tables
 (`aggregation.probe_tables`) and one `aggregation.signal_power` call for
 the signal diagonals: the evaluator the Monte Carlo draws from. The
 diagonals of C_H and C_W depend only on the radius of the probe's circle,
-d or 1/d (`decoding.probe_radii`): they are `channel_power` and
-`noise_power` there, one scalar per circle. Only the exact law forms the
-full C_W (`probe_moments`). The rates stay (rows, n) arrays, and the race
-runs over the rows of each error direction at once, one step per
-anti-diagonal of its recurrence, once for each group of rows with the
-same numbers of finite rates (phases of nonzero length) on the two sides.
+d or 1/d: `decoding.probe_variances` gives them in closed form, the same
+numbers the engine draws with. Only the exact law forms a probe
+covariance: the full noise covariance C_W of `probe_moments`. The rates
+stay (rows, n) arrays, and the race runs over the rows of each error
+direction at once, one step per anti-diagonal of its recurrence, once for
+each group of rows with the same numbers of finite rates (phases of
+nonzero length) on the two sides.
 """
 
 from __future__ import annotations
@@ -53,14 +54,7 @@ import numpy as np
 
 from .aggregation import probe_tables, signal_power
 from .channel import PdpConfig
-from .decoding import (
-    DecoderContext,
-    channel_power,
-    detector_form,
-    noise_power,
-    probe_moments,
-    probe_radii,
-)
+from .decoding import DecoderContext, detector_form, probe_moments, probe_variances
 from .encoding import Method
 from .huffman import RadiusParam
 
@@ -259,9 +253,9 @@ def detection_rates(
     |P_u(z_p)|^2, with C_H the channel covariance at the probes and the sum
     read from the engine's tables at the probes
     (`aggregation.signal_power`): the law the Monte Carlo draws, from the
-    same numbers. The diagonals of C_H and C_W depend on |z_p| only:
-    `channel_power` and `noise_power` at the radius of the probe's circle
-    (`probe_radii`), one scalar each per circle. The diagonal of Sigma holds
+    same numbers. The diagonals of C_H and C_W are the closed forms of
+    `probe_variances`, which depend on the radius of the probe's circle
+    only. The diagonal of Sigma holds
     the expected test-point energies. The paper's independence model takes
     the means A_pp Sigma_pp, split into the two sides by the sign of A; a
     zero mean is an infinite rate. With `exact`, Sigma = L L^H, with the
@@ -280,17 +274,14 @@ def detection_rates(
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
     tables = probe_tables(model.method, rp, form.points)
-    # The probe points fill one equal block per circle.
-    radii = probe_radii(model.method, rp)
-    per_circle = form.points.size // len(radii)
-    chan = np.repeat([channel_power(r, pdp) for r in radii], per_circle)
-    signal = signal_power(model.method, tables, votes) * chan
+    chan, noise = probe_variances(model.method, rp, pdp, model.sigma2, [ell])
+    signal = signal_power(model.method, tables, votes)
+    signal *= chan
     if not exact:
-        noise = [noise_power(r, model.sigma2, rp.K, pdp.L_e) for r in radii]
-        means = weights * (signal + np.repeat(noise, per_circle))
+        means = weights * (signal + noise)
         plus, minus = _inverse(means[:, weights > 0]), _inverse(-means[:, weights < 0])
     else:
-        _, noise = probe_moments(form.points, rp.K, pdp, model.sigma2)
+        noise = probe_moments(form.points, rp.K, pdp, model.sigma2)
         lam = np.empty(signal.shape)
         for r, d in enumerate(signal):
             evals, vecs = np.linalg.eigh(noise + np.diag(d))

@@ -85,10 +85,8 @@ def resources_per_mv(method: Method, K: int, L_e: int) -> float:
     return (K + L_e) / method.votes_per_codeword(K)
 
 
-def separation_resources(U: int, spectral_efficiency: float = 1.0) -> float:
+def separation_resources(U: int) -> float:
     """Resources per vote when each transmitter gets an orthogonal slot."""
     if U < 1:
         raise ValueError("need at least one transmitter")
-    if spectral_efficiency <= 0:
-        raise ValueError("spectral efficiency must be positive")
-    return U / spectral_efficiency
+    return float(U)

@@ -19,7 +19,7 @@ import pytest
 from airmv import aggregation
 from airmv.aggregation import ProbeAggregator, probe_tables, signal_power, table_product
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
-from airmv.decoding import decode, powers, probe_points
+from airmv.decoding import decode, powers, probe_moments, probe_points
 from airmv.encoding import Method, vote_pattern
 from airmv.huffman import radius_param, root_phases, synthesize_coeffs, zero_form_eval
 from airmv.median import run_median
@@ -34,20 +34,20 @@ from airmv.simulate import (
 
 def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
     """Received samples (n, K + L_e) of the time-domain chain on the
-    `engine`'s draws, lifted to taps and noise samples that take those
-    values at its probes (pinv of the Vandermonde matrices), with every
-    user's codeword through its own taps.
+    `engine`'s draws, with every user's codeword through its own taps.
 
     An engine whose users are each nonzero at one probe (every indexed
     engine, and every engine that decides one vote) draws each probe's
-    signal value r_p, not each user's channel; an indexed engine draws it
-    only at the (trial, probe) cells some user sends to, in C order. A
-    sender nonzero at probe p gets the channel value c_p conj(P_u(z_p))
-    there, c_p = r_p / sum_u |P_u(z_p)|^2 over the probe's senders (0 where
-    that sum is 0), so that the senders sum to r_p; its taps are the
-    least-norm ones with that value, pinv of the probe's one Vandermonde
-    row. An indexed engine's noise at the K slots is the DFT-matrix image
-    of its K eigen-draws of the circulant C_W.
+    signal value r_p, not each user's channel, and only at the (trial,
+    probe) cells some user is nonzero at, in C order. A sender nonzero at
+    probe p gets the channel value c_p conj(P_u(z_p)) there, c_p = r_p /
+    sum_u |P_u(z_p)|^2 over the probe's senders (0 where that sum is 0), so
+    that the senders sum to r_p; its taps are the least-norm ones with that
+    value, pinv of the probe's one Vandermonde row. Any other engine draws
+    each user's taps, which the chain uses as drawn. The noise samples are
+    the least-norm ones that take the engine's noise values at its probes;
+    an indexed engine's noise at the K slots is the DFT-matrix image of its
+    K eigen-draws of the circulant C_W.
     """
     n, U, M = votes.shape
     rp, L = radius_param(K), pdp_cfg.L_e
@@ -60,22 +60,17 @@ def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
         own = np.take_along_axis(a, probe[..., np.newaxis], axis=-1)[..., 0]
         mine = probe[..., np.newaxis] == np.arange(P)
         power = (np.abs(own[..., np.newaxis]) ** 2 * mine).sum(axis=1)
-        if method is Method.INDEXED:
-            c_h = (np.abs(v[:L]) ** 2).T @ pdp_cfg.taps  # diag(C_H)
-            cells = np.flatnonzero(power > 0)
-            scale = np.sqrt(c_h[cells % P] / 2 * power.ravel()[cells])
-            r = np.zeros((n, P), dtype=complex)
-            r.ravel()[cells] = complex_normal(cells.size, scale, rng)
-        else:
-            r = complex_normal((n, P), engine.channel_scale * np.sqrt(power), rng)
+        c_h = (np.abs(v[:L]) ** 2).T @ pdp_cfg.taps  # diag(C_H)
+        cells = np.flatnonzero(power > 0)
+        scale = np.sqrt(c_h[cells % P] / 2 * power.ravel()[cells])
+        r = np.zeros((n, P), dtype=complex)
+        r.ravel()[cells] = complex_normal(cells.size, scale, rng)
         c = np.divide(r, power, out=np.zeros_like(r), where=power > 0)
         value = np.take_along_axis(c, probe, axis=-1) * own.conj()
         rows = np.stack([np.linalg.pinv(v[:L, [p]])[0] for p in range(P)])
         h = value[..., np.newaxis] * rows[probe]
     else:
-        scale, basis = engine.channel_factor
-        draws = complex_normal((n, U, scale.size), scale, rng)
-        h = draws @ basis @ np.linalg.pinv(v[:L])
+        h = sample_channel(pdp_cfg, U, rng, trials=n)
     y = superpose(coeffs, h)
     if sigma2 > 0:
         if method is Method.INDEXED:
@@ -243,6 +238,10 @@ def _diagonal_covariances(patch):
     patch.setattr(np.linalg, "eigh", lambda a: eigh(np.diag(np.diag(a))))
 
 
+def _reversed_tap_basis(patch):
+    patch.setattr(aggregation, "powers", lambda points, n: powers(points, n)[::-1])
+
+
 def _counts_for_their_roots(patch):
     patch.setattr(np, "sqrt", lambda x: x)
 
@@ -269,21 +268,25 @@ def _no_dft(patch):
     patch.setattr(np.fft, "ifft", lambda a, *args, **kwargs: a)
 
 
-# On the indexed draw the signal scale is sqrt(C_H[c, c] / 2) |P_c(z_c)|
-# sqrt(m_c): its root is of m_c alone, so m_c-not-sqrt draws variance m_c^2
-# |P_c|^2 there, the power of the sum, which the indexed draw never reads
-# through `signal_power`. The noise mutations reach only the indexed draw:
-# its eigenvalues without the n >= K terms folded in, and its eigen-draws
-# at the probes without the DFT, independent probes.
+# The one-probe draw scales each live cell by the root of its variance, so
+# m_c-not-sqrt draws variance C_H[p, p]^2 (sum_u |P_u|^2)^2 / 2. The
+# covariance factored by `eigh` is now the uncoded and differential
+# engines' C_W alone (the taps need none), so diagonal-C_H keeps its name
+# but reaches the noise: independent probes. The reversed tap basis reads
+# tap l at z^(L_e - 1 - l), which only the multi-vote rule's taps meet.
+# The other noise mutations reach only the indexed draw: its eigenvalues
+# without the n >= K terms folded in, and its eigen-draws at the probes
+# without the DFT, independent probes.
 @pytest.mark.parametrize("mutation", [
     {"mutate_build": _reversed_taps},           # a wrong tap profile
-    {"mutate_build": _diagonal_covariances},    # independent probes
-    {"mutate_draw": _counts_for_their_roots},   # m_c, not its root
-    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2, vote-0 rule only
+    {"mutate_build": _diagonal_covariances},    # independent noisy probes
+    {"mutate_draw": _counts_for_their_roots},   # variance, not its root
+    {"mutate_draw": _power_of_the_sum},         # |sum_u P_u|^2
     {"mutate_build": _unfolded_noise},          # C_W's eigenvalues unfolded
     {"mutate_draw": _no_dft},                   # indexed noise without its DFT
+    {"mutate_build": _reversed_tap_basis},      # taps read at the wrong powers
 ], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum",
-        "unfolded-C_W", "no-dft"])
+        "unfolded-C_W", "no-dft", "reversed-tap-basis"])
 def test_moment_check_catches_a_wrong_law(mutation):
     assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
 
@@ -304,42 +307,39 @@ def test_moment_check_catches_a_wrong_law(mutation):
 ])
 def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2):
     """basis^T diag(2 scale^2) conj(basis) is the covariance of the taps and
-    of the noise samples seen at the probes, from as many rows as its rank
-    allows: min(P, L_e) for the channel and min(P, K + L_e) for the noise.
-    An engine whose users are each nonzero at one probe (every indexed
-    engine, and every engine that decides one vote) reads only the channel's
-    variances at the probes: 2 channel_scale^2 is diag(C_H), and it builds
-    no factor. An indexed engine builds no basis either: its noise factor is
-    the DFT matrix F, with 2 noise_scale^2 the closed-form eigenvalues c_k =
-    sigma2 sum d^{2n} (n = k mod K) of the circulant C_W, and 2
-    sender_scale^2 is diag(C_H) |P_c(z_c)|^2."""
+    of the noise samples seen at the probes. The channel factor is the taps'
+    own, L_e rows: sqrt(p_l / 2) and the Vandermonde rows z_p^l. The noise
+    factor has as many rows as its rank allows, min(P, K + L_e). An engine
+    whose users are each nonzero at one probe (every indexed engine, and
+    every engine that decides one vote) reads only the channel's variances
+    at the probes: `channel_diagonal` is diag(C_H), and it builds no channel
+    factor. An indexed engine builds no noise basis either: its noise
+    factor is the DFT matrix F, with 2 noise_scale^2 the closed-form
+    eigenvalues c_k = sigma2 sum d^{2n} (n = k mod K) of the circulant
+    C_W."""
     engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.5), sigma2, positions)
     points = probe_points(method, radius_param(K), positions)
     v = powers(points, K + L_e)
     taps = pdp(L_e, 0.5)
     c_h = (v[:L_e].T * taps) @ v[:L_e].conj()
     c_w = sigma2 * (v.T @ v.conj())
-    if method is Method.INDEXED:
-        assert engine.one_probe_per_user
-        assert not hasattr(engine, "noise_factor")
-        assert not hasattr(engine, "channel_factor")
-        signal = c_h.diagonal().real * np.abs(engine.tables[0]) ** 2
-        np.testing.assert_allclose(2 * engine.sender_scale**2, signal,
-                                   rtol=0, atol=1e-12 * signal.max())
-        F = _dft(K)
-        got = (F * (2 * engine.noise_scale**2)) @ F.conj().T
-        np.testing.assert_allclose(got, c_w, rtol=0, atol=1e-12 * np.abs(c_w).max())
-        return
-    rows = (min(points.size, L_e), min(points.size, K + L_e))
-    pairs = [(engine.noise_factor, rows[1], c_w)]
     assert engine.one_probe_per_user == (
         method is Method.INDEXED or positions == 0 or method.votes_per_codeword(K) == 1)
     if engine.one_probe_per_user:
         assert not hasattr(engine, "channel_factor")
-        np.testing.assert_allclose(2 * engine.channel_scale**2, c_h.diagonal().real,
-                                   rtol=0, atol=1e-12 * np.abs(c_h).max())
+        np.testing.assert_allclose(engine.channel_diagonal, c_h.diagonal().real,
+                                   rtol=1e-12, atol=0)
+        pairs = []
     else:
-        pairs.append((engine.channel_factor, rows[0], c_h))
+        assert not hasattr(engine, "channel_diagonal")
+        pairs = [(engine.channel_factor, L_e, c_h)]
+    if method is Method.INDEXED:
+        assert not hasattr(engine, "noise_factor")
+        F = _dft(K)
+        got = (F * (2 * engine.noise_scale**2)) @ F.conj().T
+        np.testing.assert_allclose(got, c_w, rtol=0, atol=1e-12 * np.abs(c_w).max())
+    else:
+        pairs.append((engine.noise_factor, min(points.size, K + L_e), c_w))
     for (scale, basis), n_rows, cov in pairs:
         assert basis.shape == (n_rows, points.size)
         got = (basis.T * (2 * scale**2)) @ basis.conj()
@@ -351,10 +351,10 @@ def test_factors_reproduce_the_tap_covariances(method, K, positions, L_e, sigma2
 def test_indexed_draws_senders_then_noise(sigma2, positions):
     """An indexed call draws one complex normal per (trial, probe) cell that
     some user sends to, in C order (all real parts, then all imaginary),
-    scaled by sender_scale sqrt(m_c), and then, only when sigma2 > 0, n K
-    noise normals likewise, whose unnormalized inverse DFT along the probes
-    is the noise. The rng ends where a replay of exactly those draws ends,
-    and the values are the replay's."""
+    scaled by sqrt(C_H[c, c] m_c |P_c(z_c)|^2 / 2), and then, only when
+    sigma2 > 0, n K noise normals likewise, whose unnormalized inverse DFT
+    along the probes is the noise. The rng ends where a replay of exactly
+    those draws ends, and the values are the replay's."""
     K, n, U = 16, 40, 3
     M = Method.INDEXED.votes_per_codeword(K)
     votes = np.random.default_rng(1).integers(0, 2, size=(n, U, M)) * 2 - 1
@@ -369,8 +369,8 @@ def test_indexed_draws_senders_then_noise(sigma2, positions):
     assert 0 < cells.size < n * K
     signal = replay.standard_normal(cells.size) + 1j * replay.standard_normal(cells.size)
     expected = np.zeros(n * K, dtype=complex)
-    scale = engine.sender_scale[cells % K] * np.sqrt(counts.ravel()[cells])
-    expected[cells] = scale * signal
+    power = np.abs(engine.tables[0][cells % K]) ** 2 * counts.ravel()[cells]
+    expected[cells] = np.sqrt(engine.channel_diagonal[cells % K] * power / 2) * signal
     expected = expected.reshape(n, K)
     if sigma2 > 0:
         noise = replay.standard_normal((n, K)) + 1j * replay.standard_normal((n, K))
@@ -378,6 +378,65 @@ def test_indexed_draws_senders_then_noise(sigma2, positions):
     assert rng.bit_generator.state == replay.bit_generator.state
     assert np.all(r.ravel()[np.setdiff1d(np.arange(n * K), cells)] == 0) == (sigma2 == 0)
     np.testing.assert_allclose(r, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("sigma2", [0.2, 0.0])
+@pytest.mark.parametrize("method, K", [
+    (Method.UNCODED, 8), (Method.UNCODED, 2), (Method.DIFFERENTIAL, 8),
+    (Method.DIFFERENTIAL, 2),
+])
+def test_a_silent_probe_draws_no_normal(method, K, sigma2):
+    """Vote 0 with every user on one side (n_plus = 0 or U) puts the probe
+    on their shared zero silent in every trial: the engine draws its
+    signal normals at the live cells only, in C order, and that probe
+    keeps the noise alone, an exact 0 when noiseless. The rng ends where
+    a replay of the live cells' normals and then the noise ends."""
+    n, U = 30, 5
+    M = method.votes_per_codeword(K)
+    engine = ProbeAggregator(method, K, PdpConfig(3, 0.8), sigma2, positions=0)
+    for n_plus in (0, U):
+        votes = np.random.default_rng(n_plus).integers(0, 2, size=(n, U, M)) * 2 - 1
+        votes[:, :, 0] = np.repeat([1, -1], [n_plus, U - n_plus])
+        rng, replay = np.random.default_rng(9), np.random.default_rng(9)
+        r = engine.received(votes, rng)
+
+        var = signal_power(method, engine.tables, votes) * engine.channel_diagonal
+        silent = (var == 0).all(axis=0)
+        assert silent.sum() == 1 and not (var == 0)[:, ~silent].any()
+        cells = np.flatnonzero(var > 0)
+        assert cells.size == n * (engine.form.points.size - 1)
+        signal = complex_normal(cells.size, np.sqrt(var.ravel()[cells] / 2), replay)
+        expected = np.zeros(var.shape, dtype=complex)
+        if sigma2 > 0:
+            scale, basis = engine.noise_factor
+            expected = complex_normal((n, scale.size), scale, replay) @ basis
+        expected.ravel()[cells] += signal
+        assert rng.bit_generator.state == replay.bit_generator.state
+        np.testing.assert_array_equal(r, expected)
+        assert np.all((r[:, silent] == 0) == (sigma2 == 0))
+
+
+@pytest.mark.parametrize("sigma2", [0.2, 0.0])
+@pytest.mark.parametrize("method, K", [
+    (Method.UNCODED, 2), (Method.UNCODED, 8), (Method.DIFFERENTIAL, 4),
+    (Method.DIFFERENTIAL, 8),
+])
+def test_joint_engine_draws_each_users_taps(method, K, sigma2):
+    """An engine deciding several uncoded or differential votes consumes
+    exactly n U L_e complex channel normals, CN(0, p_l) taps in C order of
+    (n, U, L_e) as `sample_channel` draws them, before its noise: the rng
+    ends where a replay of those taps and the noise ends. Uncoded K = 2 and
+    differential K = 4 have 4 probes, fewer than the 6 taps."""
+    n, U, L_e = 20, 4, 6
+    engine = ProbeAggregator(method, K, PdpConfig(L_e, 0.6), sigma2)
+    assert not engine.one_probe_per_user
+    votes = np.random.default_rng(K).integers(0, 2, size=(n, U, engine.ctx.n_votes)) * 2 - 1
+    rng, replay = np.random.default_rng(3), np.random.default_rng(3)
+    engine.received(votes, rng)
+    sample_channel(PdpConfig(L_e, 0.6), U, replay, trials=n)
+    if sigma2 > 0:
+        replay.standard_normal((2, n, engine.noise_factor[1].shape[0]))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def multi_vote_reference(engine, votes, rng):
@@ -420,7 +479,7 @@ def test_multi_vote_signal_contracts_the_users_first(method, K, sigma2):
 def test_indexed_engines_build_without_eigh(monkeypatch):
     """No eigendecomposition and no probe covariance: an indexed engine
     builds from the closed forms and draws, at any K and positions, while
-    the uncoded and differential engines still factor theirs."""
+    the uncoded and differential engines still factor their noise's."""
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
@@ -434,6 +493,29 @@ def test_indexed_engines_build_without_eigh(monkeypatch):
     for method in (Method.UNCODED, Method.DIFFERENTIAL):
         with pytest.raises(AssertionError, match="called"):
             ProbeAggregator(method, 8, PdpConfig(5), 0.1)
+
+
+def test_no_build_factors_a_channel_covariance(monkeypatch):
+    """The channel needs no eigendecomposition: an uncoded or differential
+    build runs `eigh` once, on the noise covariance C_W of `probe_moments`,
+    and an indexed build never, at every vote and at vote 0."""
+    seen, eigh = [], np.linalg.eigh
+
+    def recorded(a):
+        seen.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    pdp_cfg = PdpConfig(3, 0.7)
+    for method, K, positions in itertools.product(Method, (2, 8, 32), (None, 0)):
+        seen.clear()
+        engine = ProbeAggregator(method, K, pdp_cfg, 0.1, positions)
+        if method is Method.INDEXED:
+            assert seen == []
+        else:
+            assert len(seen) == 1
+            c_w = probe_moments(engine.form.points, K, pdp_cfg, 0.1)
+            np.testing.assert_array_equal(seen[0], c_w)
 
 
 def test_probe_on_an_encoded_zero_is_exactly_zero():

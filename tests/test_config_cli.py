@@ -351,10 +351,21 @@ class TestCsv:
     # 31.1 on 24 cells, p = 0.15; the |z| = 2.84 cell read -0.97 at 4e6
     # more trials a side), and the mean RMSE of indexed medians (K=8 and
     # 128, 24 seeds a side, as above) within |z| <= 1.50 at every round.
+    # All three were re-recorded again, with only their uncoded and
+    # differential rows moving (cer: n_plus 0 and 5 at 0 dB), when those
+    # engines stopped drawing normals at silent probes and the multi-vote
+    # engines began to draw each user's taps: the same law, other draws.
+    # `scripts/law_check.py` at its defaults then read (CHANGES.md has the
+    # output): simulate_cer against the exact law over 72 cells (K = 8, 32,
+    # 128, U = 25, n_plus 0-25, 0 and 10 dB, 4e5 trials) |z| <= 2.94
+    # (Sidak bound 4.12, chi^2 64.5, p = 0.72); old against new draws at
+    # n_plus 0 and 25, |z| <= 2.76 over 24 cells (bound 3.86); the mean
+    # RMSE per round of uncoded and differential medians at K = 2, 8 and 32
+    # (24 seeds a side, 200 rounds) |z| <= 2.67 over 1200 cells (bound 4.73).
     ZERO_PINNED = {
-        ("cer", "1"): "874aed324b532574e2a401b76f527762cc23fdb3d1c953db70d46eb6434bcd14",
-        ("cer", "2"): "a8f46dfd413eae74f02a08bfd76d285850492d8603b5fca909b08e67aaa5f191",
-        ("rmse", "1"): "49d165627113c8e61634a731342e362c58193872b3fdfea3544218502b81a473",
+        ("cer", "1"): "5042fcb0f930ed6d72cf997c5832df140f8f4c82ce3e3184a774d0b409854123",
+        ("cer", "2"): "69980a805a28cfe5faf6c1f974ad5d216ebf63fb70f86339ea24a26ab3487818",
+        ("rmse", "1"): "a7aa961fa66f85fac794807cded2c6316ccec5ddb2e47ba09c1c32cecb1125c7",
     }
     ZERO_ARGV = {
         "cer": ["cer", "--methods", "m1,m2,m3", "--k", "2,8", "--u", "5",
@@ -429,14 +440,19 @@ class TestCsv:
         radius, which moved one byte group: the stderr of indexed, K=8, 0 dB,
         n_plus=4, 7.166458808e-17 -> 7.850462293e-17. Its four realizations
         have the same error rate in exact arithmetic, so that stderr is
-        rounding residue; every other value of the run is unchanged."""
+        rounding residue; every other value of the run is unchanged.
+        Re-recorded (from d010ad14...b2a5d4) when the uncoded and
+        differential engines stopped drawing normals at silent probes: the
+        same law, other draws. Only the Monte Carlo rows of those schemes at
+        n_plus 0 and 6, 0 dB, moved; every cer_theory row held. The law
+        check behind the zero-encoded pins above covers the move."""
         out = tmp_path / "pin.csv"
         assert main(["cer", "--methods", "m1,m2,m3", "--k", "2,8", "--u", "6",
                      "--l-e", "2", "--rho", "0.8", "--snr", "0,inf", "--n-plus", "0:6",
                      "--trials", "300", "--realizations", "4", "--seed", "13",
                      "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "d010ad142014b7b9e5ab8d50284ded4bef5b8ee43f6bd9abd7ddf15e15a2b5d4"
+        assert digest == "3e8a069b1fd97d81287254fb3ea231f574fa0cfa9885f4267f9d213eeaee6f4c"
 
 
 # The 16 flags every subcommand takes: --config and one per option.
@@ -622,6 +638,39 @@ class TestCli:
         assert ("airmv: configuration error: K=2, L_e=1100, U=3, SNR 10.0 dB: the "
                 "expected probe energy inf overflows") in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, method, K", [
+        ("cer", "m3", 4096), ("rmse", "m3", 4096), ("theory", "m3", 4096),
+        ("snr", "m1", 2200), ("cer", "m1", 2200), ("pmepr", "m1", 2200),
+    ])
+    def test_zero_encoded_k_past_2048_exits_2(self, capsys, tmp_path, experiment,
+                                              method, K):
+        """Past K=2048 the zero form's running product overflows: at K=4096
+        cer printed CER 0.91 from NaN probe tables and rmse an RMSE of 9.2e16
+        from NaN decisions cast to int; at K=2200 the uncoded scale
+        underflowed to 0 and the pmepr product overflowed. The run is
+        refused before any trial."""
+        out = tmp_path / "x.csv"
+        argv = [experiment, "--seed", "1", "--k", str(K), "--methods", method,
+                "--u", "3", "--n-plus", "2", "--trials", "10", "--rounds", "1",
+                "--realizations", "1", "--codewords", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"airmv: configuration error: K={K}: a zero-encoded codeword" in err
+        assert "past K=2048" in err
+        assert not out.exists()
+
+    def test_zero_encoded_k_2048_validates(self):
+        for experiment in ("cer", "snr", "theory", "rmse", "pmepr"):
+            for method in ("uncoded", "differential", "indexed"):
+                cfg = make_cfg(experiment=experiment, methods=(method,), k_values=(2048,),
+                               n_plus=(3,))
+                assert cfg.k_values == (2048,)
+
+    def test_baselines_and_resources_take_any_k(self):
+        assert make_cfg(methods=("obda", "goldenbaum"), k_values=(4096,)).k_values == (4096,)
+        cfg = make_cfg(experiment="resources", methods=("indexed",), k_values=(4096,))
+        assert cfg.k_values == (4096,)
 
     def test_overflowing_noise_power_exits_2(self, capsys):
         """`--snr -3100` raised OverflowError from `ExperimentConfig.sigma2`

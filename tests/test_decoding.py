@@ -12,7 +12,9 @@ from airmv.decoding import (
     detector_form,
     noise_power,
     powers,
+    probe_moments,
     probe_points,
+    probe_variances,
     signal_scale_differential,
     signal_scale_indexed,
     signal_scale_uncoded,
@@ -493,3 +495,26 @@ def test_decide_is_each_detectors_rule():
             np.testing.assert_array_equal(
                 detector_form(ctx, positions).decide(e), expected
             )
+
+
+@pytest.mark.parametrize("K", [2, 8, 128, 1024])
+@pytest.mark.parametrize("method", list(Method))
+def test_probe_variances_are_the_covariance_diagonals(method, K):
+    """`probe_variances` gives each probe's C_H[p, p] and C_W[p, p] in
+    `probe_points` order, to 1e-12 relative: the diagonal of the taps'
+    covariance V^T diag(p) conj(V), V[l, p] = z_p^l, and of `probe_moments`'
+    C_W, at every vote and at the last one. Past 64 probes the references
+    are formed at every few probes only (the diagonal of a covariance at a
+    subset is its diagonal there)."""
+    pdp_cfg, sigma2 = PdpConfig(5, 0.7), 0.3
+    rp = radius_param(K)
+    for positions in (None, [method.votes_per_codeword(K) - 1]):
+        points = probe_points(method, rp, positions)
+        chan, noise = probe_variances(method, rp, pdp_cfg, sigma2, positions)
+        assert chan.shape == noise.shape == points.shape
+        every = slice(None, None, -(-points.size // 64))
+        v = powers(points[every], pdp_cfg.L_e)
+        c_h = (v.T * pdp_cfg.taps) @ v.conj()
+        c_w = probe_moments(points[every], K, pdp_cfg, sigma2)
+        np.testing.assert_allclose(chan[every], c_h.diagonal().real, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(noise[every], c_w.diagonal().real, rtol=1e-12, atol=0)

@@ -15,6 +15,7 @@ from airmv.decoding import (
     channel_power,
     detector_form,
     noise_power,
+    powers,
     probe_moments,
     signal_scale_uncoded,
 )
@@ -553,7 +554,9 @@ class TestRates:
         ctx = DecoderContext.for_link(model.method, model.rp, model.pdp, model.sigma2)
         form = detector_form(ctx, [ell])
         weights = form.signs[:, 0] / form.scale
-        chan, noise = probe_moments(form.points, model.rp.K, model.pdp, model.sigma2)
+        taps = powers(form.points, model.pdp.L_e)  # taps[l, p] = z_p^l
+        chan = (taps.T * model.pdp.taps) @ taps.conj()
+        noise = probe_moments(form.points, model.rp.K, model.pdp, model.sigma2)
         p = zero_form_eval(inner, model.rp, form.points)
         outer = p.T @ p.conj()
         assert np.all(outer[~np.eye(outer.shape[0], dtype=bool)] == 0)
@@ -742,11 +745,14 @@ class TestVoteAveragedCer:
         """A negative, NaN or infinite mean in the rates is rejected with
         ValueError, as the one validation, `_inverse`, rejects it for any
         caller. The bad value enters where the paper path reads the noise
-        diagonal: `noise_power` at the probes' radius."""
-        def spoiled(*args):
-            return bad
+        diagonal: the C_W[p, p] of `probe_variances`."""
+        variances = theory.probe_variances
 
-        monkeypatch.setattr(theory, "noise_power", spoiled)
+        def spoiled(*args):
+            chan, noise = variances(*args)
+            return chan, np.full_like(noise, bad)
+
+        monkeypatch.setattr(theory, "probe_variances", spoiled)
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
             vote_averaged_cer(4, 1, model, n_realizations=5,

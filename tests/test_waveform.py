@@ -172,5 +172,4 @@ class TestResources:
         assert separation_resources(8) > cost
 
     def test_separation_efficiency(self):
-        assert separation_resources(8, 1.0) == 8.0
-        assert separation_resources(8, 2.0) == 4.0
+        assert separation_resources(8) == 8.0
