@@ -31,7 +31,7 @@ from .huffman import (
     synthesize_coeffs,
     zero_form_eval,
 )
-from .median import MedianState, local_votes, median_step, run_median
+from .median import local_votes, run_median
 from .theory import (
     CerEstimate,
     CerModel,

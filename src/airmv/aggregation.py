@@ -277,7 +277,7 @@ class ProbeAggregator:
 
 
 def _ideal(votes, rng):
-    return np.sign(votes.sum(axis=-2)).astype(int)
+    return np.sign(check_vote_batch(votes).sum(axis=-2)).astype(int)
 
 
 def backend(name, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None):

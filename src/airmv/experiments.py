@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aggregation import probe_tables, table_product
+from .aggregation import backend, probe_tables, table_product
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
@@ -36,7 +36,7 @@ from .huffman import (
     synthesize_coeffs,
 )
 from .median import run_median
-from .simulate import cer_backend, simulate_cer, stream
+from .simulate import simulate_cer, stream
 from .theory import CerModel, vote_averaged_cers
 from .waveform import (
     dfts_ofdm_modulate,
@@ -148,7 +148,7 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
             for mi, name in enumerate(cfg.methods):
                 # One backend and one theory law for every n_plus: they
                 # depend on none of them.
-                aggregate = (cer_backend(name, K, pdp_cfg, sigma2)
+                aggregate = (backend(name, K, pdp_cfg, sigma2, positions=0)
                              if with_simulation else None)
                 theory = (_theory_group(cfg, name, K, snr_db, (ki, si, mi))
                           if name in PROPOSED and cfg.realizations > 0 else None)

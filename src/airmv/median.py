@@ -7,9 +7,13 @@ parameter and nothing else; the aggregator updates the estimate by the
 learning rate times the (possibly miscomputed) majority vote and announces
 it error-free on the downlink.
 
-Each round's (R, U, M) votes go to one `aggregate(votes, rng)` backend,
-which `airmv.aggregation.backend` builds once per run, deciding every vote
-position: the same constructor the error-rate Monte Carlo calls. The true
+`run_median` keeps the (R, M) estimates of its R realizations as one float
+array. Each round forms the (R, U, M) votes (`local_votes`), hands them to
+one `aggregate(votes, rng)` backend, which `airmv.aggregation.backend`
+builds once per run, deciding every vote position (the same constructor
+the error-rate Monte Carlo calls), and subtracts mu_i times the decisions:
+a tie's zero decision leaves its estimate where it was. The rate mu_i falls
+linearly from 0.01 at the first round to 1e-5 at the last. The true
 medians the RMSE is measured against come from one partition at the two
 middle ranks (`true_medians`), the values of `np.median` without the NaN
 check that imports `numpy.ma`, so a round costs little more than its
@@ -19,74 +23,39 @@ draws and a run imports no `numpy.ma`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .aggregation import backend
 from .baselines import BASELINES
 from .channel import PdpConfig
-from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method
 from .simulate import stream
 
 __all__ = [
-    "MedianState",
     "local_votes",
-    "median_step",
     "run_median",
     "true_medians",
     "votes_per_round",
 ]
 
-
-@dataclass(frozen=True)
-class MedianState:
-    """Per-parameter estimates and the position along the step schedule."""
-
-    estimates: np.ndarray
-    iteration: int = 0
-    rounds: int = 500
-    mu_start: float = 0.01
-    mu_end: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
-        if self.mu_start <= 0 or self.mu_end <= 0:
-            raise ValueError("learning rates must be positive")
-        object.__setattr__(
-            self, "estimates", np.array(self.estimates, dtype=float, copy=True)
-        )
-
-    @property
-    def mu(self) -> float:
-        """Learning rate, linearly interpolated across the round horizon."""
-        if self.rounds == 1:
-            return self.mu_start
-        frac = min(self.iteration, self.rounds - 1) / (self.rounds - 1)
-        return self.mu_start + (self.mu_end - self.mu_start) * frac
+# The learning rate at the first and at the last round.
+_MU_START = 0.01
+_MU_END = 1e-5
 
 
-def local_votes(state: MedianState, params: np.ndarray) -> np.ndarray:
+def local_votes(estimates: np.ndarray, params: np.ndarray) -> np.ndarray:
     """Votes sign(estimate - parameter) per device; sign(0) resolves to +1.
 
     `params` has shape (..., U, M) against estimates (..., M); the int8
     result matches `params`. For finite values estimate - parameter >= 0
     exactly when estimate >= parameter, so one comparison forms the votes.
     """
-    votes = (np.asarray(state.estimates)[..., np.newaxis, :]
+    votes = (np.asarray(estimates)[..., np.newaxis, :]
              >= np.asarray(params)).view(np.int8)
     votes *= 2
     votes -= 1
     return votes
-
-
-def median_step(state: MedianState, mv: np.ndarray) -> MedianState:
-    """Descend by mu times the majority-vote direction; a zero (tie)
-    decision leaves the estimate unchanged."""
-    new_estimates = state.estimates - state.mu * np.asarray(mv)
-    return replace(state, estimates=new_estimates, iteration=state.iteration + 1)
 
 
 def votes_per_round(name: str, K: int) -> int:
@@ -138,6 +107,8 @@ def run_median(
     Device parameters are Uniform(-sqrt(3), sqrt(3)); each round decides
     `votes_per_round(name, K)` parameters.
     """
+    if rounds < 1:
+        raise ValueError(f"need at least one round, got {rounds=}")
     if U < 1 or realizations < 1:
         raise ValueError(f"need U, realizations >= 1, got {U=}, {realizations=}")
     M = votes_per_round(name, K)
@@ -147,10 +118,11 @@ def run_median(
     true_median = true_medians(params)
 
     mv = backend(name, K, pdp_cfg, sigma2)
-    state = MedianState(estimates=np.zeros((realizations, M)), rounds=rounds)
+    estimates = np.zeros((realizations, M))
+    span = max(rounds - 1, 1)
     rmse = np.empty(rounds)
     for i in range(rounds):
-        votes = local_votes(state, params)
-        state = median_step(state, mv(votes, rng))
-        rmse[i] = math.sqrt(np.mean((state.estimates - true_median) ** 2))
+        mu = _MU_START + (_MU_END - _MU_START) * (i / span)
+        estimates -= mu * mv(local_votes(estimates, params), rng)
+        rmse[i] = math.sqrt(np.mean((estimates - true_median) ** 2))
     return rmse

@@ -2,7 +2,7 @@
 
 One entry, `simulate_cer`, serves every scheme: its batches share one
 `aggregate(votes, rng)` of `airmv.aggregation.backend` deciding vote 0
-alone, `cer_backend`, which a sweep over n_plus builds once. Every batch
+alone (`positions=0`), which a sweep over n_plus builds once. Every batch
 fixes the scored vote and hands the votes to it. These are the backends
 the median runs.
 
@@ -22,7 +22,6 @@ import numpy as np
 from .aggregation import backend
 from .baselines import BASELINES
 from .channel import PdpConfig
-from .channel import superpose  # noqa: F401  (bound for bench/tests)
 from .encoding import Method
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "stream",
     "run_trial_batches",
     "mv_error_batch",
-    "cer_backend",
     "simulate_cer",
     "binomial_stderr",
 ]
@@ -122,11 +120,6 @@ def mv_error_batch(
     return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 
 
-def cer_backend(method: Method | str, K: int, pdp_cfg: PdpConfig, sigma2: float):
-    """The backend `simulate_cer` scores: the scheme's, deciding vote 0."""
-    return backend(method, K, pdp_cfg, sigma2, positions=0)
-
-
 def binomial_stderr(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
@@ -148,12 +141,12 @@ def simulate_cer(
     """Empirical error rate and binomial standard error of any MV scheme
     (see `mv_error_batch`); `method` is a `Method`, its name or a baseline
     name. The batches, on any number of threads, share one stateless
-    backend: `aggregate`, this point's `cer_backend`, or else one built
-    here after the counts are checked."""
+    backend: `aggregate`, this point's backend deciding vote 0, or else one
+    built here after the counts are checked."""
     _fixed_column(U, n_plus)
     M = None if method in BASELINES else Method.from_name(method).votes_per_codeword(K)
     if aggregate is None:
-        aggregate = cer_backend(method, K, pdp_cfg, sigma2)
+        aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
 
     def counter(rng, n):
         return mv_error_batch(rng, n, aggregate, U, n_plus, M)

@@ -269,11 +269,11 @@ def _no_dft(patch):
 
 
 # The one-probe draw scales each live cell by the root of its variance, so
-# m_c-not-sqrt draws variance C_H[p, p]^2 (sum_u |P_u|^2)^2 / 2. The
-# covariance factored by `eigh` is now the uncoded and differential
-# engines' C_W alone (the taps need none), so diagonal-C_H keeps its name
-# but reaches the noise: independent probes. The reversed tap basis reads
-# tap l at z^(L_e - 1 - l), which only the multi-vote rule's taps meet.
+# m_c-not-sqrt draws variance C_H[p, p]^2 (sum_u |P_u|^2)^2 / 2. The only
+# covariance a build factors by `eigh` is the uncoded and differential
+# engines' noise C_W (the taps need none), so diagonal-C_W draws the noise
+# independently at each probe. The reversed tap basis reads tap l at
+# z^(L_e - 1 - l), which only the multi-vote rule's taps meet.
 # The other noise mutations reach only the indexed draw: its eigenvalues
 # without the n >= K terms folded in, and its eigen-draws at the probes
 # without the DFT, independent probes.
@@ -285,7 +285,7 @@ def _no_dft(patch):
     {"mutate_build": _unfolded_noise},          # C_W's eigenvalues unfolded
     {"mutate_draw": _no_dft},                   # indexed noise without its DFT
     {"mutate_build": _reversed_tap_basis},      # taps read at the wrong powers
-], ids=["wrong-taps", "diagonal-C_H", "m_c-not-sqrt", "power-of-the-sum",
+], ids=["wrong-taps", "diagonal-C_W", "m_c-not-sqrt", "power-of-the-sum",
         "unfolded-C_W", "no-dft", "reversed-tap-basis"])
 def test_moment_check_catches_a_wrong_law(mutation):
     assert max(moment_z(i, **mutation) for i in range(len(MOMENT_CASES))) > 5
@@ -640,7 +640,7 @@ def test_monte_carlo_batch_matches_time_domain_batch():
 
 def test_median_matches_time_domain_rounds():
     """run_median on the engine retraces a time-domain median loop."""
-    from airmv.median import MedianState, local_votes, median_step
+    from airmv.median import local_votes
     from airmv.simulate import stream
 
     K, U, rounds, reps, sigma2 = 8, 5, 30, 20, 0.1
@@ -653,13 +653,14 @@ def test_median_matches_time_domain_rounds():
         rng = stream(4, 1)
         params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(reps, U, M))
         true_median = np.median(params, axis=-2)
-        state = MedianState(estimates=np.zeros((reps, M)), rounds=rounds)
+        estimates = np.zeros((reps, M))
         expected = np.empty(rounds)
         for i in range(rounds):
-            votes = local_votes(state, params)
+            mu = 0.01 + (1e-5 - 0.01) * (i / (rounds - 1))
+            votes = local_votes(estimates, params)
             _, mv = oracle(method, K, pdp_cfg, sigma2, votes, rng)
-            state = median_step(state, mv)
-            expected[i] = math.sqrt(np.mean((state.estimates - true_median) ** 2))
+            estimates -= mu * mv
+            expected[i] = math.sqrt(np.mean((estimates - true_median) ** 2))
         np.testing.assert_array_equal(got, expected)
 
 

@@ -30,7 +30,7 @@ from airmv.baselines import (
 from airmv.channel import PdpConfig, awgn, complex_normal, sample_channel, superpose
 from airmv.config import build_config
 from airmv.experiments import run_experiment, write_csv
-from airmv.median import MedianState, local_votes, median_step, run_median
+from airmv.median import local_votes, run_median
 from airmv.simulate import (
     _count_mv_errors,
     _fixed_column,
@@ -717,11 +717,12 @@ class TestObdaDecode:
         assert _count_mv_errors(mv[:, 0], 3, 2) == np.count_nonzero(active_sum <= 0)
 
     def test_noiseless_tie_leaves_the_median_unchanged(self):
-        """A tie's zero decision leaves its median estimate where it was."""
+        """A noiseless tie of active votes decides 0 at every position of
+        the median's (R, U, M) call, so its estimates stay where they were
+        (`TestRunMedian::test_a_tie_freezes_the_estimate` in test_median)."""
         votes = np.broadcast_to(np.array([[1], [-1]]), (20, 2, 3))
-        state = MedianState(estimates=np.linspace(-1.0, 1.0, 60).reshape(20, 3))
         mv = obda_aggregate(votes, np.random.default_rng(19), 0.0, truncation=0.0)
-        np.testing.assert_array_equal(median_step(state, mv).estimates, state.estimates)
+        np.testing.assert_array_equal(mv, np.zeros((20, 3)))
 
 
 class TestObdaLaw:
@@ -787,15 +788,20 @@ class TestObdaLaw:
 class TestValidation:
     """Each backend call checks its inputs once, before any draw."""
 
-    BACKENDS = (
+    NOISY = (
         lambda votes, **kw: goldenbaum_aggregate(
             votes, np.random.default_rng(0), 3, PdpConfig(2), kw.get("sigma2", 0.1)),
         lambda votes, **kw: obda_aggregate(
             votes, np.random.default_rng(0), kw.get("sigma2", 0.1)),
     )
+    # The ideal backend reads no noise, but checks its votes as the others do.
+    BACKENDS = NOISY + (
+        lambda votes: build_backend("ideal", 8, PdpConfig(1), 0.1)(
+            votes, np.random.default_rng(0)),
+    )
 
     def test_rejects_negative_noise(self):
-        for backend in self.BACKENDS:
+        for backend in self.NOISY:
             with pytest.raises(ValueError):
                 backend(np.ones((4, 3, 1), int), sigma2=-0.1)
 
@@ -881,11 +887,12 @@ def test_run_median_matches_a_per_trial_loop(name):
     rng = stream(4, 2)
     params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(reps, U, 3))
     true_median = np.median(params, axis=-2)
-    state = MedianState(estimates=np.zeros((reps, 3)), rounds=rounds)
+    estimates = np.zeros((reps, 3))
     expected = np.empty(rounds)
     for i in range(rounds):
-        state = median_step(state, loop(local_votes(state, params), rng))
-        expected[i] = math.sqrt(np.mean((state.estimates - true_median) ** 2))
+        mu = 0.01 + (1e-5 - 0.01) * (i / (rounds - 1))
+        estimates -= mu * loop(local_votes(estimates, params), rng)
+        expected[i] = math.sqrt(np.mean((estimates - true_median) ** 2))
     np.testing.assert_array_equal(got, expected)
 
 

@@ -8,45 +8,25 @@ import pytest
 
 from airmv.channel import PdpConfig
 from airmv.config import EXPERIMENTS
-from airmv.median import MedianState, local_votes, median_step, run_median, true_medians
+from airmv.median import local_votes, run_median, true_medians
+from airmv.simulate import stream
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class TestMedianState:
-    def test_mu_schedule_endpoints(self):
-        s = MedianState(np.zeros(2), rounds=101, mu_start=0.01, mu_end=1e-5)
-        assert s.mu == pytest.approx(0.01)
-        end = MedianState(np.zeros(2), iteration=100, rounds=101,
-                          mu_start=0.01, mu_end=1e-5)
-        assert end.mu == pytest.approx(1e-5)
-
-    def test_mu_linear_midpoint(self):
-        s = MedianState(np.zeros(1), iteration=50, rounds=101)
-        assert s.mu == pytest.approx((0.01 + 1e-5) / 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MedianState(np.zeros(1), rounds=0)
-        with pytest.raises(ValueError):
-            MedianState(np.zeros(1), mu_start=0.0)
-
-
 class TestLocalVotes:
     def test_sign_of_differences(self):
-        state = MedianState(np.array([0.0]))
         params = np.array([[-1.0], [1.0]])  # two devices, one parameter
-        np.testing.assert_array_equal(local_votes(state, params), [[1], [-1]])
+        np.testing.assert_array_equal(local_votes(np.array([0.0]), params), [[1], [-1]])
 
     def test_below_all(self):
-        state = MedianState(np.array([-5.0]))
         params = np.array([[-1.0], [0.0], [2.0]])
-        np.testing.assert_array_equal(local_votes(state, params), [[-1], [-1], [-1]])
+        np.testing.assert_array_equal(local_votes(np.array([-5.0]), params),
+                                      [[-1], [-1], [-1]])
 
     def test_tie_resolves_positive(self):
-        state = MedianState(np.array([0.7]))
         params = np.array([[0.7]])
-        np.testing.assert_array_equal(local_votes(state, params), [[1]])
+        np.testing.assert_array_equal(local_votes(np.array([0.7]), params), [[1]])
 
 
     def test_one_comparison_matches_the_sign_of_the_difference(self):
@@ -62,44 +42,31 @@ class TestLocalVotes:
         params[:, 1::5] = 0.0
         params[:, 2::5] = -0.0
         params[::7] *= 10.0 ** rng.integers(-300, 300, params[::7].shape)
-        state = MedianState(estimates)
         want = np.where(estimates[:, np.newaxis] - params >= 0, 1, -1)
-        got = local_votes(state, params)
+        got = local_votes(estimates, params)
         assert got.dtype == np.int8
         assert (got == 1).any() and (got == -1).any()
         np.testing.assert_array_equal(got, want)
         # One realization: (U, M) params against (M,) estimates.
-        np.testing.assert_array_equal(local_votes(MedianState(estimates[0]), params[0]),
-                                      want[0])
+        np.testing.assert_array_equal(local_votes(estimates[0], params[0]), want[0])
 
 
 class TestMedianStep:
-    def test_descends_by_mu(self):
-        state = MedianState(np.array([1.0]), rounds=10, mu_start=0.01, mu_end=0.01)
-        out = median_step(state, np.array([1]))
-        assert out.estimates[0] == pytest.approx(0.99)
-        assert out.iteration == 1
-
-    def test_tie_leaves_estimate(self):
-        state = MedianState(np.array([1.0]))
-        out = median_step(state, np.array([0]))
-        assert out.estimates[0] == 1.0
-
     def test_ideal_oracle_converges_to_sample_median(self):
         """Sign descent with exact majority votes lands within the final
         step size of the middle order statistic."""
         rng = np.random.default_rng(0)
+        rounds, mu_start, mu_end = 800, 0.01, 1e-4
+        mus = mu_start + (mu_end - mu_start) * np.arange(rounds) / (rounds - 1)
         for U in (5, 25):
             for _ in range(10):
                 params = rng.uniform(-1.0, 1.0, size=(U, 1))
                 true = np.median(params)
-                state = MedianState(np.zeros(1), rounds=800,
-                                    mu_start=0.01, mu_end=1e-4)
-                for _ in range(800):
-                    votes = local_votes(state, params)
-                    mv = np.sign(votes.sum(axis=-2))
-                    state = median_step(state, mv)
-                assert abs(state.estimates[0] - true) <= 1.5 * state.mu
+                estimates = np.zeros(1)
+                for mu in mus:
+                    votes = local_votes(estimates, params)
+                    estimates -= mu * np.sign(votes.sum(axis=-2))
+                assert abs(estimates[0] - true) <= 1.5 * mus[-1]
 
 
 class TestRunMedian:
@@ -132,6 +99,29 @@ class TestRunMedian:
         """No transmitter or no realization used to return NaNs."""
         with pytest.raises(ValueError, match=match):
             run_median("ideal", 8, U, 3, realizations, PdpConfig(1), 0.1, seed=5)
+
+    def test_steps_follow_the_linear_schedule(self):
+        """Round i of n moves the estimate by mu_i = 0.01 + (1e-5 - 0.01)
+        i / (n - 1), a single round by 0.01, toward the parameter: one
+        device, which it never reaches in 5 rounds, so every vote is exact
+        and rmse[i] = |p| - sum_{j<=i} mu_j."""
+        p = stream(1).uniform(-np.sqrt(3.0), np.sqrt(3.0))
+        for rounds, mus in ((5, 0.01 + (1e-5 - 0.01) * np.arange(5) / 4),
+                            (1, np.array([0.01]))):
+            rmse = run_median("ideal", 2, 1, rounds, 1, PdpConfig(1), 0.0, seed=1)
+            assert abs(p) > mus.sum()
+            np.testing.assert_allclose(rmse, abs(p) - np.cumsum(mus), rtol=0,
+                                       atol=1e-15)
+
+    def test_a_tie_freezes_the_estimate(self):
+        """Two devices: once the estimate lies between them, the exact
+        majority vote ties, decides 0 and leaves the estimate unchanged."""
+        rmse = run_median("ideal", 2, 2, 3000, 1, PdpConfig(1), 0.0, seed=2)
+        assert np.unique(rmse[-500:]).size == 1
+
+    def test_needs_a_round(self):
+        with pytest.raises(ValueError, match="round"):
+            run_median("ideal", 8, 3, 0, 2, PdpConfig(1), 0.1, seed=5)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ test dependency only, and importing the CLI loads none of it.
 
 Each module but `__init__` declares `__all__`, and the functions and
 classes it lists are exactly its public top-level ones; any other name it
-lists is a top-level constant.
+lists is a top-level constant. Each module but `__init__`, whose imports
+are the package's exports, reads every name it imports.
 """
 
 import ast
@@ -414,3 +415,53 @@ def test_the_scan_sees_a_planted_export_mismatch(tmp_path, monkeypatch):
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert export_mismatches() == ["a.forgotten", "a.gone", "b.__all__"]
+
+
+def unused_imports() -> list[str]:
+    """`module.name` for each name that a module but `__init__` imports and
+    never reads; `from __future__` imports are compiler directives."""
+    found = []
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Import):
+                bound = [alias.asname or alias.name.split(".", 1)[0] for alias in n.names]
+            elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+                bound = [alias.asname or alias.name for alias in n.names]
+            else:
+                continue
+            found += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return found
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
+
+
+def test_the_scan_sees_a_planted_unused_import(tmp_path, monkeypatch):
+    """An import that is never read, one only rebound and an alias whose
+    original name alone appears are reported; names read in a function, an
+    annotation or as a module's attribute base, `from __future__` and
+    `__init__` are not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "__init__": "from .a import f\n",
+        "a": "from __future__ import annotations\n\n"
+             "import math\nimport numpy as np\nimport os.path\n\n"
+             "from .b import Box, helper as aid, spare, stale\n\n"
+             "stale = 3\n\n"
+             "def f(x: Box) -> float:\n"
+             "    return math.pi + np.ones(2).sum() + os.path.sep.count('/') + helper\n",
+        "b": "def g():\n    from .a import f\n    return 1\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert unused_imports() == ["a.aid", "a.spare", "a.stale", "b.f"]
