@@ -13,6 +13,12 @@ and the number of seeds the change won, in the metric's declared direction
 (ties count for neither side). It exits 1 if any run is not `correct` or
 has `failed > 0`.
 
+Before any run it compares the two trees' benchmarks: `BENCHMARK.json` and
+every file under `bench/`, leaving out `bench/out/` and `__pycache__/`. A
+pair run across two different harnesses measures nothing, so if a file
+differs, or exists in one tree only, it names the first such path and
+exits 2.
+
 With `--record N` it copies, for each side, the JSON record of the run
 whose `items_per_s` lies nearest that side's median to
 `BENCH_pr<N>_{parent,change}_<workload>.json` in the current directory.
@@ -65,6 +71,31 @@ def benchmark_spec(benchmark: Path) -> tuple[dict[str, str], float]:
     the declared run length in seconds."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in spec["end_to_end"]}, float(spec["run_seconds"])
+
+
+def benchmark_files(tree: Path) -> dict[str, bytes]:
+    """Relative path -> bytes of `BENCHMARK.json` and of every file under
+    `bench/`, but those under `bench/out/` and any `__pycache__/`."""
+    files = {}
+    spec = tree / "BENCHMARK.json"
+    if spec.is_file():
+        files["BENCHMARK.json"] = spec.read_bytes()
+    for path in (tree / "bench").rglob("*"):
+        rel = path.relative_to(tree)
+        if (path.is_file() and rel.parts[:2] != ("bench", "out")
+                and "__pycache__" not in rel.parts):
+            files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first path, in sorted order, at which the two trees' benchmarks
+    differ, a file on one side only included; None if they are the same."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    for rel in sorted(a.keys() | b.keys()):
+        if a.get(rel) != b.get(rel):
+            return rel
+    return None
 
 
 def parse_output(stdout: str, tree: Path) -> tuple[dict, Path | None]:
@@ -169,6 +200,11 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             parser.error(f"{side} tree {tree} has no bench/run.py")
+    differs = first_difference(trees["parent"], trees["change"])
+    if differs is not None:
+        print(f"the trees' benchmarks differ at {differs}: a pair run across two "
+              "harnesses measures nothing", file=sys.stderr)
+        return 2
     directions, seconds = benchmark_spec(ROOT / "BENCHMARK.json")
 
     runs = []

@@ -1,13 +1,7 @@
 """Over-the-air majority-vote computation on the zeros of Huffman polynomials."""
 
 from .aggregation import ProbeAggregator
-from .baselines import (
-    default_sequence_length,
-    goldenbaum_aggregate,
-    goldenbaum_estimate,
-    obda_aggregate,
-    obda_received,
-)
+from .baselines import default_sequence_length, goldenbaum_estimate, obda_received
 from .channel import PdpConfig, pdp, sample_channel, superpose
 from .decoding import (
     DecoderContext,

@@ -53,9 +53,10 @@ and the theory evaluate the signal the same way. The pmepr sweep of
 `table_product` of the uncoded tables too.
 
 `backend` is the one place a scheme's name becomes its `aggregate(votes,
-rng)`: this engine, a baseline of `airmv.baselines`, or the ideal sign of
-the vote sum. The error-rate Monte Carlo builds one per sweep point and the
-median one per run; neither caches it.
+rng)`: this engine's `aggregate`, or the sign of one statistic, the vote
+sum (ideal) or a baseline's of `airmv.baselines`; nothing else signs a
+baseline statistic. The error-rate Monte Carlo builds one per sweep point
+and the median one per run; neither caches it.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from functools import partial
 
 import numpy as np
 
-from .baselines import default_sequence_length, goldenbaum_aggregate, obda_aggregate
+from .baselines import default_sequence_length, goldenbaum_estimate, obda_received
 from .channel import PdpConfig, complex_normal
 from .decoding import (DecoderContext, detector_form, powers, probe_moments,
                        probe_variances)
@@ -276,28 +277,36 @@ class ProbeAggregator:
         return self.form.decide(r.real**2 + r.imag**2)
 
 
-def _ideal(votes, rng):
-    return np.sign(check_vote_batch(votes).sum(axis=-2)).astype(int)
-
-
 def backend(name, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None):
     """aggregate(votes, rng) -> decisions for the scheme called `name`.
 
-    `name` is a CLI method name (or a `Method`): "ideal", the sign of the
-    vote sum; "goldenbaum", spending the indexed scheme's resources per MV
-    (`default_sequence_length(K)`); "obda", "obda_phase" and "obda_no_tci",
-    on single-tap subchannels irrespective of the delay profile and K; or a
-    zero-encoded scheme, a `ProbeAggregator` deciding the vote `positions`
-    (all by default). The other backends decide every position they get.
-    The receivers never see the channel realizations.
+    `name` is a CLI method name (or a `Method`). A zero-encoded scheme is
+    a `ProbeAggregator` deciding the vote `positions` (all by default).
+    Every other name decides every position it gets as the sign of one
+    (n, M) statistic: "ideal", of the vote sum; "goldenbaum", of
+    `goldenbaum_estimate`, spending the indexed scheme's resources per MV
+    (`default_sequence_length(K)`); "obda", of `obda_received`, on
+    single-tap subchannels irrespective of the delay profile and K, with
+    phase errors for "obda_phase" and no channel inversion for
+    "obda_no_tci". The receivers never see the channel realizations. A
+    negative or NaN `sigma2` is refused here, before any name is read.
     """
+    if not sigma2 >= 0:  # NaN too
+        raise ValueError("noise variance must be nonnegative")
     if name == "ideal":
-        return _ideal
-    if name == "goldenbaum":
-        return partial(goldenbaum_aggregate, L_seq=default_sequence_length(K),
-                       pdp_cfg=pdp_cfg, sigma2=sigma2)
-    if name in ("obda", "obda_phase", "obda_no_tci"):
-        return partial(obda_aggregate, sigma2=sigma2,
-                       phase_errors=name == "obda_phase", tci=name != "obda_no_tci")
-    engine = ProbeAggregator(Method.from_name(name), K, pdp_cfg, sigma2, positions)
-    return engine.aggregate
+        def statistic(votes, rng):
+            return check_vote_batch(votes).sum(axis=-2)
+    elif name == "goldenbaum":
+        statistic = partial(goldenbaum_estimate, L_seq=default_sequence_length(K),
+                            pdp_cfg=pdp_cfg, sigma2=sigma2)
+    elif name in ("obda", "obda_phase", "obda_no_tci"):
+        statistic = partial(obda_received, sigma2=sigma2,
+                            phase_errors=name == "obda_phase", tci=name != "obda_no_tci")
+    else:
+        engine = ProbeAggregator(Method.from_name(name), K, pdp_cfg, sigma2, positions)
+        return engine.aggregate
+
+    def aggregate(votes, rng):
+        return np.sign(statistic(votes, rng)).astype(int)
+
+    return aggregate

@@ -6,12 +6,12 @@ energy. OBDA maps votes to BPSK with truncated channel inversion at the
 transmitters; it is coherent and therefore needs per-node CSI, which is
 exactly the requirement the zero-encoded schemes avoid.
 
-Each scheme is one vectorized backend with the contract of
-`airmv.aggregation.ProbeAggregator.aggregate`: votes (n, U, M) of +/-1 in,
-decisions (n, M) out, every (trial, vote position) an independent
-aggregation with its own draws. The Monte Carlo calls it with M = 1, the
-median with all M positions of a round; `airmv.aggregation.backend` binds
-a baseline's parameters to its CLI name.
+Each scheme is one vectorized statistic: votes (n, U, M) of +/-1 in, the
+real (n, M) statistic its receiver reads out, every (trial, vote position)
+an independent aggregation with its own draws. Its majority vote is the
+statistic's sign, which `airmv.aggregation.backend` takes, after binding
+the scheme's parameters to its CLI name. The Monte Carlo hands it M = 1,
+the median all M positions of a round.
 
 In Goldenbaum's scheme a -1 voter is silent and the receiver reads only
 the received energy |y|^2, so only its law is drawn. Given the senders'
@@ -39,8 +39,8 @@ blocks.
 OBDA's receiver reads only sign(Re y), so `obda_received` returns the real
 (n, M) statistic Re y, drawn from its law given the votes: with channel
 inversion an active node delivers its vote exactly, rotated by its phase
-error, and a node is active with probability e^{-truncation} since |h|^2
-~ Exp(1). No taps are drawn and nothing is inverted.
+error, and a node is active with probability e^{-_TRUNCATION} since
+|h|^2 ~ Exp(1). No taps are drawn and nothing is inverted.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ __all__ = [
     "BASELINES",
     "default_sequence_length",
     "goldenbaum_estimate",
-    "goldenbaum_aggregate",
     "obda_received",
-    "obda_aggregate",
 ]
 
 BASELINES = ("goldenbaum", "obda", "obda_phase", "obda_no_tci")
@@ -74,6 +72,9 @@ _TURN_TABLE = np.exp(2j * np.pi / 4096 * np.arange(4096))
 
 # OBDA's synchronization phase errors are uniform within +-120 degrees.
 _PHASE_HALFWIDTH = math.radians(120.0)
+
+# OBDA's truncation threshold: a node with |h|^2 at or below it stays silent.
+_TRUNCATION = 0.2
 
 
 def default_sequence_length(K: int) -> int:
@@ -302,16 +303,10 @@ def goldenbaum_estimate(
     return (energy - window * sigma2) / L_seq - U
 
 
-def goldenbaum_aggregate(votes, rng, L_seq, pdp_cfg, sigma2) -> np.ndarray:
-    """Majority-vote decisions (n, M): the sign of `goldenbaum_estimate`."""
-    return np.sign(goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2)).astype(int)
-
-
 def obda_received(
     votes,
     rng: np.random.Generator,
     sigma2: float,
-    truncation: float = 0.2,
     phase_errors: bool = False,
     tci: bool = True,
 ) -> np.ndarray:
@@ -319,32 +314,30 @@ def obda_received(
     single-tap subchannels h ~ CN(0, 1).
 
     With truncated channel inversion (tci) a node stays silent when |h|^2
-    is at or below `truncation` and otherwise pre-equalizes by
+    is at or below `_TRUNCATION` and otherwise pre-equalizes by
     conj(h)/|h|^2, so it delivers its vote v exactly; phase errors, uniform
     within +-120 degrees, rotate it to v e^{i theta}. Without tci the node
     has no CSI and sends the raw BPSK symbol.
 
     The receiver reads only sign(Re y), so only the law of Re y given the
     votes is drawn, with no taps. |h|^2 ~ Exp(1), so a node is active with
-    probability e^{-truncation}, and Re y = sum_u active_u v_u cos(theta_u)
-    + N(0, sigma2/2). Per call the rng draws the (n, M, U) activity
-    uniforms (`rng.random`; active below e^{-truncation}), then the (n, M,
-    U) phase errors when `phase_errors` is set, then the (n, M) noise
-    normals when sigma2 > 0. Without phase errors the sum of the active
+    probability e^{-_TRUNCATION}, and Re y = sum_u active_u v_u
+    cos(theta_u) + N(0, sigma2/2). Per call the rng draws the (n, M, U)
+    activity uniforms (`rng.random`; active below e^{-_TRUNCATION}), then
+    the (n, M, U) phase errors when `phase_errors` is set, then the (n, M)
+    noise normals when sigma2 > 0. Without phase errors the sum of the active
     votes is exact, so a noiseless tie reads exactly 0. Without tci,
     sum_u v_u h_u e^{i theta_u} is CN(0, U) whatever the votes and phases,
     so Re y is one (n, M) draw of normals with variance (U + sigma2)/2,
     the call's only draw, whatever sigma2.
     """
     votes = check_vote_batch(votes)
-    if not truncation >= 0:  # a NaN fails too
-        raise ValueError("truncation threshold must be a nonnegative number")
     _check_sigma2(sigma2)
     per_mv = np.swapaxes(votes, -1, -2)  # (n, M, U)
     n, M, U = per_mv.shape
     if not tci:
         return math.sqrt((U + sigma2) / 2.0) * rng.standard_normal((n, M))
-    active = rng.random(per_mv.shape) < math.exp(-truncation)
+    active = rng.random(per_mv.shape) < math.exp(-_TRUNCATION)
     if phase_errors:
         theta = rng.uniform(-_PHASE_HALFWIDTH, _PHASE_HALFWIDTH, per_mv.shape)
         y = np.sum(per_mv * np.cos(theta), axis=-1, where=active)
@@ -354,9 +347,3 @@ def obda_received(
         y += math.sqrt(sigma2 / 2.0) * rng.standard_normal((n, M))
     return y
 
-
-def obda_aggregate(votes, rng, sigma2, truncation=0.2, phase_errors=False,
-                   tci=True) -> np.ndarray:
-    """Majority-vote decisions (n, M): the sign of `obda_received`."""
-    return np.sign(obda_received(votes, rng, sigma2, truncation, phase_errors,
-                                 tci)).astype(int)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aggregation import backend, probe_tables, table_product
+from .aggregation import probe_tables, table_product
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
@@ -146,10 +146,9 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
         for si, snr_db in enumerate(cfg.snr_db):
             sigma2 = cfg.sigma2(snr_db)
             for mi, name in enumerate(cfg.methods):
-                # One backend and one theory law for every n_plus: they
-                # depend on none of them.
-                aggregate = (backend(name, K, pdp_cfg, sigma2, positions=0)
-                             if with_simulation else None)
+                # One theory law for every n_plus: it depends on none of
+                # them. simulate_cer builds its own backend per point, a
+                # build far cheaper than the point's trials.
                 theory = (_theory_group(cfg, name, K, snr_db, (ki, si, mi))
                           if name in PROPOSED and cfg.realizations > 0 else None)
                 for ni, n_plus in enumerate(cfg.n_plus_values()):
@@ -162,7 +161,6 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
                         p, se = simulate_cer(
                             name, K, cfg.U, n_plus, pdp_cfg, sigma2, cfg.trials,
                             cfg.seed, (_DOMAIN_MC,) + key, cfg.threads,
-                            aggregate=aggregate,
                         )
                         rows.append(ResultRow(metric="cer", value=p, stderr=se,
                                               **common))

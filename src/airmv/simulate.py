@@ -1,15 +1,16 @@
 """Vectorized Monte Carlo link-level trials.
 
-One entry, `simulate_cer`, serves every scheme: its batches share one
+One entry, `simulate_cer`, serves every scheme: it builds one
 `aggregate(votes, rng)` of `airmv.aggregation.backend` deciding vote 0
-alone (`positions=0`), which a sweep over n_plus builds once. Every batch
-fixes the scored vote and hands the votes to it. These are the backends
-the median runs.
+alone (`positions=0`) per call, that is per sweep point, and its batches
+share it. Every batch fixes the scored vote and hands the votes to it.
+These are the backends the median runs.
 
-Trials are processed in fixed-size batches; every batch derives its own
-generator from (master seed, stream key, batch index), so results are
-bit-reproducible no matter how batches are scheduled across workers. Error
-counts are integers and their reduction is order-independent.
+Trials are processed in batches of `BATCH_SIZE`; every batch derives its
+own generator from (master seed, stream key, batch index), so results are
+bit-reproducible no matter how batches are scheduled across workers, and a
+seed and a key name exactly one stream layout. Error counts are integers
+and their reduction is order-independent.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "run_trial_batches",
     "mv_error_batch",
     "simulate_cer",
-    "binomial_stderr",
 ]
 
 BATCH_SIZE = 20_000
@@ -49,17 +49,18 @@ def run_trial_batches(
     seed: int,
     key: tuple[int, ...] = (),
     threads: int = 1,
-    batch_size: int = BATCH_SIZE,
 ) -> int:
-    """Sum count_errors(rng, n) over fixed-size batches covering `trials`.
+    """Sum count_errors(rng, n) over batches of `BATCH_SIZE` trials (the
+    last one shorter) covering `trials`.
 
-    The batch grid depends only on `trials` and `batch_size`, never on the
-    worker count, so any `threads` value produces the same total.
+    The batch grid depends only on `trials` and `BATCH_SIZE`, read at call
+    time, never on the worker count, so any `threads` value produces the
+    same total.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sizes = [
-        min(batch_size, trials - start) for start in range(0, trials, batch_size)
+        min(BATCH_SIZE, trials - start) for start in range(0, trials, BATCH_SIZE)
     ]
 
     def one(batch_index: int) -> int:
@@ -120,10 +121,6 @@ def mv_error_batch(
     return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
 
 
-def binomial_stderr(p: float, trials: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-
 def simulate_cer(
     method: Method | str,
     K: int,
@@ -135,22 +132,17 @@ def simulate_cer(
     seed: int,
     key: tuple[int, ...] = (),
     threads: int = 1,
-    batch_size: int = BATCH_SIZE,
-    aggregate=None,
 ) -> tuple[float, float]:
     """Empirical error rate and binomial standard error of any MV scheme
     (see `mv_error_batch`); `method` is a `Method`, its name or a baseline
     name. The batches, on any number of threads, share one stateless
-    backend: `aggregate`, this point's backend deciding vote 0, or else one
-    built here after the counts are checked."""
+    backend deciding vote 0, built here after the counts are checked."""
     _fixed_column(U, n_plus)
     M = None if method in BASELINES else Method.from_name(method).votes_per_codeword(K)
-    if aggregate is None:
-        aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
+    aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
 
     def counter(rng, n):
         return mv_error_batch(rng, n, aggregate, U, n_plus, M)
 
-    errors = run_trial_batches(counter, trials, seed, key, threads, batch_size)
-    p = errors / trials
-    return p, binomial_stderr(p, trials)
+    p = run_trial_batches(counter, trials, seed, key, threads) / trials
+    return p, math.sqrt(p * (1.0 - p) / trials)

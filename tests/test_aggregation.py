@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from airmv import aggregation
+from airmv import aggregation, simulate
 from airmv.aggregation import ProbeAggregator, probe_tables, signal_power, table_product
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.decoding import decode, powers, probe_moments, probe_points
@@ -664,12 +664,13 @@ def test_median_matches_time_domain_rounds():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_simulate_cer_is_thread_invariant():
+def test_simulate_cer_is_thread_invariant(monkeypatch):
+    monkeypatch.setattr(simulate, "BATCH_SIZE", 1_000)
     for method, K in ((Method.UNCODED, 16), (Method.DIFFERENTIAL, 8),
                       (Method.INDEXED, 16)):
         args = (method, K, 7, 4, PdpConfig(3), 0.3, 5_000)
-        one = simulate_cer(*args, seed=8, threads=1, batch_size=1_000)
-        two = simulate_cer(*args, seed=8, threads=2, batch_size=1_000)
+        one = simulate_cer(*args, seed=8, threads=1)
+        two = simulate_cer(*args, seed=8, threads=2)
         assert one == two
 
 

@@ -22,11 +22,10 @@ from airmv.baselines import (
     _gram_order,
     _unit_phasors,
     default_sequence_length,
-    goldenbaum_aggregate,
     goldenbaum_estimate,
-    obda_aggregate,
     obda_received,
 )
+from airmv.encoding import Method
 from airmv.channel import PdpConfig, awgn, complex_normal, sample_channel, superpose
 from airmv.config import build_config
 from airmv.experiments import run_experiment, write_csv
@@ -38,6 +37,18 @@ from airmv.simulate import (
     simulate_cer,
     stream,
 )
+
+
+def obda_decisions(votes, rng, sigma2):
+    """The OBDA backend's decisions: the sign of `obda_received`."""
+    return build_backend("obda", 8, PdpConfig(1), sigma2)(votes, rng)
+
+
+@pytest.fixture
+def no_truncation(monkeypatch):
+    """OBDA with a zero threshold: every node is active (|h|^2 > 0 almost
+    surely)."""
+    monkeypatch.setattr(airmv.baselines, "_TRUNCATION", 0.0)
 
 
 def column_votes(n, U, n_plus):
@@ -273,7 +284,7 @@ class TestGoldenbaumEncode:
         good = np.ones((4, 3, 2), int)
         for bad in (0 * good, 2 * good, good.astype(float)):
             with pytest.raises(ValueError):
-                goldenbaum_aggregate(bad, np.random.default_rng(2), 4, PdpConfig(1), 0.1)
+                goldenbaum_estimate(bad, np.random.default_rng(2), 4, PdpConfig(1), 0.1)
 
 
 class TestGoldenbaumDecode:
@@ -281,8 +292,10 @@ class TestGoldenbaumDecode:
         votes = -np.ones((50, 3, 2), int)
         est = goldenbaum_estimate(votes, np.random.default_rng(3), 4, PdpConfig(2), 0.0)
         np.testing.assert_array_equal(est, -3.0)
+        # K = 16 spends L_seq = 4 chips per MV.
         np.testing.assert_array_equal(
-            goldenbaum_aggregate(votes, np.random.default_rng(3), 4, PdpConfig(2), 0.0),
+            build_backend("goldenbaum", 16, PdpConfig(2), 0.0)(
+                votes, np.random.default_rng(3)),
             -1,
         )
 
@@ -305,8 +318,8 @@ class TestGoldenbaumDecode:
     def test_rejects_short_sequence(self):
         for L_seq in (0, -1):
             with pytest.raises(ValueError):
-                goldenbaum_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0),
-                                     L_seq, PdpConfig(1), 0.1)
+                goldenbaum_estimate(np.ones((4, 3, 1), int), np.random.default_rng(0),
+                                    L_seq, PdpConfig(1), 0.1)
 
 
 class TestGoldenbaumBlocks:
@@ -585,11 +598,11 @@ class TestObdaEncode:
         np.testing.assert_array_equal(y[silent], 0.0)
         np.testing.assert_array_equal(y[~silent], 1.0)
 
-    def test_identity_inversion(self):
+    def test_identity_inversion(self, no_truncation):
         """Inverted channels deliver each untruncated vote as itself."""
         n = 2000
         votes = np.random.default_rng(8).integers(0, 2, (n, 1, 3)) * 2 - 1
-        y = obda_received(votes, np.random.default_rng(6), 0.0, truncation=0.0)
+        y = obda_received(votes, np.random.default_rng(6), 0.0)
         np.testing.assert_array_equal(y, votes[:, 0, :])
 
     def test_phase_conjugation(self):
@@ -623,11 +636,11 @@ class TestObdaEncode:
         np.testing.assert_array_equal(
             obda_received(-votes, np.random.default_rng(8), sigma2, tci=False), y)
 
-    def test_phase_error_mean_contribution(self):
+    def test_phase_error_mean_contribution(self, no_truncation):
         """Per-user expected contribution is vote * E[cos theta] with
         E[cos theta] = sin(2 pi / 3) / (2 pi / 3) for +-120 degrees."""
         y = obda_received(np.ones((40_000, 1, 1), int), np.random.default_rng(6),
-                          0.0, truncation=0.0, phase_errors=True)
+                          0.0, phase_errors=True)
         expected = math.sin(2 * math.pi / 3) / (2 * math.pi / 3)
         assert np.mean(y.real) == pytest.approx(expected, abs=0.01)
 
@@ -658,24 +671,22 @@ class TestObdaEncode:
 
 
 class TestObdaDecode:
-    def test_coherent_sum(self):
+    def test_coherent_sum(self, no_truncation):
         """Untruncated inverted channels add the votes coherently."""
-        y = obda_received(column_votes(500, 5, 3), np.random.default_rng(10), 0.0,
-                          truncation=0.0)
+        y = obda_received(column_votes(500, 5, 3), np.random.default_rng(10), 0.0)
         np.testing.assert_array_equal(y, 1.0)
 
     def test_majority_three_one(self):
         n = 2000
         votes = np.broadcast_to(np.array([[1], [1], [1], [-1]]), (n, 4, 1))
-        mv = obda_aggregate(votes, np.random.default_rng(7), 0.0)
+        mv = obda_decisions(votes, np.random.default_rng(7), 0.0)
         all_active = obda_activity(np.random.default_rng(7), n, 1, 4).all(axis=-1)
         assert all_active.sum() > 100
         np.testing.assert_array_equal(mv[all_active], 1)
 
-    def test_perfect_csi_no_errors(self):
+    def test_perfect_csi_no_errors(self, no_truncation):
         """No noise, no phase errors, no truncation events: always correct."""
-        mv = obda_aggregate(column_votes(20_000, 9, 7), stream(11, 0), 0.0,
-                            truncation=0.0)
+        mv = obda_decisions(column_votes(20_000, 9, 7), stream(11, 0), 0.0)
         assert _count_mv_errors(mv[:, 0], 9, 7) == 0
 
     def test_no_tci_cannot_compute(self):
@@ -692,16 +703,16 @@ class TestObdaDecode:
                                  seed=13, key=(2,))
         assert noisy > clean + 3 * se
 
-    def test_all_truncated_counts_as_error_half_the_time(self):
-        mv = obda_aggregate(column_votes(4000, 3, 2), stream(14, 3), 0.1,
-                            truncation=1e9)
+    def test_all_truncated_counts_as_error_half_the_time(self, monkeypatch):
+        monkeypatch.setattr(airmv.baselines, "_TRUNCATION", 1e9)
+        mv = obda_decisions(column_votes(4000, 3, 2), stream(14, 3), 0.1)
         assert 1500 < _count_mv_errors(mv[:, 0], 3, 2) < 2500
 
-    def test_noiseless_tie_decides_zero(self):
+    def test_noiseless_tie_decides_zero(self, no_truncation):
         """Two active opposite votes sum to exactly 0 without noise: the
         decision is 0, not the sign of a rounding residue."""
         votes = np.broadcast_to(np.array([[1], [-1]]), (10_000, 2, 1))
-        mv = obda_aggregate(votes, np.random.default_rng(17), 0.0, truncation=0.0)
+        mv = obda_decisions(votes, np.random.default_rng(17), 0.0)
         np.testing.assert_array_equal(mv, 0)
 
     def test_noiseless_active_tie_counts_as_an_error(self):
@@ -709,19 +720,19 @@ class TestObdaDecode:
         tie, or silence: decision 0, which the Monte Carlo scores as an
         error."""
         n = 4000
-        mv = obda_aggregate(column_votes(n, 3, 2), np.random.default_rng(18), 0.0)
+        mv = obda_decisions(column_votes(n, 3, 2), np.random.default_rng(18), 0.0)
         active = obda_activity(np.random.default_rng(18), n, 1, 3)[:, 0]
         active_sum = active @ _fixed_column(3, 2)
         assert np.count_nonzero(active_sum == 0) > 100
         np.testing.assert_array_equal(mv[:, 0], np.sign(active_sum))
         assert _count_mv_errors(mv[:, 0], 3, 2) == np.count_nonzero(active_sum <= 0)
 
-    def test_noiseless_tie_leaves_the_median_unchanged(self):
+    def test_noiseless_tie_leaves_the_median_unchanged(self, no_truncation):
         """A noiseless tie of active votes decides 0 at every position of
         the median's (R, U, M) call, so its estimates stay where they were
         (`TestRunMedian::test_a_tie_freezes_the_estimate` in test_median)."""
         votes = np.broadcast_to(np.array([[1], [-1]]), (20, 2, 3))
-        mv = obda_aggregate(votes, np.random.default_rng(19), 0.0, truncation=0.0)
+        mv = obda_decisions(votes, np.random.default_rng(19), 0.0)
         np.testing.assert_array_equal(mv, np.zeros((20, 3)))
 
 
@@ -786,35 +797,42 @@ class TestObdaLaw:
 
 
 class TestValidation:
-    """Each backend call checks its inputs once, before any draw."""
+    """Each statistic checks its inputs once, before any draw, and
+    `backend` refuses a bad noise variance at build, whatever the name."""
 
-    NOISY = (
-        lambda votes, **kw: goldenbaum_aggregate(
-            votes, np.random.default_rng(0), 3, PdpConfig(2), kw.get("sigma2", 0.1)),
-        lambda votes, **kw: obda_aggregate(
-            votes, np.random.default_rng(0), kw.get("sigma2", 0.1)),
+    STATISTICS = (
+        lambda votes, sigma2: goldenbaum_estimate(
+            votes, np.random.default_rng(0), 3, PdpConfig(2), sigma2),
+        lambda votes, sigma2: obda_received(votes, np.random.default_rng(0), sigma2),
     )
+    NAMES = ("ideal",) + BASELINES + tuple(m.value for m in Method)
     # The ideal backend reads no noise, but checks its votes as the others do.
-    BACKENDS = NOISY + (
-        lambda votes: build_backend("ideal", 8, PdpConfig(1), 0.1)(
-            votes, np.random.default_rng(0)),
+    BACKENDS = tuple(
+        lambda votes, name=name: build_backend(name, 8, PdpConfig(2), 0.1)(
+            votes, np.random.default_rng(0))
+        for name in ("ideal",) + BASELINES
     )
 
     def test_rejects_negative_noise(self):
-        for backend in self.NOISY:
+        """Every backend, the ideal one too, refuses it at build."""
+        for statistic in self.STATISTICS:
             with pytest.raises(ValueError):
-                backend(np.ones((4, 3, 1), int), sigma2=-0.1)
+                statistic(np.ones((4, 3, 1), int), -0.1)
+        for name in self.NAMES:
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+                build_backend(name, 8, PdpConfig(1), -0.1)
 
     def test_rejects_nan_noise(self):
         """A NaN noise variance used to pass: OBDA returned the noiseless
         statistic and Goldenbaum NaN estimates, whose decisions are
-        arbitrary integers. It now fails before any draw."""
+        arbitrary integers, and the ideal backend, which reads no noise,
+        decided as ever. It now fails before any draw, and every backend
+        refuses it at build."""
         votes = np.ones((4, 3, 2), int)
         calls = (
             lambda rng: goldenbaum_estimate(votes, rng, 3, PdpConfig(2), math.nan),
-            lambda rng: goldenbaum_aggregate(votes, rng, 3, PdpConfig(2), math.nan),
             lambda rng: obda_received(votes, rng, math.nan),
-            lambda rng: obda_aggregate(votes, rng, math.nan, tci=False),
+            lambda rng: obda_received(votes, rng, math.nan, tci=False),
         )
         for call in calls:
             rng = np.random.default_rng(0)
@@ -822,23 +840,9 @@ class TestValidation:
             with pytest.raises(ValueError, match="noise variance must be nonnegative"):
                 call(rng)
             assert rng.bit_generator.state == state
-        for name in BASELINES:
+        for name in self.NAMES:
             with pytest.raises(ValueError, match="noise variance must be nonnegative"):
-                build_backend(name, 8, PdpConfig(2), math.nan)(
-                    votes, np.random.default_rng(0))
-
-    def test_rejects_negative_truncation(self):
-        with pytest.raises(ValueError):
-            obda_aggregate(np.ones((4, 3, 1), int), np.random.default_rng(0), 0.1,
-                           truncation=-0.2)
-
-    def test_rejects_nan_truncation(self):
-        """A NaN threshold used to pass and silence every node."""
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="truncation"):
-            obda_aggregate(np.ones((4, 3, 1), int), rng, 0.1, truncation=math.nan)
-        assert rng.bit_generator.state == state
+                build_backend(name, 8, PdpConfig(2), math.nan)
 
     def test_rejects_bad_votes(self):
         good = np.ones((4, 3, 2), int)
@@ -875,6 +879,39 @@ def test_monte_carlo_and_median_calls_match_a_per_trial_loop(name):
     votes = np.random.default_rng(22).integers(0, 2, (40, U, 3)) * 2 - 1
     np.testing.assert_array_equal(backend(votes, np.random.default_rng(23)),
                                   loop(votes, np.random.default_rng(23)))
+
+
+# Each name's statistic, whose sign `backend` decides, at (K, pdp_cfg, sigma2).
+STATISTICS = {
+    "ideal": lambda votes, rng, K, pdp_cfg, sigma2: votes.sum(axis=-2),
+    "goldenbaum": lambda votes, rng, K, pdp_cfg, sigma2: goldenbaum_estimate(
+        votes, rng, default_sequence_length(K), pdp_cfg, sigma2),
+    "obda": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(votes, rng, sigma2),
+    "obda_phase": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(
+        votes, rng, sigma2, phase_errors=True),
+    "obda_no_tci": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(
+        votes, rng, sigma2, tci=False),
+}
+
+
+@pytest.mark.parametrize("shape", ["monte_carlo", "median"])
+@pytest.mark.parametrize("name", STATISTICS)
+def test_backend_decides_the_sign_of_each_names_statistic(name, shape):
+    """`backend`'s dispatch table: at the Monte Carlo's (n, U, 1) and the
+    median's (R, U, M) votes, each name's decisions are the sign of its
+    statistic drawn from an rng in the same state, and both rngs end in
+    the same state."""
+    K, pdp_cfg, sigma2 = 16, PdpConfig(2, 0.8), 0.2
+    if shape == "monte_carlo":
+        votes = column_votes(400, 9, 5)
+    else:
+        votes = np.random.default_rng(31).integers(0, 2, (40, 9, 4)) * 2 - 1
+    rng, ref = np.random.default_rng(32), np.random.default_rng(32)
+    got = build_backend(name, K, pdp_cfg, sigma2)(votes, rng)
+    expected = np.sign(STATISTICS[name](votes, ref, K, pdp_cfg, sigma2))
+    assert got.dtype == np.dtype(int) and got.shape == votes.shape[::2]
+    np.testing.assert_array_equal(got, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("name", BASELINES)

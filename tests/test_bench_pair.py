@@ -1,5 +1,6 @@
-"""scripts/bench_pair.py's summary on canned benchmark outputs; no
-benchmark runs here."""
+"""scripts/bench_pair.py's summary on canned benchmark outputs, and its
+check that the two trees hold the same benchmark; no benchmark runs here
+(the accepted pair runs a stub `bench/run.py`)."""
 
 import importlib.util
 import json
@@ -83,3 +84,52 @@ def test_parses_the_last_line_and_the_record(tmp_path):
 def test_nearest_median_run():
     runs = [canned("change", s, 1.0, v) for s, v in enumerate([900.0, 950.0, 700.0])]
     assert bench_pair.nearest_median(runs).seed == 0
+
+
+def stub_tree(root, summary):
+    """A tree with the repo's BENCHMARK.json, a bench/run.py that prints
+    `summary` as its last line, a helper module, and debris that the
+    comparison leaves out."""
+    (root / "bench" / "out").mkdir(parents=True)
+    (root / "bench" / "__pycache__").mkdir()
+    (root / "BENCHMARK.json").write_bytes((bench_pair.ROOT / "BENCHMARK.json").read_bytes())
+    (root / "bench" / "run.py").write_text(
+        f"import json\nprint(json.dumps({summary!r}))\n")
+    (root / "bench" / "workloads.py").write_text("WORKLOADS = {}\n")
+    (root / "bench" / "out" / f"{root.name}.json").write_text(root.name)
+    (root / "bench" / "__pycache__" / "run.cpython.pyc").write_bytes(root.name.encode())
+    return root
+
+
+STUB = {"correct": True, "attempted": 1, "failed": 0,
+        "metrics": {name: {"value": 1.0} for name in
+                    ("setup_s", "wall_s", "items_per_s", "peak_rss_mb")}}
+
+
+def test_identical_benchmarks_are_accepted(tmp_path, capsys):
+    """Records and bytecode under bench/ differ, and are left out."""
+    parent = stub_tree(tmp_path / "parent", STUB)
+    change = stub_tree(tmp_path / "change", STUB)
+    assert bench_pair.first_difference(parent, change) is None
+    assert bench_pair.main([str(parent), str(change), "--workload", "mc_cer",
+                            "--seeds", "1"]) == 0
+    assert "change won 0/1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda tree: (tree / "bench" / "workloads.py").write_text("WORKLOADS = {1: 2}\n"),
+     "bench/workloads.py"),
+    (lambda tree: (tree / "bench" / "extra.py").write_text(""), "bench/extra.py"),
+    (lambda tree: (tree / "BENCHMARK.json").write_text("{}"), "BENCHMARK.json"),
+])
+def test_a_changed_benchmark_is_refused_before_any_run(tmp_path, capsys, edit, named):
+    """A changed file, or one on one side only, exits 2 and names the
+    path; the stub's runs would print the summary, and none happens."""
+    parent = stub_tree(tmp_path / "parent", STUB)
+    change = stub_tree(tmp_path / "change", STUB)
+    edit(change)
+    assert bench_pair.first_difference(parent, change) == named
+    assert bench_pair.main([str(parent), str(change), "--workload", "mc_cer",
+                            "--seeds", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert named in err and "seed 1" not in out

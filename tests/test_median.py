@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,15 @@ class TestRunMedian:
         majority vote ties, decides 0 and leaves the estimate unchanged."""
         rmse = run_median("ideal", 2, 2, 3000, 1, PdpConfig(1), 0.0, seed=2)
         assert np.unique(rmse[-500:]).size == 1
+
+    @pytest.mark.parametrize("sigma2", [-1.0, math.nan])
+    def test_rejects_bad_noise(self, sigma2):
+        """A negative or NaN noise variance fails before the first round for
+        every backend; the ideal one, which reads no noise, used to return
+        an RMSE curve."""
+        for name in ("ideal", "goldenbaum", "obda", "indexed"):
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+                run_median(name, 8, 3, 2, 2, PdpConfig(1), sigma2, seed=1)
 
     def test_needs_a_round(self):
         with pytest.raises(ValueError, match="round"):

@@ -208,11 +208,12 @@ def test_the_scan_sees_a_planted_theory_import(tmp_path, monkeypatch):
     assert theory_importers() == ["simulate", "channel", "baselines", "median"]
 
 
-# Each backend and the module that defines it.
+# Each backend, or statistic that a backend signs, and the module that
+# defines it.
 BACKENDS = {
     "ProbeAggregator": "aggregation",
-    "goldenbaum_aggregate": "baselines",
-    "obda_aggregate": "baselines",
+    "goldenbaum_estimate": "baselines",
+    "obda_received": "baselines",
 }
 
 
@@ -239,14 +240,14 @@ def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
     pkg.mkdir(parents=True)
     plants = {
         "__init__": "from .aggregation import ProbeAggregator\n"
-                    "from .baselines import obda_aggregate\n",
-        "aggregation": "from .baselines import goldenbaum_aggregate, obda_aggregate\n\n"
+                    "from .baselines import obda_received\n",
+        "aggregation": "from .baselines import goldenbaum_estimate, obda_received\n\n"
                        "class ProbeAggregator:\n    pass\n",
-        "baselines": "def goldenbaum_aggregate():\n    pass\n\n"
-                     "def obda_aggregate():\n    pass\n",
+        "baselines": "def goldenbaum_estimate():\n    pass\n\n"
+                     "def obda_received():\n    pass\n",
         "channel": '"""Feeds ProbeAggregator."""\n',
         "median": "from . import baselines\n\n"
-                  "def mv():\n    return baselines.goldenbaum_aggregate\n",
+                  "def mv():\n    return baselines.goldenbaum_estimate\n",
         "simulate": "from functools import lru_cache\n"
                     "from .aggregation import ProbeAggregator\n\n"
                     "_engine = lru_cache(maxsize=1)(ProbeAggregator)\n",
@@ -254,7 +255,7 @@ def test_the_scan_sees_a_planted_backend_build(tmp_path, monkeypatch):
     for name, text in plants.items():
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
-    assert backend_builders() == ["median.goldenbaum_aggregate", "simulate.ProbeAggregator"]
+    assert backend_builders() == ["median.goldenbaum_estimate", "simulate.ProbeAggregator"]
 
 
 CACHES = ("lru_cache", "cache")

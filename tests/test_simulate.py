@@ -32,22 +32,26 @@ class TestStreams:
 
 
 class TestRunTrialBatches:
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
         def counter(rng, n):
             return int(np.sum(rng.random(n) < 0.3))
 
-        base = run_trial_batches(counter, 9_999, seed=1, key=(4,), threads=1,
-                                 batch_size=1000)
+        monkeypatch.setattr(simulate, "BATCH_SIZE", 1000)
+        base = run_trial_batches(counter, 9_999, seed=1, key=(4,), threads=1)
         for threads in (2, 5):
-            again = run_trial_batches(counter, 9_999, seed=1, key=(4,),
-                                      threads=threads, batch_size=1000)
+            again = run_trial_batches(counter, 9_999, seed=1, key=(4,), threads=threads)
             assert again == base
 
-    def test_covers_all_trials(self):
+    def test_covers_all_trials(self, monkeypatch):
+        sizes = []
+
         def counter(rng, n):
+            sizes.append(n)
             return n
 
-        assert run_trial_batches(counter, 12_345, seed=0, batch_size=1000) == 12_345
+        monkeypatch.setattr(simulate, "BATCH_SIZE", 1000)
+        assert run_trial_batches(counter, 12_345, seed=0) == 12_345
+        assert sizes == [1000] * 12 + [345]
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -99,8 +103,9 @@ class TestCerSimulation:
         assert built == []
 
     def test_one_engine_per_n_plus_sweep(self, monkeypatch):
-        """A cer sweep builds one engine per K, SNR and zero-encoded
-        scheme, shared by all its n_plus values and by both threads."""
+        """A cer sweep builds one engine per point of each zero-encoded
+        scheme (K, SNR, n_plus), shared by both threads: simulate_cer
+        builds its own, and nothing caches it."""
         built = []
 
         class Counting(aggregation.ProbeAggregator):
@@ -118,7 +123,7 @@ class TestCerSimulation:
         assert len(rows) == 2 * 2 * 3 * 6  # K, SNR, scheme, n_plus = 0..5
         assert [(a[0].value, a[1], a[3]) for a in built] == [
             (method, K, sigma2) for K in (4, 8) for sigma2 in (1.0, 0.1)
-            for method in ("indexed", "uncoded")
+            for method in ("indexed", "uncoded") for _ in range(6)
         ]
 
     def test_one_engine_per_sweep_point(self, monkeypatch):
@@ -138,6 +143,7 @@ class TestCerSimulation:
 
         monkeypatch.setattr(aggregation, "ProbeAggregator", Counting)
         monkeypatch.setattr(simulate, "mv_error_batch", batch)
+        monkeypatch.setattr(simulate, "BATCH_SIZE", 1_000)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -146,8 +152,7 @@ class TestCerSimulation:
                 for threads in (1, 2, 4):
                     built.clear()
                     batches.clear()
-                    results.add(simulate_cer(*args, seed=2, threads=threads,
-                                             batch_size=1_000))
+                    results.add(simulate_cer(*args, seed=2, threads=threads))
                     assert len(built) == 1 and batches == [1_000] * 5
                 assert len(results) == 1
         finally:
