@@ -6,12 +6,14 @@ energy. OBDA maps votes to BPSK with truncated channel inversion at the
 transmitters; it is coherent and therefore needs per-node CSI, which is
 exactly the requirement the zero-encoded schemes avoid.
 
-Each scheme is one vectorized statistic: votes (n, U, M) of +/-1 in, the
-real (n, M) statistic its receiver reads out, every (trial, vote position)
-an independent aggregation with its own draws. Its majority vote is the
-statistic's sign, which `airmv.aggregation.backend` takes, after binding
-the scheme's parameters to its CLI name. The Monte Carlo hands it M = 1,
-the median all M positions of a round.
+Each scheme is one vectorized statistic: (n, U, M) bool plus-votes in
+(True for a +1 vote), the real (n, M) statistic its receiver reads out,
+every (trial, vote position) an independent aggregation with its own
+draws. Its majority vote is the statistic's sign, which
+`airmv.aggregation.backend` takes, after binding the scheme's parameters
+to its CLI name; the backend unpacks from the packed votes only the bits
+at its vote positions. The Monte Carlo hands it vote 0 alone, M = 1, the
+median all M positions of a round.
 
 In Goldenbaum's scheme a -1 voter is silent and the receiver reads only
 the received energy |y|^2, so only its law is drawn. Given the senders'
@@ -51,7 +53,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import PdpConfig, complex_normal
-from .encoding import check_vote_batch
 
 __all__ = [
     "BASELINES",
@@ -88,6 +89,16 @@ def default_sequence_length(K: int) -> int:
 def _check_sigma2(sigma2: float) -> None:
     if not sigma2 >= 0:  # NaN too
         raise ValueError("noise variance must be nonnegative")
+
+
+def _check_plus(plus) -> np.ndarray:
+    """The nonempty (n, U, M) bool plus-votes (True for +1) a statistic
+    takes."""
+    plus = np.asarray(plus)
+    if plus.dtype != bool or plus.ndim != 3 or plus.size == 0:
+        raise ValueError("expected nonempty (n, U, M) bool plus-votes, got "
+                         f"{plus.dtype} of shape {plus.shape}")
+    return plus
 
 
 def _unit_phasors(turns: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -226,9 +237,10 @@ def _gram_block(counts, turns, p, z, out) -> int:
 
 
 def goldenbaum_estimate(
-    votes, rng: np.random.Generator, L_seq: int, pdp_cfg: PdpConfig, sigma2: float
+    plus, rng: np.random.Generator, L_seq: int, pdp_cfg: PdpConfig, sigma2: float
 ) -> np.ndarray:
-    """Noise-debiased vote-sum estimates, shape (n, M).
+    """Noise-debiased vote-sum estimates, shape (n, M), of (n, U, M) bool
+    plus-votes.
 
     User u sends sqrt(vote + 1) times a random unimodular sequence s_u of
     length L_seq, so a -1 voter is silent and a +1 voter sends |s|^2 = 2
@@ -277,12 +289,12 @@ def goldenbaum_estimate(
     sigma2 |z|^2 term is elementwise per (trial, position), so it is added
     once, after the blocks.
     """
-    votes = check_vote_batch(votes)
+    plus = _check_plus(plus)
     if L_seq < 1:
         raise ValueError("sequence length must be positive")
     _check_sigma2(sigma2)
-    n, U, M = votes.shape
-    sending = np.swapaxes(votes, -1, -2) > 0  # (n, M, U)
+    n, U, M = plus.shape
+    sending = np.swapaxes(plus, -1, -2)  # (n, M, U)
     S = int(np.count_nonzero(sending))
     if _gram_order(L_seq, pdp_cfg.L_e):
         # The Gram order reads only the senders of each (trial, position).
@@ -304,14 +316,15 @@ def goldenbaum_estimate(
 
 
 def obda_received(
-    votes,
+    plus,
     rng: np.random.Generator,
     sigma2: float,
     phase_errors: bool = False,
     tci: bool = True,
 ) -> np.ndarray:
     """The real part of the aggregate BPSK symbol, Re y, shape (n, M), over
-    single-tap subchannels h ~ CN(0, 1).
+    single-tap subchannels h ~ CN(0, 1), of (n, U, M) bool plus-votes (a
+    vote v is +1 where set, -1 elsewhere).
 
     With truncated channel inversion (tci) a node stays silent when |h|^2
     is at or below `_TRUNCATION` and otherwise pre-equalizes by
@@ -331,18 +344,24 @@ def obda_received(
     so Re y is one (n, M) draw of normals with variance (U + sigma2)/2,
     the call's only draw, whatever sigma2.
     """
-    votes = check_vote_batch(votes)
+    plus = _check_plus(plus)
     _check_sigma2(sigma2)
-    per_mv = np.swapaxes(votes, -1, -2)  # (n, M, U)
+    per_mv = np.swapaxes(plus, -1, -2)  # (n, M, U)
     n, M, U = per_mv.shape
     if not tci:
         return math.sqrt((U + sigma2) / 2.0) * rng.standard_normal((n, M))
     active = rng.random(per_mv.shape) < math.exp(-_TRUNCATION)
     if phase_errors:
         theta = rng.uniform(-_PHASE_HALFWIDTH, _PHASE_HALFWIDTH, per_mv.shape)
-        y = np.sum(per_mv * np.cos(theta), axis=-1, where=active)
+        # v cos(theta), exactly: negate the plus cells, then every cell.
+        terms = np.cos(theta, out=theta)
+        np.negative(terms, out=terms, where=per_mv)
+        np.negative(terms, out=terms)
+        y = np.sum(terms, axis=-1, where=active)
     else:
-        y = np.sum(per_mv, axis=-1, where=active, dtype=float)
+        # The active votes' sum, exactly: twice the active plus votes less
+        # every active vote.
+        y = 2.0 * (active & per_mv).sum(axis=-1) - active.sum(axis=-1)
     if sigma2 > 0:
         y += math.sqrt(sigma2 / 2.0) * rng.standard_normal((n, M))
     return y

@@ -13,6 +13,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .aggregation import OWN_DRAWS, table_rows
 from .baselines import BASELINES, default_sequence_length
 from .channel import PdpConfig
 from .decoding import channel_power, noise_power
@@ -38,6 +39,10 @@ _MAX_ENERGY = math.sqrt(sys.float_info.max)
 # codeword's K zero factors (and the uncoded detector's scale) leaves the
 # float range.
 _MAX_ZERO_K = 2048
+# The largest byte tables of a pmepr run: the uncoded tables on the
+# (K+1)-point grid, built once per K, take (K/8) 256 (K+1) 16 B, so K = 512
+# (134 MB) is accepted and K = 1024 (537 MB) refused.
+_MAX_PMEPR_TABLE_BYTES = 256 << 20
 
 
 class ConfigError(ValueError):
@@ -90,7 +95,7 @@ def _parse_methods(text: str) -> tuple[str, ...]:
         name = raw.strip().lower()
         if not name:
             continue
-        if name not in BASELINES + ("ideal",):
+        if name not in OWN_DRAWS:
             try:
                 name = Method.from_name(name).value
             except ValueError:
@@ -211,6 +216,12 @@ def _probe_energy(K: int, cfg: ExperimentConfig, sigma2: float) -> float:
         return cfg.U * codeword * channel + noise_power(d, sigma2, K, cfg.L_e)
 
 
+def _pmepr_table_bytes(K: int) -> int:
+    """Bytes of the pmepr sweep's complex uncoded `probe_tables` at K, each
+    with a column per point of the K+1 point grid."""
+    return 16 * table_rows(Method.UNCODED, K) * (K + 1)
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
@@ -286,6 +297,14 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                     f"K={K}: a zero-encoded codeword is evaluated as the running "
                     f"product of its K zero factors, which leaves the float range "
                     f"past K={_MAX_ZERO_K}"
+                )
+    if cfg.experiment == "pmepr":
+        for K in cfg.k_values:
+            if _pmepr_table_bytes(K) > _MAX_PMEPR_TABLE_BYTES:
+                raise ConfigError(
+                    f"K={K}: the pmepr byte tables would take "
+                    f"{_pmepr_table_bytes(K):,} bytes, past the "
+                    f"{_MAX_PMEPR_TABLE_BYTES:,}-byte budget"
                 )
     if coded and cfg.experiment in ("cer", "snr", "theory", "rmse"):
         snr_db = min(cfg.snr_db)

@@ -23,7 +23,7 @@ under noise an exact tie has probability zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -223,16 +223,26 @@ class DetectorForm:
 
     `signs` (P, V) puts each probe on the plus (+1) or minus (-1) side of
     each decided vote, or leaves it out (0); `bias` and `scale` are (P,).
+    `debias` is settled when the form is built: the coded forms' bias is 0
+    and scale 1, an identity that `decide` skips.
     """
 
     points: np.ndarray
     signs: np.ndarray
     bias: np.ndarray
     scale: np.ndarray
+    debias: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "debias", bool(self.bias.any() or (self.scale != 1.0).any()))
 
     def decide(self, energies) -> np.ndarray:
+        """The votes of (..., P) energies, (..., V)."""
         e = np.asarray(energies)
-        return np.sign(((e - self.bias) / self.scale) @ self.signs).astype(int)
+        if self.debias:
+            e = (e - self.bias) / self.scale
+        return np.sign(e @ self.signs).astype(int)
 
 
 def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-__all__ = ["Method", "check_vote_batch", "vote_pattern"]
+__all__ = ["Method", "vote_pattern"]
 
 _ALIASES = {"m1": "uncoded", "m2": "differential", "m3": "indexed"}
 
@@ -74,14 +74,6 @@ def _vote_array(votes) -> np.ndarray:
             "votes must be a nonempty integer array with entries in {-1, +1}"
         )
     return votes
-
-
-def check_vote_batch(votes) -> np.ndarray:
-    """The (n, U, M) integer +/-1 vote array every aggregation backend takes."""
-    votes = np.asarray(votes)
-    if votes.ndim != 3:
-        raise ValueError(f"expected (n, U, M) votes, got shape {votes.shape}")
-    return _vote_array(votes)
 
 
 def vote_pattern(method: Method, votes) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .aggregation import probe_tables, table_product
+from .aggregation import pack_votes, probe_tables, table_product
 from .channel import PdpConfig
 from .config import PROPOSED, ExperimentConfig
 from .encoding import Method, vote_pattern
@@ -195,7 +195,7 @@ def _run_pmepr(cfg: ExperimentConfig) -> list[ResultRow]:
             # more than the tables.
             codewords, drawn = distinct_rows(vote_pattern(
                 method, rng.integers(0, 2, size=(cfg.codewords, M)) * 2 - 1))
-            packed = np.packbits(codewords, axis=-1, bitorder="little")
+            packed = pack_votes(codewords)
             samples = np.concatenate([
                 pmepr(dfts_ofdm_modulate(
                     grid_coeffs(table_product(tables, packed[i : i + _PMEPR_CHUNK])),

@@ -8,8 +8,10 @@ learning rate times the (possibly miscomputed) majority vote and announces
 it error-free on the downlink.
 
 `run_median` keeps the (R, M) estimates of its R realizations as one float
-array. Each round forms the (R, U, M) votes (`local_votes`), hands them to
-one `aggregate(votes, rng)` backend, which `airmv.aggregation.backend`
+array. Each round packs its sign test `estimates >= params` once into
+the (R, U, ceil(M / 8)) packed plus-bits every backend takes
+(`local_votes`), hands them to one `aggregate(packed, rng)` backend, which
+`airmv.aggregation.backend`
 builds once per run, deciding every vote position (the same constructor
 the error-rate Monte Carlo calls), and subtracts mu_i times the decisions:
 a tie's zero decision leaves its estimate where it was. The rate mu_i falls
@@ -26,8 +28,7 @@ import math
 
 import numpy as np
 
-from .aggregation import backend
-from .baselines import BASELINES
+from .aggregation import OWN_DRAWS, backend, backend_votes, pack_votes
 from .channel import PdpConfig
 from .encoding import Method
 from .simulate import stream
@@ -45,17 +46,15 @@ _MU_END = 1e-5
 
 
 def local_votes(estimates: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """Votes sign(estimate - parameter) per device; sign(0) resolves to +1.
+    """Votes sign(estimate - parameter) per device, packed; sign(0)
+    resolves to +1.
 
-    `params` has shape (..., U, M) against estimates (..., M); the int8
-    result matches `params`. For finite values estimate - parameter >= 0
-    exactly when estimate >= parameter, so one comparison forms the votes.
+    `params` has shape (..., U, M) against estimates (..., M); the result
+    is its (..., U, ceil(M / 8)) `pack_votes`, the format every backend
+    takes. For finite values estimate - parameter >= 0 exactly when
+    estimate >= parameter, so one comparison forms the plus-votes.
     """
-    votes = (np.asarray(estimates)[..., np.newaxis, :]
-             >= np.asarray(params)).view(np.int8)
-    votes *= 2
-    votes -= 1
-    return votes
+    return pack_votes(np.asarray(estimates)[..., np.newaxis, :] >= np.asarray(params))
 
 
 def votes_per_round(name: str, K: int) -> int:
@@ -63,15 +62,15 @@ def votes_per_round(name: str, K: int) -> int:
     as their codeword carries; the ideal and baseline backends borrow the
     indexed scheme's M = log2(K), so that all curves answer the same
     problem size."""
-    if name in BASELINES + ("ideal",):
+    if name in OWN_DRAWS:
         try:
-            return Method.INDEXED.votes_per_codeword(K)
+            Method.INDEXED.validate_k(K)
         except ValueError:
             raise ValueError(
                 f"the {name} median decides log2(K) votes per round, "
                 "so K must be a power of two >= 2"
             ) from None
-    return Method.from_name(name).votes_per_codeword(K)
+    return backend_votes(name, K)
 
 
 def true_medians(params: np.ndarray) -> np.ndarray:

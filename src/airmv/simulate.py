@@ -1,10 +1,18 @@
 """Vectorized Monte Carlo link-level trials.
 
 One entry, `simulate_cer`, serves every scheme: it builds one
-`aggregate(votes, rng)` of `airmv.aggregation.backend` deciding vote 0
+`aggregate(packed, rng)` of `airmv.aggregation.backend` deciding vote 0
 alone (`positions=0`) per call, that is per sweep point, and its batches
-share it. Every batch fixes the scored vote and hands the votes to it.
-These are the backends the median runs.
+share it. Every batch fixes the scored vote and hands the votes to it as
+packed plus-bits, the one vote format of every backend. These are the
+backends the median runs.
+
+A zero-encoded batch draws its other votes as `rng.bytes`, one bit each in
+C order of (n, U, M). When M is a multiple of 8 (uncoded at K >= 8,
+differential at K >= 16) the drawn bytes are the packed votes once vote
+0's bit is set; other M unpack the drawn bits and pack them again. A
+batch then holds its packed votes, its draws and the engine's (n, P)
+probe values, which the engine works through in bounded row blocks.
 
 Trials are processed in batches of `BATCH_SIZE`; every batch derives its
 own generator from (master seed, stream key, batch index), so results are
@@ -20,8 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .aggregation import backend
-from .baselines import BASELINES
+from .aggregation import OWN_DRAWS, backend, backend_votes, pack_votes
 from .channel import PdpConfig
 from .encoding import Method
 
@@ -78,21 +85,36 @@ def _fixed_column(U: int, n_plus: int) -> np.ndarray:
     return np.where(np.arange(U) < n_plus, 1, -1)
 
 
-def _random_votes(rng: np.random.Generator, n: int, M: int, column) -> np.ndarray:
-    """(n, U, M) int8 votes: vote 0 is the fixed `column`, the others fair
-    random +/-1, one random bit each."""
-    U = len(column)
+def _drawn_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The `size` bytes of `rng.bytes(size)` as a writable uint8 array, from
+    the same draw: `Generator.bytes` takes ceil(size / 4) uint32 words from
+    `integers` and lays them out little-endian. Drawn this way the bytes
+    are written once, where `rng.bytes` copies them three times."""
+    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
+    return words.astype("<u4", copy=False).view(np.uint8)[:size]
+
+
+def _random_votes(rng: np.random.Generator, n: int, M: int, plus: np.ndarray) -> np.ndarray:
+    """(n, U, ceil(M / 8)) packed votes: vote 0 is the fixed (U,) plus-bit
+    column `plus`, the others fair random bits, one bit each of the n U M
+    bits of `rng.bytes` in C order of (n, U, M) (`_drawn_bytes`).
+
+    When M is a multiple of 8, each (trial, user) row of the drawn bits
+    starts on a byte, so the drawn bytes are the packed votes once vote
+    0's bit is set; other M unpack the drawn bits and pack them again.
+    """
+    U = plus.size
     size = n * U * M
-    bits = np.unpackbits(
-        np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8),
-        count=size,
-        bitorder="little",
-    )
-    votes = bits.view(np.int8).reshape(n, U, M)
-    votes *= 2
-    votes -= 1
-    votes[:, :, 0] = column
-    return votes
+    drawn = _drawn_bytes(rng, -(-size // 8))
+    if M % 8 == 0:
+        packed = drawn.reshape(n, U, M // 8)
+        packed[..., 0] &= 0xFE
+        packed[..., 0] |= plus
+        return packed
+    bits = np.unpackbits(drawn, count=size, bitorder="little").view(bool)
+    bits = bits.reshape(n, U, M)
+    bits[..., 0] = plus
+    return pack_votes(bits)
 
 
 def _count_mv_errors(decisions: np.ndarray, U: int, n_plus: int) -> int:
@@ -103,22 +125,28 @@ def _count_mv_errors(decisions: np.ndarray, U: int, n_plus: int) -> int:
 
 
 def mv_error_batch(
-    rng: np.random.Generator, n: int, aggregate, U: int, n_plus: int, M=None
+    rng: np.random.Generator, n: int, aggregate, U: int, n_plus: int, method, K: int
 ) -> int:
-    """Errors on vote 0 among n trials of one `aggregate(votes, rng)` backend.
+    """Errors on vote 0 among n trials of one `aggregate(packed, rng)` of
+    `backend(method, K, ...)`, taking the packed votes of its M =
+    `backend_votes(method, K)` positions.
 
-    With M, each trial sends a zero-encoded codeword's M votes, drawn at
-    random apart from the fixed vote 0; only vote 0 is scored, so the
-    backend need decide vote 0 alone. With M None, each trial is the fixed
-    vote alone, as (n, U, 1) votes: a baseline decides every vote on its own
-    draws, so the other votes cannot change vote 0's decision.
+    Vote 0 is the fixed column of n_plus ones. A zero-encoded trial sends
+    a codeword's M votes, the others drawn at random (`_random_votes`);
+    only vote 0 is scored, so the backend need decide vote 0 alone. For
+    the `OWN_DRAWS` backends the other votes stay -1 and nothing is drawn
+    for them: each decides every vote on its own draws, so the other votes
+    cannot change vote 0's decision.
     """
-    column = _fixed_column(U, n_plus)
-    if M is None:
-        votes = np.broadcast_to(column[:, np.newaxis], (n, U, 1))
+    M = backend_votes(method, K)
+    plus = (_fixed_column(U, n_plus) > 0).astype(np.uint8)
+    if method not in OWN_DRAWS:
+        packed = _random_votes(rng, n, M, plus)
     else:
-        votes = _random_votes(rng, n, M, column)
-    return _count_mv_errors(aggregate(votes, rng)[:, 0], U, n_plus)
+        row = np.zeros((U, -(-M // 8)), dtype=np.uint8)
+        row[:, 0] = plus
+        packed = np.broadcast_to(row, (n,) + row.shape)
+    return _count_mv_errors(aggregate(packed, rng)[:, 0], U, n_plus)
 
 
 def simulate_cer(
@@ -138,11 +166,10 @@ def simulate_cer(
     name. The batches, on any number of threads, share one stateless
     backend deciding vote 0, built here after the counts are checked."""
     _fixed_column(U, n_plus)
-    M = None if method in BASELINES else Method.from_name(method).votes_per_codeword(K)
     aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
 
     def counter(rng, n):
-        return mv_error_batch(rng, n, aggregate, U, n_plus, M)
+        return mv_error_batch(rng, n, aggregate, U, n_plus, method, K)
 
     p = run_trial_batches(counter, trials, seed, key, threads) / trials
     return p, math.sqrt(p * (1.0 - p) / trials)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import probe_tables, signal_power
+from .aggregation import pack_votes, probe_tables, signal_power
 from .channel import PdpConfig
 from .decoding import DecoderContext, detector_form, probe_moments, probe_variances
 from .encoding import Method
@@ -233,12 +233,13 @@ _EIG_RTOL = 1e-12
 
 
 def detection_rates(
-    votes, ell: int, model: CerModel, exact: bool = False
+    packed, ell: int, model: CerModel, exact: bool = False
 ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
     gives P(decision < 0).
 
-    `votes` is an (R, U, M) stack of +/-1 vote realizations. The rates are
+    `packed` is an (R, U, ceil(M / 8)) stack of vote realizations, packed
+    as every backend takes them (`aggregation.pack_votes`). The rates are
     the (R, n1) plus and (R, n2) minus float arrays, one row per
     realization, inf marking a phase of length zero: the form
     `cdf_diff_exp_sums` races. x is the same for all realizations. The
@@ -275,7 +276,7 @@ def detection_rates(
     x = float(np.dot(weights, form.bias))
     tables = probe_tables(model.method, rp, form.points)
     chan, noise = probe_variances(model.method, rp, pdp, model.sigma2, [ell])
-    signal = signal_power(model.method, tables, votes)
+    signal = signal_power(model.method, tables, packed)
     signal *= chan
     if not exact:
         means = weights * (signal + noise)
@@ -372,10 +373,10 @@ def vote_averaged_cers(
         stacks = []
         for i in batch:
             n_plus = n_plus_values[i]
-            votes = (rngs[i].integers(0, 2, size=shape) * 2 - 1 if M > 1
-                     else np.empty(shape, int))
-            votes[:, :, ell] = np.repeat([1, -1], [n_plus, U - n_plus])
-            stacks.append(votes)
+            plus = (rngs[i].integers(0, 2, size=shape) == 1 if M > 1
+                    else np.empty(shape, bool))
+            plus[:, :, ell] = np.arange(U) < n_plus
+            stacks.append(pack_votes(plus))
         (plus, minus), x = detection_rates(np.concatenate(stacks), ell, model, exact)
         n_plus = np.repeat([n_plus_values[i] for i in batch], R)
         probs = cer(n_plus, U - n_plus, plus, minus, x).reshape(-1, R)

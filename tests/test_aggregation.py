@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from airmv import aggregation, simulate
-from airmv.aggregation import ProbeAggregator, probe_tables, signal_power, table_product
+from airmv.aggregation import (ProbeAggregator, pack_votes, probe_tables, signal_power,
+                               table_product, table_rows)
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.decoding import decode, powers, probe_moments, probe_points
 from airmv.encoding import Method, vote_pattern
@@ -30,6 +31,17 @@ from airmv.simulate import (
     mv_error_batch,
     simulate_cer,
 )
+
+
+def pack(votes):
+    """The packed votes every backend takes, of +/-1 votes."""
+    return pack_votes(np.asarray(votes) > 0)
+
+
+def unpack(packed, M):
+    """The +/-1 votes of (..., ceil(M / 8)) packed votes."""
+    bits = np.unpackbits(packed, axis=-1, count=M, bitorder="little")
+    return 2 * bits.astype(int) - 1
 
 
 def time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine):
@@ -130,12 +142,12 @@ def test_matches_time_domain_oracle(method, K, U, L_e, sigma2, positions):
     M = method.votes_per_codeword(K)
     votes = np.random.default_rng(K + U).integers(0, 2, size=(n, U, M)) * 2 - 1
     engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions)
-    r = engine.received(votes, np.random.default_rng(5))
+    r = engine.received(pack(votes), np.random.default_rng(5))
     r_ref, d_ref = oracle(method, K, pdp_cfg, sigma2, votes,
                           np.random.default_rng(5), positions)
     assert r.shape == r_ref.shape
     np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-11 * np.abs(r_ref).max())
-    decisions = engine.aggregate(votes, np.random.default_rng(5))
+    decisions = engine.aggregate(pack(votes), np.random.default_rng(5))
     assert decisions.shape == (n, M if positions is None else 1)
     np.testing.assert_array_equal(decisions, d_ref)
 
@@ -151,7 +163,7 @@ def test_draws_match_the_time_domain_chain():
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         engine = ProbeAggregator(method, 8, PdpConfig(2), sigma2, positions)
         assert engine.one_probe_per_user == (method is Method.INDEXED)
-        engine.aggregate(votes, a)
+        engine.aggregate(pack(votes), a)
         oracle(method, 8, PdpConfig(2), sigma2, votes, b, positions)
         assert a.random() == b.random()
 
@@ -210,7 +222,7 @@ def moment_z(case_index, mutate_build=None, mutate_draw=None):
     with pytest.MonkeyPatch.context() as patch:
         if mutate_draw:
             mutate_draw(patch)
-        r = engine.received(batch, np.random.default_rng(12))
+        r = engine.received(pack(batch), np.random.default_rng(12))
     mean, se_re, se_im = _moments(r)
     ref, ref_re, ref_im = _chain_moments(case_index)
     z = []
@@ -243,18 +255,17 @@ def _reversed_tap_basis(patch):
 
 
 def _counts_for_their_roots(patch):
-    patch.setattr(np, "sqrt", lambda x: x)
+    patch.setattr(np, "sqrt", lambda x, out=None: x)
 
 
 def _power_of_the_sum(patch):
-    def power(method, tables, votes):
-        packed = aggregation._packed(votes, votes.shape[-1])
+    def power(method, tables, packed):
         if method is Method.INDEXED:
             counts = aggregation._codeword_counts(packed, tables[0].size)
             return np.abs(counts * tables[0]) ** 2
         return np.abs(aggregation.table_product(tables, packed).sum(axis=1)) ** 2
 
-    patch.setattr(aggregation, "signal_power", power)
+    patch.setattr(aggregation, "_signal_power", power)
 
 
 def _unfolded_noise(patch):
@@ -360,7 +371,7 @@ def test_indexed_draws_senders_then_noise(sigma2, positions):
     votes = np.random.default_rng(1).integers(0, 2, size=(n, U, M)) * 2 - 1
     engine = ProbeAggregator(Method.INDEXED, K, PdpConfig(3), sigma2, positions)
     rng, replay = np.random.default_rng(9), np.random.default_rng(9)
-    r = engine.received(votes, rng)
+    r = engine.received(pack(votes), rng)
 
     codeword = ((votes > 0) << np.arange(M)).sum(axis=-1)
     counts = np.zeros((n, K), int)
@@ -398,9 +409,9 @@ def test_a_silent_probe_draws_no_normal(method, K, sigma2):
         votes = np.random.default_rng(n_plus).integers(0, 2, size=(n, U, M)) * 2 - 1
         votes[:, :, 0] = np.repeat([1, -1], [n_plus, U - n_plus])
         rng, replay = np.random.default_rng(9), np.random.default_rng(9)
-        r = engine.received(votes, rng)
+        r = engine.received(pack(votes), rng)
 
-        var = signal_power(method, engine.tables, votes) * engine.channel_diagonal
+        var = signal_power(method, engine.tables, pack(votes)) * engine.channel_diagonal
         silent = (var == 0).all(axis=0)
         assert silent.sum() == 1 and not (var == 0)[:, ~silent].any()
         cells = np.flatnonzero(var > 0)
@@ -432,7 +443,7 @@ def test_joint_engine_draws_each_users_taps(method, K, sigma2):
     assert not engine.one_probe_per_user
     votes = np.random.default_rng(K).integers(0, 2, size=(n, U, engine.ctx.n_votes)) * 2 - 1
     rng, replay = np.random.default_rng(3), np.random.default_rng(3)
-    engine.received(votes, rng)
+    engine.received(pack(votes), rng)
     sample_channel(PdpConfig(L_e, 0.6), U, replay, trials=n)
     if sigma2 > 0:
         replay.standard_normal((2, n, engine.noise_factor[1].shape[0]))
@@ -443,7 +454,7 @@ def multi_vote_reference(engine, votes, rng):
     """R(z_p) of the multi-vote rule as a per-user product: each user's
     channel at the probes, (h @ basis), times its codeword values, summed
     over the users; then the noise."""
-    packed = aggregation._packed(votes, engine.ctx.n_votes)
+    packed = pack(votes)
     n, U, _ = packed.shape
     scale, basis = engine.channel_factor
     h = complex_normal((n * U, scale.size), scale, rng)
@@ -469,7 +480,7 @@ def test_multi_vote_signal_contracts_the_users_first(method, K, sigma2):
     assert not engine.one_probe_per_user
     votes = np.random.default_rng(K).integers(0, 2, size=(60, 7, engine.ctx.n_votes)) * 2 - 1
     rng, replay = np.random.default_rng(4), np.random.default_rng(4)
-    got = engine.received(votes, rng)
+    got = engine.received(pack(votes), rng)
     expected = multi_vote_reference(engine, votes, replay)
     assert rng.bit_generator.state == replay.bit_generator.state
     np.testing.assert_allclose(got, expected, rtol=0,
@@ -489,7 +500,7 @@ def test_indexed_engines_build_without_eigh(monkeypatch):
         engine = ProbeAggregator(Method.INDEXED, K, PdpConfig(5), 0.1, positions)
         M = Method.INDEXED.votes_per_codeword(K)
         votes = np.random.default_rng(K).integers(0, 2, size=(6, 4, M)) * 2 - 1
-        assert engine.aggregate(votes, np.random.default_rng(0)).shape[0] == 6
+        assert engine.aggregate(pack(votes), np.random.default_rng(0)).shape[0] == 6
     for method in (Method.UNCODED, Method.DIFFERENTIAL):
         with pytest.raises(AssertionError, match="called"):
             ProbeAggregator(method, 8, PdpConfig(5), 0.1)
@@ -531,7 +542,7 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
         for vote in (-1, 1):
             votes = np.full((20, U, M), vote)
             engine = ProbeAggregator(method, K, pdp_cfg, 0.0, positions)
-            r = engine.received(votes, np.random.default_rng(1))
+            r = engine.received(pack(votes), np.random.default_rng(1))
             zeros = np.where(vote_pattern(method, votes[0, 0]), 1.0 / rp.d, rp.d)
             on_zero = np.isin(points, zeros * root_phases(K))
             assert on_zero.any() and not on_zero.all()
@@ -542,6 +553,19 @@ def test_probe_on_an_encoded_zero_is_exactly_zero():
             # The indexed table holds each codeword at its own probe only.
             expected = on_zero[row] if method is Method.INDEXED else on_zero
             assert np.all((product == 0.0) == expected)
+
+
+@pytest.mark.parametrize("K", [2, 8, 12, 32])
+def test_table_rows_count_the_probe_tables(K):
+    """`table_rows` counts the rows of every table `probe_tables` builds."""
+    rp = radius_param(K)
+    for method in Method:
+        try:
+            method.validate_k(K)
+        except ValueError:
+            continue
+        tables = probe_tables(method, rp, probe_points(method, rp))
+        assert table_rows(method, K) == sum(t.shape[0] for t in tables)
 
 
 @pytest.mark.parametrize("K", [2, 8, 32])
@@ -569,7 +593,7 @@ def test_single_vote_users_are_nonzero_at_one_probe(method, K):
                                 engine.form.points)
         assert np.all(np.count_nonzero(values, axis=-1) == 1)
         power = (values.real**2 + values.imag**2).sum(axis=0)
-        got = signal_power(method, engine.tables, votes[np.newaxis])  # one trial
+        got = signal_power(method, engine.tables, pack(votes[np.newaxis]))  # one trial
         np.testing.assert_allclose(got[0], power, rtol=1e-13)
 
 
@@ -589,7 +613,7 @@ def test_signal_power_matches_the_zero_form(method, K):
         points = probe_points(method, rp, ell)
         values = zero_form_eval(vote_pattern(method, votes), rp, points)
         want = (values.real**2 + values.imag**2).sum(axis=1)
-        got = signal_power(method, probe_tables(method, rp, points), votes)
+        got = signal_power(method, probe_tables(method, rp, points), pack(votes))
         assert got.shape == want.shape == (8, points.size)
         assert (want == 0).any() and (want > 0).any()
         assert np.all(got[want == 0] == 0)
@@ -629,12 +653,13 @@ def test_monte_carlo_batch_matches_time_domain_batch():
                          (Method.DIFFERENTIAL, 16, 20_000),
                          (Method.INDEXED, 32, 2_000)):
         rng = np.random.default_rng(17)
-        votes = _random_votes(rng, n, method.votes_per_codeword(K), column)
+        M = method.votes_per_codeword(K)
+        votes = unpack(_random_votes(rng, n, M, (column > 0).astype(np.uint8)), M)
         engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
         y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
         expected = _count_mv_errors(decode(y, engine.ctx)[:, 0], U, n_plus)
         got = mv_error_batch(np.random.default_rng(17), n, engine.aggregate, U,
-                             n_plus, method.votes_per_codeword(K))
+                             n_plus, method, K)
         assert got == expected
 
 
@@ -657,7 +682,7 @@ def test_median_matches_time_domain_rounds():
         expected = np.empty(rounds)
         for i in range(rounds):
             mu = 0.01 + (1e-5 - 0.01) * (i / (rounds - 1))
-            votes = local_votes(estimates, params)
+            votes = unpack(local_votes(estimates, params), M)
             _, mv = oracle(method, K, pdp_cfg, sigma2, votes, rng)
             estimates -= mu * mv
             expected[i] = math.sqrt(np.mean((estimates - true_median) ** 2))
@@ -681,8 +706,10 @@ def test_rejects_bad_input():
     with pytest.raises(ValueError):
         ProbeAggregator(Method.INDEXED, 8, PdpConfig(1), 0.1, positions=3)
     engine = ProbeAggregator(Method.INDEXED, 8, PdpConfig(1), 0.1)
-    good = np.ones((4, 2, 3), int)
-    for bad in (np.ones((4, 2, 4), int), np.ones((2, 3), int), 0 * good,
-                2 * good, good.astype(float)):
+    good = np.full((4, 2, 1), 7, np.uint8)  # M = 3: bits 0-2
+    engine.aggregate(good, np.random.default_rng(0))
+    for bad in (np.ones((4, 2, 2), np.uint8), np.ones((2, 1), np.uint8), good + 1,
+                good.astype(int), good.astype(bool), np.ones((4, 2, 3), int),
+                good[:0]):
         with pytest.raises(ValueError):
             engine.aggregate(bad, np.random.default_rng(0))

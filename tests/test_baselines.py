@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import airmv.baselines
 from airmv.aggregation import backend as build_backend
+from airmv.aggregation import pack_votes
 from airmv.baselines import (
     BASELINES,
     _gram_order,
@@ -39,9 +40,26 @@ from airmv.simulate import (
 )
 
 
+def plus(votes):
+    """The plus-votes (True for +1) every statistic takes, of +/-1 votes."""
+    return np.asarray(votes) > 0
+
+
+def pack(votes):
+    """The packed votes every backend takes, of +/-1 votes."""
+    return pack_votes(plus(votes))
+
+
+def signs(packed, M):
+    """The +/-1 votes of (..., ceil(M / 8)) packed votes."""
+    bits = np.unpackbits(packed, axis=-1, count=M, bitorder="little")
+    return 2 * bits.astype(int) - 1
+
+
 def obda_decisions(votes, rng, sigma2):
-    """The OBDA backend's decisions: the sign of `obda_received`."""
-    return build_backend("obda", 8, PdpConfig(1), sigma2)(votes, rng)
+    """The OBDA backend's decisions at every position of (n, U, M) +/-1
+    votes: the sign of `obda_received`. OBDA reads K only as M = log2 K."""
+    return build_backend("obda", 2 ** votes.shape[-1], PdpConfig(1), sigma2)(pack(votes), rng)
 
 
 @pytest.fixture
@@ -178,7 +196,7 @@ def assert_gram_order(votes, L_seq, pdp_cfg, sigma2):
         rng, replay = np.random.default_rng(17), np.random.default_rng(17)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(airmv.baselines, "_GOLDENBAUM_BLOCK", block)
-            estimates.append(goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2))
+            estimates.append(goldenbaum_estimate(plus(votes), rng, L_seq, pdp_cfg, sigma2))
         goldenbaum_draws(replay, votes, L_seq, pdp_cfg)
         assert rng.bit_generator.state == replay.bit_generator.state
     for est in estimates[1:]:
@@ -243,7 +261,7 @@ class TestGoldenbaumEncode:
         is the +1 voter's alone: 2 |s_0^H z|^2 over the one window."""
         n, L_seq, pdp_cfg = 500, 5, PdpConfig(1)
         votes = np.broadcast_to(np.array([[1], [-1]]), (n, 2, 1))
-        est = goldenbaum_estimate(votes, np.random.default_rng(0), L_seq, pdp_cfg, 0.0)
+        est = goldenbaum_estimate(plus(votes), np.random.default_rng(0), L_seq, pdp_cfg, 0.0)
         turns, z = goldenbaum_draws(np.random.default_rng(0), votes, L_seq, pdp_cfg)
         s = np.exp(2j * np.pi * turns[:, :, 0])
         # energy / L_seq = est + U
@@ -257,7 +275,7 @@ class TestGoldenbaumEncode:
         energy is 2 |s^H z|^2 with unimodular chips, whatever their turns."""
         n, L_seq, pdp_cfg = 500, 6, PdpConfig(1)
         votes = np.ones((n, 1, 1), int)
-        est = goldenbaum_estimate(votes, np.random.default_rng(1), L_seq, pdp_cfg, 0.0)
+        est = goldenbaum_estimate(plus(votes), np.random.default_rng(1), L_seq, pdp_cfg, 0.0)
         turns, z = goldenbaum_draws(np.random.default_rng(1), votes, L_seq, pdp_cfg)
         s = np.exp(2j * np.pi * turns[:, :, 0])
         np.testing.assert_allclose(
@@ -273,7 +291,8 @@ class TestGoldenbaumEncode:
         (one window) too."""
         votes = np.random.default_rng(5).integers(0, 2, (60, 6, 3)) * 2 - 1
         pdp_cfg = PdpConfig(L_e, 0.8)
-        est = goldenbaum_estimate(votes, np.random.default_rng(9), L_seq, pdp_cfg, sigma2)
+        est = goldenbaum_estimate(plus(votes), np.random.default_rng(9), L_seq, pdp_cfg,
+                                  sigma2)
         energy = goldenbaum_loop_energy(votes, np.random.default_rng(9), L_seq, pdp_cfg,
                                         sigma2)
         window = L_seq + L_e - 1
@@ -281,8 +300,8 @@ class TestGoldenbaumEncode:
                                    rtol=1e-12)
 
     def test_rejects_bad_vote(self):
-        good = np.ones((4, 3, 2), int)
-        for bad in (0 * good, 2 * good, good.astype(float)):
+        good = np.ones((4, 3, 2), bool)
+        for bad in (good.astype(int), good.astype(float), good[..., 0], good[:0]):
             with pytest.raises(ValueError):
                 goldenbaum_estimate(bad, np.random.default_rng(2), 4, PdpConfig(1), 0.1)
 
@@ -290,19 +309,19 @@ class TestGoldenbaumEncode:
 class TestGoldenbaumDecode:
     def test_all_silent_noiseless(self):
         votes = -np.ones((50, 3, 2), int)
-        est = goldenbaum_estimate(votes, np.random.default_rng(3), 4, PdpConfig(2), 0.0)
+        est = goldenbaum_estimate(plus(votes), np.random.default_rng(3), 4, PdpConfig(2), 0.0)
         np.testing.assert_array_equal(est, -3.0)
         # K = 16 spends L_seq = 4 chips per MV.
         np.testing.assert_array_equal(
-            build_backend("goldenbaum", 16, PdpConfig(2), 0.0)(
-                votes, np.random.default_rng(3)),
+            build_backend("goldenbaum", 16, PdpConfig(2), 0.0, positions=[0, 1])(
+                pack(votes), np.random.default_rng(3)),
             -1,
         )
 
     def test_expected_positive_aggregate(self):
         """All votes +1 over multipath and noise: the estimate averages to +U."""
         U = 4
-        est = goldenbaum_estimate(np.ones((4000, U, 1), int), np.random.default_rng(3),
+        est = goldenbaum_estimate(plus(np.ones((4000, U, 1), int)), np.random.default_rng(3),
                                   8, PdpConfig(3, 0.8), 0.5)
         se = est.std() / math.sqrt(est.size)
         assert abs(est.mean() - U) < 4 * se
@@ -311,14 +330,14 @@ class TestGoldenbaumDecode:
         """A tie averages to 0: the noise is debiased over the whole
         L_seq + L_e - 1 sample window, not just L_seq samples."""
         votes = column_votes(6000, 2, 1)
-        est = goldenbaum_estimate(votes, np.random.default_rng(4), 6, PdpConfig(3), 0.5)
+        est = goldenbaum_estimate(plus(votes), np.random.default_rng(4), 6, PdpConfig(3), 0.5)
         se = est.std() / math.sqrt(est.size)
         assert abs(est.mean()) < 4 * se
 
     def test_rejects_short_sequence(self):
         for L_seq in (0, -1):
             with pytest.raises(ValueError):
-                goldenbaum_estimate(np.ones((4, 3, 1), int), np.random.default_rng(0),
+                goldenbaum_estimate(plus(np.ones((4, 3, 1), int)), np.random.default_rng(0),
                                     L_seq, PdpConfig(1), 0.1)
 
 
@@ -349,7 +368,7 @@ class TestGoldenbaumBlocks:
             assert_gram_order(votes, L_seq, pdp_cfg, sigma2)
             return
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        got = goldenbaum_estimate(votes, rng, L_seq, pdp_cfg, sigma2)
+        got = goldenbaum_estimate(plus(votes), rng, L_seq, pdp_cfg, sigma2)
         expected = goldenbaum_reference(votes, ref_rng, L_seq, pdp_cfg, sigma2)
         np.testing.assert_array_equal(got, expected)
         # run_median shares one rng over its rounds: the state must agree too.
@@ -437,7 +456,7 @@ class TestGoldenbaumBlocks:
         S = int(np.count_nonzero(votes > 0))
         for sigma2 in (0.0, 0.3):
             rng, replay = np.random.default_rng(6), np.random.default_rng(6)
-            goldenbaum_estimate(votes, rng, L_seq, PdpConfig(L_e), sigma2)
+            goldenbaum_estimate(plus(votes), rng, L_seq, PdpConfig(L_e), sigma2)
             replay.random(S * (L_seq - 1))
             replay.standard_normal(2 * n * M * (L_seq + L_e - 1))
             assert rng.bit_generator.state == replay.bit_generator.state
@@ -450,7 +469,7 @@ class TestGoldenbaumBlocks:
         votes = self.votes("silent", 300, 5, 2)
         for sigma2 in (0.0, 0.1):
             rng, replay = np.random.default_rng(8), np.random.default_rng(8)
-            est = goldenbaum_estimate(votes, rng, 7, PdpConfig(3), sigma2)
+            est = goldenbaum_estimate(plus(votes), rng, 7, PdpConfig(3), sigma2)
             z = complex_normal((300, 2, 9), math.sqrt(0.5), replay)
             assert rng.bit_generator.state == replay.bit_generator.state
             if sigma2 == 0:
@@ -474,7 +493,7 @@ class TestGoldenbaumBlocks:
         tracemalloc.start()
         try:
             goldenbaum_estimate(
-                votes, np.random.default_rng(0), L_seq, PdpConfig(L_e), 0.1
+                plus(votes), np.random.default_rng(0), L_seq, PdpConfig(L_e), 0.1
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -497,8 +516,8 @@ class TestGoldenbaumStatistics:
             assert pb <= pa + 3 * math.hypot(sa, sb)
 
     def test_unbiased_decode_batch_consistency(self):
-        aggregate = build_backend("goldenbaum", 32, PdpConfig(2, 0.8), 0.1)
-        errs = mv_error_batch(stream(5, 1), 5000, aggregate, 9, 9)
+        aggregate = build_backend("goldenbaum", 32, PdpConfig(2, 0.8), 0.1, positions=0)
+        errs = mv_error_batch(stream(5, 1), 5000, aggregate, 9, 9, "goldenbaum", 32)
         assert 0 <= errs <= 5000
 
 
@@ -524,7 +543,8 @@ class TestGoldenbaumLaw:
     def test_matches_the_every_user_draws(self, K, U, n_plus, sigma2):
         L_seq, pdp_cfg = default_sequence_length(K), PdpConfig(3, 0.8)
         votes = column_votes(self.BATCH, U, n_plus)
-        new = self.estimates(goldenbaum_estimate, 41, votes, L_seq, pdp_cfg, sigma2)
+        new = self.estimates(lambda v, *args: goldenbaum_estimate(plus(v), *args), 41,
+                             votes, L_seq, pdp_cfg, sigma2)
         old = self.estimates(goldenbaum_every_user, 42, votes, L_seq, pdp_cfg, sigma2)
         n = new.size
         truth = 1 if 2 * n_plus > U else -1
@@ -547,7 +567,8 @@ def test_random_votes_match_the_every_user_draws():
     law = TestGoldenbaumLaw
     L_seq, pdp_cfg = default_sequence_length(8), PdpConfig(4, 0.6)
     votes = np.random.default_rng(43).integers(0, 2, (law.BATCH, 9, 3)) * 2 - 1
-    new = law.estimates(goldenbaum_estimate, 44, votes, L_seq, pdp_cfg, 0.0)
+    new = law.estimates(lambda v, *args: goldenbaum_estimate(plus(v), *args), 44, votes,
+                        L_seq, pdp_cfg, 0.0)
     old = law.estimates(goldenbaum_every_user, 45, votes, L_seq, pdp_cfg, 0.0)
     truth = np.tile(np.sign(votes.sum(axis=1)), (law.TRIALS // law.BATCH, 1)).ravel()
     n = new.size
@@ -592,7 +613,7 @@ class TestObdaEncode:
         """A node whose |h|^2 is at or below 0.2 stays silent; an active
         node delivers its vote exactly."""
         n = 2000
-        y = obda_received(np.ones((n, 1, 1), int), np.random.default_rng(5), 0.0)
+        y = obda_received(plus(np.ones((n, 1, 1), int)), np.random.default_rng(5), 0.0)
         silent = ~obda_activity(np.random.default_rng(5), n, 1, 1)[..., 0]
         assert 0 < silent.sum() < n
         np.testing.assert_array_equal(y[silent], 0.0)
@@ -602,7 +623,7 @@ class TestObdaEncode:
         """Inverted channels deliver each untruncated vote as itself."""
         n = 2000
         votes = np.random.default_rng(8).integers(0, 2, (n, 1, 3)) * 2 - 1
-        y = obda_received(votes, np.random.default_rng(6), 0.0)
+        y = obda_received(plus(votes), np.random.default_rng(6), 0.0)
         np.testing.assert_array_equal(y, votes[:, 0, :])
 
     def test_phase_conjugation(self):
@@ -620,7 +641,7 @@ class TestObdaEncode:
         np.testing.assert_allclose(
             y.real, np.sum(np.swapaxes(votes, -1, -2), axis=-1, where=active), atol=1e-12
         )
-        got = obda_received(votes, np.random.default_rng(7), 0.0)
+        got = obda_received(plus(votes), np.random.default_rng(7), 0.0)
         assert got.dtype == np.float64 and got.shape == (n, 1)
 
     def test_no_tci_mode_sends_raw_bpsk(self):
@@ -629,17 +650,17 @@ class TestObdaEncode:
         variance (U + sigma2)/2 that does not read the votes."""
         n, U, sigma2 = 2000, 3, 0.4
         votes = np.random.default_rng(9).integers(0, 2, (n, U, 2)) * 2 - 1
-        y = obda_received(votes, np.random.default_rng(8), sigma2, tci=False)
+        y = obda_received(plus(votes), np.random.default_rng(8), sigma2, tci=False)
         expected = math.sqrt((U + sigma2) / 2) * np.random.default_rng(8).standard_normal(
             (n, 2))
         np.testing.assert_array_equal(y, expected)
         np.testing.assert_array_equal(
-            obda_received(-votes, np.random.default_rng(8), sigma2, tci=False), y)
+            obda_received(plus(-votes), np.random.default_rng(8), sigma2, tci=False), y)
 
     def test_phase_error_mean_contribution(self, no_truncation):
         """Per-user expected contribution is vote * E[cos theta] with
         E[cos theta] = sin(2 pi / 3) / (2 pi / 3) for +-120 degrees."""
-        y = obda_received(np.ones((40_000, 1, 1), int), np.random.default_rng(6),
+        y = obda_received(plus(np.ones((40_000, 1, 1), int)), np.random.default_rng(6),
                           0.0, phase_errors=True)
         expected = math.sin(2 * math.pi / 3) / (2 * math.pi / 3)
         assert np.mean(y.real) == pytest.approx(expected, abs=0.01)
@@ -654,7 +675,7 @@ class TestObdaEncode:
         n, U, M = 50, 5, 3
         votes = np.random.default_rng(15).integers(0, 2, (n, U, M)) * 2 - 1
         rng, ref = np.random.default_rng(16), np.random.default_rng(16)
-        y = obda_received(votes, rng, sigma2, phase_errors=phase_errors, tci=tci)
+        y = obda_received(plus(votes), rng, sigma2, phase_errors=phase_errors, tci=tci)
         if tci:
             delivered = np.where(obda_activity(ref, n, M, U), np.swapaxes(votes, -1, -2),
                                  0.0)
@@ -673,7 +694,7 @@ class TestObdaEncode:
 class TestObdaDecode:
     def test_coherent_sum(self, no_truncation):
         """Untruncated inverted channels add the votes coherently."""
-        y = obda_received(column_votes(500, 5, 3), np.random.default_rng(10), 0.0)
+        y = obda_received(plus(column_votes(500, 5, 3)), np.random.default_rng(10), 0.0)
         np.testing.assert_array_equal(y, 1.0)
 
     def test_majority_three_one(self):
@@ -779,7 +800,8 @@ class TestObdaLaw:
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_the_per_tap_receiver(self, mode, U, n_plus, sigma2):
         votes = column_votes(self.BATCH, U, n_plus)
-        new = self.statistics(obda_received, 51, votes, sigma2, mode)
+        new = self.statistics(lambda v, *args, **kwargs: obda_received(plus(v), *args, **kwargs),
+                              51, votes, sigma2, mode)
         old = self.statistics(obda_per_tap, 52, votes, sigma2, mode)
         tie_possible = sigma2 == 0 and mode == "obda"
         self.assert_same_law(new, old, 1 if 2 * n_plus > U else -1,
@@ -790,7 +812,8 @@ class TestObdaLaw:
         """Random (20k, 9, 3) votes at sigma2 = 0.1, pooled over the (trial,
         position) cells, the error rate taken against the majority."""
         votes = np.random.default_rng(53).integers(0, 2, (self.BATCH, 9, 3)) * 2 - 1
-        new = self.statistics(obda_received, 54, votes, 0.1, mode)
+        new = self.statistics(lambda v, *args, **kwargs: obda_received(plus(v), *args, **kwargs),
+                              54, votes, 0.1, mode)
         old = self.statistics(obda_per_tap, 55, votes, 0.1, mode)
         truth = np.tile(np.sign(votes.sum(axis=1)), (self.TRIALS // self.BATCH, 1))
         self.assert_same_law(new, old, truth.ravel())
@@ -802,8 +825,8 @@ class TestValidation:
 
     STATISTICS = (
         lambda votes, sigma2: goldenbaum_estimate(
-            votes, np.random.default_rng(0), 3, PdpConfig(2), sigma2),
-        lambda votes, sigma2: obda_received(votes, np.random.default_rng(0), sigma2),
+            plus(votes), np.random.default_rng(0), 3, PdpConfig(2), sigma2),
+        lambda votes, sigma2: obda_received(plus(votes), np.random.default_rng(0), sigma2),
     )
     NAMES = ("ideal",) + BASELINES + tuple(m.value for m in Method)
     # The ideal backend reads no noise, but checks its votes as the others do.
@@ -830,9 +853,9 @@ class TestValidation:
         refuses it at build."""
         votes = np.ones((4, 3, 2), int)
         calls = (
-            lambda rng: goldenbaum_estimate(votes, rng, 3, PdpConfig(2), math.nan),
-            lambda rng: obda_received(votes, rng, math.nan),
-            lambda rng: obda_received(votes, rng, math.nan, tci=False),
+            lambda rng: goldenbaum_estimate(plus(votes), rng, 3, PdpConfig(2), math.nan),
+            lambda rng: obda_received(plus(votes), rng, math.nan),
+            lambda rng: obda_received(plus(votes), rng, math.nan, tci=False),
         )
         for call in calls:
             rng = np.random.default_rng(0)
@@ -845,15 +868,20 @@ class TestValidation:
                 build_backend(name, 8, PdpConfig(2), math.nan)
 
     def test_rejects_bad_votes(self):
-        good = np.ones((4, 3, 2), int)
+        """Packed votes of M = 3 (K = 8): one uint8 byte per (trial, user),
+        no bit set past vote 2."""
+        good = np.full((4, 3, 1), 7, np.uint8)
         for backend in self.BACKENDS:
-            for bad in (0 * good, 2 * good, -3 * good, good.astype(float)):
+            backend(good)
+            for bad in (good + 1, good.astype(int), good.astype(bool),
+                        np.ones((4, 3, 3), int), good[:0]):
                 with pytest.raises(ValueError):
                     backend(bad)
 
     def test_rejects_bad_shape(self):
         for backend in self.BACKENDS:
-            for bad in (np.ones((4, 3), int), np.ones((4, 3, 2, 1), int)):
+            for bad in (np.ones((4, 3), np.uint8), np.ones((4, 3, 1, 1), np.uint8),
+                        np.ones((4, 3, 2), np.uint8)):
                 with pytest.raises(ValueError):
                     backend(bad)
 
@@ -867,17 +895,20 @@ def test_monte_carlo_and_median_calls_match_a_per_trial_loop(name):
     """The Monte Carlo's (n, U, 1) call and the median's (R, U, M) call make
     the decisions of a per-trial loop on the same draws."""
     K, U, n_plus, pdp_cfg, sigma2 = 8, 7, 4, PdpConfig(3, 0.8), 0.1
-    backend = build_backend(name, K, pdp_cfg, sigma2)
     loop = loop_backend(name, K, pdp_cfg, sigma2)
 
+    # The Monte Carlo's backend decides vote 0 of the M = 3 packed votes.
+    backend = build_backend(name, K, pdp_cfg, sigma2, positions=0)
     votes = column_votes(300, U, n_plus)
     expected = loop(votes, np.random.default_rng(21))
-    np.testing.assert_array_equal(backend(votes, np.random.default_rng(21)), expected)
-    assert mv_error_batch(np.random.default_rng(21), 300, backend, U,
-                          n_plus) == _count_mv_errors(expected[:, 0], U, n_plus)
+    np.testing.assert_array_equal(backend(pack(votes), np.random.default_rng(21)),
+                                  expected)
+    assert mv_error_batch(np.random.default_rng(21), 300, backend, U, n_plus, name,
+                          K) == _count_mv_errors(expected[:, 0], U, n_plus)
 
+    backend = build_backend(name, K, pdp_cfg, sigma2)
     votes = np.random.default_rng(22).integers(0, 2, (40, U, 3)) * 2 - 1
-    np.testing.assert_array_equal(backend(votes, np.random.default_rng(23)),
+    np.testing.assert_array_equal(backend(pack(votes), np.random.default_rng(23)),
                                   loop(votes, np.random.default_rng(23)))
 
 
@@ -885,12 +916,12 @@ def test_monte_carlo_and_median_calls_match_a_per_trial_loop(name):
 STATISTICS = {
     "ideal": lambda votes, rng, K, pdp_cfg, sigma2: votes.sum(axis=-2),
     "goldenbaum": lambda votes, rng, K, pdp_cfg, sigma2: goldenbaum_estimate(
-        votes, rng, default_sequence_length(K), pdp_cfg, sigma2),
-    "obda": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(votes, rng, sigma2),
+        plus(votes), rng, default_sequence_length(K), pdp_cfg, sigma2),
+    "obda": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(plus(votes), rng, sigma2),
     "obda_phase": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(
-        votes, rng, sigma2, phase_errors=True),
+        plus(votes), rng, sigma2, phase_errors=True),
     "obda_no_tci": lambda votes, rng, K, pdp_cfg, sigma2: obda_received(
-        votes, rng, sigma2, tci=False),
+        plus(votes), rng, sigma2, tci=False),
 }
 
 
@@ -907,7 +938,8 @@ def test_backend_decides_the_sign_of_each_names_statistic(name, shape):
     else:
         votes = np.random.default_rng(31).integers(0, 2, (40, 9, 4)) * 2 - 1
     rng, ref = np.random.default_rng(32), np.random.default_rng(32)
-    got = build_backend(name, K, pdp_cfg, sigma2)(votes, rng)
+    positions = 0 if shape == "monte_carlo" else None
+    got = build_backend(name, K, pdp_cfg, sigma2, positions)(pack(votes), rng)
     expected = np.sign(STATISTICS[name](votes, ref, K, pdp_cfg, sigma2))
     assert got.dtype == np.dtype(int) and got.shape == votes.shape[::2]
     np.testing.assert_array_equal(got, expected)
@@ -928,7 +960,7 @@ def test_run_median_matches_a_per_trial_loop(name):
     expected = np.empty(rounds)
     for i in range(rounds):
         mu = 0.01 + (1e-5 - 0.01) * (i / (rounds - 1))
-        estimates -= mu * loop(local_votes(estimates, params), rng)
+        estimates -= mu * loop(signs(local_votes(estimates, params), 3), rng)
         expected[i] = math.sqrt(np.mean((estimates - true_median) ** 2))
     np.testing.assert_array_equal(got, expected)
 

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airmv import channel
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.huffman import RadiusParam, poly_eval, synthesize_coeffs
 
@@ -57,6 +60,66 @@ class TestComplexNormal:
         assert got.shape == expected.shape and got.dtype == complex
         np.testing.assert_array_equal(got, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+    @staticmethod
+    def one_buffer(shape, scale, seed):
+        """The draw through one full-size float buffer: every real part,
+        then every imaginary part, scaled into the result."""
+        rng = np.random.default_rng(seed)
+        out = np.empty(shape, dtype=complex)
+        buf = rng.standard_normal(out.shape)
+        np.multiply(scale, buf, out=out.real)
+        rng.standard_normal(out=buf)
+        np.multiply(scale, buf, out=out.imag)
+        return out, rng
+
+    def test_bounded_scratch_is_the_one_buffer_draw(self, monkeypatch):
+        """Through its bounded scratch the draw is bitwise the one-buffer
+        draw, and leaves the rng in the same state: a scalar, a per-tap
+        (L_e,) and a per-cell scale, at sizes below, at and across the
+        scratch (one row or one cell short of a block, a whole block, one
+        more, several blocks and a remainder), and with a tiny scratch
+        that a single row outgrows."""
+        S = channel._SCRATCH
+        taps = np.sqrt(np.array([0.4, 0.25, 0.2, 0.1, 0.05]) / 2)
+        step = S // taps.size
+        cases = []
+        for cells in (S - 1, S, S + 1, 3 * S + 7):
+            cases.append(((cells,), 0.7))
+            cases.append(((cells,), np.random.default_rng(cells).random(cells)))
+        for rows in (step - 1, step, step + 1, 3 * step + 2):
+            cases.append(((rows, taps.size), taps))
+            cases.append(((rows, taps.size), np.random.default_rng(rows).random((rows, 5))))
+        for seed, (shape, scale) in enumerate(cases):
+            got = complex_normal(shape, scale, rng := np.random.default_rng(seed))
+            expected, ref = self.one_buffer(shape, scale, seed)
+            np.testing.assert_array_equal(got, expected)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        monkeypatch.setattr(channel, "_SCRATCH", 7)
+        for shape, scale in (((9, 3, 4), np.array([[1.5], [0.0], [2.0]])),
+                             ((10, 2), 0.3), ((5,), np.arange(5.0)), ((), 0.7)):
+            got = complex_normal(shape, scale, rng := np.random.default_rng(4))
+            expected, ref = self.one_buffer(shape, scale, 4)
+            np.testing.assert_array_equal(got, expected)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_holds_only_its_result_and_the_scratch(self):
+        """A draw of many blocks peaks at its result and one scratch, not
+        a full-size float buffer beside the result."""
+        shape = (100_000, 5)
+        scale = np.sqrt(np.array([0.4, 0.25, 0.2, 0.1, 0.05]) / 2)
+        complex_normal(shape, scale, np.random.default_rng(0))  # first-call setup
+        tracemalloc.start()
+        try:
+            complex_normal(shape, scale, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The result, the scratch and numpy's 64 KB ufunc buffer into the
+        # strided real and imaginary parts.
+        result = 16 * 100_000 * 5
+        assert peak <= result + 8 * channel._SCRATCH + 100_000
 
 
 class TestSampleChannel:

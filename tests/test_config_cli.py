@@ -190,6 +190,26 @@ class TestRunners:
         ofdm = [r for r in rows if r.metric == "pmepr_ofdm_db"]
         assert len(ofdm) == 1 and ofdm[0].value == pytest.approx(1.79, abs=0.05)
 
+    def test_pmepr_refuses_k_past_its_table_budget(self):
+        """The pmepr sweep's uncoded byte tables take (K/8) 256 (K+1) 16 B,
+        built once per K: `_pmepr_table_bytes` counts exactly what
+        `probe_tables` builds, K = 512 (134 MB) passes, and K = 1024
+        (537 MB) and 2048 (2.15 GB) are refused with K and the bytes named,
+        for any method, before any table is built."""
+        from airmv.aggregation import probe_tables
+        from airmv.config import _pmepr_table_bytes
+        from airmv.huffman import root_phases
+
+        for K in (2, 6, 8, 13, 64):
+            tables = probe_tables(Method.UNCODED, radius_param(K), root_phases(K + 1))
+            assert _pmepr_table_bytes(K) == sum(t.nbytes for t in tables)
+        make_cfg(experiment="pmepr", methods=("indexed",), k_values=(512,), n_plus=None)
+        for K, methods in ((1024, ("uncoded",)), (2048, ("indexed", "differential"))):
+            message = (f"K={K}: the pmepr byte tables would take "
+                       f"{_pmepr_table_bytes(K):,} bytes")
+            with pytest.raises(ConfigError, match=message):
+                make_cfg(experiment="pmepr", methods=methods, k_values=(8, K), n_plus=None)
+
     @pytest.mark.parametrize("chunk", [1, 7, 10_000])
     def test_pmepr_bytes_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, chunk):
         """Each distinct codeword's PMEPR is computed in chunks of
@@ -661,7 +681,9 @@ class TestCli:
         assert not out.exists()
 
     def test_zero_encoded_k_2048_validates(self):
-        for experiment in ("cer", "snr", "theory", "rmse", "pmepr"):
+        # pmepr stops earlier, at its table budget
+        # (`TestRunners::test_pmepr_refuses_k_past_its_table_budget`).
+        for experiment in ("cer", "snr", "theory", "rmse"):
             for method in ("uncoded", "differential", "indexed"):
                 cfg = make_cfg(experiment=experiment, methods=(method,), k_values=(2048,),
                                n_plus=(3,))

@@ -492,9 +492,10 @@ def test_decide_is_each_detectors_rule():
                      for b in bits.T], axis=1,
                 ))
             assert expected.shape == (300, pos.size)
-            np.testing.assert_array_equal(
-                detector_form(ctx, positions).decide(e), expected
-            )
+            form = detector_form(ctx, positions)
+            # Only the uncoded form de-biases; the coded forms skip it.
+            assert form.debias == (method is Method.UNCODED)
+            np.testing.assert_array_equal(form.decide(e), expected)
 
 
 @pytest.mark.parametrize("K", [2, 8, 128, 1024])

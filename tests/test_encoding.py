@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airmv.encoding import Method, check_vote_batch, vote_pattern
+from airmv.encoding import Method, vote_pattern
 from airmv.huffman import RadiusParam, radius_param, root_phases
 
 
@@ -66,9 +66,6 @@ class TestVotesToBits:
         for method, votes in itertools.product(Method, bad):
             with pytest.raises(ValueError):
                 vote_pattern(method, votes)
-        for bad in ([[[0, 1]]], [[[1.0, -1.0]]], np.empty((2, 3, 0), int), [[1, -1]]):
-            with pytest.raises(ValueError):
-                check_vote_batch(bad)
 
 
 class TestUncoded:

@@ -15,24 +15,31 @@ from airmv.simulate import stream
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def signs(packed, M=1):
+    """The +/-1 votes of packed plus-bits, (..., M)."""
+    bits = np.unpackbits(packed, axis=-1, count=M, bitorder="little")
+    return 2 * bits.astype(int) - 1
+
+
 class TestLocalVotes:
     def test_sign_of_differences(self):
         params = np.array([[-1.0], [1.0]])  # two devices, one parameter
-        np.testing.assert_array_equal(local_votes(np.array([0.0]), params), [[1], [-1]])
+        np.testing.assert_array_equal(signs(local_votes(np.array([0.0]), params)),
+                                      [[1], [-1]])
 
     def test_below_all(self):
         params = np.array([[-1.0], [0.0], [2.0]])
-        np.testing.assert_array_equal(local_votes(np.array([-5.0]), params),
+        np.testing.assert_array_equal(signs(local_votes(np.array([-5.0]), params)),
                                       [[-1], [-1], [-1]])
 
     def test_tie_resolves_positive(self):
         params = np.array([[0.7]])
-        np.testing.assert_array_equal(local_votes(np.array([0.7]), params), [[1]])
+        np.testing.assert_array_equal(signs(local_votes(np.array([0.7]), params)), [[1]])
 
 
     def test_one_comparison_matches_the_sign_of_the_difference(self):
-        """The votes are bitwise np.where(estimate - parameter >= 0, 1, -1)
-        on random values with exact ties, +-0.0 on both sides and
+        """The packed votes are bitwise np.where(estimate - parameter >= 0,
+        1, -1) on random values with exact ties, +-0.0 on both sides and
         magnitudes from 1e-300 to 1e300."""
         rng = np.random.default_rng(3)
         estimates = rng.uniform(-2, 2, (40, 7))
@@ -44,12 +51,14 @@ class TestLocalVotes:
         params[:, 2::5] = -0.0
         params[::7] *= 10.0 ** rng.integers(-300, 300, params[::7].shape)
         want = np.where(estimates[:, np.newaxis] - params >= 0, 1, -1)
-        got = local_votes(estimates, params)
-        assert got.dtype == np.int8
+        packed = local_votes(estimates, params)
+        assert packed.dtype == np.uint8 and packed.shape == (40, 25, 1)
+        got = signs(packed, 7)
         assert (got == 1).any() and (got == -1).any()
         np.testing.assert_array_equal(got, want)
         # One realization: (U, M) params against (M,) estimates.
-        np.testing.assert_array_equal(local_votes(estimates[0], params[0]), want[0])
+        np.testing.assert_array_equal(signs(local_votes(estimates[0], params[0]), 7),
+                                      want[0])
 
 
 class TestMedianStep:
@@ -65,7 +74,7 @@ class TestMedianStep:
                 true = np.median(params)
                 estimates = np.zeros(1)
                 for mu in mus:
-                    votes = local_votes(estimates, params)
+                    votes = signs(local_votes(estimates, params))
                     estimates -= mu * np.sign(votes.sum(axis=-2))
                 assert abs(estimates[0] - true) <= 1.5 * mus[-1]
 

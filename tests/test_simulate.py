@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from airmv.config import build_config
 from airmv.encoding import Method
 from airmv.experiments import run_experiment
 from airmv.simulate import (
+    _drawn_bytes,
     _fixed_column,
     _random_votes,
     mv_error_batch,
@@ -160,25 +162,53 @@ class TestCerSimulation:
 
     def test_batch_reproducibility(self):
         aggregate = backend(Method.UNCODED, 4, PdpConfig(2, 0.5), 0.5, positions=0)
-        a = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, M=4)
-        b = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, M=4)
+        a = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, Method.UNCODED, 4)
+        b = mv_error_batch(stream(3, 0), 4_000, aggregate, 5, 4, Method.UNCODED, 4)
         assert a == b
 
 
+def test_drawn_bytes_are_rng_bytes():
+    """`_drawn_bytes` writes the bytes of `rng.bytes` into one writable
+    array and leaves the generator where `rng.bytes` does, at sizes on and
+    off a whole uint32 word."""
+    for size in (1, 2, 3, 4, 5, 7, 8, 9, 1_001, 65_538):
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        drawn = _drawn_bytes(rng, size)
+        assert drawn.dtype == np.uint8 and drawn.flags.writeable
+        assert drawn.tobytes() == ref.bytes(size)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_own_draw_backends_draw_no_votes():
+    """A batch of a backend that decides on its own draws draws no votes:
+    "ideal" draws nothing at all, so the generator is left untouched."""
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    aggregate = backend("ideal", 32, PdpConfig(1), 0.1, positions=0)
+    assert mv_error_batch(rng, 500, aggregate, 5, 3, "ideal", 32) == 0
+    assert rng.bit_generator.state == state
+
+
 def test_random_votes_are_fair_independent_bits():
-    """The Monte Carlo's vote bits: int8 +/-1, vote 0 the fixed column, and
-    over 1e5 users every random position's mean and every adjacent pair's
-    correlation within 5 standard errors of 0."""
-    n, U, M = 4_000, 25, 16
-    column = _fixed_column(U, 9)
-    votes = _random_votes(np.random.default_rng(6), n, M, column)
-    assert votes.dtype == np.int8 and votes.shape == (n, U, M)
-    np.testing.assert_array_equal(votes[:, :, 0], np.broadcast_to(column, (n, U)))
-    free = votes[:, :, 1:].reshape(n * U, M - 1).astype(float)
-    assert np.all(np.abs(free) == 1)
-    se = 1.0 / np.sqrt(n * U)
-    assert np.all(np.abs(free.mean(axis=0)) <= 5 * se)
-    assert np.all(np.abs((free[:, 1:] * free[:, :-1]).mean(axis=0)) <= 5 * se)
+    """The Monte Carlo's votes: packed plus-bits of the drawn bits in C
+    order, vote 0 the fixed column, whether the drawn bytes are the packed
+    votes (M a multiple of 8) or are repacked; over 1e5 users every random
+    position's mean and every adjacent pair's correlation within 5
+    standard errors of 0."""
+    n, U = 4_000, 25
+    plus = (_fixed_column(U, 9) > 0).astype(np.uint8)
+    for M in (16, 5):
+        packed = _random_votes(np.random.default_rng(6), n, M, plus)
+        assert packed.dtype == np.uint8 and packed.shape == (n, U, -(-M // 8))
+        bits = np.unpackbits(packed, axis=-1, count=M, bitorder="little")
+        drawn = np.frombuffer(np.random.default_rng(6).bytes(-(-n * U * M // 8)), np.uint8)
+        drawn = np.unpackbits(drawn, count=n * U * M, bitorder="little").reshape(n, U, M)
+        drawn[:, :, 0] = plus
+        np.testing.assert_array_equal(bits, drawn)
+        free = 2.0 * bits[:, :, 1:].reshape(n * U, M - 1) - 1.0
+        se = 1.0 / np.sqrt(n * U)
+        assert np.all(np.abs(free.mean(axis=0)) <= 5 * se)
+        assert np.all(np.abs((free[:, 1:] * free[:, :-1]).mean(axis=0)) <= 5 * se)
 
 
 class TestProbeTables:
@@ -251,3 +281,25 @@ def test_snr_sweep_shows_error_floor():
     assert p0 - p8 > 3 * (s0 + s8)          # SNR helps at first
     assert p16 <= p8 + 3 * (s8 + s16)       # never worse at high SNR
     assert (p8 - p16) < 0.5 * (p0 - p8)     # but the curve flattens
+
+
+# (method, K, bound on the batch's tracemalloc peak in bytes). One vote-0
+# batch of 2,000 trials at U=25, n_plus=16, L_e=5, 10 dB; the tree before
+# votes became packed bits peaked at 13.6 MB (uncoded) and 21.0 MB
+# (indexed), with 0.9 MB and 9.0 MB of draws.
+BATCH_PEAKS = [("uncoded", 128, 2_000_000), ("indexed", 256, 12_000_000)]
+
+
+@pytest.mark.parametrize("method, K, bound", BATCH_PEAKS)
+def test_a_batch_holds_little_beyond_its_draws(method, K, bound):
+    """A vote-0 batch's packed votes and bounded blocks keep its peak near
+    its draws: no (n, U, M) vote array and no full-size float buffer."""
+    aggregate = backend(method, K, PdpConfig(5), 0.1, positions=0)
+    mv_error_batch(stream(1, 0), 20, aggregate, 25, 16, method, K)  # first-call setup
+    tracemalloc.start()
+    try:
+        mv_error_batch(stream(1, 1), 2_000, aggregate, 25, 16, method, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

@@ -19,6 +19,7 @@ from airmv.decoding import (
     probe_moments,
     signal_scale_uncoded,
 )
+from airmv.aggregation import pack_votes
 from airmv.encoding import Method, vote_pattern
 from airmv import theory
 from airmv.huffman import (
@@ -437,13 +438,18 @@ def encode_matrix(method, votes, rp):
     return vote_pattern(method, np.asarray(votes))
 
 
+def pack(votes):
+    """The packed votes `detection_rates` takes, of +/-1 votes."""
+    return pack_votes(np.asarray(votes) > 0)
+
+
 def rate_sets(votes, ell, model, exact=False):
     """`detection_rates` as `Rates`: one for a (U, M) vote matrix, a list of
     R for an (R, U, M) stack. The exact law's sets keep only the finite
     rates, not the padding of its P-wide sides."""
     votes = np.asarray(votes)
     stack = votes if votes.ndim == 3 else votes[np.newaxis]
-    (plus, minus), x = detection_rates(stack, ell, model, exact)
+    (plus, minus), x = detection_rates(pack(stack), ell, model, exact)
     if exact:
         plus = [row[np.isfinite(row)] for row in plus]
         minus = [row[np.isfinite(row)] for row in minus]
@@ -544,7 +550,7 @@ class TestRates:
         ctx = DecoderContext.for_link(method, model.rp, model.pdp, model.sigma2)
         assert len(built) == 1
         np.testing.assert_array_equal(built[0], detector_form(ctx, [1]).points)
-        assert read == [votes.shape]
+        assert read == [pack(votes).shape]
 
     @staticmethod
     def outer_product_rates(inner, ell, model, exact):
@@ -616,7 +622,7 @@ class TestVoteAveragedCer:
         probs = []
         for other in itertools.product((-1, 1), repeat=2):
             votes = np.stack([fixed, np.array(other)], axis=1)
-            (plus, minus), x = detection_rates(votes[np.newaxis], 0, model)
+            (plus, minus), x = detection_rates(pack(votes[np.newaxis]), 0, model)
             probs.append(cer(n_plus, n_minus, plus, minus, x)[0])
         exact = float(np.mean(probs))
         rng = np.random.default_rng(7)
@@ -678,7 +684,7 @@ class TestVoteAveragedCer:
         for exact in (False, True):
             vote_averaged_cer(4, 1, model, n_realizations=9,
                               rng=np.random.default_rng(16), exact=exact)
-        assert shapes == [(9, 5, 3)] * 2
+        assert shapes == [(9, 5, 1)] * 2  # M = 3 votes packed in one byte
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
