@@ -32,7 +32,7 @@ from .theory import (
     cdf_diff_exp_sums,
     cer,
     detection_rates,
-    vote_averaged_cer,
+    vote_averaged_cers,
 )
 from .waveform import (
     dfts_ofdm_modulate,

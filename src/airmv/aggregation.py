@@ -84,14 +84,15 @@ import numpy as np
 
 from .baselines import (BASELINES, default_sequence_length, goldenbaum_estimate,
                         obda_received)
-from .channel import PdpConfig, complex_normal
+from .channel import PdpConfig, check_noise_variance, complex_normal
 from .decoding import (DecoderContext, detector_form, powers, probe_moments,
-                       probe_variances)
+                       probe_variances, vote_positions)
 from .encoding import Method, vote_pattern
 from .huffman import RadiusParam, radius_param, root_phases
 
 __all__ = ["OWN_DRAWS", "ProbeAggregator", "backend", "backend_votes", "pack_votes",
-           "probe_tables", "signal_power", "table_product", "table_rows"]
+           "probe_tables", "scored_column", "signal_power", "table_product",
+           "table_rows"]
 
 # The backends that send no codeword: each decides its vote positions one by
 # one on its own draws, so its other votes cannot change a decision.
@@ -184,6 +185,16 @@ def pack_votes(plus) -> np.ndarray:
         plus = padded
     packed = np.packbits(plus.reshape(-1), bitorder="little")
     return packed.reshape(plus.shape[:-1] + (-1,))
+
+
+def scored_column(U: int, n_plus: int) -> np.ndarray:
+    """The (U,) plus-bits of the scored vote, the Monte Carlo's and the
+    theory's: n_plus +1 voters, then U - n_plus -1 voters. Refuses U < 1
+    and n_plus outside 0..U."""
+    if U < 1 or not 0 <= n_plus <= U:
+        raise ValueError("need U >= 1 and 0 <= n_plus <= U, got "
+                         f"U={U}, n_plus={n_plus}, n_minus={U - n_plus}")
+    return np.arange(U) < n_plus
 
 
 def _check_packed(packed, M: int) -> np.ndarray:
@@ -291,8 +302,7 @@ class ProbeAggregator:
     def __init__(
         self, method: Method, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None
     ) -> None:
-        if not sigma2 >= 0:  # NaN too
-            raise ValueError("noise variance must be nonnegative")
+        check_noise_variance(sigma2)
         rp = radius_param(K)
         self.ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
         self.sigma2 = float(sigma2)
@@ -413,8 +423,7 @@ def backend(name, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None):
     "obda_no_tci". The receivers never see the channel realizations. A
     negative or NaN `sigma2` is refused here, before any name is read.
     """
-    if not sigma2 >= 0:  # NaN too
-        raise ValueError("noise variance must be nonnegative")
+    check_noise_variance(sigma2)
     if name == "ideal":
         def statistic(plus, rng):
             return 2 * np.count_nonzero(plus, axis=-2) - plus.shape[-2]
@@ -428,9 +437,7 @@ def backend(name, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None):
         engine = ProbeAggregator(Method.from_name(name), K, pdp_cfg, sigma2, positions)
         return engine.aggregate
     M = backend_votes(name, K)
-    read = np.arange(M) if positions is None else np.asarray(positions, np.intp).reshape(-1)
-    if read.size == 0 or read.min() < 0 or read.max() >= M:
-        raise ValueError(f"vote positions {positions!r} out of range for M={M}")
+    read = vote_positions(M, positions)
 
     def aggregate(packed, rng):
         plus = _plus_bits(_check_packed(packed, M), read)

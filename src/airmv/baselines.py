@@ -52,7 +52,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import PdpConfig, complex_normal
+from .channel import PdpConfig, check_noise_variance, complex_normal
 
 __all__ = [
     "BASELINES",
@@ -84,11 +84,6 @@ def default_sequence_length(K: int) -> int:
     if K < 2:
         raise ValueError("K must be at least 2")
     return max(1, round((K + 1) / math.log2(K)))
-
-
-def _check_sigma2(sigma2: float) -> None:
-    if not sigma2 >= 0:  # NaN too
-        raise ValueError("noise variance must be nonnegative")
 
 
 def _check_plus(plus) -> np.ndarray:
@@ -292,7 +287,7 @@ def goldenbaum_estimate(
     plus = _check_plus(plus)
     if L_seq < 1:
         raise ValueError("sequence length must be positive")
-    _check_sigma2(sigma2)
+    check_noise_variance(sigma2)
     n, U, M = plus.shape
     sending = np.swapaxes(plus, -1, -2)  # (n, M, U)
     S = int(np.count_nonzero(sending))
@@ -345,7 +340,7 @@ def obda_received(
     the call's only draw, whatever sigma2.
     """
     plus = _check_plus(plus)
-    _check_sigma2(sigma2)
+    check_noise_variance(sigma2)
     per_mv = np.swapaxes(plus, -1, -2)  # (n, M, U)
     n, M, U = per_mv.shape
     if not tci:

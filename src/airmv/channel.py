@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PdpConfig", "pdp", "complex_normal", "sample_channel", "awgn", "superpose"]
+__all__ = ["PdpConfig", "pdp", "check_noise_variance", "complex_normal", "sample_channel",
+           "awgn", "superpose"]
 
 # Floats in the scratch of `complex_normal` (128 KB, within a core's L2): a
 # median round's draws at R = 100 realizations up to K = 128 fit in one
@@ -51,6 +52,13 @@ class PdpConfig:
         return pdp(self.L_e, self.rho)
 
 
+def check_noise_variance(sigma2: float) -> None:
+    """The one statement of the rule every engine enforces: a noise
+    variance is nonnegative (NaN fails too)."""
+    if not sigma2 >= 0:
+        raise ValueError("noise variance must be nonnegative")
+
+
 def complex_normal(shape, scale, rng: np.random.Generator) -> np.ndarray:
     """scale * (a + i b) with a, b standard normal of `shape`: CN(0, 2 scale^2)
     entries. All real parts are drawn before the imaginary ones.
@@ -68,7 +76,7 @@ def complex_normal(shape, scale, rng: np.random.Generator) -> np.ndarray:
     blocks = out if out.ndim else out.reshape(1)  # rows along the first axis
     rows = blocks.shape[0]
     row = blocks.size // rows if rows else 0
-    step = min(rows, max(1, _SCRATCH // max(row, 1)))
+    step = max(1, min(rows, _SCRATCH // max(row, 1)))  # no rows: no draw
     # Only a scale that varies along the first axis is cut with the rows
     # (np.broadcast_to would cost more than a small draw).
     scale = np.asarray(scale)
@@ -113,8 +121,7 @@ def superpose(
     zero-padded linear convolution yields (..., K+L_e) samples. Noise w_n is
     CN(0, sigma2), drawn from `rng` when sigma2 > 0.
     """
-    if not sigma2 >= 0:  # NaN too
-        raise ValueError("noise variance must be nonnegative")
+    check_noise_variance(sigma2)
     if sigma2 > 0 and rng is None:
         raise ValueError("an rng is required when sigma2 > 0")
     c = np.asarray(coeff_seqs, dtype=complex)

@@ -13,8 +13,8 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .aggregation import OWN_DRAWS, table_rows
-from .baselines import BASELINES, default_sequence_length
+from .aggregation import OWN_DRAWS, backend_votes, scored_column, table_rows
+from .baselines import BASELINES
 from .channel import PdpConfig
 from .decoding import channel_power, noise_power
 from .encoding import Method
@@ -269,25 +269,21 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             f"methods {bad} are not valid for the {cfg.experiment} experiment"
         )
 
+    # Each scheme's K rule is the one its runs call: the median's votes per
+    # round, or the backend's votes.
+    k_rule = votes_per_round if cfg.experiment == "rmse" else backend_votes
     for name in cfg.methods:
         for K in cfg.k_values:
             try:
-                if cfg.experiment == "rmse":
-                    votes_per_round(name, K)
-                elif name in PROPOSED:
-                    Method.from_name(name).validate_k(K)
-                elif name == "goldenbaum":
-                    default_sequence_length(K)
+                k_rule(name, K)
             except ValueError as exc:
                 raise ConfigError(f"{name} at K={K}: {exc}") from exc
-    # OBDA has no K rule of its own; every scheme's rule above needs K >= 2.
-    for K in cfg.k_values:
-        if K < 2:
-            raise ConfigError(f"K={K}: every K must be at least 2")
 
     for n_plus in cfg.n_plus_values():
-        if not 0 <= n_plus <= cfg.U:
-            raise ConfigError(f"n_plus={n_plus} outside 0..U")
+        try:
+            scored_column(cfg.U, n_plus)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     coded = set(PROPOSED).intersection(cfg.methods)
     if coded and cfg.experiment in ("cer", "snr", "theory", "rmse", "pmepr"):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import PdpConfig
+from .channel import PdpConfig, check_noise_variance
 from .encoding import Method
 from .huffman import RadiusParam, root_phases
 
@@ -43,6 +43,7 @@ __all__ = [
     "probe_moments",
     "probe_points",
     "probe_variances",
+    "vote_positions",
     "DetectorForm",
     "detector_form",
     "decode",
@@ -129,8 +130,7 @@ class DecoderContext:
         if self.method is Method.UNCODED:
             if self.pdp is None or self.sigma2 is None:
                 raise ValueError("the uncoded detector needs pdp and sigma2")
-            if not self.sigma2 >= 0:  # NaN too
-                raise ValueError("sigma2 must be nonnegative")
+            check_noise_variance(self.sigma2)
         elif self.pdp is not None or self.sigma2 is not None:
             raise ValueError(
                 f"the {self.method.value} detector takes no channel or noise "
@@ -169,8 +169,10 @@ def probe_moments(points: np.ndarray, K: int, pdp_cfg: PdpConfig, sigma2: float)
     return sigma2 * (v.T @ v.conj())
 
 
-def _positions(method: Method, K: int, positions) -> np.ndarray:
-    M = method.votes_per_codeword(K)
+def vote_positions(M: int, positions) -> np.ndarray:
+    """The vote `positions` to decide among M, as a nonempty (n,) index
+    array, all M when None: the one statement of the range rule that every
+    backend and the theory enforce, each with its own M."""
     if positions is None:
         return np.arange(M)
     pos = np.asarray(positions, dtype=np.intp).reshape(-1)
@@ -182,7 +184,7 @@ def _positions(method: Method, K: int, positions) -> np.ndarray:
 def _circles(method: Method, rp: RadiusParam, positions) -> tuple[tuple[float, ...], np.ndarray]:
     """(radii, slots): the circles the probes of the votes at `positions`
     lie on, and the slots read on each, in `probe_points` order."""
-    pos = _positions(method, rp.K, positions)
+    pos = vote_positions(method.votes_per_codeword(rp.K), positions)
     if method is Method.UNCODED:
         return (rp.d, 1.0 / rp.d), pos
     if method is Method.DIFFERENTIAL:
@@ -255,7 +257,7 @@ def detector_form(ctx: DecoderContext, positions=None) -> DetectorForm:
     rest. The coded sides share one radius, so they need no de-bias.
     """
     rp = ctx.rp
-    pos = _positions(ctx.method, rp.K, positions)
+    pos = vote_positions(ctx.n_votes, positions)
     points = probe_points(ctx.method, rp, pos)
     eye = np.eye(pos.size)
     bias, scale = np.zeros(points.size), np.ones(points.size)

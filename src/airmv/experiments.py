@@ -107,20 +107,19 @@ def _config_echo(cfg: ExperimentConfig) -> str:
     return "# airmv " + " ".join(parts)
 
 
-def write_csv(rows, cfg: ExperimentConfig, out=None) -> str:
-    """Render rows as CSV with one config-echo comment line; write to the
-    configured path (or stdout) and return the text."""
+def write_csv(rows, cfg: ExperimentConfig) -> str:
+    """Render rows as CSV with one config-echo comment line; write to
+    `cfg.out` (or stdout) and return the text."""
     buf = io.StringIO()
     buf.write(_config_echo(cfg) + "\n")
     buf.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
     text = buf.getvalue()
-    target = out if out is not None else cfg.out
-    if target is None:
+    if cfg.out is None:
         sys.stdout.write(text)
     else:
-        with open(target, "w", encoding="utf-8", newline="") as handle:
+        with open(cfg.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     return text
 

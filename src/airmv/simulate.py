@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .aggregation import OWN_DRAWS, backend, backend_votes, pack_votes
+from .aggregation import OWN_DRAWS, backend, backend_votes, pack_votes, scored_column
 from .channel import PdpConfig
 from .encoding import Method
 
@@ -79,12 +79,6 @@ def run_trial_batches(
         return sum(pool.map(one, range(len(sizes))))
 
 
-def _fixed_column(U: int, n_plus: int) -> np.ndarray:
-    if U < 1 or not 0 <= n_plus <= U:
-        raise ValueError(f"need U >= 1 and 0 <= n_plus <= U, got {U=}, {n_plus=}")
-    return np.where(np.arange(U) < n_plus, 1, -1)
-
-
 def _drawn_bytes(rng: np.random.Generator, size: int) -> np.ndarray:
     """The `size` bytes of `rng.bytes(size)` as a writable uint8 array, from
     the same draw: `Generator.bytes` takes ceil(size / 4) uint32 words from
@@ -131,7 +125,7 @@ def mv_error_batch(
     `backend(method, K, ...)`, taking the packed votes of its M =
     `backend_votes(method, K)` positions.
 
-    Vote 0 is the fixed column of n_plus ones. A zero-encoded trial sends
+    Vote 0 is the `scored_column` of n_plus ones. A zero-encoded trial sends
     a codeword's M votes, the others drawn at random (`_random_votes`);
     only vote 0 is scored, so the backend need decide vote 0 alone. For
     the `OWN_DRAWS` backends the other votes stay -1 and nothing is drawn
@@ -139,7 +133,7 @@ def mv_error_batch(
     cannot change vote 0's decision.
     """
     M = backend_votes(method, K)
-    plus = (_fixed_column(U, n_plus) > 0).astype(np.uint8)
+    plus = scored_column(U, n_plus).astype(np.uint8)
     if method not in OWN_DRAWS:
         packed = _random_votes(rng, n, M, plus)
     else:
@@ -165,7 +159,7 @@ def simulate_cer(
     (see `mv_error_batch`); `method` is a `Method`, its name or a baseline
     name. The batches, on any number of threads, share one stateless
     backend deciding vote 0, built here after the counts are checked."""
-    _fixed_column(U, n_plus)
+    scored_column(U, n_plus)
     aggregate = backend(method, K, pdp_cfg, sigma2, positions=0)
 
     def counter(rng, n):

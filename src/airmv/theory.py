@@ -30,8 +30,9 @@ uncoded detector's nonzero offset can need a complement. The error rate
 follows by averaging over realizations of the other transmitters' votes.
 
 A sweep's points of one (method, K, SNR, vote) share that law, so they
-are handled in one pass per group (`vote_averaged_cers`): one vote draw
-per point from its own stream, then, for the stacked realizations of the
+are handled in one pass per group by `vote_averaged_cers`, the theory's
+one entry point (a lone point is a group of one): one vote draw per
+point from its own stream, then, for the stacked realizations of the
 whole group, one detector form, one set of the engine's probe tables
 (`aggregation.probe_tables`) and one `aggregation.signal_power` call for
 the signal diagonals: the evaluator the Monte Carlo draws from. The
@@ -52,9 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import pack_votes, probe_tables, signal_power
-from .channel import PdpConfig
-from .decoding import DecoderContext, detector_form, probe_moments, probe_variances
+from .aggregation import pack_votes, probe_tables, scored_column, signal_power
+from .channel import PdpConfig, check_noise_variance
+from .decoding import (DecoderContext, detector_form, probe_moments, probe_variances,
+                       vote_positions)
 from .encoding import Method
 from .huffman import RadiusParam
 
@@ -64,7 +66,6 @@ __all__ = [
     "cdf_diff_exp_sums",
     "detection_rates",
     "cer",
-    "vote_averaged_cer",
     "vote_averaged_cers",
 ]
 
@@ -222,8 +223,7 @@ class CerModel:
 
     def __post_init__(self) -> None:
         self.method.validate_k(self.rp.K)
-        if not self.sigma2 >= 0:  # NaN too
-            raise ValueError("sigma2 must be nonnegative")
+        check_noise_variance(self.sigma2)
 
 
 # Eigenvalues of A Sigma smaller than this fraction of the largest one are
@@ -338,26 +338,32 @@ def vote_averaged_cers(
     ell: int = 0,
     exact: bool = False,
 ) -> list[CerEstimate]:
-    """`vote_averaged_cer` of each point n_plus of `n_plus_values`, with
-    n_minus = U - n_plus and the point's own rng of `rngs`, against one law:
-    the same estimates, bit for bit, as one call per point.
+    """The conditional error rate of vote ell averaged over the other
+    transmitters' votes, with its standard error, at each point n_plus of
+    `n_plus_values` (n_minus = U - n_plus), each from its own rng of
+    `rngs`, against one law.
 
-    Each point draws its own votes from its own rng, as it would alone. The
-    points' realizations are stacked, and whole points go to one
-    `detection_rates` call, which builds vote ell's detector form and the
-    engine's probe tables once, up to `_STACK_ROWS` realizations; `cer`
-    then races them with one `cdf_diff_exp_sums` call per error direction.
-    Every row's rates and race are its own, so no point reads another's.
+    Each point fixes vote ell to its `scored_column` and draws all the
+    other votes of its R = `n_realizations` realizations equiprobably in
+    one call of its own rng, so its estimate is bit for bit the same
+    whatever other points share the call. With a single vote per codeword
+    there is nothing to sample: R = 1, no rng is read, and stderr is 0.
+
+    By default the conditional law is the paper's, which approximates the
+    test-point energies as independent exponentials; `exact` uses the law
+    of the correlated probes instead (see `detection_rates`). Both laws
+    consume the same vote draws. The points' realizations are stacked,
+    and whole points go to one `detection_rates` call, which builds vote
+    ell's detector form and the engine's probe tables once, up to
+    `_STACK_ROWS` realizations; `cer` then races them with one
+    `cdf_diff_exp_sums` call per error direction. Every row's rates and
+    race are its own, so no point reads another's.
     """
-    for n in n_plus_values:
-        if U < 1 or not 0 <= n <= U:
-            raise ValueError("need nonnegative vote counts and at least one "
-                             f"transmitter, got n_plus={n}, n_minus={U - n}")
+    columns = [scored_column(U, n) for n in n_plus_values]
     if n_realizations < 1:
         raise ValueError("need at least one realization")
     M = model.method.votes_per_codeword(model.rp.K)
-    if not 0 <= ell < M:
-        raise ValueError(f"vote position {ell} out of range for M={M}")
+    vote_positions(M, ell)
     if M == 1:
         n_realizations = 1
     elif any(rng is None for rng in rngs):
@@ -372,10 +378,9 @@ def vote_averaged_cers(
     for batch in (live[i : i + step] for i in range(0, len(live), step)):
         stacks = []
         for i in batch:
-            n_plus = n_plus_values[i]
             plus = (rngs[i].integers(0, 2, size=shape) == 1 if M > 1
                     else np.empty(shape, bool))
-            plus[:, :, ell] = np.arange(U) < n_plus
+            plus[:, :, ell] = columns[i]
             stacks.append(pack_votes(plus))
         (plus, minus), x = detection_rates(np.concatenate(stacks), ell, model, exact)
         n_plus = np.repeat([n_plus_values[i] for i in batch], R)
@@ -384,31 +389,3 @@ def vote_averaged_cers(
             stderr = np.std(p, ddof=1) / math.sqrt(R) if R > 1 else 0.0
             estimates[i] = CerEstimate(float(np.mean(p)), float(stderr))
     return estimates
-
-
-def vote_averaged_cer(
-    n_plus: int,
-    n_minus: int,
-    model: CerModel,
-    n_realizations: int = 100,
-    rng: np.random.Generator | None = None,
-    ell: int = 0,
-    exact: bool = False,
-) -> CerEstimate:
-    """Average the conditional error rate over the other transmitters' votes.
-
-    The probed vote column is fixed to n_plus ones followed by n_minus
-    minus-ones; all remaining vote entries, for every realization at once,
-    are drawn equiprobably in one call. With a single vote per codeword
-    there is nothing to sample and the result is deterministic (stderr 0).
-
-    By default the conditional law is the paper's, which approximates the
-    test-point energies as independent exponentials; `exact` uses the law
-    of the correlated probes instead (see `detection_rates`). Both laws
-    consume the same vote draws. The rates of all realizations come as
-    (R, n) arrays from one `detection_rates` call, and `cer` races the
-    whole stack at once, one race per group of equal finite chain lengths.
-    This is the one-point call of `vote_averaged_cers`.
-    """
-    return vote_averaged_cers(n_plus + n_minus, [n_plus], model, [rng],
-                              n_realizations, ell, exact)[0]

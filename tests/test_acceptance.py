@@ -31,7 +31,7 @@ from airmv.huffman import (
 )
 from airmv.median import run_median
 from airmv.simulate import simulate_cer, stream
-from airmv.theory import CerModel, cdf_diff_exp_sums, vote_averaged_cer
+from airmv.theory import CerModel, cdf_diff_exp_sums, vote_averaged_cers
 from airmv.waveform import (
     ofdm_map_modulate,
     pmepr,
@@ -246,18 +246,18 @@ def test_criterion_06_theory_vs_simulation_cer():
                             model = CerModel(method, radius_param(K), pdp_cfg,
                                              sigma2)
                             key = (607, mi, K, U, int(snr_db), L_e)
-                            exact = vote_averaged_cer(
-                                n_plus, U - n_plus, model, n_realizations=300,
-                                rng=stream(*key), exact=True,
+                            exact, = vote_averaged_cers(
+                                U, [n_plus], model, [stream(*key)],
+                                n_realizations=300, exact=True,
                             )
                             # The paper's independence model, on the same
                             # vote draws, where the probe correlation that
                             # it drops is strongest.
                             paper = None
                             if snr_db == 0.0:
-                                paper = vote_averaged_cer(
-                                    n_plus, U - n_plus, model,
-                                    n_realizations=300, rng=stream(*key),
+                                paper, = vote_averaged_cers(
+                                    U, [n_plus], model, [stream(*key)],
+                                    n_realizations=300,
                                 )
                             rows.append((
                                 (method.value, K, U, snr_db, L_e), mc, se_mc,
@@ -300,8 +300,8 @@ def test_criterion_06_theory_vs_simulation_cer():
         for mi, method in enumerate(Method):
             model = CerModel(method, radius_param(4), PdpConfig(1), 0.1)
             for exact in (False, True):
-                est = vote_averaged_cer(3, 3, model, n_realizations=2,
-                                        rng=stream(608, mi), exact=exact)
+                est, = vote_averaged_cers(6, [3], model, [stream(608, mi)],
+                                          n_realizations=2, exact=exact)
                 assert est.probability == 1.0
             mc, _ = simulate_cer(method, 4, 6, 3, PdpConfig(1), 0.1, 2_000,
                                  seed=609, key=(mi,))

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from airmv import aggregation, simulate
-from airmv.aggregation import (ProbeAggregator, pack_votes, probe_tables, signal_power,
-                               table_product, table_rows)
+from airmv.aggregation import (ProbeAggregator, pack_votes, probe_tables, scored_column,
+                               signal_power, table_product, table_rows)
 from airmv.channel import PdpConfig, complex_normal, pdp, sample_channel, superpose
 from airmv.decoding import decode, powers, probe_moments, probe_points
 from airmv.encoding import Method, vote_pattern
@@ -26,7 +26,6 @@ from airmv.huffman import radius_param, root_phases, synthesize_coeffs, zero_for
 from airmv.median import run_median
 from airmv.simulate import (
     _count_mv_errors,
-    _fixed_column,
     _random_votes,
     mv_error_batch,
     simulate_cer,
@@ -648,13 +647,13 @@ def test_monte_carlo_batch_matches_time_domain_batch():
     on the same stream, with the engine's draws lifted to taps and noise."""
     pdp_cfg = PdpConfig(5)
     U, n_plus, sigma2 = 25, 16, 0.1
-    column = _fixed_column(U, n_plus)
+    column = scored_column(U, n_plus).astype(np.uint8)
     for method, K, n in ((Method.UNCODED, 16, 20_000),
                          (Method.DIFFERENTIAL, 16, 20_000),
                          (Method.INDEXED, 32, 2_000)):
         rng = np.random.default_rng(17)
         M = method.votes_per_codeword(K)
-        votes = unpack(_random_votes(rng, n, M, (column > 0).astype(np.uint8)), M)
+        votes = unpack(_random_votes(rng, n, M, column), M)
         engine = ProbeAggregator(method, K, pdp_cfg, sigma2, positions=0)
         y = time_domain(method, K, pdp_cfg, sigma2, votes, rng, engine)
         expected = _count_mv_errors(decode(y, engine.ctx)[:, 0], U, n_plus)

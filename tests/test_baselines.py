@@ -8,6 +8,7 @@ from them. The law gates hold each backend's draws to the former per-tap
 receivers, kept here as oracles.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import airmv.baselines
 from airmv.aggregation import backend as build_backend
-from airmv.aggregation import pack_votes
+from airmv.aggregation import pack_votes, scored_column
 from airmv.baselines import (
     BASELINES,
     _gram_order,
@@ -33,7 +34,6 @@ from airmv.experiments import run_experiment, write_csv
 from airmv.median import local_votes, run_median
 from airmv.simulate import (
     _count_mv_errors,
-    _fixed_column,
     mv_error_batch,
     simulate_cer,
     stream,
@@ -69,9 +69,14 @@ def no_truncation(monkeypatch):
     monkeypatch.setattr(airmv.baselines, "_TRUNCATION", 0.0)
 
 
+def signed_column(U, n_plus):
+    """The Monte Carlo's scored column as (U,) +-1 votes."""
+    return np.where(scored_column(U, n_plus), 1, -1)
+
+
 def column_votes(n, U, n_plus):
     """The Monte Carlo's (n, U, 1) votes: one fixed column for every trial."""
-    return np.broadcast_to(_fixed_column(U, n_plus)[:, np.newaxis], (n, U, 1))
+    return np.broadcast_to(signed_column(U, n_plus)[:, np.newaxis], (n, U, 1))
 
 
 def goldenbaum_draws(rng, votes, L_seq, pdp_cfg):
@@ -743,7 +748,7 @@ class TestObdaDecode:
         n = 4000
         mv = obda_decisions(column_votes(n, 3, 2), np.random.default_rng(18), 0.0)
         active = obda_activity(np.random.default_rng(18), n, 1, 3)[:, 0]
-        active_sum = active @ _fixed_column(3, 2)
+        active_sum = active @ signed_column(3, 2)
         assert np.count_nonzero(active_sum == 0) > 100
         np.testing.assert_array_equal(mv[:, 0], np.sign(active_sum))
         assert _count_mv_errors(mv[:, 0], 3, 2) == np.count_nonzero(active_sum <= 0)
@@ -980,6 +985,7 @@ def test_csv_bytes_do_not_depend_on_the_evaluation_order(
     texts = []
     for gram in (True, False):
         monkeypatch.setattr(airmv.baselines, "_gram_order", lambda L_seq, L_e: gram)
-        texts.append(write_csv(run_experiment(cfg), cfg, out=str(tmp_path / f"{gram}.csv")))
+        out = str(tmp_path / f"{gram}.csv")
+        texts.append(write_csv(run_experiment(cfg), dataclasses.replace(cfg, out=out)))
     assert len(texts[0].splitlines()) > 2
     assert texts[0] == texts[1]

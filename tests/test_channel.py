@@ -79,8 +79,9 @@ class TestComplexNormal:
         draw, and leaves the rng in the same state: a scalar, a per-tap
         (L_e,) and a per-cell scale, at sizes below, at and across the
         scratch (one row or one cell short of a block, a whole block, one
-        more, several blocks and a remainder), and with a tiny scratch
-        that a single row outgrows."""
+        more, several blocks and a remainder), with no rows at all (an
+        empty result and no draw), and with a tiny scratch that a single
+        row outgrows."""
         S = channel._SCRATCH
         taps = np.sqrt(np.array([0.4, 0.25, 0.2, 0.1, 0.05]) / 2)
         step = S // taps.size
@@ -91,11 +92,15 @@ class TestComplexNormal:
         for rows in (step - 1, step, step + 1, 3 * step + 2):
             cases.append(((rows, taps.size), taps))
             cases.append(((rows, taps.size), np.random.default_rng(rows).random((rows, 5))))
+        cases += [((0,), 0.7), ((0, 3), 0.7), ((0, taps.size), taps)]
         for seed, (shape, scale) in enumerate(cases):
             got = complex_normal(shape, scale, rng := np.random.default_rng(seed))
             expected, ref = self.one_buffer(shape, scale, seed)
             np.testing.assert_array_equal(got, expected)
             assert rng.bit_generator.state == ref.bit_generator.state
+        taps = sample_channel(PdpConfig(2), 3, rng := np.random.default_rng(3), trials=0)
+        assert taps.shape == (0, 3, 2)
+        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
         monkeypatch.setattr(channel, "_SCRATCH", 7)
         for shape, scale in (((9, 3, 4), np.array([[1.5], [0.0], [2.0]])),
                              ((10, 2), 0.3), ((5,), np.arange(5.0)), ((), 0.7)):

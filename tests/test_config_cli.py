@@ -11,7 +11,9 @@ import pytest
 
 from airmv import cli, experiments
 from airmv.cli import config_from_argv, main
-from airmv.config import ConfigError, build_config, parse_config_file
+from airmv.aggregation import OWN_DRAWS
+from airmv.config import (EXPERIMENTS, PROPOSED, ConfigError, ExperimentConfig,
+                          build_config, parse_config_file)
 from airmv.encoding import Method, vote_pattern
 from airmv.experiments import run_experiment, write_csv
 from airmv.huffman import radius_param, synthesize_coeffs
@@ -144,6 +146,38 @@ class TestValidation:
         assert main(argv) == 0 and out.exists()
 
 
+def test_config_accepts_exactly_what_runs():
+    """Config's K rules are the ones the runs call: for every experiment,
+    method name and K of {1, 2, 3, 4, 6, 12, 16}, `build_config` accepts a
+    config exactly when the same config, built without validation, runs to
+    completion at toy sizes. Only the experiments' method lists are
+    config's own."""
+    toy = dict(U=3, n_plus=(2,), seed=1, trials=2, realizations=1, rounds=1,
+               codewords=2, oversampling=1)
+    names = PROPOSED + OWN_DRAWS
+    disagree, checked = [], 0
+    for experiment, name, K in itertools.product(EXPERIMENTS, names, (1, 2, 3, 4, 6, 12, 16)):
+        options = dict(toy, methods=(name,), k_values=(K,))
+        try:
+            build_config(experiment, {}, options)
+            accepted = True
+        except ConfigError as exc:
+            if "not valid for the" in str(exc):
+                continue
+            accepted = False
+        try:
+            run_experiment(ExperimentConfig(experiment=experiment, **options))
+            ran = True
+        except ValueError:
+            ran = False
+        checked += 1
+        if accepted != ran:
+            disagree.append((experiment, name, K, accepted, ran))
+    assert disagree == []
+    # cer and snr take 7 names, rmse 8, theory, pmepr and resources 3 each.
+    assert checked == 7 * (7 + 7 + 8 + 3 * 3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 10_000])
 def test_pmepr_quantile_is_numpys(n):
     """The pmepr sweep's partition quantile is bitwise np.quantile's
@@ -260,7 +294,7 @@ class TestCsv:
             cfg = make_cfg(trials=2_500, realizations=2, threads=threads,
                            methods=("indexed",))
             rows = run_experiment(cfg)
-            texts.append(write_csv(rows, cfg, out=str(tmp_path / f"t{threads}.csv")))
+            texts.append(write_csv(rows, replace(cfg, out=str(tmp_path / f"t{threads}.csv"))))
         # thread count appears only in the echo comment; data rows identical
         assert texts[0].splitlines()[1:] == texts[1].splitlines()[1:]
 
@@ -279,22 +313,22 @@ class TestCsv:
         texts = []
         for threads in (1, 2):
             cfg = make_cfg(experiment=experiment, threads=threads, **overrides)
-            texts.append(write_csv(run_experiment(cfg), cfg,
-                                   out=str(tmp_path / f"{experiment}{threads}.csv")))
+            out = str(tmp_path / f"{experiment}{threads}.csv")
+            texts.append(write_csv(run_experiment(cfg), replace(cfg, out=out)))
         first, second = (text.splitlines() for text in texts)
         assert "threads=1" in first[0] and "threads=2" in second[0]
         assert len(first) > 2 and first[1:] == second[1:]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = make_cfg(trials=1_000, methods=("differential",), realizations=2)
-        a = write_csv(run_experiment(cfg), cfg, out=str(tmp_path / "a.csv"))
-        b = write_csv(run_experiment(cfg), cfg, out=str(tmp_path / "b.csv"))
+        a = write_csv(run_experiment(cfg), replace(cfg, out=str(tmp_path / "a.csv")))
+        b = write_csv(run_experiment(cfg), replace(cfg, out=str(tmp_path / "b.csv")))
         assert a == b
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_schema_header(self, tmp_path):
         cfg = make_cfg(trials=300, methods=("indexed",), realizations=0)
-        text = write_csv(run_experiment(cfg), cfg, out=str(tmp_path / "c.csv"))
+        text = write_csv(run_experiment(cfg), replace(cfg, out=str(tmp_path / "c.csv")))
         lines = text.splitlines()
         assert lines[0].startswith("# airmv")
         assert lines[1] == "experiment,method,K,U,L_e,rho,snr_db,n_plus,metric,value,stderr"
@@ -502,7 +536,7 @@ class TestOptionTable:
         configuration: only the output path is left out, and the default
         n_plus sweep comes back spelled out."""
         cfg = config_from_argv(argv + ["--seed", "17"])
-        echo = write_csv([], cfg, out=str(tmp_path / "echo.csv")).splitlines()[0]
+        echo = write_csv([], replace(cfg, out=str(tmp_path / "echo.csv"))).splitlines()[0]
         assert echo.startswith("# airmv ")
         replay = tmp_path / "replay.cfg"
         replay.write_text("".join(
@@ -512,7 +546,7 @@ class TestOptionTable:
         values = parse_config_file(str(replay))
         rebuilt = build_config(values["experiment"], values, {})
         assert rebuilt == replace(cfg, out=None, n_plus=cfg.n_plus_values())
-        again = write_csv([], rebuilt, out=str(tmp_path / "again.csv"))
+        again = write_csv([], replace(rebuilt, out=str(tmp_path / "again.csv")))
         assert again.splitlines()[0] == echo
 
     @pytest.mark.parametrize("snr, levels", [
@@ -577,13 +611,13 @@ class TestCli:
 
     @pytest.mark.parametrize("k", ["0", "1", "-4"])
     def test_k_below_2_exits_2(self, capsys, k):
-        """OBDA has no K rule of its own, so `--k 0` used to write rows with
-        K=0; every K must be at least 2, as every other scheme's rule says."""
+        """`--k 0` used to write OBDA rows with K=0; the backend's own K rule,
+        the one config calls, refuses every K below 2 before any run."""
         argv = ["cer", "--k", k, "--methods", "obda", "--u", "2", "--n-plus", "1",
                 "--seed", "1"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"airmv: configuration error: K={k}: every K must be at least 2" in err
+        assert f"airmv: configuration error: obda at K={k}: K must be at least 2" in err
 
     def test_out_must_name_a_file(self, tmp_path, capsys, monkeypatch):
         """An empty or directory output path used to fail in write_csv, after

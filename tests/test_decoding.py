@@ -212,7 +212,7 @@ class TestDecoderContext:
     def test_uncoded_rejects_bad_noise(self):
         rp = radius_param(4)
         for sigma2 in (-0.1, math.nan):
-            with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            with pytest.raises(ValueError, match="noise variance must be nonnegative"):
                 DecoderContext(Method.UNCODED, rp, pdp=PdpConfig(1), sigma2=sigma2)
 
     def test_coded_rejects_knowledge(self):

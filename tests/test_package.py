@@ -18,6 +18,9 @@ re-exports of `__init__`. Nothing in the package caches: no module uses
 functools' `lru_cache` or `cache`. Nothing in the package imports scipy, a
 test dependency only, and importing the CLI loads none of it.
 
+Each rule that several engines enforce is stated once: its refusal is
+raised in one module (`RULES`), whose function the others call.
+
 Each module but `__init__` declares `__all__`, and the functions and
 classes it lists are exactly its public top-level ones; any other name it
 lists is a top-level constant. Each module but `__init__`, whose imports
@@ -466,3 +469,64 @@ def test_the_scan_sees_a_planted_unused_import(tmp_path, monkeypatch):
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert unused_imports() == ["a.aid", "a.spare", "a.stale", "b.f"]
+
+
+# Each shared rule: the phrasings its refusal has had, and the one module
+# that may raise it.
+RULES = {
+    "noise variance": (("noise variance must be nonnegative", "sigma2 must be nonnegative"),
+                       "channel"),
+    "vote positions": (("out of range for M=",), "decoding"),
+}
+
+
+def _raised_texts(tree: ast.Module) -> list[str]:
+    """The literal text of each argument of each `raise X(...)` in a module,
+    an f-string's fields left out."""
+    return [
+        "".join(c.value for c in ast.walk(arg)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+        for arg in n.exc.args
+    ]
+
+
+def rule_statements() -> dict[str, list[str]]:
+    """The modules that raise each rule's refusal, in any of its phrasings."""
+    found = {rule: [] for rule in RULES}
+    for path in sorted((ROOT / "src" / "airmv").glob("*.py")):
+        texts = _raised_texts(ast.parse(path.read_text(encoding="utf-8")))
+        for rule, (phrasings, _) in RULES.items():
+            if any(p in text for text in texts for p in phrasings):
+                found[rule].append(path.stem)
+    return found
+
+
+def test_each_shared_rule_is_stated_once():
+    assert rule_statements() == {rule: [home] for rule, (_, home) in RULES.items()}
+
+
+def test_the_scan_sees_a_planted_second_statement(tmp_path, monkeypatch):
+    """A second module raising a rule's refusal, in either wording, plain
+    or as an f-string split over two literals, is reported; a docstring
+    naming it and a raise of another message are not."""
+    pkg = tmp_path / "src" / "airmv"
+    pkg.mkdir(parents=True)
+    plants = {
+        "channel": "def check(s):\n    if not s >= 0:\n"
+                   "        raise ValueError('noise variance must be nonnegative')\n",
+        "decoding": "def pos(M, p):\n"
+                    "    raise ValueError(f'vote positions {p!r} out of range for M={M}')\n",
+        "theory": "def model(s):\n    if s < 0:\n"
+                  "        raise ValueError('sigma2 must be nonnegative')\n",
+        "aggregation": '"""The noise variance must be nonnegative."""\n\n'
+                       "def f(ell, M):\n"
+                       "    raise ValueError(f'vote position {ell} out of range ' f'for M={M}')\n",
+        "simulate": "def g():\n    raise ValueError('need at least one trial')\n",
+    }
+    for name, text in plants.items():
+        (pkg / f"{name}.py").write_text(text)
+    monkeypatch.setitem(globals(), "ROOT", tmp_path)
+    assert rule_statements() == {"noise variance": ["channel", "theory"],
+                                 "vote positions": ["aggregation", "decoding"]}

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from airmv import aggregation, simulate
-from airmv.aggregation import backend
+from airmv.aggregation import backend, scored_column
 from airmv.channel import PdpConfig
 from airmv.config import build_config
 from airmv.encoding import Method
 from airmv.experiments import run_experiment
 from airmv.simulate import (
     _drawn_bytes,
-    _fixed_column,
     _random_votes,
     mv_error_batch,
     run_trial_batches,
@@ -196,7 +195,7 @@ def test_random_votes_are_fair_independent_bits():
     position's mean and every adjacent pair's correlation within 5
     standard errors of 0."""
     n, U = 4_000, 25
-    plus = (_fixed_column(U, 9) > 0).astype(np.uint8)
+    plus = scored_column(U, 9).astype(np.uint8)
     for M in (16, 5):
         packed = _random_votes(np.random.default_rng(6), n, M, plus)
         assert packed.dtype == np.uint8 and packed.shape == (n, U, -(-M // 8))

@@ -35,7 +35,7 @@ from airmv.theory import (
     cdf_diff_exp_sums,
     cer,
     detection_rates,
-    vote_averaged_cer,
+    vote_averaged_cers,
 )
 
 
@@ -606,12 +606,16 @@ class TestRates:
 
 
 class TestVoteAveragedCer:
+    """`vote_averaged_cers` at a single point: a group of one."""
+
     def test_single_vote_is_deterministic(self):
         model = make_model(Method.INDEXED, 2, sigma2=0.1)
         for exact in (False, True):
-            est = vote_averaged_cer(3, 2, model, n_realizations=50, exact=exact)
+            est, = vote_averaged_cers(5, [3], model, [None], n_realizations=50,
+                                      exact=exact)
             assert est.stderr == 0.0
-            est2 = vote_averaged_cer(3, 2, model, n_realizations=1, exact=exact)
+            est2, = vote_averaged_cers(5, [3], model, [None], n_realizations=1,
+                                       exact=exact)
             assert est.probability == est2.probability
 
     def test_matches_exhaustive_enumeration(self):
@@ -626,7 +630,8 @@ class TestVoteAveragedCer:
             probs.append(cer(n_plus, n_minus, plus, minus, x)[0])
         exact = float(np.mean(probs))
         rng = np.random.default_rng(7)
-        est = vote_averaged_cer(n_plus, n_minus, model, n_realizations=400, rng=rng)
+        est, = vote_averaged_cers(n_plus + n_minus, [n_plus], model, [rng],
+                                  n_realizations=400)
         assert abs(est.probability - exact) < max(3 * est.stderr, 1e-9)
 
     def test_probability_range(self):
@@ -637,17 +642,15 @@ class TestVoteAveragedCer:
             U = int(rng.integers(1, 7))
             n_plus = int(rng.integers(0, U + 1))
             model = make_model(method, K, sigma2=float(rng.uniform(0.01, 1.0)))
-            est = vote_averaged_cer(
-                n_plus, U - n_plus, model, n_realizations=3, rng=rng
-            )
+            est, = vote_averaged_cers(U, [n_plus], model, [rng], n_realizations=3)
             assert 0.0 <= est.probability <= 1.0
 
     def test_tie_gives_one(self):
         model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.1)
         rng = np.random.default_rng(9)
         for exact in (False, True):
-            est = vote_averaged_cer(2, 2, model, n_realizations=5, rng=rng,
-                                    exact=exact)
+            est, = vote_averaged_cers(4, [2], model, [rng], n_realizations=5,
+                                      exact=exact)
             assert est.probability == 1.0 and est.stderr == 0.0
 
     def test_tie_needs_no_quadrature(self, monkeypatch):
@@ -664,8 +667,8 @@ class TestVoteAveragedCer:
         expected = theory.CerEstimate(probability=1.0, stderr=0.0)
         for exact in (False, True):
             rng = np.random.default_rng(11)
-            est = vote_averaged_cer(3, 3, model, n_realizations=50, rng=rng,
-                                    exact=exact)
+            est, = vote_averaged_cers(6, [3], model, [rng], n_realizations=50,
+                                      exact=exact)
             assert est == expected
             assert rng.random() == np.random.default_rng(11).random()
 
@@ -682,8 +685,8 @@ class TestVoteAveragedCer:
         monkeypatch.setattr(theory, "detection_rates", counted)
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         for exact in (False, True):
-            vote_averaged_cer(4, 1, model, n_realizations=9,
-                              rng=np.random.default_rng(16), exact=exact)
+            vote_averaged_cers(5, [4], model, [np.random.default_rng(16)],
+                               n_realizations=9, exact=exact)
         assert shapes == [(9, 5, 1)] * 2  # M = 3 votes packed in one byte
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -706,8 +709,9 @@ class TestVoteAveragedCer:
             probs = np.array([cdf(r, x) for r in rates])
             stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if M > 1 else 0.0
             want = theory.CerEstimate(float(np.mean(probs)), float(stderr))
-            got = vote_averaged_cer(n_plus, n_minus, model, n_realizations=R,
-                                    rng=np.random.default_rng(K), ell=M - 1, exact=exact)
+            got, = vote_averaged_cers(n_plus + n_minus, [n_plus], model,
+                                      [np.random.default_rng(K)], n_realizations=R,
+                                      ell=M - 1, exact=exact)
             assert got == want, (K, snr_db)
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -732,8 +736,8 @@ class TestVoteAveragedCer:
         monkeypatch.setattr(theory, "detection_rates", kept_stacks)
         monkeypatch.setattr(theory, "_race", counted_race)
         model = make_model(Method.INDEXED, 32, L_e=5, sigma2=0.0)
-        vote_averaged_cer(14, 11, model, n_realizations=40,
-                          rng=np.random.default_rng(1), exact=exact)
+        vote_averaged_cers(25, [14], model, [np.random.default_rng(1)],
+                           n_realizations=40, exact=exact)
         ((plus, minus), x), = stacks
         assert x == 0.0
         counts = sorted(zip(np.isfinite(plus).sum(axis=1).tolist(),
@@ -761,8 +765,8 @@ class TestVoteAveragedCer:
         monkeypatch.setattr(theory, "probe_variances", spoiled)
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
-            vote_averaged_cer(4, 1, model, n_realizations=5,
-                              rng=np.random.default_rng(20))
+            vote_averaged_cers(5, [4], model, [np.random.default_rng(20)],
+                               n_realizations=5)
         with pytest.raises(ValueError, match=match):
             from_means([1.0, bad], [2.0])
 
@@ -780,8 +784,8 @@ class TestVoteAveragedCer:
     def test_bad_counts_fail_early(self, n_plus, n_minus, match):
         model = make_model(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
-            vote_averaged_cer(n_plus, n_minus, model, n_realizations=3,
-                              rng=np.random.default_rng(18))
+            vote_averaged_cers(n_plus + n_minus, [n_plus], model,
+                               [np.random.default_rng(18)], n_realizations=3)
 
     def test_unanimous_noise_vanishing_limit(self):
         """With every vote positive, the negative side collapses with sigma2."""
@@ -789,7 +793,7 @@ class TestVoteAveragedCer:
         for sigma2 in (1e-2, 1e-4, 1e-6):
             model = make_model(Method.UNCODED, 4, sigma2=sigma2)
             rng = np.random.default_rng(12)
-            est = vote_averaged_cer(5, 0, model, n_realizations=40, rng=rng)
+            est, = vote_averaged_cers(5, [5], model, [rng], n_realizations=40)
             probs.append(est.probability)
         assert probs[0] > probs[1] > probs[2]
         assert probs[2] < 1e-4
@@ -808,7 +812,7 @@ class TestVoteAveragedCer:
 def test_cer_model_rejects_bad_noise(method, sigma2):
     """A negative or NaN noise level fails when the model is built, not
     later in the rates."""
-    with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+    with pytest.raises(ValueError, match="noise variance must be nonnegative"):
         make_model(method, 8, sigma2=sigma2)
 
 
@@ -827,7 +831,7 @@ class TestVoteAveragedCers:
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("method", list(Method))
     def test_equals_one_call_per_point(self, monkeypatch, method, exact, stack_rows):
-        """Bit for bit the estimates of `vote_averaged_cer` point by point,
+        """Bit for bit the estimates of one call per point,
         at K = 2 (M = 1 for the coded schemes), 8 and 32, 0 dB and snr=inf,
         with a tie inside the group; also when `_STACK_ROWS` splits the
         group into one-point calls (R = 5 realizations a point)."""
@@ -838,7 +842,7 @@ class TestVoteAveragedCers:
             ell = method.votes_per_codeword(K) - 1
             got = theory.vote_averaged_cers(self.U, self.N_PLUS, model,
                                             self.rngs(self.N_PLUS, K), 5, ell, exact)
-            want = [vote_averaged_cer(n, self.U - n, model, 5, rng, ell, exact)
+            want = [theory.vote_averaged_cers(self.U, [n], model, [rng], 5, ell, exact)[0]
                     for n, rng in zip(self.N_PLUS, self.rngs(self.N_PLUS, K))]
             assert got == want, (K, sigma2)
             assert got[2] == theory.CerEstimate(1.0, 0.0)
@@ -919,8 +923,8 @@ def test_theory_curve_is_u_shaped():
     rng = np.random.default_rng(13)
     U = 9
     curve = [
-        vote_averaged_cer(n, U - n, model, n_realizations=40, rng=rng).probability
-        for n in range(U + 1)
+        est.probability for est in
+        vote_averaged_cers(U, range(U + 1), model, [rng] * (U + 1), n_realizations=40)
     ]
     mid = U // 2
     assert max(curve) == max(curve[mid], curve[mid + 1])
@@ -950,9 +954,9 @@ class TestExactCorrelatedModel:
                 method, K, U, n_plus, pdp_cfg, sigma2, 100_000,
                 seed=4242, key=(K, L_e),
             )
-            est = vote_averaged_cer(
-                n_plus, U - n_plus, make_model(method, K, L_e, 1.0, sigma2),
-                n_realizations=300, rng=stream(4243, K, L_e), exact=True,
+            est, = vote_averaged_cers(
+                U, [n_plus], make_model(method, K, L_e, 1.0, sigma2),
+                [stream(4243, K, L_e)], n_realizations=300, exact=True,
             )
             assert abs(mc - est.probability) < 3 * math.hypot(se, est.stderr), (
                 method, K, mc, est.probability
@@ -981,9 +985,9 @@ class TestExactCorrelatedModel:
                 ctx = DecoderContext(method, radius_param(K))
             mc = float(np.mean(decode(y, ctx)[:, ell] != 1))
             se = math.sqrt(mc * (1 - mc) / n)
-            est = vote_averaged_cer(
-                n_plus, U - n_plus, make_model(method, K, L_e, 1.0, sigma2),
-                n_realizations=200, rng=rng, ell=ell, exact=True,
+            est, = vote_averaged_cers(
+                U, [n_plus], make_model(method, K, L_e, 1.0, sigma2), [rng],
+                n_realizations=200, ell=ell, exact=True,
             )
             assert abs(mc - est.probability) < 3 * math.hypot(se, est.stderr), (
                 method, mc, est.probability
