@@ -109,19 +109,17 @@ def _work_theory(args) -> list[list[float]]:
     """[probability, stderr] of the exact law per cell of `args.cells`: one
     `vote_averaged_cers` call per run of cells sharing (method, K, SNR)."""
     from airmv.channel import PdpConfig
-    from airmv.encoding import Method
-    from airmv.huffman import radius_param
     from airmv.simulate import stream
-    from airmv.theory import CerModel, vote_averaged_cers
+    from airmv.theory import vote_averaged_cers
 
     out = []
     groups = groupby(json.loads(args.cells), key=lambda cell: (cell[0], cell[1], cell[3]))
     for (m, K, snr), cells in groups:
         n_plus = [n for _, _, n, _ in cells]
-        model = CerModel(Method.from_name(m), radius_param(K), PdpConfig(L_E), _sigma2(snr))
         rngs = [stream(args.seed, *_key(m, K, n, snr)) for n in n_plus]
         out += [[est.probability, est.stderr] for est in vote_averaged_cers(
-            U, n_plus, model, rngs, args.theory_realizations, exact=True)]
+            m, K, U, n_plus, PdpConfig(L_E), _sigma2(snr), rngs,
+            args.theory_realizations, exact=True)]
     return out
 
 

@@ -28,7 +28,6 @@ from .huffman import (
 from .median import local_votes, run_median
 from .theory import (
     CerEstimate,
-    CerModel,
     cdf_diff_exp_sums,
     cer,
     detection_rates,

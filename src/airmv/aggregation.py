@@ -88,7 +88,7 @@ from .channel import PdpConfig, check_noise_variance, complex_normal
 from .decoding import (DecoderContext, detector_form, powers, probe_moments,
                        probe_variances, vote_positions)
 from .encoding import Method, vote_pattern
-from .huffman import RadiusParam, radius_param, root_phases
+from .huffman import RadiusParam, root_phases
 
 __all__ = ["OWN_DRAWS", "ProbeAggregator", "backend", "backend_votes", "pack_votes",
            "probe_tables", "scored_column", "signal_power", "table_product",
@@ -302,9 +302,8 @@ class ProbeAggregator:
     def __init__(
         self, method: Method, K: int, pdp_cfg: PdpConfig, sigma2: float, positions=None
     ) -> None:
-        check_noise_variance(sigma2)
-        rp = radius_param(K)
-        self.ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
+        self.ctx = DecoderContext.for_link(method, K, pdp_cfg, sigma2)
+        rp = self.ctx.rp
         self.sigma2 = float(sigma2)
         self.form = detector_form(self.ctx, positions)
         self.tables = probe_tables(method, rp, self.form.points)
@@ -385,10 +384,12 @@ class ProbeAggregator:
 
 def backend_votes(name, K: int) -> int:
     """M, the votes per (trial, user) of the packed votes that the aggregate
-    of `backend(name, K, ...)` takes. A zero-encoded scheme takes the votes
-    of its codeword. The ideal and baseline backends borrow the indexed
-    scheme's M = log2(K), rounded down where K is not a power of two; each
-    decides its vote positions one by one on their own draws."""
+    of `backend(name, K, ...)` takes: the one K rule of each scheme, which
+    the Monte Carlo, the median's votes per round and config all call. A
+    zero-encoded scheme takes the votes of its codeword. The ideal and
+    baseline backends borrow the indexed scheme's M = floor(log2(K)) at any
+    K >= 2, so that all curves answer the same problem size; each decides
+    its vote positions one by one on their own draws."""
     if name in OWN_DRAWS:
         if K < 2:
             raise ValueError("K must be at least 2")

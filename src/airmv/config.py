@@ -19,7 +19,6 @@ from .channel import PdpConfig
 from .decoding import channel_power, noise_power
 from .encoding import Method
 from .huffman import radius_param
-from .median import votes_per_round
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_file", "build_config"]
 
@@ -269,13 +268,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             f"methods {bad} are not valid for the {cfg.experiment} experiment"
         )
 
-    # Each scheme's K rule is the one its runs call: the median's votes per
-    # round, or the backend's votes.
-    k_rule = votes_per_round if cfg.experiment == "rmse" else backend_votes
+    # Each scheme's K rule is the one every run calls: the backend's votes.
     for name in cfg.methods:
         for K in cfg.k_values:
             try:
-                k_rule(name, K)
+                backend_votes(name, K)
             except ValueError as exc:
                 raise ConfigError(f"{name} at K={K}: {exc}") from exc
 

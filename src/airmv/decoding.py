@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import PdpConfig, check_noise_variance
 from .encoding import Method
-from .huffman import RadiusParam, root_phases
+from .huffman import RadiusParam, radius_param, root_phases
 
 __all__ = [
     "channel_power",
@@ -139,10 +139,15 @@ class DecoderContext:
 
     @classmethod
     def for_link(
-        cls, method: Method, rp: RadiusParam, pdp: PdpConfig, sigma2: float
+        cls, method: Method | str, K: int, pdp: PdpConfig, sigma2: float
     ) -> "DecoderContext":
-        """The receiver's knowledge of a link: the uncoded detector is told
-        the delay profile and the noise level, the coded ones nothing."""
+        """The receiver's knowledge of a link of `method` (a `Method` or its
+        name) at K, on the codebook `radius_param(K)`: the uncoded detector
+        is told the delay profile and the noise level, the coded ones
+        nothing. A negative or NaN `sigma2` is refused for every method."""
+        method = Method.from_name(method)
+        check_noise_variance(sigma2)
+        rp = radius_param(K)
         if method is Method.UNCODED:
             return cls(method, rp, pdp=pdp, sigma2=sigma2)
         return cls(method, rp)

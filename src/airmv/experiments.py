@@ -37,7 +37,7 @@ from .huffman import (
 )
 from .median import run_median
 from .simulate import simulate_cer, stream
-from .theory import CerModel, vote_averaged_cers
+from .theory import vote_averaged_cers
 from .waveform import (
     dfts_ofdm_modulate,
     ofdm_map_modulate,
@@ -124,18 +124,13 @@ def write_csv(rows, cfg: ExperimentConfig) -> str:
     return text
 
 
-def _theory_group(cfg, method_name, K, snr_db, key):
+def _theory_group(cfg, name, K, pdp_cfg, sigma2, key):
     """The predictions of every n_plus of one (K, SNR, method), each from
     its own stream, against one law."""
-    model = CerModel(
-        Method.from_name(method_name),
-        radius_param(K),
-        PdpConfig(cfg.L_e, cfg.rho),
-        cfg.sigma2(snr_db),
-    )
     n_plus_values = cfg.n_plus_values()
     rngs = [stream(cfg.seed, _DOMAIN_THEORY, *key, n_plus) for n_plus in n_plus_values]
-    return vote_averaged_cers(cfg.U, n_plus_values, model, rngs, cfg.realizations)
+    return vote_averaged_cers(name, K, cfg.U, n_plus_values, pdp_cfg, sigma2, rngs,
+                              cfg.realizations)
 
 
 def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
@@ -148,7 +143,7 @@ def _run_cer(cfg: ExperimentConfig, with_simulation: bool) -> list[ResultRow]:
                 # One theory law for every n_plus: it depends on none of
                 # them. simulate_cer builds its own backend per point, a
                 # build far cheaper than the point's trials.
-                theory = (_theory_group(cfg, name, K, snr_db, (ki, si, mi))
+                theory = (_theory_group(cfg, name, K, pdp_cfg, sigma2, (ki, si, mi))
                           if name in PROPOSED and cfg.realizations > 0 else None)
                 for ni, n_plus in enumerate(cfg.n_plus_values()):
                     key = (ki, si, mi, n_plus)

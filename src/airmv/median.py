@@ -8,18 +8,21 @@ learning rate times the (possibly miscomputed) majority vote and announces
 it error-free on the downlink.
 
 `run_median` keeps the (R, M) estimates of its R realizations as one float
-array. Each round packs its sign test `estimates >= params` once into
-the (R, U, ceil(M / 8)) packed plus-bits every backend takes
-(`local_votes`), hands them to one `aggregate(packed, rng)` backend, which
-`airmv.aggregation.backend`
-builds once per run, deciding every vote position (the same constructor
-the error-rate Monte Carlo calls), and subtracts mu_i times the decisions:
-a tie's zero decision leaves its estimate where it was. The rate mu_i falls
-linearly from 0.01 at the first round to 1e-5 at the last. The true
-medians the RMSE is measured against come from one partition at the two
-middle ranks (`true_medians`), the values of `np.median` without the NaN
-check that imports `numpy.ma`, so a round costs little more than its
-draws and a run imports no `numpy.ma`.
+array, M = `backend_votes(name, K)`: the one K rule of each scheme, which
+the error-rate Monte Carlo calls too. A zero-encoded scheme decides the
+votes of its codeword a round; the ideal and baseline backends decide the
+indexed scheme's floor(log2(K)) at any K >= 2, so that all curves answer
+the same problem size. Each round packs its sign test `estimates >=
+params` once into the (R, U, ceil(M / 8)) packed plus-bits every backend
+takes (`local_votes`), hands them to one `aggregate(packed, rng)` backend,
+which `airmv.aggregation.backend` builds once per run, deciding every vote
+position (the same constructor the Monte Carlo calls), and subtracts mu_i
+times the decisions: a tie's zero decision leaves its estimate where it
+was. The rate mu_i falls linearly from 0.01 at the first round to 1e-5 at
+the last. The true medians the RMSE is measured against come from one
+partition at the two middle ranks (`true_medians`), the values of
+`np.median` without the NaN check that imports `numpy.ma`, so a round
+costs little more than its draws and a run imports no `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -28,16 +31,14 @@ import math
 
 import numpy as np
 
-from .aggregation import OWN_DRAWS, backend, backend_votes, pack_votes
+from .aggregation import backend, backend_votes, pack_votes
 from .channel import PdpConfig
-from .encoding import Method
 from .simulate import stream
 
 __all__ = [
     "local_votes",
     "run_median",
     "true_medians",
-    "votes_per_round",
 ]
 
 # The learning rate at the first and at the last round.
@@ -55,22 +56,6 @@ def local_votes(estimates: np.ndarray, params: np.ndarray) -> np.ndarray:
     estimate >= parameter, so one comparison forms the plus-votes.
     """
     return pack_votes(np.asarray(estimates)[..., np.newaxis, :] >= np.asarray(params))
-
-
-def votes_per_round(name: str, K: int) -> int:
-    """Votes M decided per round. The zero-encoded backends decide as many
-    as their codeword carries; the ideal and baseline backends borrow the
-    indexed scheme's M = log2(K), so that all curves answer the same
-    problem size."""
-    if name in OWN_DRAWS:
-        try:
-            Method.INDEXED.validate_k(K)
-        except ValueError:
-            raise ValueError(
-                f"the {name} median decides log2(K) votes per round, "
-                "so K must be a power of two >= 2"
-            ) from None
-    return backend_votes(name, K)
 
 
 def true_medians(params: np.ndarray) -> np.ndarray:
@@ -104,13 +89,13 @@ def run_median(
     recorded after every round; shape (rounds,).
 
     Device parameters are Uniform(-sqrt(3), sqrt(3)); each round decides
-    `votes_per_round(name, K)` parameters.
+    M = `backend_votes(name, K)` parameters.
     """
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds=}")
     if U < 1 or realizations < 1:
         raise ValueError(f"need U, realizations >= 1, got {U=}, {realizations=}")
-    M = votes_per_round(name, K)
+    M = backend_votes(name, K)
 
     rng = stream(seed, *key)
     params = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(realizations, U, M))

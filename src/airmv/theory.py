@@ -58,10 +58,8 @@ from .channel import PdpConfig, check_noise_variance
 from .decoding import (DecoderContext, detector_form, probe_moments, probe_variances,
                        vote_positions)
 from .encoding import Method
-from .huffman import RadiusParam
 
 __all__ = [
-    "CerModel",
     "CerEstimate",
     "cdf_diff_exp_sums",
     "detection_rates",
@@ -212,20 +210,6 @@ def cdf_diff_exp_sums(plus: np.ndarray, minus: np.ndarray, x: float) -> np.ndarr
     return np.clip(f, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class CerModel:
-    """Scheme, codebook, channel statistics, and noise level for prediction."""
-
-    method: Method
-    rp: RadiusParam
-    pdp: PdpConfig
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        self.method.validate_k(self.rp.K)
-        check_noise_variance(self.sigma2)
-
-
 # Eigenvalues of A Sigma smaller than this fraction of the largest one are
 # rounding residue of exactly-zero components (noiseless probes that sit on
 # every user's encoded zero) and are dropped.
@@ -233,10 +217,12 @@ _EIG_RTOL = 1e-12
 
 
 def detection_rates(
-    packed, ell: int, model: CerModel, exact: bool = False
+    packed, ell: int, method: Method | str, K: int, pdp_cfg: PdpConfig, sigma2: float,
+    exact: bool = False,
 ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
     """Rates of vote ell's metric R^H A R and the offset x at which its CDF
-    gives P(decision < 0).
+    gives P(decision < 0), on the link (method, K, pdp_cfg, sigma2) that
+    `simulate_cer` takes: `method` a `Method` or its name.
 
     `packed` is an (R, U, ceil(M / 8)) stack of vote realizations, packed
     as every backend takes them (`aggregation.pack_votes`). The rates are
@@ -269,20 +255,20 @@ def detection_rates(
     stack's diagonals at once; the exact law forms Sigma one realization at
     a time, so memory grows with R U P, not R P^2.
     """
-    rp, pdp = model.rp, model.pdp
-    ctx = DecoderContext.for_link(model.method, rp, pdp, model.sigma2)
+    ctx = DecoderContext.for_link(method, K, pdp_cfg, sigma2)
+    method, rp = ctx.method, ctx.rp
     form = detector_form(ctx, [ell])
     weights = form.signs[:, 0] / form.scale
     x = float(np.dot(weights, form.bias))
-    tables = probe_tables(model.method, rp, form.points)
-    chan, noise = probe_variances(model.method, rp, pdp, model.sigma2, [ell])
-    signal = signal_power(model.method, tables, packed)
+    tables = probe_tables(method, rp, form.points)
+    chan, noise = probe_variances(method, rp, pdp_cfg, sigma2, [ell])
+    signal = signal_power(method, tables, packed)
     signal *= chan
     if not exact:
         means = weights * (signal + noise)
         plus, minus = _inverse(means[:, weights > 0]), _inverse(-means[:, weights < 0])
     else:
-        noise = probe_moments(form.points, rp.K, pdp, model.sigma2)
+        noise = probe_moments(form.points, K, pdp_cfg, sigma2)
         lam = np.empty(signal.shape)
         for r, d in enumerate(signal):
             evals, vecs = np.linalg.eigh(noise + np.diag(d))
@@ -330,9 +316,12 @@ _STACK_ROWS = 4096
 
 
 def vote_averaged_cers(
+    method: Method | str,
+    K: int,
     U: int,
     n_plus_values,
-    model: CerModel,
+    pdp_cfg: PdpConfig,
+    sigma2: float,
     rngs,
     n_realizations: int = 100,
     ell: int = 0,
@@ -341,7 +330,9 @@ def vote_averaged_cers(
     """The conditional error rate of vote ell averaged over the other
     transmitters' votes, with its standard error, at each point n_plus of
     `n_plus_values` (n_minus = U - n_plus), each from its own rng of
-    `rngs`, against one law.
+    `rngs` (one per point), against one law: the link (method, K, U,
+    n_plus, pdp_cfg, sigma2) of `simulate_cer`, `method` a `Method` or its
+    name. Every refusal comes before any draw.
 
     Each point fixes vote ell to its `scored_column` and draws all the
     other votes of its R = `n_realizations` realizations equiprobably in
@@ -362,8 +353,12 @@ def vote_averaged_cers(
     columns = [scored_column(U, n) for n in n_plus_values]
     if n_realizations < 1:
         raise ValueError("need at least one realization")
-    M = model.method.votes_per_codeword(model.rp.K)
+    check_noise_variance(sigma2)
+    M = Method.from_name(method).votes_per_codeword(K)
     vote_positions(M, ell)
+    if len(rngs) != len(columns):
+        raise ValueError(f"need one rng per point: {len(rngs)} rngs for "
+                         f"{len(columns)} points")
     if M == 1:
         n_realizations = 1
     elif any(rng is None for rng in rngs):
@@ -382,7 +377,8 @@ def vote_averaged_cers(
                     else np.empty(shape, bool))
             plus[:, :, ell] = columns[i]
             stacks.append(pack_votes(plus))
-        (plus, minus), x = detection_rates(np.concatenate(stacks), ell, model, exact)
+        (plus, minus), x = detection_rates(np.concatenate(stacks), ell, method, K,
+                                           pdp_cfg, sigma2, exact)
         n_plus = np.repeat([n_plus_values[i] for i in batch], R)
         probs = cer(n_plus, U - n_plus, plus, minus, x).reshape(-1, R)
         for i, p in zip(batch, probs):

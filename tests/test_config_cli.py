@@ -86,16 +86,22 @@ class TestValidation:
             make_cfg(experiment="theory", methods=("goldenbaum",))
 
     def test_baseline_k_constraints(self):
-        # Goldenbaum's sequence length needs K >= 2; the ideal and baseline
-        # median backends decide log2(K) votes per round.
+        # Goldenbaum's sequence length needs K >= 2. The ideal and baseline
+        # backends decide floor(log2(K)) votes, in the Monte Carlo and in
+        # the median alike, so a K that is not a power of two runs too.
         with pytest.raises(ConfigError, match="goldenbaum at K=1"):
             make_cfg(methods=("goldenbaum",), k_values=(1,))
-        for name in ("ideal", "goldenbaum", "obda"):
-            with pytest.raises(ConfigError, match=f"{name} at K=12"):
-                make_cfg(experiment="rmse", methods=(name,), k_values=(12,),
-                         n_plus=None)
+        names = ("ideal", "goldenbaum", "obda")
+        for name in names:
+            make_cfg(experiment="rmse", methods=(name,), k_values=(12,), n_plus=None)
             make_cfg(experiment="rmse", methods=(name,), k_values=(8,), n_plus=None)
         make_cfg(methods=("obda",), k_values=(12,))  # OBDA's CER ignores K
+        cfg = config_from_argv(["rmse", "--methods", ",".join(names), "--k", "12",
+                                "--u", "5", "--rounds", "3", "--realizations", "2",
+                                "--seed", "1"])
+        rows = run_experiment(cfg)
+        assert {(r.method, r.K) for r in rows} == {(name, 12) for name in names}
+        assert all(math.isfinite(r.value) for r in rows)
 
     @pytest.mark.parametrize("experiment", ["cer", "snr"])
     def test_negative_realizations_rejected(self, experiment):
@@ -602,8 +608,8 @@ class TestCli:
     def test_bad_baseline_k_exits_2(self, capsys):
         for argv in (
             ["cer", "--methods", "goldenbaum", "--k", "1", "--u", "5"],
-            ["rmse", "--methods", "obda", "--k", "12", "--u", "5"],
-            ["rmse", "--methods", "ideal", "--k", "12", "--u", "5"],
+            ["rmse", "--methods", "obda", "--k", "1", "--u", "5"],
+            ["rmse", "--methods", "ideal", "--k", "1", "--u", "5"],
         ):
             assert main(argv + ["--seed", "1", "--trials", "10", "--rounds", "2",
                                 "--realizations", "1"]) == 2

@@ -464,7 +464,7 @@ def test_decide_is_each_detectors_rule():
     rng = np.random.default_rng(35)
     y = rng.standard_normal((300, K + L_e)) + 1j * rng.standard_normal((300, K + L_e))
     for method in Method:
-        ctx = DecoderContext.for_link(method, rp, pdp_cfg, sigma2)
+        ctx = DecoderContext.for_link(method, K, pdp_cfg, sigma2)
         M = ctx.n_votes
         for positions in (None, [M - 1, 0]):
             pos = np.arange(M) if positions is None else np.array(positions)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from airmv import median
+from airmv.aggregation import backend_votes
 from airmv.channel import PdpConfig
 from airmv.config import EXPERIMENTS
 from airmv.median import local_votes, run_median, true_medians
@@ -96,6 +98,29 @@ class TestRunMedian:
             rmse = run_median(backend, 8, 9, 30, 10, PdpConfig(2, 0.9), 0.1,
                               seed=3, key=(i,))
             assert rmse.shape == (30,) and np.isfinite(rmse).all()
+
+    @pytest.mark.parametrize("name", ["ideal", "goldenbaum", "obda"])
+    def test_decides_the_monte_carlo_votes(self, monkeypatch, name):
+        """At K = 12, not a power of two, the ideal and baseline medians
+        decide backend_votes(name, 12) = floor(log2(12)) = 3 votes a round,
+        the M their error-rate Monte Carlo backend takes."""
+        decided, build = [], median.backend
+
+        def recorded(*args, **kwargs):
+            aggregate = build(*args, **kwargs)
+
+            def wrapped(packed, rng):
+                decisions = aggregate(packed, rng)
+                decided.append(decisions.shape)
+                return decisions
+
+            return wrapped
+
+        monkeypatch.setattr(median, "backend", recorded)
+        rmse = run_median(name, 12, 5, 4, 2, PdpConfig(1), 0.1, seed=6)
+        assert backend_votes(name, 12) == 3
+        assert decided == [(2, 3)] * 4
+        assert np.isfinite(rmse).all()
 
     def test_reproducible(self):
         a = run_median("indexed", 8, 9, 40, 20, PdpConfig(1), 0.1, seed=4)

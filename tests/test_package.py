@@ -477,6 +477,7 @@ RULES = {
     "noise variance": (("noise variance must be nonnegative", "sigma2 must be nonnegative"),
                        "channel"),
     "vote positions": (("out of range for M=",), "decoding"),
+    "power of two": (("power of two",), "encoding"),
 }
 
 
@@ -524,9 +525,14 @@ def test_the_scan_sees_a_planted_second_statement(tmp_path, monkeypatch):
                        "def f(ell, M):\n"
                        "    raise ValueError(f'vote position {ell} out of range ' f'for M={M}')\n",
         "simulate": "def g():\n    raise ValueError('need at least one trial')\n",
+        "encoding": "def k(K):\n"
+                    "    raise ValueError('indexed encoding needs K a power of two')\n",
+        "median": "def m(name):\n"
+                  "    raise ValueError(f'the {name} median needs K a ' 'power of two')\n",
     }
     for name, text in plants.items():
         (pkg / f"{name}.py").write_text(text)
     monkeypatch.setitem(globals(), "ROOT", tmp_path)
     assert rule_statements() == {"noise variance": ["channel", "theory"],
-                                 "vote positions": ["aggregation", "decoding"]}
+                                 "vote positions": ["aggregation", "decoding"],
+                                 "power of two": ["encoding", "median"]}

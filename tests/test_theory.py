@@ -30,7 +30,6 @@ from airmv.huffman import (
     zero_form_eval,
 )
 from airmv.theory import (
-    CerModel,
     _survival,
     cdf_diff_exp_sums,
     cer,
@@ -430,8 +429,22 @@ class TestCer:
         assert cer(0, 5, self.PLUS, self.MINUS, 0.0)[0] == pytest.approx(0.75, rel=1e-15)
 
 
-def make_model(method, K, L_e=1, rho=1.0, sigma2=0.1):
-    return CerModel(method, radius_param(K), PdpConfig(L_e, rho), sigma2)
+class Link(NamedTuple):
+    """The link arguments that `simulate_cer`, `detection_rates` and
+    `vote_averaged_cers` take, with the codebook the detector reads."""
+
+    method: Method
+    K: int
+    pdp: PdpConfig
+    sigma2: float
+
+    @property
+    def rp(self):
+        return radius_param(self.K)
+
+
+def make_link(method, K, L_e=1, rho=1.0, sigma2=0.1):
+    return Link(method, K, PdpConfig(L_e, rho), sigma2)
 
 
 def encode_matrix(method, votes, rp):
@@ -443,13 +456,13 @@ def pack(votes):
     return pack_votes(np.asarray(votes) > 0)
 
 
-def rate_sets(votes, ell, model, exact=False):
+def rate_sets(votes, ell, link, exact=False):
     """`detection_rates` as `Rates`: one for a (U, M) vote matrix, a list of
     R for an (R, U, M) stack. The exact law's sets keep only the finite
     rates, not the padding of its P-wide sides."""
     votes = np.asarray(votes)
     stack = votes if votes.ndim == 3 else votes[np.newaxis]
-    (plus, minus), x = detection_rates(pack(stack), ell, model, exact)
+    (plus, minus), x = detection_rates(pack(stack), ell, *link, exact)
     if exact:
         plus = [row[np.isfinite(row)] for row in plus]
         minus = [row[np.isfinite(row)] for row in minus]
@@ -461,37 +474,37 @@ def rate_sets(votes, ell, model, exact=False):
 class TestRates:
     def test_uncoded_noiseless_unanimous_negative(self):
         """Every polynomial vanishes at the radius-d probe: no signal term."""
-        model = make_model(Method.UNCODED, 4, sigma2=0.0)
+        link = make_link(Method.UNCODED, 4, sigma2=0.0)
         votes = -np.ones((3, 4), dtype=int)
-        rates, x = rate_sets(votes, 0, model)
+        rates, x = rate_sets(votes, 0, link)
         assert rates.rates_plus == (math.inf,)  # degenerate: exact zero mean
         assert x == 0.0
 
     def test_uncoded_single_user_mean(self):
-        model = make_model(Method.UNCODED, 4, L_e=2, rho=0.6, sigma2=0.2)
-        rp = model.rp
+        link = make_link(Method.UNCODED, 4, L_e=2, rho=0.6, sigma2=0.2)
+        rp = link.rp
         votes = np.array([[1, -1, 1, -1]])
         inner = encode_matrix(Method.UNCODED, votes, rp)
-        rates, x = rate_sets(votes, 0, model)
+        rates, x = rate_sets(votes, 0, link)
         p_val = abs(poly_eval(synthesize_coeffs(inner[0], rp), rp.d)) ** 2
         g = signal_scale_uncoded(rp, rp.d)
-        fch = channel_power(rp.d, model.pdp)
-        fn = noise_power(rp.d, model.sigma2, rp.K, model.pdp.L_e)
+        fch = channel_power(rp.d, link.pdp)
+        fn = noise_power(rp.d, link.sigma2, rp.K, link.pdp.L_e)
         expected_mean = p_val / g + fn / (g * fch)
         assert 1.0 / rates.rates_plus[0] == pytest.approx(expected_mean, rel=1e-8)
 
     def test_rates_strictly_positive_with_noise(self):
         rng = np.random.default_rng(4)
-        model = make_model(Method.UNCODED, 8, L_e=3, rho=0.9, sigma2=0.05)
+        link = make_link(Method.UNCODED, 8, L_e=3, rho=0.9, sigma2=0.05)
         for _ in range(20):
             votes = rng.integers(0, 2, size=(5, 8)) * 2 - 1
-            rates, _ = rate_sets(votes, 0, model)
+            rates, _ = rate_sets(votes, 0, link)
             assert all(map(math.isfinite, rates.rates_plus + rates.rates_minus))
 
     def test_coded_single_user_single_signal_slot(self):
-        model = make_model(Method.INDEXED, 8, sigma2=0.0)
+        link = make_link(Method.INDEXED, 8, sigma2=0.0)
         votes = np.array([[1, -1, 1]])  # index 5
-        rates, _ = rate_sets(votes, 0, model)
+        rates, _ = rate_sets(votes, 0, link)
         finite_plus = [r for r in rates.rates_plus if math.isfinite(r)]
         # only slot 5 carries signal; it sits on the bit-0 = 1 side
         assert len(finite_plus) == 1
@@ -501,10 +514,10 @@ class TestRates:
         """The K=2 rate pair matches the even/odd pair up to side swap."""
         rng = np.random.default_rng(5)
         votes = rng.integers(0, 2, size=(4, 1)) * 2 - 1
-        model_d = make_model(Method.DIFFERENTIAL, 2, sigma2=0.3)
-        model_i = make_model(Method.INDEXED, 2, sigma2=0.3)
-        rd, _ = rate_sets(votes, 0, model_d)
-        ri, _ = rate_sets(-votes, 0, model_i)
+        link_d = make_link(Method.DIFFERENTIAL, 2, sigma2=0.3)
+        link_i = make_link(Method.INDEXED, 2, sigma2=0.3)
+        rd, _ = rate_sets(votes, 0, link_d)
+        ri, _ = rate_sets(-votes, 0, link_i)
         assert rd.rates_plus == pytest.approx(ri.rates_minus, rel=1e-12)
         assert rd.rates_minus == pytest.approx(ri.rates_plus, rel=1e-12)
 
@@ -514,13 +527,13 @@ class TestRates:
         """One call on an (R, U, M) stack gives bit for bit the rates and the
         offset of R calls on its (U, M) matrices (indexed K=8 has P=8
         probes; vote ell=1 is not the first)."""
-        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        link = make_link(method, 8, L_e=3, rho=0.7, sigma2=0.3)
         rng = np.random.default_rng(15)
         votes = rng.integers(0, 2, size=(6, 5, method.votes_per_codeword(8))) * 2 - 1
-        rates, x = rate_sets(votes, 1, model, exact)
+        rates, x = rate_sets(votes, 1, link, exact)
         assert isinstance(rates, list) and len(rates) == 6
         for r, matrix in enumerate(votes):
-            one, x_one = rate_sets(matrix, 1, model, exact)
+            one, x_one = rate_sets(matrix, 1, link, exact)
             assert isinstance(one, Rates)
             assert rates[r] == one and x == x_one
 
@@ -530,7 +543,7 @@ class TestRates:
         """One `detection_rates` call builds the engine's tables once, at
         vote ell's probes, and reads the signal of the whole (R, U, M) stack
         from them in one `signal_power` call."""
-        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        link = make_link(method, 8, L_e=3, rho=0.7, sigma2=0.3)
         rng = np.random.default_rng(16)
         votes = rng.integers(0, 2, size=(12, 5, method.votes_per_codeword(8))) * 2 - 1
         built, read = [], []
@@ -546,24 +559,24 @@ class TestRates:
 
         monkeypatch.setattr(theory, "probe_tables", built_tables)
         monkeypatch.setattr(theory, "signal_power", read_power)
-        rate_sets(votes, 1, model, exact)
-        ctx = DecoderContext.for_link(method, model.rp, model.pdp, model.sigma2)
+        rate_sets(votes, 1, link, exact)
+        ctx = DecoderContext.for_link(*link)
         assert len(built) == 1
         np.testing.assert_array_equal(built[0], detector_form(ctx, [1]).points)
         assert read == [pack(votes).shape]
 
     @staticmethod
-    def outer_product_rates(inner, ell, model, exact):
+    def outer_product_rates(inner, ell, link, exact):
         """Rates of one (U, K) matrix from the full probe covariance Sigma =
         (P^T conj(P)) o C_H + C_W, asserting that P^T conj(P) is exactly
         diagonal: the premise of `detection_rates`' diagonal signal term."""
-        ctx = DecoderContext.for_link(model.method, model.rp, model.pdp, model.sigma2)
+        ctx = DecoderContext.for_link(*link)
         form = detector_form(ctx, [ell])
         weights = form.signs[:, 0] / form.scale
-        taps = powers(form.points, model.pdp.L_e)  # taps[l, p] = z_p^l
-        chan = (taps.T * model.pdp.taps) @ taps.conj()
-        noise = probe_moments(form.points, model.rp.K, model.pdp, model.sigma2)
-        p = zero_form_eval(inner, model.rp, form.points)
+        taps = powers(form.points, link.pdp.L_e)  # taps[l, p] = z_p^l
+        chan = (taps.T * link.pdp.taps) @ taps.conj()
+        noise = probe_moments(form.points, link.rp.K, link.pdp, link.sigma2)
+        p = zero_form_eval(inner, link.rp, form.points)
         outer = p.T @ p.conj()
         assert np.all(outer[~np.eye(outer.shape[0], dtype=bool)] == 0)
         sigma = outer * chan + noise
@@ -583,25 +596,25 @@ class TestRates:
         outer-product covariance, to 1e-13 relative, at K = 2, 8 and 32 and
         at the first and last vote."""
         for K in (2, 8, 32):
-            model = make_model(method, K, L_e=3, rho=0.7, sigma2=0.3)
+            link = make_link(method, K, L_e=3, rho=0.7, sigma2=0.3)
             M = method.votes_per_codeword(K)
             rng = np.random.default_rng(K)
             votes = rng.integers(0, 2, size=(6, 5, M)) * 2 - 1
             for ell in sorted({0, M - 1}):
-                rates, _ = rate_sets(votes, ell, model, exact)
+                rates, _ = rate_sets(votes, ell, link, exact)
                 for got, inner in zip(rates, vote_pattern(method, votes)):
-                    want = self.outer_product_rates(inner, ell, model, exact)
+                    want = self.outer_product_rates(inner, ell, link, exact)
                     for a, b in ((got.rates_plus, want.rates_plus),
                                  (got.rates_minus, want.rates_minus)):
                         np.testing.assert_allclose(a, b, rtol=1e-13, atol=0)
 
     def test_complement_symmetry(self):
         """Swapping N+ and N- with complementary votes mirrors the CDF."""
-        model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.2)
+        link = make_link(Method.DIFFERENTIAL, 4, sigma2=0.2)
         rng = np.random.default_rng(6)
         votes = rng.integers(0, 2, size=(5, 2)) * 2 - 1
-        p = cdf(*rate_sets(votes, 0, model))
-        q = cdf(*rate_sets(-votes, 0, model))
+        p = cdf(*rate_sets(votes, 0, link))
+        q = cdf(*rate_sets(-votes, 0, link))
         assert p == pytest.approx(1.0 - q, abs=1e-6)
 
 
@@ -609,29 +622,29 @@ class TestVoteAveragedCer:
     """`vote_averaged_cers` at a single point: a group of one."""
 
     def test_single_vote_is_deterministic(self):
-        model = make_model(Method.INDEXED, 2, sigma2=0.1)
+        link = make_link(Method.INDEXED, 2, sigma2=0.1)
         for exact in (False, True):
-            est, = vote_averaged_cers(5, [3], model, [None], n_realizations=50,
-                                      exact=exact)
+            est, = vote_averaged_cers(link.method, link.K, 5, [3], link.pdp, link.sigma2,
+                                      [None], n_realizations=50, exact=exact)
             assert est.stderr == 0.0
-            est2, = vote_averaged_cers(5, [3], model, [None], n_realizations=1,
-                                       exact=exact)
+            est2, = vote_averaged_cers(link.method, link.K, 5, [3], link.pdp, link.sigma2,
+                                       [None], n_realizations=1, exact=exact)
             assert est.probability == est2.probability
 
     def test_matches_exhaustive_enumeration(self):
         """U=2, M=2 differential: average over all four other-vote patterns."""
-        model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.2)
+        link = make_link(Method.DIFFERENTIAL, 4, sigma2=0.2)
         n_plus, n_minus = 2, 0
         fixed = np.array([1, 1])
         probs = []
         for other in itertools.product((-1, 1), repeat=2):
             votes = np.stack([fixed, np.array(other)], axis=1)
-            (plus, minus), x = detection_rates(pack(votes[np.newaxis]), 0, model)
+            (plus, minus), x = detection_rates(pack(votes[np.newaxis]), 0, *link)
             probs.append(cer(n_plus, n_minus, plus, minus, x)[0])
         exact = float(np.mean(probs))
         rng = np.random.default_rng(7)
-        est, = vote_averaged_cers(n_plus + n_minus, [n_plus], model, [rng],
-                                  n_realizations=400)
+        est, = vote_averaged_cers(link.method, link.K, n_plus + n_minus, [n_plus],
+                                  link.pdp, link.sigma2, [rng], n_realizations=400)
         assert abs(est.probability - exact) < max(3 * est.stderr, 1e-9)
 
     def test_probability_range(self):
@@ -641,16 +654,17 @@ class TestVoteAveragedCer:
             method = Method(rng.choice([m.value for m in Method]))
             U = int(rng.integers(1, 7))
             n_plus = int(rng.integers(0, U + 1))
-            model = make_model(method, K, sigma2=float(rng.uniform(0.01, 1.0)))
-            est, = vote_averaged_cers(U, [n_plus], model, [rng], n_realizations=3)
+            link = make_link(method, K, sigma2=float(rng.uniform(0.01, 1.0)))
+            est, = vote_averaged_cers(link.method, link.K, U, [n_plus], link.pdp,
+                                      link.sigma2, [rng], n_realizations=3)
             assert 0.0 <= est.probability <= 1.0
 
     def test_tie_gives_one(self):
-        model = make_model(Method.DIFFERENTIAL, 4, sigma2=0.1)
+        link = make_link(Method.DIFFERENTIAL, 4, sigma2=0.1)
         rng = np.random.default_rng(9)
         for exact in (False, True):
-            est, = vote_averaged_cers(4, [2], model, [rng], n_realizations=5,
-                                      exact=exact)
+            est, = vote_averaged_cers(link.method, link.K, 4, [2], link.pdp, link.sigma2,
+                                      [rng], n_realizations=5, exact=exact)
             assert est.probability == 1.0 and est.stderr == 0.0
 
     def test_tie_needs_no_quadrature(self, monkeypatch):
@@ -663,12 +677,12 @@ class TestVoteAveragedCer:
 
         monkeypatch.setattr(theory, "detection_rates", forbidden)
         monkeypatch.setattr(theory, "cdf_diff_exp_sums", forbidden)
-        model = make_model(Method.INDEXED, 8, L_e=3, rho=0.5, sigma2=0.25)
+        link = make_link(Method.INDEXED, 8, L_e=3, rho=0.5, sigma2=0.25)
         expected = theory.CerEstimate(probability=1.0, stderr=0.0)
         for exact in (False, True):
             rng = np.random.default_rng(11)
-            est, = vote_averaged_cers(6, [3], model, [rng], n_realizations=50,
-                                      exact=exact)
+            est, = vote_averaged_cers(link.method, link.K, 6, [3], link.pdp, link.sigma2,
+                                      [rng], n_realizations=50, exact=exact)
             assert est == expected
             assert rng.random() == np.random.default_rng(11).random()
 
@@ -683,10 +697,10 @@ class TestVoteAveragedCer:
             return detection_rates(votes, *args, **kwargs)
 
         monkeypatch.setattr(theory, "detection_rates", counted)
-        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        link = make_link(Method.INDEXED, 8, sigma2=0.1)
         for exact in (False, True):
-            vote_averaged_cers(5, [4], model, [np.random.default_rng(16)],
-                               n_realizations=9, exact=exact)
+            vote_averaged_cers(link.method, link.K, 5, [4], link.pdp, link.sigma2,
+                               [np.random.default_rng(16)], n_realizations=9, exact=exact)
         assert shapes == [(9, 5, 1)] * 2  # M = 3 votes packed in one byte
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -700,18 +714,18 @@ class TestVoteAveragedCer:
         n_plus, n_minus, R = 5, 2, 20
         for K, snr_db in itertools.product((2, 8, 32), (0.0, 10.0, math.inf)):
             sigma2 = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
-            model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+            link = make_link(method, K, L_e=3, rho=0.7, sigma2=sigma2)
             M = method.votes_per_codeword(K)
             rng = np.random.default_rng(K)
             votes = rng.integers(0, 2, size=(R if M > 1 else 1, 7, M)) * 2 - 1
             votes[:, :, M - 1] = [1] * n_plus + [-1] * n_minus
-            rates, x = rate_sets(votes, M - 1, model, exact)
+            rates, x = rate_sets(votes, M - 1, link, exact)
             probs = np.array([cdf(r, x) for r in rates])
             stderr = np.std(probs, ddof=1) / math.sqrt(probs.size) if M > 1 else 0.0
             want = theory.CerEstimate(float(np.mean(probs)), float(stderr))
-            got, = vote_averaged_cers(n_plus + n_minus, [n_plus], model,
-                                      [np.random.default_rng(K)], n_realizations=R,
-                                      ell=M - 1, exact=exact)
+            got, = vote_averaged_cers(link.method, link.K, n_plus + n_minus, [n_plus],
+                                      link.pdp, link.sigma2, [np.random.default_rng(K)],
+                                      n_realizations=R, ell=M - 1, exact=exact)
             assert got == want, (K, snr_db)
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -735,9 +749,9 @@ class TestVoteAveragedCer:
 
         monkeypatch.setattr(theory, "detection_rates", kept_stacks)
         monkeypatch.setattr(theory, "_race", counted_race)
-        model = make_model(Method.INDEXED, 32, L_e=5, sigma2=0.0)
-        vote_averaged_cers(25, [14], model, [np.random.default_rng(1)],
-                           n_realizations=40, exact=exact)
+        link = make_link(Method.INDEXED, 32, L_e=5, sigma2=0.0)
+        vote_averaged_cers(link.method, link.K, 25, [14], link.pdp, link.sigma2,
+                           [np.random.default_rng(1)], n_realizations=40, exact=exact)
         ((plus, minus), x), = stacks
         assert x == 0.0
         counts = sorted(zip(np.isfinite(plus).sum(axis=1).tolist(),
@@ -763,10 +777,10 @@ class TestVoteAveragedCer:
             return chan, np.full_like(noise, bad)
 
         monkeypatch.setattr(theory, "probe_variances", spoiled)
-        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        link = make_link(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
-            vote_averaged_cers(5, [4], model, [np.random.default_rng(20)],
-                               n_realizations=5)
+            vote_averaged_cers(link.method, link.K, 5, [4], link.pdp, link.sigma2,
+                               [np.random.default_rng(20)], n_realizations=5)
         with pytest.raises(ValueError, match=match):
             from_means([1.0, bad], [2.0])
 
@@ -782,27 +796,28 @@ class TestVoteAveragedCer:
         (-1, 3, "n_plus=-1"), (3, -2, "n_minus=-2"), (0, 0, "n_plus=0, n_minus=0"),
     ])
     def test_bad_counts_fail_early(self, n_plus, n_minus, match):
-        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        link = make_link(Method.INDEXED, 8, sigma2=0.1)
         with pytest.raises(ValueError, match=match):
-            vote_averaged_cers(n_plus + n_minus, [n_plus], model,
-                               [np.random.default_rng(18)], n_realizations=3)
+            vote_averaged_cers(link.method, link.K, n_plus + n_minus, [n_plus], link.pdp,
+                               link.sigma2, [np.random.default_rng(18)], n_realizations=3)
 
     def test_unanimous_noise_vanishing_limit(self):
         """With every vote positive, the negative side collapses with sigma2."""
         probs = []
         for sigma2 in (1e-2, 1e-4, 1e-6):
-            model = make_model(Method.UNCODED, 4, sigma2=sigma2)
+            link = make_link(Method.UNCODED, 4, sigma2=sigma2)
             rng = np.random.default_rng(12)
-            est, = vote_averaged_cers(5, [5], model, [rng], n_realizations=40)
+            est, = vote_averaged_cers(link.method, link.K, 5, [5], link.pdp, link.sigma2,
+                                      [rng], n_realizations=40)
             probs.append(est.probability)
         assert probs[0] > probs[1] > probs[2]
         assert probs[2] < 1e-4
 
     def test_detection_rates_dispatch(self):
         rng = np.random.default_rng(11)
-        model = make_model(Method.INDEXED, 4, sigma2=0.2)
+        link = make_link(Method.INDEXED, 4, sigma2=0.2)
         votes = rng.integers(0, 2, size=(3, 2)) * 2 - 1
-        rates, x = rate_sets(votes, 0, model)
+        rates, x = rate_sets(votes, 0, link)
         assert x == 0.0
         assert len(rates.rates_plus) == 2 and len(rates.rates_minus) == 2
 
@@ -810,10 +825,15 @@ class TestVoteAveragedCer:
 @pytest.mark.parametrize("method", list(Method))
 @pytest.mark.parametrize("sigma2", [-0.1, math.nan])
 def test_cer_model_rejects_bad_noise(method, sigma2):
-    """A negative or NaN noise level fails when the model is built, not
-    later in the rates."""
+    """A negative or NaN noise level fails before any draw, also at a
+    lone tie, which reads no rate, and in the rates of one call."""
+    rng = np.random.default_rng(21)
     with pytest.raises(ValueError, match="noise variance must be nonnegative"):
-        make_model(method, 8, sigma2=sigma2)
+        vote_averaged_cers(method, 8, 4, [2], PdpConfig(1), sigma2, [rng], 3)
+    assert rng.random() == np.random.default_rng(21).random()
+    votes = pack_votes(np.ones((1, 3, method.votes_per_codeword(8)), bool))
+    with pytest.raises(ValueError, match="noise variance must be nonnegative"):
+        detection_rates(votes, 0, method, 8, PdpConfig(1), sigma2)
 
 
 class TestVoteAveragedCers:
@@ -838,14 +858,21 @@ class TestVoteAveragedCers:
         if stack_rows is not None:
             monkeypatch.setattr(theory, "_STACK_ROWS", stack_rows)
         for K, sigma2 in itertools.product((2, 8, 32), (1.0, 0.0)):
-            model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+            link = make_link(method, K, L_e=3, rho=0.7, sigma2=sigma2)
             ell = method.votes_per_codeword(K) - 1
-            got = theory.vote_averaged_cers(self.U, self.N_PLUS, model,
+            got = theory.vote_averaged_cers(link.method, link.K, self.U, self.N_PLUS,
+                                            link.pdp, link.sigma2,
                                             self.rngs(self.N_PLUS, K), 5, ell, exact)
-            want = [theory.vote_averaged_cers(self.U, [n], model, [rng], 5, ell, exact)[0]
+            want = [theory.vote_averaged_cers(link.method, link.K, self.U, [n], link.pdp,
+                                              link.sigma2, [rng], 5, ell, exact)[0]
                     for n, rng in zip(self.N_PLUS, self.rngs(self.N_PLUS, K))]
             assert got == want, (K, sigma2)
             assert got[2] == theory.CerEstimate(1.0, 0.0)
+            # The CLI name ("m1", "m2", "m3") is the same link.
+            alias = f"m{list(Method).index(method) + 1}"
+            assert theory.vote_averaged_cers(alias, K, self.U, self.N_PLUS, link.pdp,
+                                             link.sigma2, self.rngs(self.N_PLUS, K), 5,
+                                             ell, exact) == got
 
     @pytest.mark.parametrize("method", list(Method))
     def test_one_law_per_group(self, monkeypatch, method):
@@ -876,9 +903,9 @@ class TestVoteAveragedCers:
         monkeypatch.setattr(theory, "probe_tables", counted_tables)
         monkeypatch.setattr(theory, "cdf_diff_exp_sums", counted_cdf)
         monkeypatch.setattr(theory, "probe_moments", forbidden)
-        model = make_model(method, 8, L_e=3, rho=0.7, sigma2=0.3)
-        theory.vote_averaged_cers(self.U, self.N_PLUS, model,
-                                  self.rngs(self.N_PLUS, 1), 9)
+        link = make_link(method, 8, L_e=3, rho=0.7, sigma2=0.3)
+        theory.vote_averaged_cers(link.method, link.K, self.U, self.N_PLUS, link.pdp,
+                                  link.sigma2, self.rngs(self.N_PLUS, 1), 9)
         assert (calls["form"], calls["tables"]) == (1, 1)
         # Two points a direction, the tie left out.
         assert calls["cdf"] == [18, 18]
@@ -888,16 +915,17 @@ class TestVoteAveragedCers:
             return moments(*args)
 
         monkeypatch.setattr(theory, "probe_moments", counted_moments)
-        theory.vote_averaged_cers(self.U, self.N_PLUS, model,
-                                  self.rngs(self.N_PLUS, 1), 9, exact=True)
+        theory.vote_averaged_cers(link.method, link.K, self.U, self.N_PLUS, link.pdp,
+                                  link.sigma2, self.rngs(self.N_PLUS, 1), 9, exact=True)
         assert (calls["form"], calls["tables"], calls["moments"]) == (2, 2, 1)
 
     def test_each_point_draws_from_its_own_stream(self):
         """Every point but the tie draws its (R, U, M) votes from its own
         rng and nothing more, as a call of its own would."""
-        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        link = make_link(Method.INDEXED, 8, sigma2=0.1)
         rngs = self.rngs(self.N_PLUS, 2)
-        theory.vote_averaged_cers(self.U, self.N_PLUS, model, rngs, 4)
+        theory.vote_averaged_cers(link.method, link.K, self.U, self.N_PLUS, link.pdp,
+                                  link.sigma2, rngs, 4)
         for i, (n, rng) in enumerate(zip(self.N_PLUS, rngs)):
             replay = np.random.default_rng([2, i])
             if 2 * n != self.U:
@@ -908,23 +936,55 @@ class TestVoteAveragedCers:
         ([2, 7], "n_plus=7, n_minus=-1"), ([-1], "n_plus=-1, n_minus=7"),
     ])
     def test_bad_counts_fail_before_any_draw(self, points, match):
-        model = make_model(Method.INDEXED, 8, sigma2=0.1)
+        link = make_link(Method.INDEXED, 8, sigma2=0.1)
         rngs = self.rngs(points, 3)
         with pytest.raises(ValueError, match=match):
-            theory.vote_averaged_cers(self.U, points, model, rngs, 4)
+            theory.vote_averaged_cers(link.method, link.K, self.U, points, link.pdp,
+                                      link.sigma2, rngs, 4)
         for i, rng in enumerate(rngs):
             assert rng.random() == np.random.default_rng([3, i]).random()
+
+
+    @pytest.mark.parametrize("points, extra", [([1, 2, 4], []), ([1], [None])])
+    def test_one_rng_per_point(self, points, extra):
+        """Any other count of rngs is refused before any draw, naming both
+        counts: one rng for three points used to raise a bare IndexError
+        after the first point had drawn, and [rng, None] for one point was
+        refused for a None that is never read."""
+        rng = np.random.default_rng(4)
+        match = f"{1 + len(extra)} rngs for {len(points)} points"
+        with pytest.raises(ValueError, match=match):
+            vote_averaged_cers(Method.INDEXED, 8, self.U, points, PdpConfig(1), 0.1,
+                               [rng, *extra], 4)
+        assert rng.random() == np.random.default_rng(4).random()
+
+    @pytest.mark.parametrize("method, K, match", [
+        ("goldenbaum", 8, "unknown method 'goldenbaum'"),
+        (Method.INDEXED, 12, "indexed encoding needs K a power of two"),
+    ])
+    def test_refuses_a_link_no_scheme_sends(self, method, K, match):
+        """A name that is no zero-encoded scheme and a K its codebook does
+        not take are refused with the package's own messages, before any
+        draw, in `vote_averaged_cers` and in `detection_rates`."""
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match=match):
+            vote_averaged_cers(method, K, self.U, [1], PdpConfig(1), 0.1, [rng], 4)
+        assert rng.random() == np.random.default_rng(5).random()
+        with pytest.raises(ValueError, match=match):
+            detection_rates(pack_votes(np.ones((1, 3, 1), bool)), 0, method, K,
+                            PdpConfig(1), 0.1)
 
 
 def test_theory_curve_is_u_shaped():
     """Error rate over the vote split: worst near the tie, best at the
     unanimous extremes (odd U, so no exact tie exists)."""
-    model = make_model(Method.INDEXED, 8, sigma2=0.1)
+    link = make_link(Method.INDEXED, 8, sigma2=0.1)
     rng = np.random.default_rng(13)
     U = 9
     curve = [
         est.probability for est in
-        vote_averaged_cers(U, range(U + 1), model, [rng] * (U + 1), n_realizations=40)
+        vote_averaged_cers(link.method, link.K, U, range(U + 1), link.pdp, link.sigma2,
+                           [rng] * (U + 1), n_realizations=40)
     ]
     mid = U // 2
     assert max(curve) == max(curve[mid], curve[mid + 1])
@@ -955,8 +1015,8 @@ class TestExactCorrelatedModel:
                 seed=4242, key=(K, L_e),
             )
             est, = vote_averaged_cers(
-                U, [n_plus], make_model(method, K, L_e, 1.0, sigma2),
-                [stream(4243, K, L_e)], n_realizations=300, exact=True,
+                method, K, U, [n_plus], pdp_cfg, sigma2, [stream(4243, K, L_e)],
+                n_realizations=300, exact=True,
             )
             assert abs(mc - est.probability) < 3 * math.hypot(se, est.stderr), (
                 method, K, mc, est.probability
@@ -986,7 +1046,7 @@ class TestExactCorrelatedModel:
             mc = float(np.mean(decode(y, ctx)[:, ell] != 1))
             se = math.sqrt(mc * (1 - mc) / n)
             est, = vote_averaged_cers(
-                U, [n_plus], make_model(method, K, L_e, 1.0, sigma2), [rng],
+                method, K, U, [n_plus], pdp_cfg, sigma2, [rng],
                 n_realizations=200, ell=ell, exact=True,
             )
             assert abs(mc - est.probability) < 3 * math.hypot(se, est.stderr), (
@@ -1004,8 +1064,8 @@ class TestExactCorrelatedModel:
             for K in (2, 4, 8):
                 M = method.votes_per_codeword(K)
                 for sigma2 in (0.3, 0.0):
-                    model = make_model(method, K, L_e=3, rho=0.7, sigma2=sigma2)
-                    rp = model.rp
+                    link = make_link(method, K, L_e=3, rho=0.7, sigma2=sigma2)
+                    rp = link.rp
                     votes = rng.integers(0, 2, size=(5, M)) * 2 - 1
                     inner = encode_matrix(method, votes, rp)
                     coeffs = synthesize_coeffs(inner, rp)
@@ -1014,12 +1074,12 @@ class TestExactCorrelatedModel:
                     def oracle(z):
                         da = abs(z)
                         signal = np.sum(np.abs(poly_eval(coeffs, z)) ** 2)
-                        return (signal * channel_power(da, model.pdp)
-                                + noise_power(da, sigma2, K, model.pdp.L_e))
+                        return (signal * channel_power(da, link.pdp)
+                                + noise_power(da, sigma2, K, link.pdp.L_e))
 
                     for ell in range(M):
-                        paper, x = rate_sets(votes, ell, model)
-                        exact, x_exact = rate_sets(votes, ell, model, exact=True)
+                        paper, x = rate_sets(votes, ell, link)
+                        exact, x_exact = rate_sets(votes, ell, link, exact=True)
                         assert x_exact == pytest.approx(x, rel=1e-12, abs=1e-15)
                         if sigma2 == 0.0:
                             assert cdf(exact, x) == pytest.approx(
@@ -1029,8 +1089,8 @@ class TestExactCorrelatedModel:
                             plus, minus = [rp.d * w[ell]], [w[ell] / rp.d]
                             (scale_p, noise_p), (scale_m, noise_m) = (
                                 (signal_scale_uncoded(rp, da)
-                                 * channel_power(da, model.pdp),
-                                 noise_power(da, sigma2, K, model.pdp.L_e))
+                                 * channel_power(da, link.pdp),
+                                 noise_power(da, sigma2, K, link.pdp.L_e))
                                 for da in (rp.d, 1.0 / rp.d)
                             )
                             x_ref = noise_p / scale_p - noise_m / scale_m
